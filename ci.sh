@@ -1,57 +1,26 @@
 #!/bin/sh
-# ci.sh — the full verification gate (tier-1 plus formatting, vet and the
-# race detector). Stdlib/toolchain only; no external dependencies.
+# ci.sh — the full verification gate (tier-1 plus formatting, vet, the race
+# detector, a benchmark and fuzz smoke, and the CLI verdicts). Stdlib and
+# toolchain only; no external dependencies.
 #
 #   ./ci.sh
 #
 # Steps:
-#   1. gofmt -l         — fail on any unformatted file
-#   2. go vet ./...     — static analysis
-#   3. go build ./...   — everything compiles
-#   4. go test ./...    — full test suite (tier-1)
-#   5. go test -race ./internal/...  — concurrency-heavy packages under the
-#      race detector (block cache, AUQ/APS, cluster, LSM)
-#   6. go test -race -run Metrics    — the observability subsystem (registry,
-#      histogram snapshot consistency, tracer) under the race detector at
-#      the root package too, plus the golden-file guard that
-#      MetricsSnapshot marshals to stable JSON (TestMetricsSnapshotStableJSONGolden;
-#      refresh the golden with `go test ./internal/metrics -run Golden -update-golden`)
-#   7. compaction -race   — the incremental compaction pipeline (tier
-#      selection, bounded rounds, reads racing concurrent compactions,
-#      chaos with compaction armed) under the race detector, plus a
-#      one-iteration BenchmarkSustainedWrite smoke
-#   8. benchmark smoke    — every benchmark compiles and survives one
+#   1. gofmt -l            — fail on any unformatted file
+#   2. go vet ./...        — static analysis
+#   3. go build ./...      — everything compiles
+#   4. go test ./...       — full test suite (tier-1), including the metrics
+#      golden-file guard (refresh with
+#      `go test ./internal/metrics -run Golden -update-golden`)
+#   5. go test -race ./... — the same suite, root package included, under
+#      the race detector
+#   6. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
-#   9. chaos              — fixed-seed fault-injection verdict via
-#      cmd/chaoskit: all four schemes under crashes, partitions, disk and
-#      network faults must uphold every invariant (DESIGN.md §9); a second
-#      short run arms incremental compaction (-compact-threshold 2) so
-#      tiered merges and the piggybacked cleanse run under faults too
-#  10. learned index     — the learned block index (DESIGN.md §12): format
-#      compat matrix (v1/v2/v3), model training/marshal properties, the
-#      model-vs-binary equivalence corpus and concurrent model readers
-#      under -race; `lsmtool stats` must report a trained model on a
-#      knob-on store; and a one-iteration BenchmarkLearnedGet smoke runs
-#      the model and fallback paths against the same tables
-#  11. integrity         — the scrub/anti-entropy surface (DESIGN.md §11):
-#      scrubber + anti-entropy tests under -race; `lsmtool verify` must
-#      pass clean and exit non-zero on an injected corruption; the chaos
-#      integrity pair (scrubber detects misreads, sweep repairs injected
-#      divergence, unfaulted control stays silent); and a one-iteration
-#      BenchmarkScrubOverhead smoke
-#  12. time-travel       — the log-as-database subsystem (DESIGN.md §13):
-#      snapshot-in-log, as-of reads and the CDC feed under -race; the
-#      chaos crash scenario (torn write mid-snapshot, then snapshot+tail
-#      recovery must equal full replay and every golden as-of read must
-#      hold); a `lsmtool wal tail` smoke; and a one-iteration
-#      BenchmarkRecoveryReplay smoke of both recovery paths
-#  13. scale             — the open-loop harness and elastic cluster
-#      dynamics (DESIGN.md §14): deterministic pacing/shedding tests, the
-#      continuous balancer racing splits/merges/compaction, cold merges,
-#      live add/decommission and the elastic chaos scenario under -race;
-#      the seeded-generator golden guard; a `diffbench -openloop` overload
-#      smoke (p99 column present, arrivals actually shed); and the
-#      `chaoskit -elastic` verdict across all four schemes
+#   7. fuzz smoke          — 10 s of FuzzOpen over the SSTable decoders
+#   8. CLI gates           — what only the commands assert: `lsmtool verify`
+#      exit codes, `lsmtool wal tail`, the five `chaoskit` verdicts (two
+#      fixed-seed fault runs, -integrity, -timetravel, -elastic) and the
+#      `diffbench -openloop` shed check
 set -eu
 cd "$(dirname "$0")"
 
@@ -72,49 +41,16 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal) =="
-go test -race ./internal/...
-
-echo "== go test -race -run Metrics (observability + golden file) =="
-go test -race -run Metrics ./...
-
-echo "== go test -race -run Compact (compaction pipeline) =="
-go test -race -count=1 -run 'Compact' ./internal/lsm ./internal/chaos
-go test -run=NONE -bench=BenchmarkSustainedWrite -benchtime=1x ./internal/lsm
+echo "== go test -race =="
+go test -race ./...
 
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
-echo "== chaos (fixed-seed fault injection, all four schemes) =="
-# Deterministic verdict run: seeded crashes/partitions/disk+net faults under
-# a live workload, every invariant checked per scheme (DESIGN.md §9). The
-# -race chaos smoke already ran in step 5; this exercises the CLI verdict
-# path end to end. Short duration keeps the pass bounded (~10 s).
-go run ./cmd/chaoskit -seed 1 -scenarios 4 -duration 400ms -trace=false
-# Same harness with the tiered compaction engine kept hot: every flush can
-# arm another bounded merge round, so tombstone handling and the
-# compaction-piggybacked index cleanse run under the same fault schedule.
-go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact-threshold 2
+echo "== fuzz smoke (SSTable decoders, 10 s) =="
+go test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/sstable
 
-echo "== learned index (model + format compat, DESIGN.md §12) =="
-# Race pass over the learned-index surface: training/marshal properties, the
-# v1/v2/v3 footer compat matrix, zero-divergence equivalence corpus, restart
-# search, gap rejection and hammering one model-backed reader concurrently.
-go test -race -count=1 -run 'Learned|Model|FooterCompat|Restart|GapRejection|Info' ./internal/sstable ./internal/lsm
-# Operator surface: a knob-on store must produce v3 tables with a trained
-# model, and `lsmtool stats` must say so.
-if ! go run ./cmd/lsmtool stats -rows 1000 -tables 2 -learned | grep -q 'segments'; then
-    echo "lsmtool stats reported no trained model on a -learned store" >&2
-    exit 1
-fi
-# Bench smoke: one iteration of the model and fallback paths on the same
-# tables (the full comparison lives in bench_output_learned.txt).
-go test -run=NONE -bench=BenchmarkLearned -benchtime=1x ./internal/sstable
-
-echo "== integrity (scrub + anti-entropy + health, DESIGN.md §11) =="
-# Race pass over the integrity subsystem: the background scrubber, checksum
-# round-trips, the anti-entropy sweep and the health surface.
-go test -race -count=1 -run 'Scrub|Checksum|AntiEntropy|Health|Integrity' ./internal/lsm ./internal/sstable ./internal/core ./internal/chaos .
+echo "== lsmtool =="
 # Offline sweep gate: a clean store must verify; a corrupted one must be
 # detected AND fail the process (exit status is the contract CI relies on).
 go run ./cmd/lsmtool verify -rows 500 -tables 3 > /dev/null
@@ -122,38 +58,36 @@ if go run ./cmd/lsmtool verify -rows 500 -tables 3 -corrupt 1 > /dev/null 2>&1; 
     echo "lsmtool verify did not fail on a corrupted table" >&2
     exit 1
 fi
-# Online pair: faulted run (scrubber must detect armed misreads, anti-entropy
-# must repair injected divergence) plus the unfaulted false-positive control.
-go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
-go test -run=NONE -bench=BenchmarkScrubOverhead -benchtime=1x ./internal/lsm
-
-echo "== time-travel (snapshot-in-log + as-of reads + CDC, DESIGN.md §13) =="
-# Race pass over the subsystem: snapshot rounds, point-in-time reads racing
-# compaction, WAL tailing/cursors, the change feed and log-sourced rebuild.
-go test -race -count=1 -run 'Snapshot|AsOf|Checkpoint|Truncat|Pin|Tail|Cursor|Changes|Rebuild|ClockObserve' \
-    ./internal/wal ./internal/snapshot ./internal/lsm ./internal/kv ./internal/core .
-# Crash gate: tear every WAL write mid-snapshot, then recovery through the
-# torn record must fall back cleanly — snapshot+tail replay equals full raw
-# replay, golden as-of reads hold, and the retained log still tails every
-# acknowledged mutation.
-go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
 # CDC CLI smoke: tailing a store's WAL must surface committed records.
 if ! go run ./cmd/lsmtool wal tail -rows 8 | grep -q 'resume position'; then
     echo "lsmtool wal tail printed no resume position" >&2
     exit 1
 fi
-go test -run=NONE -bench=BenchmarkRecoveryReplay -benchtime=1x ./internal/wal
 
-echo "== scale (open-loop harness + elastic dynamics, DESIGN.md §14) =="
-# Deterministic open-loop spine + elastic topology under -race: virtual-clock
-# pacing and shed accounting, the continuous balancer racing concurrent
-# splits/merges/compaction rounds, cold merges, live server add/decommission,
-# and the seeded elastic chaos scenario (all four schemes' invariants).
-go test -race -count=1 -run 'OpenLoop|VirtualClock|Balanc|ColdMerge|MoveRegion|AddServer|Decommission|Elastic' \
-    ./internal/scale ./internal/cluster ./internal/chaos
-# Generator spine: seeded choosers must replay their golden sequences and
-# keep the zipfian hot-set mass (silent skew drift invalidates every sweep).
-go test -count=1 -run 'Generator|Zipfian' ./internal/workload
+echo "== chaoskit verdicts =="
+# Fixed-seed fault injection, all four schemes: seeded crashes, partitions,
+# disk and network faults under a live workload, every invariant checked per
+# scheme (DESIGN.md §9). Short duration keeps the pass bounded (~10 s).
+go run ./cmd/chaoskit -seed 1 -scenarios 4 -duration 400ms -trace=false
+# Same harness with the tiered compaction engine kept hot: every flush can
+# arm another bounded merge round, so tombstone handling and the
+# compaction-piggybacked index cleanse run under the same fault schedule.
+go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact-threshold 2
+# Integrity pair (DESIGN.md §11): faulted run (scrubber must detect armed
+# misreads, anti-entropy must repair injected divergence) plus the unfaulted
+# false-positive control.
+go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
+# Time-travel crash gate (DESIGN.md §13): tear every WAL write mid-snapshot,
+# then recovery through the torn record must fall back cleanly —
+# snapshot+tail replay equals full raw replay, golden as-of reads hold, and
+# the retained log still tails every acknowledged mutation.
+go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
+# Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, cold
+# merges, hot splits and continuous balancing under live load; every
+# per-scheme invariant must hold and the AUQ backlog must stay under its cap.
+go run ./cmd/chaoskit -scenarios 0 -elastic -trace=false
+
+echo "== diffbench -openloop (overload must shed) =="
 # Open-loop smoke at a fixed overload rate: the curve must carry the p99
 # column and the run must actually shed — open-loop measurement means
 # rejecting excess load, not buffering it without bound.
@@ -161,9 +95,5 @@ openloop_out=$(go run ./cmd/diffbench -openloop -rate 6000 -duration 300ms)
 echo "$openloop_out" | grep -q 'p99' || { echo "diffbench -openloop output missing p99 column" >&2; exit 1; }
 echo "$openloop_out" | grep -Eq 'shed by the open-loop gate across all points: [1-9]' \
     || { echo "diffbench -openloop overload point shed nothing" >&2; exit 1; }
-# Elastic verdict: seeded server adds, a decommission, cold merges, hot
-# splits and continuous balancing under live load; every per-scheme
-# invariant must hold and the AUQ backlog must stay under its cap.
-go run ./cmd/chaoskit -scenarios 0 -elastic -trace=false
 
 echo "CI PASSED"

@@ -9,7 +9,7 @@
 //
 //	lsmtool [-rows 2000] [-versions 3] [-stats]
 //	lsmtool verify [-rows 2000] [-tables 4] [-corrupt 0]
-//	lsmtool stats [-rows 2000] [-tables 4] [-learned] [-epsilon 8]
+//	lsmtool stats [-rows 2000] [-tables 4]
 //	lsmtool wal tail [-rows 12] [-from seg@off] [-max 0]
 //
 // -stats attaches a metrics registry to the store and, after the
@@ -25,10 +25,8 @@
 // any corruption is found, so the command doubles as a CI gate.
 //
 // The stats subcommand inspects physical table layout: it flushes -tables
-// SSTables (with -learned, each also trains a learned block model at error
-// bound -epsilon) and prints every table's format version, block/entry
-// counts, restart points, and model summary (segments, ε, marshaled bytes)
-// — the on-disk picture behind DESIGN.md §12.
+// SSTables and prints every table's block/entry counts and restart points —
+// the on-disk picture behind DESIGN.md §12.
 //
 // The wal tail subcommand demonstrates the CDC surface (DESIGN.md §13): it
 // drives a store with full log retention through puts, a delete, a flush
@@ -294,9 +292,7 @@ func verifyMain(args []string) {
 			}
 		}
 		status := "ok"
-		if !r.HasChecksums() {
-			status = "v1 (no checksums, verified vacuously)"
-		} else if bad > 0 {
+		if bad > 0 {
 			status = fmt.Sprintf("%d/%d blocks CORRUPT", bad, blocks)
 		}
 		fmt.Printf("  %-40s %3d blocks %8dB  %s\n", name, blocks, bytes, status)
@@ -396,27 +392,22 @@ func walTailMain(args []string) {
 	fmt.Printf("tailed %d records, resume position %s\n", total, pos)
 }
 
-// statsMain implements `lsmtool stats`: flush -tables SSTables (model-backed
-// when -learned is set), then re-open each one cold and print its physical
-// layout — format version, blocks, entries, restart points, and the learned
-// model's segment count / error bound / marshaled size.
+// statsMain implements `lsmtool stats`: flush -tables SSTables, then re-open
+// each one cold and print its physical layout — blocks, entries and restart
+// points.
 func statsMain(args []string) {
 	fl := flag.NewFlagSet("stats", flag.ExitOnError)
 	rows := fl.Int("rows", 2000, "rows to write per flushed table")
 	tables := fl.Int("tables", 4, "SSTables to flush before inspecting")
-	learned := fl.Bool("learned", false, "train a learned block model on each table")
-	epsilon := fl.Int("epsilon", 0, "model error bound in blocks (0 = default)")
 	fl.Parse(args)
 
 	fs := vfs.NewMemFS()
 	store, err := lsm.Open(lsm.Options{
-		FS:                  fs,
-		Dir:                 "demo",
-		DisableAutoFlush:    true,
-		DisableAutoCompact:  true,
-		DisableScrub:        true,
-		LearnedIndex:        *learned,
-		LearnedIndexEpsilon: *epsilon,
+		FS:                 fs,
+		Dir:                "demo",
+		DisableAutoFlush:   true,
+		DisableAutoCompact: true,
+		DisableScrub:       true,
 	})
 	if err != nil {
 		panic(err)
@@ -439,8 +430,7 @@ func statsMain(args []string) {
 	}
 
 	names, _ := fs.List("demo/")
-	fmt.Printf("%-36s %3s %7s %8s %9s %s\n",
-		"table", "ver", "blocks", "entries", "restarts", "model")
+	fmt.Printf("%-36s %7s %8s %9s\n", "table", "blocks", "entries", "restarts")
 	for _, name := range names {
 		if !strings.HasSuffix(name, ".sst") {
 			continue
@@ -451,13 +441,7 @@ func statsMain(args []string) {
 			continue
 		}
 		info := r.Info()
-		model := "none (binary search)"
-		if info.ModelSegments > 0 {
-			model = fmt.Sprintf("%d segments, eps=%d, %dB",
-				info.ModelSegments, info.ModelEpsilon, info.ModelBytes)
-		}
-		fmt.Printf("%-36s  v%d %7d %8d %9d %s\n",
-			name, info.FormatVersion, info.Blocks, info.Entries, info.Restarts, model)
+		fmt.Printf("%-36s %7d %8d %9d\n", name, info.Blocks, info.Entries, info.Restarts)
 		r.Close()
 	}
 }

@@ -167,18 +167,6 @@ type Options struct {
 	// Off by default: the background scrubber provides continuous coverage
 	// without the per-read cost.
 	VerifyChecksums bool
-	// LearnedIndex makes every region store train a bounded-error
-	// piecewise-linear block model on each SSTable it writes and serve
-	// point lookups through it: the model predicts the data block, a ±ε
-	// index window is verified exactly, and any miss falls back to binary
-	// search — model-backed reads always return exactly what binary search
-	// would (DESIGN.md §12).
-	LearnedIndex bool
-	// LearnedIndexEpsilon is the model error bound in blocks (default 8);
-	// BlockRestartInterval the in-block restart-point spacing in entries
-	// (default 16) on newly written tables.
-	LearnedIndexEpsilon  int
-	BlockRestartInterval int
 	// DisableScrub turns off the per-region background integrity scrubber
 	// (see DESIGN.md §11).
 	DisableScrub bool
@@ -255,9 +243,6 @@ func Open(opts Options) *DB {
 		MaxConcurrentCompactions: opts.MaxConcurrentCompactions,
 		ReadFanOut:               opts.ReadFanOut,
 		VerifyChecksums:          opts.VerifyChecksums,
-		LearnedIndex:             opts.LearnedIndex,
-		LearnedIndexEpsilon:      opts.LearnedIndexEpsilon,
-		BlockRestartInterval:     opts.BlockRestartInterval,
 		DisableScrub:             opts.DisableScrub,
 		ScrubInterval:            opts.ScrubInterval,
 		ScrubBlockPace:           opts.ScrubBlockPace,

@@ -74,15 +74,6 @@ type Config struct {
 	// VerifyChecksums makes every region store verify SSTable block CRCs on
 	// read (see lsm.Options.VerifyChecksums).
 	VerifyChecksums bool
-	// LearnedIndex makes every region store train a learned block model on
-	// newly written SSTables and serve point lookups through it, with
-	// verified fallback to binary search (see lsm.Options.LearnedIndex).
-	LearnedIndex bool
-	// LearnedIndexEpsilon / BlockRestartInterval tune the model error bound
-	// (blocks) and in-block restart spacing (entries); zero values take the
-	// sstable defaults (ε=8, K=16).
-	LearnedIndexEpsilon  int
-	BlockRestartInterval int
 	// DisableScrub turns off the per-region background integrity scrubber.
 	DisableScrub bool
 	// SnapshotInterval, when > 0, runs periodic snapshot-in-log rounds on

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"diffindex/internal/kv"
@@ -59,6 +60,19 @@ type Region struct {
 	// ops counts data RPCs served by this region since the balancer last
 	// collected loads (TakeRegionLoads swaps it back to zero).
 	ops atomic.Int64
+	// rowLocks (striped by row key) serialize same-row writes from timestamp
+	// assignment to the end of the put pipeline, so a row's versions reach
+	// the memtable in timestamp order. Index maintenance depends on it: the
+	// pre-image read at ts−δ must see every write with a smaller timestamp,
+	// or the entry that write inserts is never deleted.
+	rowLocks [64]sync.Mutex
+}
+
+// lockRow locks row's stripe and returns it for the caller to unlock.
+func (r *Region) lockRow(row []byte) *sync.Mutex {
+	mu := &r.rowLocks[aeBucket(row, len(r.rowLocks))]
+	mu.Lock()
+	return mu
 }
 
 // Store exposes the region's LSM store to coprocessors (local base reads,

@@ -171,9 +171,6 @@ func (s *RegionServer) OpenRegion(info RegionInfo) error {
 		RetainTombstones:         s.cluster.retainsTombstones(info.Table),
 		BlockCache:               cache,
 		VerifyChecksums:          s.cluster.cfg.VerifyChecksums,
-		LearnedIndex:             s.cluster.cfg.LearnedIndex,
-		LearnedIndexEpsilon:      s.cluster.cfg.LearnedIndexEpsilon,
-		BlockRestartInterval:     s.cluster.cfg.BlockRestartInterval,
 		DisableScrub:             s.cluster.cfg.DisableScrub,
 		ScrubInterval:            s.cluster.cfg.ScrubInterval,
 		ScrubBlockPace:           s.cluster.cfg.ScrubBlockPace,
@@ -333,6 +330,7 @@ func (s *RegionServer) PutRow(regionID string, row []byte, cols map[string][]byt
 	if err != nil {
 		return 0, nil, err
 	}
+	defer region.lockRow(row).Unlock()
 	ts := s.cluster.clock.Next()
 
 	var old map[string][]byte
@@ -375,6 +373,7 @@ func (s *RegionServer) DeleteRow(regionID string, row []byte, cols []string, tr 
 	if err != nil {
 		return 0, err
 	}
+	defer region.lockRow(row).Unlock()
 	ts := s.cluster.clock.Next()
 	if cols == nil {
 		existing, err := region.LocalGetRow(row, ts-kv.Delta)

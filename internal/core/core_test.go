@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -298,6 +299,49 @@ func TestAsyncSimpleEventualConsistency(t *testing.T) {
 	}
 	if e.m.Staleness().Count() == 0 {
 		t.Error("staleness histogram empty after async completions")
+	}
+}
+
+// TestConcurrentSameRowUpdatesLeaveOneEntry: writers racing on one row must
+// not strand index entries. A put's pre-image read at ts−δ finds the entry
+// to delete only if every same-row write with a smaller timestamp has
+// reached the memtable; when a later-stamped put could overtake an earlier
+// one, the earlier put's entry was inserted after its only delete had been
+// computed, and stayed (the chaos suites' intermittent "stale index entry").
+func TestConcurrentSameRowUpdatesLeaveOneEntry(t *testing.T) {
+	for _, scheme := range []Scheme{SyncFull, AsyncSimple} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			e := newEnv(t, 3, ManagerOptions{})
+			def := e.createIndex(t, scheme, "title")
+			const writers, puts = 8, 150
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					cl := cluster.NewClient(e.c, fmt.Sprintf("writer%d", w))
+					for i := 0; i < puts; i++ {
+						cols := map[string][]byte{"title": []byte(fmt.Sprintf("w%d-%d", w, i))}
+						if _, err := cl.Put(e.tbl, []byte("item000"), cols); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if !e.m.WaitForConvergence(10 * time.Second) {
+				t.Fatal("AUQ did not drain")
+			}
+			row, err := e.cl.GetRow(e.tbl, []byte("item000"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("%s→item000", row["title"])
+			if got := e.rawIndexEntries(t, def); len(got) != 1 || got[0] != want {
+				t.Fatalf("index entries = %v, want only %s", got, want)
+			}
+		})
 	}
 }
 

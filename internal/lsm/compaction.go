@@ -113,10 +113,10 @@ func pickTiered(metas []tableMeta, fanIn, threshold int, force bool) []int {
 	return picked
 }
 
-// pickFullMerge is the legacy baseline picker: all tables, one round, but
-// only when none is already being compacted (single-flight, as before).
-func pickFullMerge(metas []tableMeta, threshold int, force bool) []int {
-	if len(metas) < 2 || (!force && len(metas) < threshold) {
+// pickAll is Store.Compact's picker: every table in one round, but only
+// when none is already being compacted.
+func pickAll(metas []tableMeta) []int {
+	if len(metas) < 2 {
 		return nil
 	}
 	picked := make([]int, 0, len(metas))
@@ -193,8 +193,8 @@ func (s *Store) claimLocked(force, all bool) ([]*tableHandle, bool, error) {
 		metas[i] = tableMeta{Size: h.r.Size(), Busy: busy}
 	}
 	var picked []int
-	if all || s.opts.FullMergeCompaction {
-		picked = pickFullMerge(metas, s.opts.CompactionThreshold, force || all)
+	if all {
+		picked = pickAll(metas)
 	} else {
 		picked = pickTiered(metas, s.opts.CompactionFanIn, s.opts.CompactionThreshold, force)
 	}
@@ -384,7 +384,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 	}
 
 	name := tableName(s.opts.Dir, outNum)
-	w, err := sstable.NewWriterWith(s.opts.FS, name, s.writerOptions())
+	w, err := sstable.NewWriter(s.opts.FS, name)
 	if err != nil {
 		return err
 	}
@@ -464,7 +464,6 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 		s.opts.FS.Remove(name)
 		return err
 	}
-	s.noteModelTrained(w)
 	r, err := s.openTable(name)
 	if err != nil {
 		return err

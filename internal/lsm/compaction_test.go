@@ -375,30 +375,6 @@ func TestBackgroundCompactionErrorSurfaced(t *testing.T) {
 	}
 }
 
-func TestFullMergeCompactionOption(t *testing.T) {
-	fs := vfs.NewMemFS()
-	s, err := Open(Options{
-		FS: fs, Dir: "store",
-		CompactionThreshold: 4,
-		FullMergeCompaction: true,
-		DisableAutoFlush:    true,
-		DisableAutoCompact:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for i := 0; i < 5; i++ {
-		flushTable(t, s, fmt.Sprintf("t%d-", i), 3, kv.Timestamp(i+1))
-	}
-	s.maybeScheduleCompaction()
-	s.WaitCompactions()
-	if got := s.TableCount(); got != 1 {
-		t.Fatalf("full-merge baseline left %d tables, want 1", got)
-	}
-}
-
 // TestReadsRaceConcurrentCompactions hammers the store with writes, reads
 // and scans while the incremental engine flushes and compacts in the
 // background — the -race proof that claim-based scheduling, refcounted

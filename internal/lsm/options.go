@@ -49,11 +49,6 @@ type Options struct {
 	// running at once (each round works on a disjoint table set, so rounds
 	// never conflict). Defaults to 2.
 	MaxConcurrentCompactions int
-	// FullMergeCompaction restores the legacy behavior of merging every
-	// live SSTable in a single round (used as the write-amplification
-	// baseline in benchmarks). Tombstones always drop in this mode because
-	// every round compacts the bottom.
-	FullMergeCompaction bool
 	// RetainTombstones keeps delete markers through every compaction,
 	// including bottom-tier rounds (the data they mask is still GC'd).
 	// Global-index stores set this: asynchronous index maintenance is
@@ -84,25 +79,8 @@ type Options struct {
 	// VerifyChecksums makes every data-block read verify the block's CRC32C
 	// before use, turning silent corruption into an ErrCorruption read error.
 	// Cache hits are not re-verified (they were checked when first read from
-	// disk); v1 tables without checksums are unaffected.
+	// disk).
 	VerifyChecksums bool
-	// LearnedIndex trains a bounded-error piecewise-linear block model on
-	// every SSTable this store writes (flushes and compactions) and serves
-	// point lookups through it: the model predicts a block, a ±ε window is
-	// verified against the exact index, and any miss falls back to the full
-	// binary search — model-backed reads always return exactly what binary
-	// search would (DESIGN.md §12). Already-written tables keep whatever
-	// format they have; v1/v2 tables read via binary search.
-	LearnedIndex bool
-	// LearnedIndexEpsilon is the model's training error bound in blocks
-	// (defaults to sstable.DefaultModelEpsilon = 8). Smaller ε means more
-	// segments and narrower read windows.
-	LearnedIndexEpsilon int
-	// BlockRestartInterval is the entry spacing of in-block restart points
-	// on newly written tables (defaults to sstable.DefaultRestartInterval =
-	// 16): the in-block entry scan binary-searches restarts and walks at
-	// most this many entries.
-	BlockRestartInterval int
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
 	// SnapshotInterval, when > 0, runs a periodic snapshot-in-log round
@@ -146,12 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScrubInterval <= 0 {
 		o.ScrubInterval = 5 * time.Second
-	}
-	if o.LearnedIndexEpsilon <= 0 {
-		o.LearnedIndexEpsilon = sstable.DefaultModelEpsilon
-	}
-	if o.BlockRestartInterval <= 0 {
-		o.BlockRestartInterval = sstable.DefaultRestartInterval
 	}
 	if o.ScrubBlockPace < 0 {
 		o.ScrubBlockPace = 0

@@ -105,11 +105,6 @@ type Store struct {
 	compRounds, compErrors, compGCCells, compTombstones *metrics.Counter
 	compBytesRead, compBytesWritten, flushBytesC        *metrics.Counter
 
-	// Learned-block-index counters (DESIGN.md §12): window-verified model
-	// predictions, fallbacks to full binary search, summed verification-
-	// window widths, and segments trained into newly written tables.
-	modelHits, modelFallbacks, modelWindow, modelSegments *metrics.Counter
-
 	// Background-scrubber progress; see scrub.go.
 	scrub scrubState
 
@@ -141,8 +136,6 @@ func Open(opts Options) (*Store, error) {
 	s.compCond = sync.NewCond(&s.compMu)
 	s.closeCh = make(chan struct{})
 
-	// Resolve instruments before any table opens: openTable wires each
-	// reader's learned-model counters, including the tables recovered below.
 	if reg := opts.Metrics; reg != nil {
 		table := metrics.L("table", opts.MetricsTable)
 		s.stageWAL = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageWAL), table)
@@ -157,10 +150,6 @@ func Open(opts Options) (*Store, error) {
 		s.compGCCells = reg.Counter("diffindex_compaction_gc_cells_total", table)
 		s.compTombstones = reg.Counter("diffindex_compaction_tombstones_dropped_total", table)
 		s.flushBytesC = reg.Counter("diffindex_flush_bytes_total", table)
-		s.modelHits = reg.Counter("diffindex_sstable_model_hits_total", table)
-		s.modelFallbacks = reg.Counter("diffindex_sstable_model_fallbacks_total", table)
-		s.modelWindow = reg.Counter("diffindex_sstable_model_window_blocks_total", table)
-		s.modelSegments = reg.Counter("diffindex_sstable_model_segments_total", table)
 		s.scrub.blocksC = reg.Counter("diffindex_scrub_blocks_total", table)
 		s.scrub.bytesC = reg.Counter("diffindex_scrub_bytes_total", table)
 		s.scrub.corruptionsC = reg.Counter("diffindex_scrub_corruptions_total", table)
@@ -235,35 +224,14 @@ func Open(opts Options) (*Store, error) {
 }
 
 // openTable opens a finished table file, applying the store's verify-on-read
-// knob and wiring the learned-model counters before the reader serves any
-// read.
+// knob before the reader serves any read.
 func (s *Store) openTable(name string) (*sstable.Reader, error) {
 	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
 	if err != nil {
 		return nil, err
 	}
 	r.SetVerifyChecksums(s.opts.VerifyChecksums)
-	r.SetModelMetrics(s.modelHits, s.modelFallbacks, s.modelWindow)
 	return r, nil
-}
-
-// writerOptions builds the SSTable writer configuration from the store's
-// learned-index knobs; flushes and compactions share it so every table the
-// store writes carries the same accelerators.
-func (s *Store) writerOptions() sstable.WriterOptions {
-	return sstable.WriterOptions{
-		LearnedIndex:    s.opts.LearnedIndex,
-		Epsilon:         s.opts.LearnedIndexEpsilon,
-		RestartInterval: s.opts.BlockRestartInterval,
-	}
-}
-
-// noteModelTrained records the segments a finished writer trained into a new
-// table.
-func (s *Store) noteModelTrained(w *sstable.Writer) {
-	if s.modelSegments != nil && w.ModelSegments() > 0 {
-		s.modelSegments.Add(int64(w.ModelSegments()))
-	}
 }
 
 func tableName(dir string, n uint64) string {
@@ -475,7 +443,7 @@ func (s *Store) Flush() error {
 
 	// Phase 3: write the SSTable without blocking writers.
 	name := tableName(s.opts.Dir, fileNum)
-	w, err := sstable.NewWriterWith(s.opts.FS, name, s.writerOptions())
+	w, err := sstable.NewWriter(s.opts.FS, name)
 	if err != nil {
 		return err
 	}
@@ -492,7 +460,6 @@ func (s *Store) Flush() error {
 		s.opts.FS.Remove(name)
 		return err
 	}
-	s.noteModelTrained(w)
 	r, err := s.openTable(name)
 	if err != nil {
 		return err

@@ -97,13 +97,12 @@ func TestGetAsOfAcrossComponents(t *testing.T) {
 func TestGetAsOfTrimmedHistory(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
-		FS:                  fs,
-		Dir:                 "tt",
-		MaxVersions:         2,
-		DisableAutoFlush:    true,
-		DisableAutoCompact:  true,
-		DisableScrub:        true,
-		FullMergeCompaction: true, // compact to the bottom: versions past 2 drop
+		FS:                 fs,
+		Dir:                "tt",
+		MaxVersions:        2,
+		DisableAutoFlush:   true,
+		DisableAutoCompact: true,
+		DisableScrub:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +117,7 @@ func TestGetAsOfTrimmedHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Compact merges every table, down to the bottom: versions past 2 drop.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}

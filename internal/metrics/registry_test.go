@@ -93,11 +93,6 @@ func TestMetricsSnapshotStableJSONGolden(t *testing.T) {
 	r.Counter("diffindex_antientropy_violations_total", L("kind", "stale")).Add(1)
 	r.Counter("diffindex_antientropy_repairs_total", L("kind", "missing")).Add(1)
 	r.Counter("diffindex_antientropy_repairs_total", L("kind", "stale")).Add(1)
-	// The learned-block-index surface: model-served vs fallback lookups and
-	// segments trained, exactly as the lsm store emits them (DESIGN.md §12).
-	r.Counter("diffindex_sstable_model_hits_total", L("table", "items")).Add(950)
-	r.Counter("diffindex_sstable_model_fallbacks_total", L("table", "items")).Add(50)
-	r.Counter("diffindex_sstable_model_segments_total", L("table", "items")).Add(7)
 
 	got, err := r.Snapshot().MarshalStableJSON()
 	if err != nil {

@@ -1,12 +1,29 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"diffindex/internal/bloom"
 	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
 )
+
+// seqCells returns n sequential single-version cells keyed key%08d.
+func seqCells(n int) []kv.Cell {
+	cells := make([]kv.Cell, n)
+	for i := range cells {
+		cells[i] = kv.Cell{
+			Key:   []byte(fmt.Sprintf("key%08d", i)),
+			Value: []byte(fmt.Sprintf("val-%d", i)),
+			Ts:    1,
+			Kind:  kv.KindPut,
+		}
+	}
+	return cells
+}
 
 // TestUserKeyBoundsPersisted checks both user-key bounds survive a
 // write/open round trip — the smallest comes from the index-block prefix,
@@ -69,5 +86,156 @@ func TestMayContainKey(t *testing.T) {
 		if got := r.MayContainKey([]byte(tc.key)); got != tc.want {
 			t.Errorf("MayContainKey(%q) = %v, want %v", tc.key, got, tc.want)
 		}
+	}
+}
+
+// TestSearchBlockRestarts checks the restart-point binary search against the
+// ground-truth linear scan (restarts=nil) for every entry boundary and for
+// keys that fall between entries.
+func TestSearchBlockRestarts(t *testing.T) {
+	cells := seqCells(3000)
+	fs := vfs.NewMemFS()
+	buildTable(t, fs, "t.sst", cells)
+	r, err := Open(fs, "t.sst", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	for bi := 0; bi < r.NumBlocks(); bi++ {
+		blk, err := r.block(bi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarts := r.index[bi].restarts
+		if bi == 0 && len(restarts) == 0 {
+			t.Fatal("no restart points recorded")
+		}
+		probe := func(seek []byte) {
+			got := searchBlock(blk, restarts, seek)
+			want := searchBlock(blk, nil, seek)
+			if got != want {
+				t.Fatalf("block %d searchBlock(%q): restarts=%d linear=%d", bi, seek, got, want)
+			}
+		}
+		off := 0
+		for off < len(blk) {
+			ikey, _, n := blockEntry(blk[off:])
+			if n == 0 {
+				t.Fatalf("block %d: malformed entry at %d", bi, off)
+			}
+			probe(ikey)                                       // exact hit
+			probe(append([]byte(nil), ikey[:len(ikey)-1]...)) // prefix: sorts below
+			probe(append(append([]byte(nil), ikey...), 0))    // just above
+			off += n
+		}
+		probe([]byte{})                       // below everything
+		probe(bytes.Repeat([]byte{0xff}, 24)) // above everything
+	}
+}
+
+// countingFS wraps a vfs.FS and counts ReadAt calls on every file opened
+// through it, so tests can assert "zero block I/O".
+type countingFS struct {
+	vfs.FS
+	reads atomic.Int64
+}
+
+func (c *countingFS) Open(name string) (vfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, n: &c.reads}, nil
+}
+
+type countingFile struct {
+	vfs.File
+	n *atomic.Int64
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.n.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// TestGetGapRejectionZeroIO: a point get for a key that falls in the gap
+// between two blocks' key ranges must be rejected from the index alone —
+// zero data-block reads — using the per-block first-key bound. The bloom
+// filter is replaced so the probe key passes it (simulating a false
+// positive, the only case where the gap bound matters).
+func TestGetGapRejectionZeroIO(t *testing.T) {
+	cfs := &countingFS{FS: vfs.NewMemFS()}
+	// Build by hand with an explicit block cut between the "a" and "c" key
+	// ranges so the gap lands exactly on a block boundary (a size-based cut
+	// would let one block straddle it, and a straddling block legitimately
+	// needs a read to disprove the key).
+	w, err := NewWriter(cfs, "t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		k := kv.InternalKey([]byte(fmt.Sprintf("a%07d", i)), 1, kv.KindPut)
+		if err := w.Add(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.cutBlock(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		k := kv.InternalKey([]byte(fmt.Sprintf("c%07d", i)), 1, kv.KindPut)
+		if err := w.Add(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(cfs, "t.sst", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// Force the bloom to pass for the gap key: the filter is rebuilt over
+	// exactly the probe, so MayContain is true yet the key is absent.
+	gap := []byte("b5000000")
+	r.filter = bloom.New([][]byte{gap}, 10)
+
+	before := cfs.reads.Load()
+	if _, ok, err := r.Get(gap, kv.MaxTimestamp); ok || err != nil {
+		t.Fatalf("Get(gap) = ok=%v err=%v", ok, err)
+	}
+	if got := cfs.reads.Load() - before; got != 0 {
+		t.Fatalf("gap-key Get performed %d reads, want 0", got)
+	}
+
+	// Sanity: the same reader still does real I/O for a key it must fetch.
+	r.filter = bloom.New([][]byte{[]byte("c0001000")}, 10)
+	before = cfs.reads.Load()
+	if _, ok, _ := r.Get([]byte("c0001000"), kv.MaxTimestamp); !ok {
+		t.Fatal("real key not found")
+	}
+	if got := cfs.reads.Load() - before; got == 0 {
+		t.Fatal("expected at least one block read for a present key")
+	}
+}
+
+// TestInfoSurface spot-checks the Info() summary lsmtool stats prints.
+func TestInfoSurface(t *testing.T) {
+	fs := vfs.NewMemFS()
+	buildTable(t, fs, "t.sst", seqCells(5000))
+	r, err := Open(fs, "t.sst", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	info := r.Info()
+	if info.Blocks != r.NumBlocks() || info.Entries != 5000 {
+		t.Fatalf("Info = %+v", info)
+	}
+	if info.Restarts == 0 {
+		t.Fatalf("restart count missing: %+v", info)
 	}
 }

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -13,33 +14,9 @@ import (
 // since the VFS has no WriteAt) — the test's stand-in for at-rest bit rot.
 func flipByte(t *testing.T, fs vfs.FS, name string, off int64) {
 	t.Helper()
-	f, err := fs.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := f.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	buf := readAll(t, fs, name)
 	buf[off] ^= 0xff
-	if err := fs.Remove(name); err != nil {
-		t.Fatal(err)
-	}
-	g, err := fs.Create(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeAll(t, fs, name, buf)
 }
 
 func checksumCells(n int) []kv.Cell {
@@ -63,9 +40,6 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.HasChecksums() {
-		t.Fatal("v2 table must carry checksums")
-	}
 	if r.NumBlocks() < 2 {
 		t.Fatalf("want multi-block table, got %d blocks", r.NumBlocks())
 	}
@@ -137,69 +111,128 @@ func TestChecksumVerifiedIteratorFails(t *testing.T) {
 	}
 }
 
+// readAll returns the named file's bytes.
+func readAll(t testing.TB, fs vfs.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// writeAll replaces the named file with data.
+func writeAll(t testing.TB, fs vfs.FS, name string, data []byte) {
+	t.Helper()
+	if err := fs.Remove(name); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	g, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChecksumMetadataCorruptionRejectedAtOpen(t *testing.T) {
-	// Corrupting the index block or the checksum section itself must fail at
-	// Open — a reader never serves from unverifiable metadata.
+	// Corrupting the filter block, the index block, the checksum section or
+	// the footer must fail at Open with the matching sentinel — a reader
+	// never decodes, let alone serves from, unverifiable metadata.
+	fs := vfs.NewMemFS()
+	buildTable(t, fs, "t.sst", checksumCells(200))
+	clean := readAll(t, fs, "t.sst")
+	ftr, err := unmarshalFooter(clean[len(clean)-footerLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name    string
-		fromEnd int64 // byte offset measured back from end of file
+		name string
+		off  uint64
+		want error
 	}{
-		{"checksum-section", footerLenV3 + 2},
-		{"index-block", footerLenV3 + 64},
-		{"footer", 12},
+		{"filter-block", ftr.filterOff + 5, ErrCorruption},
+		{"index-block", ftr.indexOff + 64, ErrCorruption},
+		{"checksum-section", ftr.checksumOff + 2, ErrCorruption},
+		{"footer-index-offset", uint64(len(clean)) - footerLen + 16 + 7, ErrBadTable},
+		{"footer-magic", uint64(len(clean)) - 4, ErrBadTable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := vfs.NewMemFS()
-			buildTable(t, fs, "t.sst", checksumCells(200))
-			f, _ := fs.Open("t.sst")
-			size, _ := f.Size()
-			f.Close()
-			flipByte(t, fs, "t.sst", size-tc.fromEnd)
-			if _, err := Open(fs, "t.sst", nil); err == nil {
-				t.Fatal("Open on corrupted metadata succeeded")
+			bad := append([]byte(nil), clean...)
+			bad[tc.off] ^= 0xff
+			writeAll(t, fs, "bad.sst", bad)
+			if _, err := Open(fs, "bad.sst", nil); !errors.Is(err, tc.want) {
+				t.Fatalf("Open on corrupted %s = %v, want %v", tc.name, err, tc.want)
 			}
 		})
 	}
 }
 
-func TestLegacyV1TableStillReadable(t *testing.T) {
+// TestCorruptIndexCountRejectedAtOpen is the regression test for a panic:
+// Open used to decode the index block before checking its CRC, and the
+// decoder sized make([]indexEntry, 0, n) from the on-disk entry count, so a
+// corrupted count died with "makeslice: cap out of range" instead of
+// returning an error.
+func TestCorruptIndexCountRejectedAtOpen(t *testing.T) {
 	fs := vfs.NewMemFS()
-	w, err := NewWriterWith(fs, "v1.sst", WriterOptions{FormatVersion: 1})
+	buildTable(t, fs, "t.sst", checksumCells(200))
+	buf := readAll(t, fs, "t.sst")
+	ftr, err := unmarshalFooter(buf[len(buf)-footerLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		ik := kv.InternalKey([]byte(fmt.Sprintf("user%06d", i)), 1, kv.KindPut)
-		if err := w.Add(ik, []byte(fmt.Sprintf("value-%d", i))); err != nil {
-			t.Fatal(err)
-		}
+	// The index block opens with the length-prefixed smallest user key; the
+	// entry count follows. Overwrite it with the uvarint of 1<<64 - 1.
+	count := ftr.indexOff + 1 + uint64(len("user000000"))
+	copy(buf[count:], "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
+	writeAll(t, fs, "t.sst", buf)
+	if _, err := Open(fs, "t.sst", nil); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("Open with a corrupted index entry count = %v, want ErrCorruption", err)
 	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
+}
+
+// TestDecodersBoundCounts feeds the section decoders counts that the bytes
+// that follow cannot back — what a corruption that also fixes up the CRC, or
+// a hostile file, looks like. Each must be a decode error, not an allocation
+// sized by the count.
+func TestDecodersBoundCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<62)
+
+	// 1<<62 block CRCs: 4*(n+2) wraps to 8, the length of the two trailing
+	// CRCs alone.
+	sums := append(append([]byte(nil), huge...), make([]byte, 8)...)
+	sums = binary.LittleEndian.AppendUint32(sums, blockCRC(sums))
+	if _, err := unmarshalChecksums(sums); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("unmarshalChecksums(wrapping count) = %v, want ErrBadTable", err)
 	}
 
-	r, err := Open(fs, "v1.sst", nil)
-	if err != nil {
-		t.Fatalf("open v1 table: %v", err)
-	}
-	defer r.Close()
-	if r.HasChecksums() {
-		t.Fatal("v1 table must report no checksums")
-	}
-	if r.EntryCount() != 500 {
-		t.Fatalf("EntryCount = %d, want 500", r.EntryCount())
-	}
-	if _, ok, err := r.Get([]byte("user000123"), kv.MaxTimestamp); err != nil || !ok {
-		t.Fatalf("v1 Get: ok=%v err=%v", ok, err)
-	}
-	// Verification is vacuous without recorded CRCs: no false positives.
-	r.SetVerifyChecksums(true)
-	for i := 0; i < r.NumBlocks(); i++ {
-		if _, err := r.VerifyBlock(i); err != nil {
-			t.Fatalf("VerifyBlock(%d) on v1 table: %v", i, err)
+	entry := marshalIndex(nil, []indexEntry{{lastKey: []byte("k"), firstKey: []byte("k"), handle: blockHandle{0, 10}}})
+	for name, idx := range map[string][]byte{
+		"entry count":   append([]byte{0}, huge...),
+		"restart count": append(entry[:len(entry)-1:len(entry)-1], huge...),
+		"key length":    append([]byte{0, 1}, huge...),
+		"handle":        marshalIndex(nil, []indexEntry{{handle: blockHandle{8, 10}}}),
+		"restart":       marshalIndex(nil, []indexEntry{{handle: blockHandle{0, 10}, restarts: []uint32{11}}}),
+		"trailing":      append(append([]byte(nil), entry...), 0),
+	} {
+		if _, _, err := unmarshalIndex(idx, 10); !errors.Is(err, ErrBadTable) {
+			t.Errorf("unmarshalIndex(bad %s) = %v, want ErrBadTable", name, err)
 		}
 	}
-	if _, ok, err := r.Get([]byte("user000321"), kv.MaxTimestamp); err != nil || !ok {
-		t.Fatalf("verified v1 Get: ok=%v err=%v", ok, err)
+	if _, got, err := unmarshalIndex(entry, 10); err != nil || len(got) != 1 {
+		t.Fatalf("unmarshalIndex(valid) = %d entries, %v", len(got), err)
 	}
 }

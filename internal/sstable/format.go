@@ -1,32 +1,29 @@
 // Package sstable implements the immutable on-disk LSM component: the
 // paper's disk stores C1, C2, … (§2.1), HBase's HTable/HFile (§2.2). A table
 // is a sorted run of internal-key/value entries laid out in fixed-target-size
-// data blocks, followed by a Bloom filter over user keys, a block index, and
-// a fixed-size footer:
+// data blocks, followed by a Bloom filter over user keys, a block index, a
+// checksum section and a fixed-size footer:
 //
-//	[data block]* [filter block] [index block] [footer]
+//	[data block]* [filter block] [index block] [checksum section] [footer]
 //
 // Point reads consult the Bloom filter, binary-search the in-memory block
 // index, and read a single data block through the VFS — which is where the
 // simulated disk latency is charged, making LSM reads pay random-I/O cost
 // while writes remain sequential (§2.1's asymmetry).
 //
-// Format v2 appends a checksum section between the index block and the
-// footer: one CRC32C (Castagnoli) per data block plus CRCs of the filter and
-// index blocks, self-protected by a trailing section CRC. Readers verify
-// blocks against it on read (behind a knob) and during scrubbing; v1 tables
-// (56-byte footer, no checksums) remain readable.
+// The index block records, per data block, its last and first internal keys
+// and the offsets of every restartInterval-th entry. The first key gives
+// zero-I/O gap rejection (a point get whose key falls between two blocks
+// never reads either); the restart points turn the in-block entry scan into
+// a binary search plus a short tail (DESIGN.md §12).
 //
-// Format v3 (DESIGN.md §12) teaches the table two in-table lookup
-// accelerators. The index block gains, per data block, the block's first
-// internal key (zero-I/O gap rejection: a point get whose key falls between
-// two blocks never reads either) and the offsets of every K-th entry
-// (restart points: the in-block entry scan becomes a binary search over
-// restarts plus a ≤K-entry tail). A model section between the checksum
-// section and the (88-byte) footer optionally carries a bounded-error
-// piecewise-linear model mapping key prefixes to block ordinals — see
-// model.go. v1/v2 tables keep opening; every accelerator degrades to the
-// v2 behaviour when its data is absent.
+// The checksum section holds one CRC32C (Castagnoli) per data block plus
+// CRCs of the filter and index blocks, self-protected by a trailing section
+// CRC. Open verifies the filter and index bytes against it before decoding
+// them; data blocks are verified on read (behind a knob) and by the scrubber.
+//
+// There is one format. Nothing written through vfs outlives the process, so
+// a file with any other magic is a malformed table, not an older version.
 package sstable
 
 import (
@@ -41,15 +38,15 @@ import (
 const TargetBlockSize = 4 * 1024
 
 const (
-	footerLenV1 = 56
-	footerLenV2 = 72
-	footerLenV3 = 88
-	magicV1     = 0xD1FF1DE0CAFEB10C
-	magicV2     = 0xD1FF1DE0CAFEB10D
-	magicV3     = 0xD1FF1DE0CAFEB10E
+	footerLen = 72
+	magic     = 0xD1FF1DE0CAFEB10F
 
-	// FormatLatest is the version NewWriter emits by default.
-	FormatLatest = 3
+	// restartInterval is the entry spacing of in-block restart points: the
+	// offset of every K-th entry is recorded in the index so an in-block
+	// lookup binary-searches restarts and scans at most K entries (K/2
+	// expected). K=8 keeps the expected tail at 4 entry decodes for ~14
+	// extra uvarints per block in the index.
+	restartInterval = 8
 )
 
 var (
@@ -69,106 +66,43 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func blockCRC(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 type footer struct {
-	filterOff, filterLen uint64
-	indexOff, indexLen   uint64
-	entryCount           uint64
+	filterOff, filterLen     uint64
+	indexOff, indexLen       uint64
+	checksumOff, checksumLen uint64
+	entryCount               uint64
 	// tombstoneCount records how many entries are delete markers, letting
 	// the compaction layer see per-table garbage pressure without reading
 	// data blocks.
 	tombstoneCount uint64
-	// checksumOff/checksumLen locate the checksum section (v2+; zero in
-	// tables read from the v1 footer).
-	checksumOff, checksumLen uint64
-	// modelOff/modelLen locate the learned-model section (v3 only; a zero
-	// length means the table was written with the model knob off).
-	modelOff, modelLen uint64
 }
 
-// marshal emits the v3 (88-byte) footer.
 func (f footer) marshal() []byte {
-	out := make([]byte, footerLenV3)
-	binary.LittleEndian.PutUint64(out[0:], f.filterOff)
-	binary.LittleEndian.PutUint64(out[8:], f.filterLen)
-	binary.LittleEndian.PutUint64(out[16:], f.indexOff)
-	binary.LittleEndian.PutUint64(out[24:], f.indexLen)
-	binary.LittleEndian.PutUint64(out[32:], f.entryCount)
-	binary.LittleEndian.PutUint64(out[40:], f.tombstoneCount)
-	binary.LittleEndian.PutUint64(out[48:], f.checksumOff)
-	binary.LittleEndian.PutUint64(out[56:], f.checksumLen)
-	binary.LittleEndian.PutUint64(out[64:], f.modelOff)
-	binary.LittleEndian.PutUint64(out[72:], f.modelLen)
-	binary.LittleEndian.PutUint64(out[80:], magicV3)
-	return out
-}
-
-// marshalV2 emits the 72-byte v2 footer (no model section).
-func (f footer) marshalV2() []byte {
-	out := make([]byte, footerLenV2)
-	binary.LittleEndian.PutUint64(out[0:], f.filterOff)
-	binary.LittleEndian.PutUint64(out[8:], f.filterLen)
-	binary.LittleEndian.PutUint64(out[16:], f.indexOff)
-	binary.LittleEndian.PutUint64(out[24:], f.indexLen)
-	binary.LittleEndian.PutUint64(out[32:], f.entryCount)
-	binary.LittleEndian.PutUint64(out[40:], f.tombstoneCount)
-	binary.LittleEndian.PutUint64(out[48:], f.checksumOff)
-	binary.LittleEndian.PutUint64(out[56:], f.checksumLen)
-	binary.LittleEndian.PutUint64(out[64:], magicV2)
-	return out
-}
-
-// marshalV1 emits the legacy 56-byte footer (kept for backward-compat tests).
-func (f footer) marshalV1() []byte {
-	out := make([]byte, footerLenV1)
-	binary.LittleEndian.PutUint64(out[0:], f.filterOff)
-	binary.LittleEndian.PutUint64(out[8:], f.filterLen)
-	binary.LittleEndian.PutUint64(out[16:], f.indexOff)
-	binary.LittleEndian.PutUint64(out[24:], f.indexLen)
-	binary.LittleEndian.PutUint64(out[32:], f.entryCount)
-	binary.LittleEndian.PutUint64(out[40:], f.tombstoneCount)
-	binary.LittleEndian.PutUint64(out[48:], magicV1)
-	return out
-}
-
-// unmarshalFooter decodes a footer from the tail of the file. b holds the
-// last min(fileSize, footerLenV3) bytes; the magic in the final 8 bytes
-// selects the version (1, 2 or 3). Versions ≥ 2 carry a checksum section;
-// version 3 may carry a model section.
-func unmarshalFooter(b []byte) (f footer, version int, err error) {
-	if len(b) < footerLenV1 {
-		return f, 0, fmt.Errorf("%w: footer length %d", ErrBadTable, len(b))
+	out := make([]byte, 0, footerLen)
+	for _, v := range [...]uint64{
+		f.filterOff, f.filterLen, f.indexOff, f.indexLen,
+		f.checksumOff, f.checksumLen, f.entryCount, f.tombstoneCount, magic,
+	} {
+		out = binary.LittleEndian.AppendUint64(out, v)
 	}
-	switch binary.LittleEndian.Uint64(b[len(b)-8:]) {
-	case magicV3:
-		if len(b) < footerLenV3 {
-			return f, 0, fmt.Errorf("%w: v3 footer length %d", ErrBadTable, len(b))
-		}
-		b = b[len(b)-footerLenV3:]
-		f.checksumOff = binary.LittleEndian.Uint64(b[48:])
-		f.checksumLen = binary.LittleEndian.Uint64(b[56:])
-		f.modelOff = binary.LittleEndian.Uint64(b[64:])
-		f.modelLen = binary.LittleEndian.Uint64(b[72:])
-		version = 3
-	case magicV2:
-		if len(b) < footerLenV2 {
-			return f, 0, fmt.Errorf("%w: v2 footer length %d", ErrBadTable, len(b))
-		}
-		b = b[len(b)-footerLenV2:]
-		f.checksumOff = binary.LittleEndian.Uint64(b[48:])
-		f.checksumLen = binary.LittleEndian.Uint64(b[56:])
-		version = 2
-	case magicV1:
-		b = b[len(b)-footerLenV1:]
-		version = 1
-	default:
-		return f, 0, fmt.Errorf("%w: bad magic", ErrBadTable)
+	return out
+}
+
+// unmarshalFooter decodes the footer from the last footerLen bytes of the
+// file.
+func unmarshalFooter(b []byte) (footer, error) {
+	if len(b) != footerLen {
+		return footer{}, fmt.Errorf("%w: footer length %d", ErrBadTable, len(b))
 	}
-	f.filterOff = binary.LittleEndian.Uint64(b[0:])
-	f.filterLen = binary.LittleEndian.Uint64(b[8:])
-	f.indexOff = binary.LittleEndian.Uint64(b[16:])
-	f.indexLen = binary.LittleEndian.Uint64(b[24:])
-	f.entryCount = binary.LittleEndian.Uint64(b[32:])
-	f.tombstoneCount = binary.LittleEndian.Uint64(b[40:])
-	return f, version, nil
+	if binary.LittleEndian.Uint64(b[footerLen-8:]) != magic {
+		return footer{}, fmt.Errorf("%w: bad magic", ErrBadTable)
+	}
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	return footer{
+		filterOff: u(0), filterLen: u(1),
+		indexOff: u(2), indexLen: u(3),
+		checksumOff: u(4), checksumLen: u(5),
+		entryCount: u(6), tombstoneCount: u(7),
+	}, nil
 }
 
 // checksumSet holds a table's recorded CRCs: one per data block, plus the
@@ -198,7 +132,10 @@ func unmarshalChecksums(b []byte) (checksumSet, error) {
 	}
 	b = b[:len(b)-4]
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b[sz:])) != 4*(n+2) {
+	// The count must account for exactly the bytes that remain: n block CRCs
+	// plus the filter and index CRCs. Compared in words, not bytes, so a
+	// huge n cannot wrap into a match.
+	if rest := len(b) - sz; sz <= 0 || rest < 8 || rest%4 != 0 || n != uint64(rest/4-2) {
 		return c, fmt.Errorf("%w: checksum count", ErrBadTable)
 	}
 	b = b[sz:]
@@ -216,12 +153,11 @@ type blockHandle struct {
 	offset, length uint64
 }
 
-// indexEntry maps a data block to the largest internal key it contains.
-// Format v3 additionally records the block's first internal key (per-block
-// lower bound: point gets reject gap keys with zero I/O) and the in-block
-// offsets of every K-th entry after the first (restart points: the entry
-// scan binary-searches restarts instead of walking the whole block).
-// firstKey and restarts are nil for entries read from v1/v2 tables.
+// indexEntry describes one data block: its largest and smallest internal
+// keys (the upper bound steers the block search; the lower bound lets point
+// gets reject gap keys with zero I/O) and the in-block offsets of every
+// restartInterval-th entry after the first, which the entry search binary-
+// searches instead of walking the whole block.
 type indexEntry struct {
 	lastKey  []byte
 	handle   blockHandle
@@ -231,10 +167,10 @@ type indexEntry struct {
 
 // marshalIndex serializes the block index, prefixed with the table's
 // smallest user key so readers recover both user-key bounds without a data-
-// block read (the largest comes from the final entry's last key). version 3
-// appends each entry's first key and restart offsets (delta-encoded; the
-// implicit first restart at offset 0 is not stored).
-func marshalIndex(smallest []byte, entries []indexEntry, version int) []byte {
+// block read (the largest comes from the final entry's last key). Restart
+// offsets are delta-encoded; the implicit first restart at offset 0 is not
+// stored.
+func marshalIndex(smallest []byte, entries []indexEntry) []byte {
 	var out []byte
 	out = binary.AppendUvarint(out, uint64(len(smallest)))
 	out = append(out, smallest...)
@@ -244,86 +180,87 @@ func marshalIndex(smallest []byte, entries []indexEntry, version int) []byte {
 		out = append(out, e.lastKey...)
 		out = binary.AppendUvarint(out, e.handle.offset)
 		out = binary.AppendUvarint(out, e.handle.length)
-		if version >= 3 {
-			out = binary.AppendUvarint(out, uint64(len(e.firstKey)))
-			out = append(out, e.firstKey...)
-			out = binary.AppendUvarint(out, uint64(len(e.restarts)))
-			prev := uint32(0)
-			for _, r := range e.restarts {
-				out = binary.AppendUvarint(out, uint64(r-prev))
-				prev = r
-			}
+		out = binary.AppendUvarint(out, uint64(len(e.firstKey)))
+		out = append(out, e.firstKey...)
+		out = binary.AppendUvarint(out, uint64(len(e.restarts)))
+		prev := uint32(0)
+		for _, r := range e.restarts {
+			out = binary.AppendUvarint(out, uint64(r-prev))
+			prev = r
 		}
 	}
 	return out
 }
 
-func unmarshalIndex(b []byte, version int) (smallest []byte, entries []indexEntry, err error) {
-	slen, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b[sz:])) < slen {
-		return nil, nil, fmt.Errorf("%w: index smallest key", ErrBadTable)
-	}
-	b = b[sz:]
-	if slen > 0 {
-		smallest = append([]byte(nil), b[:slen]...)
-		b = b[slen:]
-	}
-	n, sz := binary.Uvarint(b)
+// indexDecoder consumes an index block front to back. Every length and count
+// it hands out is bounded by the bytes that remain, so a corrupted value
+// fails the decode instead of sizing an allocation.
+type indexDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *indexDecoder) uvarint() uint64 {
+	v, sz := binary.Uvarint(d.b)
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("%w: index count", ErrBadTable)
+		d.bad = true
+		return 0
 	}
-	b = b[sz:]
+	d.b = d.b[sz:]
+	return v
+}
+
+// count decodes the number of items that follow; each takes at least one
+// byte.
+func (d *indexDecoder) count() uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.bad = true
+		return 0
+	}
+	return n
+}
+
+// key decodes a length-prefixed byte string into its own allocation.
+func (d *indexDecoder) key() []byte {
+	n := d.count()
+	k := append([]byte(nil), d.b[:n]...)
+	d.b = d.b[n:]
+	return k
+}
+
+// unmarshalIndex decodes an index block. dataEnd is the file offset where
+// the data blocks end; every block handle must lie below it.
+func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, entries []indexEntry, err error) {
+	d := indexDecoder{b: b}
+	if k := d.key(); len(k) > 0 {
+		smallest = k
+	}
+	n := d.count()
 	entries = make([]indexEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		klen, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b[sz:])) < klen {
-			return nil, nil, fmt.Errorf("%w: index key", ErrBadTable)
+	for i := uint64(0); i < n && !d.bad; i++ {
+		e := indexEntry{lastKey: d.key()}
+		e.handle = blockHandle{offset: d.uvarint(), length: d.uvarint()}
+		if e.handle.offset > dataEnd || e.handle.length > dataEnd-e.handle.offset {
+			return nil, nil, fmt.Errorf("%w: index block handle out of range", ErrBadTable)
 		}
-		b = b[sz:]
-		key := append([]byte(nil), b[:klen]...)
-		b = b[klen:]
-		off, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: index offset", ErrBadTable)
-		}
-		b = b[sz:]
-		length, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: index length", ErrBadTable)
-		}
-		b = b[sz:]
-		e := indexEntry{lastKey: key, handle: blockHandle{off, length}}
-		if version >= 3 {
-			fklen, sz := binary.Uvarint(b)
-			if sz <= 0 || uint64(len(b[sz:])) < fklen {
-				return nil, nil, fmt.Errorf("%w: index first key", ErrBadTable)
-			}
-			b = b[sz:]
-			e.firstKey = append([]byte(nil), b[:fklen]...)
-			b = b[fklen:]
-			nr, sz := binary.Uvarint(b)
-			if sz <= 0 {
-				return nil, nil, fmt.Errorf("%w: index restart count", ErrBadTable)
-			}
-			b = b[sz:]
-			if nr > 0 {
-				e.restarts = make([]uint32, 0, nr)
-				prev := uint64(0)
-				for j := uint64(0); j < nr; j++ {
-					d, sz := binary.Uvarint(b)
-					if sz <= 0 {
-						return nil, nil, fmt.Errorf("%w: index restart", ErrBadTable)
-					}
-					b = b[sz:]
-					prev += d
-					if prev > length {
-						return nil, nil, fmt.Errorf("%w: restart past block end", ErrBadTable)
-					}
-					e.restarts = append(e.restarts, uint32(prev))
+		e.firstKey = d.key()
+		if nr := d.count(); nr > 0 {
+			e.restarts = make([]uint32, 0, nr)
+			prev := uint64(0)
+			for j := uint64(0); j < nr; j++ {
+				delta := d.uvarint()
+				if delta > e.handle.length-prev {
+					return nil, nil, fmt.Errorf("%w: restart past block end", ErrBadTable)
 				}
+				prev += delta
+				e.restarts = append(e.restarts, uint32(prev))
 			}
 		}
 		entries = append(entries, e)
+	}
+	if d.bad || len(d.b) != 0 {
+		return nil, nil, fmt.Errorf("%w: index block", ErrBadTable)
 	}
 	return smallest, entries, nil
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"diffindex/internal/bloom"
 	"diffindex/internal/kv"
-	"diffindex/internal/metrics"
 	"diffindex/internal/vfs"
 )
 
@@ -30,25 +28,8 @@ type Reader struct {
 	tombstones uint64
 	size       int64
 
-	crcs         checksumSet
-	version      int // footer format version (1, 2 or 3)
-	hasChecksums bool
-	verify       bool // verify block CRCs on every read (set before use)
-
-	// Learned block index (v3, optional): model predicts a block ordinal,
-	// seekBlock verifies a ±ε window against the exact index and falls back
-	// to the full binary search on a miss. useModel gates the path for
-	// divergence tests and benchmarks; set before concurrent use.
-	model      *blockModel
-	modelLen   int
-	useModel   bool
-	modelHits  atomic.Uint64
-	modelMiss  atomic.Uint64
-	modelWidth atomic.Uint64 // sum of verification-window widths, in blocks
-
-	// Registry counters mirroring the atomics (nil unless wired by the
-	// owning store via SetModelMetrics).
-	hitsC, missC, widthC *metrics.Counter
+	crcs   checksumSet
+	verify bool // verify block CRCs on every read (set before use)
 }
 
 // Open opens a finished table file. cache may be nil to disable block
@@ -58,124 +39,95 @@ func Open(fs vfs.FS, name string, cache *BlockCache) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sstable: open %s: %w", name, err)
 	}
-	size, err := f.Size()
+	r, err := newReader(f, name, cache)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if size < footerLenV1 {
-		f.Close()
+	return r, nil
+}
+
+func newReader(f vfs.File, name string, cache *BlockCache) (*Reader, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	if size < footerLen {
 		return nil, fmt.Errorf("%w: %s is %d bytes", ErrBadTable, name, size)
 	}
-	tail := int64(footerLenV3)
-	if size < tail {
-		tail = size
+	// section reads [off, off+n) after checking the range against the file:
+	// a corrupted footer must fail structurally, not panic allocating a
+	// garbage-length buffer.
+	section := func(what string, off, n uint64) ([]byte, error) {
+		if off > uint64(size) || n > uint64(size)-off {
+			return nil, fmt.Errorf("%w: %s %s out of range", ErrBadTable, name, what)
+		}
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, int64(off)); err != nil {
+			return nil, fmt.Errorf("sstable: read %s of %s: %w", what, name, err)
+		}
+		return buf, nil
 	}
-	buf := make([]byte, tail)
-	if _, err := f.ReadAt(buf, size-tail); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sstable: read footer of %s: %w", name, err)
-	}
-	ftr, version, err := unmarshalFooter(buf)
+
+	buf, err := section("footer", uint64(size-footerLen), footerLen)
 	if err != nil {
-		f.Close()
+		return nil, err
+	}
+	ftr, err := unmarshalFooter(buf)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	hasChecksums := version >= 2
-
-	// A corrupted footer must fail structurally, not panic allocating a
-	// garbage-length section buffer.
-	sane := func(off, n uint64) bool { return off <= uint64(size) && n <= uint64(size)-off }
-	if !sane(ftr.filterOff, ftr.filterLen) || !sane(ftr.indexOff, ftr.indexLen) ||
-		!sane(ftr.checksumOff, ftr.checksumLen) || !sane(ftr.modelOff, ftr.modelLen) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s footer section out of range", ErrBadTable, name)
-	}
-
-	idxBuf := make([]byte, ftr.indexLen)
-	if _, err := f.ReadAt(idxBuf, int64(ftr.indexOff)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sstable: read index of %s: %w", name, err)
-	}
-	smallest, index, err := unmarshalIndex(idxBuf, version)
+	sumBuf, err := section("checksums", ftr.checksumOff, ftr.checksumLen)
 	if err != nil {
-		f.Close()
+		return nil, err
+	}
+	crcs, err := unmarshalChecksums(sumBuf)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 
-	var filter *bloom.Filter
-	var fltBuf []byte
-	if ftr.filterLen > 0 {
-		fltBuf = make([]byte, ftr.filterLen)
-		if _, err := f.ReadAt(fltBuf, int64(ftr.filterOff)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sstable: read filter of %s: %w", name, err)
-		}
-		if filter, err = bloom.Unmarshal(fltBuf); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
+	// Verify the filter and index bytes before decoding them, so a table
+	// with corrupted metadata never reaches a decoder, let alone a read.
+	fltBuf, err := section("filter", ftr.filterOff, ftr.filterLen)
+	if err != nil {
+		return nil, err
+	}
+	if blockCRC(fltBuf) != crcs.filter {
+		return nil, fmt.Errorf("%w: %s filter block", ErrCorruption, name)
+	}
+	idxBuf, err := section("index", ftr.indexOff, ftr.indexLen)
+	if err != nil {
+		return nil, err
+	}
+	if blockCRC(idxBuf) != crcs.index {
+		return nil, fmt.Errorf("%w: %s index block", ErrCorruption, name)
 	}
 
-	var crcs checksumSet
-	if hasChecksums {
-		sumBuf := make([]byte, ftr.checksumLen)
-		if _, err := f.ReadAt(sumBuf, int64(ftr.checksumOff)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sstable: read checksums of %s: %w", name, err)
-		}
-		if crcs, err = unmarshalChecksums(sumBuf); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if len(crcs.blocks) != len(index) {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s has %d block checksums for %d blocks",
-				ErrBadTable, name, len(crcs.blocks), len(index))
-		}
-		// The filter and index bytes are already in hand — verify them now so
-		// a table with corrupted metadata never serves a read.
-		if blockCRC(fltBuf) != crcs.filter {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s filter block", ErrCorruption, name)
-		}
-		if blockCRC(idxBuf) != crcs.index {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s index block", ErrCorruption, name)
-		}
+	filter, err := bloom.Unmarshal(fltBuf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadTable, name, err)
 	}
-
-	var model *blockModel
-	modelLen := 0
-	if version >= 3 && ftr.modelLen > 0 {
-		mBuf := make([]byte, ftr.modelLen)
-		if _, err := f.ReadAt(mBuf, int64(ftr.modelOff)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sstable: read model of %s: %w", name, err)
-		}
-		if model, err = unmarshalModel(mBuf); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		modelLen = len(mBuf)
+	// Data blocks precede the filter block.
+	smallest, index, err := unmarshalIndex(idxBuf, ftr.filterOff)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if len(crcs.blocks) != len(index) {
+		return nil, fmt.Errorf("%w: %s has %d block checksums for %d blocks",
+			ErrBadTable, name, len(crcs.blocks), len(index))
 	}
 
 	r := &Reader{
-		f:            f,
-		name:         name,
-		cache:        cache,
-		index:        index,
-		filter:       filter,
-		smallest:     smallest,
-		count:        ftr.entryCount,
-		tombstones:   ftr.tombstoneCount,
-		size:         size,
-		crcs:         crcs,
-		version:      version,
-		hasChecksums: hasChecksums,
-		model:        model,
-		modelLen:     modelLen,
-		useModel:     model != nil,
+		f:          f,
+		name:       name,
+		cache:      cache,
+		index:      index,
+		filter:     filter,
+		smallest:   smallest,
+		count:      ftr.entryCount,
+		tombstones: ftr.tombstoneCount,
+		size:       size,
+		crcs:       crcs,
 	}
 	if len(index) > 0 {
 		// Recover user-key bounds without a data-block read: the smallest
@@ -222,87 +174,43 @@ func (r *Reader) MayContainKey(userKey []byte) bool {
 // Close releases the underlying file handle.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// HasChecksums reports whether the table carries per-block CRCs (format v2+).
-func (r *Reader) HasChecksums() bool { return r.hasChecksums }
-
-// FormatVersion returns the table's footer format version (1, 2 or 3).
-func (r *Reader) FormatVersion() int { return r.version }
-
 // NumBlocks returns the number of data blocks in the table.
 func (r *Reader) NumBlocks() int { return len(r.index) }
 
-// HasModel reports whether the table carries a learned block model.
-func (r *Reader) HasModel() bool { return r.model != nil }
-
-// SetUseModel enables or disables the learned seek path (no-op on tables
-// without a model). Must be called before the reader serves concurrent
-// reads; divergence tests and benchmarks use it to compare the model and
-// binary-search paths on one table.
-func (r *Reader) SetUseModel(on bool) { r.useModel = on && r.model != nil }
-
-// SetModelMetrics wires the reader's model counters into a registry: hits
-// (window-verified predictions), fallbacks (full binary searches after a
-// window miss) and windowBlocks (the summed width of verified windows; the
-// mean window is windowBlocks/hits). Any counter may be nil. Must be called
-// before the reader serves concurrent reads.
-func (r *Reader) SetModelMetrics(hits, fallbacks, windowBlocks *metrics.Counter) {
-	r.hitsC, r.missC, r.widthC = hits, fallbacks, windowBlocks
-}
-
-// ModelStats returns the reader's cumulative model counters: window-verified
-// predictions and fallbacks to the full binary search.
-func (r *Reader) ModelStats() (hits, fallbacks uint64) {
-	return r.modelHits.Load(), r.modelMiss.Load()
-}
-
-// TableInfo summarizes a table's format and lookup-accelerator footprint —
+// TableInfo summarizes a table's shape and lookup-accelerator footprint —
 // the per-table view `lsmtool stats` prints for operators.
 type TableInfo struct {
-	FormatVersion int
-	Blocks        int
-	Entries       uint64
-	Restarts      int // total in-block restart points across all blocks
-	ModelSegments int
-	ModelEpsilon  int // 0 when the table has no model
-	ModelBytes    int
+	Blocks   int
+	Entries  uint64
+	Restarts int // total in-block restart points across all blocks
 }
 
-// Info returns the table's format/model summary.
+// Info returns the table's shape summary.
 func (r *Reader) Info() TableInfo {
-	info := TableInfo{
-		FormatVersion: r.version,
-		Blocks:        len(r.index),
-		Entries:       r.count,
-		ModelBytes:    r.modelLen,
-	}
+	info := TableInfo{Blocks: len(r.index), Entries: r.count}
 	for i := range r.index {
 		info.Restarts += len(r.index[i].restarts)
-	}
-	if r.model != nil {
-		info.ModelSegments = len(r.model.segments)
-		info.ModelEpsilon = r.model.epsilon
 	}
 	return info
 }
 
 // SetVerifyChecksums enables CRC verification on every data-block read (a
 // cache hit is not re-verified: it was checked when first read). Must be
-// called before the reader serves concurrent reads; a v1 table without
-// checksums ignores the knob.
+// called before the reader serves concurrent reads.
 func (r *Reader) SetVerifyChecksums(on bool) { r.verify = on }
 
 // VerifyBlock re-reads the i-th data block directly from the file — bypassing
 // the block cache in both directions, so a scrub neither hides at-rest
 // corruption behind a cached copy nor evicts hot blocks — and checks it
 // against the recorded CRC. It returns the number of bytes read.
-// ErrCorruption reports a mismatch; a v1 table verifies vacuously.
+// ErrCorruption reports a mismatch.
 func (r *Reader) VerifyBlock(i int) (int, error) {
 	h := r.index[i].handle
 	buf := make([]byte, h.length)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return 0, fmt.Errorf("sstable: read block %d of %s: %w", i, r.name, err)
 	}
-	if r.hasChecksums && blockCRC(buf) != r.crcs.blocks[i] {
+	if blockCRC(buf) != r.crcs.blocks[i] {
 		return len(buf), fmt.Errorf("%w: %s block %d", ErrCorruption, r.name, i)
 	}
 	return len(buf), nil
@@ -318,89 +226,28 @@ func (r *Reader) block(i int) ([]byte, error) {
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block %d of %s: %w", i, r.name, err)
 	}
-	if r.verify && r.hasChecksums && blockCRC(buf) != r.crcs.blocks[i] {
+	if r.verify && blockCRC(buf) != r.crcs.blocks[i] {
 		return nil, fmt.Errorf("%w: %s block %d", ErrCorruption, r.name, i)
 	}
 	r.cache.Put(r.name, h.offset, buf)
 	return buf, nil
 }
 
-// seekBlockBinary is the exact path: a binary search over the whole block
-// index for the first block whose last key is ≥ ikey, or len(index) when
-// ikey is past the table's end.
-func (r *Reader) seekBlockBinary(ikey []byte) int {
+// seekBlock returns the position of the first block whose last key is ≥ ikey
+// (i.e. the only block that can contain ikey), or len(index) when ikey is
+// past the table's end.
+func (r *Reader) seekBlock(ikey []byte) int {
 	return sort.Search(len(r.index), func(i int) bool {
 		return kv.CompareInternal(r.index[i].lastKey, ikey) >= 0
 	})
 }
 
-// seekBlock returns the position of the first block whose last key is ≥ ikey
-// (i.e. the only block that can contain ikey), or len(index) when ikey is
-// past the table's end. When the table carries a learned model, the model
-// predicts a block and only a ±ε window of the index is searched; the window
-// search plus at most one boundary probe prove the result is the global one,
-// and any violation (out-of-range key, prefix collision wider than ε) falls
-// back to the full binary search — so the result is always identical to
-// seekBlockBinary.
-func (r *Reader) seekBlock(ikey []byte) int {
-	m := r.model
-	if m == nil || !r.useModel {
-		return r.seekBlockBinary(ikey)
-	}
-	n := len(r.index)
-	pred := m.predict(kv.InternalUserKey(ikey), n)
-	lo := pred - m.epsilon
-	if lo < 0 {
-		lo = 0
-	}
-	hi := pred + m.epsilon
-	if hi >= n {
-		hi = n - 1
-	}
-	// Search the window first; the search result itself carries most of the
-	// correctness proof. j is the first block in [lo, hi] with lastKey ≥
-	// ikey (or hi+1 when none is).
-	j := lo + sort.Search(hi-lo+1, func(i int) bool {
-		return kv.CompareInternal(r.index[lo+i].lastKey, ikey) >= 0
-	})
-	if j > hi {
-		if hi == n-1 {
-			// Every block in the window — hence, by sortedness, in the
-			// table — ends below ikey: past-the-end, no probe needed.
-			r.noteModel(&r.modelHits, r.hitsC, 1)
-			r.noteModel(&r.modelWidth, r.widthC, uint64(hi-lo+1))
-			return n
-		}
-		// ikey lies beyond the window: the model missed.
-		r.noteModel(&r.modelMiss, r.missC, 1)
-		return r.seekBlockBinary(ikey)
-	}
-	if j == lo && lo > 0 && kv.CompareInternal(r.index[lo-1].lastKey, ikey) >= 0 {
-		// Landed on the window's left edge with blocks before it that also
-		// reach ikey: the true block is left of the window.
-		r.noteModel(&r.modelMiss, r.missC, 1)
-		return r.seekBlockBinary(ikey)
-	}
-	// j > lo proves index[j-1].lastKey < ikey directly; j == lo was probed
-	// (or touches the table start). Either way j is the global answer.
-	r.noteModel(&r.modelHits, r.hitsC, 1)
-	r.noteModel(&r.modelWidth, r.widthC, uint64(hi-lo+1))
-	return j
-}
-
-func (r *Reader) noteModel(local *atomic.Uint64, c *metrics.Counter, d uint64) {
-	local.Add(d)
-	if c != nil {
-		c.Add(int64(d))
-	}
-}
-
 // searchBlock returns the offset of the first entry in blk with internal
-// key ≥ seek, or len(blk) when every entry is below seek. With restart
-// points (v3) it binary-searches the restarts and scans a ≤K-entry tail;
-// without them it scans from the block start. Either way the scan exits at
-// the first entry ≥ seek — it never walks entries past the target. A
-// malformed entry is reported as a negative offset.
+// key ≥ seek, or len(blk) when every entry is below seek. It binary-searches
+// the restart points and scans a ≤restartInterval-entry tail (from the block
+// start when restarts is empty), exiting at the first entry ≥ seek — it
+// never walks entries past the target. A malformed entry is reported as a
+// negative offset.
 func searchBlock(blk []byte, restarts []uint32, seek []byte) int {
 	off := 0
 	if len(restarts) > 0 {
@@ -445,12 +292,11 @@ func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	if bi >= len(r.index) {
 		return kv.Cell{}, false, nil
 	}
-	// Per-block lower bound (v3): every block before bi ends below seek, so
+	// Per-block lower bound: every block before bi ends below seek, so
 	// if block bi already starts past userKey the key lives in the gap
 	// between blocks — reject without any block I/O (the per-block analogue
 	// of the table-level MayContainKey skip).
-	if fk := r.index[bi].firstKey; fk != nil &&
-		bytes.Compare(kv.InternalUserKey(fk), userKey) > 0 {
+	if bytes.Compare(kv.InternalUserKey(r.index[bi].firstKey), userKey) > 0 {
 		return kv.Cell{}, false, nil
 	}
 	blk, err := r.block(bi)
@@ -518,12 +364,11 @@ func (it *Iterator) Seek(seek []byte) {
 	if !it.loadBlock() {
 		return
 	}
-	// Restart-guided entry search within the block (v3); a v1/v2 block
-	// scans from its start. A seek past the block's last entry (possible
-	// only on the seekBlock result block when the index is inconsistent)
-	// continues into the following block.
+	// A seek at or below the block's first key starts at offset 0 without a
+	// search. A seek past the block's last entry (possible only when the
+	// index is inconsistent) continues into the following block.
 	e := &it.r.index[bi]
-	if e.firstKey == nil || kv.CompareInternal(seek, e.firstKey) > 0 {
+	if kv.CompareInternal(seek, e.firstKey) > 0 {
 		off := searchBlock(it.blk, e.restarts, seek)
 		if off < 0 {
 			it.fail(fmt.Errorf("%w: %s block %d", ErrBadTable, it.r.name, it.blockIdx))

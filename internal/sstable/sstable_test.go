@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -369,10 +370,10 @@ func TestOpenErrors(t *testing.T) {
 		t.Error("open short file: want error")
 	}
 	g, _ := fs.Create("badmagic.sst")
-	g.Write(make([]byte, footerLenV2+10))
+	g.Write(make([]byte, footerLen+10))
 	g.Close()
-	if _, err := Open(fs, "badmagic.sst", nil); err == nil {
-		t.Error("open bad-magic file: want error")
+	if _, err := Open(fs, "badmagic.sst", nil); !errors.Is(err, ErrBadTable) {
+		t.Errorf("open bad-magic file: err=%v, want ErrBadTable", err)
 	}
 }
 

@@ -8,62 +8,24 @@ import (
 	"diffindex/internal/vfs"
 )
 
-// WriterOptions selects the table format and the write-time lookup
-// accelerators. The zero value writes the latest format (v3) with restart
-// points but without the learned model.
-type WriterOptions struct {
-	// FormatVersion is the table format to emit: 1 (no checksums), 2
-	// (checksums) or 3 (checksums + first keys + restarts + optional
-	// model). 0 means FormatLatest. Older versions exist for the
-	// compatibility matrix and as the on-disk state of pre-upgrade stores.
-	FormatVersion int
-	// LearnedIndex trains a bounded-error piecewise-linear block model over
-	// the table at Finish and persists it in the v3 model section. Ignored
-	// below v3.
-	LearnedIndex bool
-	// Epsilon is the model's training error bound in blocks (≤ 0 means
-	// DefaultModelEpsilon).
-	Epsilon int
-	// RestartInterval is the entry spacing of in-block restart points
-	// (≤ 0 means DefaultRestartInterval). Ignored below v3.
-	RestartInterval int
-}
-
-func (o WriterOptions) withDefaults() WriterOptions {
-	if o.FormatVersion == 0 {
-		o.FormatVersion = FormatLatest
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = DefaultModelEpsilon
-	}
-	if o.RestartInterval <= 0 {
-		o.RestartInterval = DefaultRestartInterval
-	}
-	return o
-}
-
 // Writer builds an SSTable from entries added in ascending internal-key
 // order (flushes iterate the memtable in order; compactions merge sorted
 // runs, so both producers satisfy this naturally).
 type Writer struct {
 	f    vfs.File
 	name string
-	opts WriterOptions
 
 	block    []byte
 	blockOff uint64
 	index    []indexEntry
 	lastKey  []byte
 
-	// Per-open-block v3 state: the block's first internal key, the restart
-	// offsets of every RestartInterval-th entry after the first, and the
+	// Per-open-block state: the block's first internal key, the restart
+	// offsets of every restartInterval-th entry after the first, and the
 	// running entry count within the block.
 	blockFirstKey []byte
 	blockRestarts []uint32
 	blockEntries  int
-	// firstUsers collects each finished block's first user key — the
-	// model's training set.
-	firstUsers [][]byte
 
 	userKeys [][]byte // distinct user keys, for the Bloom filter
 	lastUser []byte
@@ -73,24 +35,16 @@ type Writer struct {
 	tombstones        uint64
 	finished          bool
 
-	crcs          checksumSet
-	modelSegments int
-	modelBytes    int
+	crcs checksumSet
 }
 
-// NewWriter creates the named table file and returns a writer emitting the
-// latest format with default accelerator settings (no learned model).
+// NewWriter creates the named table file.
 func NewWriter(fs vfs.FS, name string) (*Writer, error) {
-	return NewWriterWith(fs, name, WriterOptions{})
-}
-
-// NewWriterWith creates the named table file with explicit format options.
-func NewWriterWith(fs vfs.FS, name string, opts WriterOptions) (*Writer, error) {
 	f, err := fs.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: create %s: %w", name, err)
 	}
-	return &Writer{f: f, name: name, opts: opts.withDefaults()}, nil
+	return &Writer{f: f, name: name}, nil
 }
 
 // Add appends one entry. Entries must arrive in strictly ascending internal
@@ -118,14 +72,12 @@ func (w *Writer) Add(ikey, value []byte) error {
 		w.tombstones++
 	}
 
-	if w.opts.FormatVersion >= 3 {
-		if w.blockEntries == 0 {
-			w.blockFirstKey = append([]byte(nil), ikey...)
-		} else if w.blockEntries%w.opts.RestartInterval == 0 {
-			w.blockRestarts = append(w.blockRestarts, uint32(len(w.block)))
-		}
-		w.blockEntries++
+	if w.blockEntries == 0 {
+		w.blockFirstKey = append([]byte(nil), ikey...)
+	} else if w.blockEntries%restartInterval == 0 {
+		w.blockRestarts = append(w.blockRestarts, uint32(len(w.block)))
 	}
+	w.blockEntries++
 	w.block = appendBlockEntry(w.block, ikey, value)
 	if len(w.block) >= TargetBlockSize {
 		return w.cutBlock()
@@ -142,27 +94,21 @@ func (w *Writer) cutBlock() error {
 		return fmt.Errorf("sstable: write block: %w", err)
 	}
 	w.crcs.blocks = append(w.crcs.blocks, blockCRC(w.block))
-	e := indexEntry{
-		lastKey: append([]byte(nil), w.lastKey...),
-		handle:  blockHandle{offset: w.blockOff, length: uint64(n)},
-	}
-	if w.opts.FormatVersion >= 3 {
-		e.firstKey = w.blockFirstKey
-		e.restarts = w.blockRestarts
-		w.firstUsers = append(w.firstUsers, kv.InternalUserKey(w.blockFirstKey))
-		w.blockFirstKey = nil
-		w.blockRestarts = nil
-		w.blockEntries = 0
-	}
-	w.index = append(w.index, e)
+	w.index = append(w.index, indexEntry{
+		lastKey:  append([]byte(nil), w.lastKey...),
+		handle:   blockHandle{offset: w.blockOff, length: uint64(n)},
+		firstKey: w.blockFirstKey,
+		restarts: w.blockRestarts,
+	})
+	w.blockFirstKey, w.blockRestarts, w.blockEntries = nil, nil, 0
 	w.blockOff += uint64(n)
 	w.block = w.block[:0]
 	return nil
 }
 
-// Finish flushes the remaining block, writes the filter, index, checksum and
-// model sections and the footer, syncs, and closes the file. The writer
-// cannot be reused.
+// Finish flushes the remaining block, writes the filter, index and checksum
+// sections and the footer, syncs, and closes the file. The writer cannot be
+// reused.
 func (w *Writer) Finish() error {
 	if w.finished {
 		return fmt.Errorf("sstable: writer for %s already finished", w.name)
@@ -184,7 +130,7 @@ func (w *Writer) Finish() error {
 	}
 	w.blockOff += uint64(len(filter))
 
-	idx := marshalIndex(w.smallest, w.index, w.opts.FormatVersion)
+	idx := marshalIndex(w.smallest, w.index)
 	ftr.indexOff = w.blockOff
 	ftr.indexLen = uint64(len(idx))
 	if _, err := w.f.Write(idx); err != nil {
@@ -192,40 +138,17 @@ func (w *Writer) Finish() error {
 	}
 	w.blockOff += uint64(len(idx))
 
-	var ftrBytes []byte
-	switch w.opts.FormatVersion {
-	case 1:
-		ftrBytes = ftr.marshalV1()
-	default:
-		w.crcs.filter = blockCRC(filter)
-		w.crcs.index = blockCRC(idx)
-		sums := w.crcs.marshal()
-		ftr.checksumOff = w.blockOff
-		ftr.checksumLen = uint64(len(sums))
-		if _, err := w.f.Write(sums); err != nil {
-			return fmt.Errorf("sstable: write checksums: %w", err)
-		}
-		w.blockOff += uint64(len(sums))
-		if w.opts.FormatVersion == 2 {
-			ftrBytes = ftr.marshalV2()
-			break
-		}
-		if w.opts.LearnedIndex {
-			if m := trainModel(w.firstUsers, w.opts.Epsilon); m != nil {
-				mb := marshalModel(m)
-				ftr.modelOff = w.blockOff
-				ftr.modelLen = uint64(len(mb))
-				if _, err := w.f.Write(mb); err != nil {
-					return fmt.Errorf("sstable: write model: %w", err)
-				}
-				w.blockOff += uint64(len(mb))
-				w.modelSegments = len(m.segments)
-				w.modelBytes = len(mb)
-			}
-		}
-		ftrBytes = ftr.marshal()
+	w.crcs.filter = blockCRC(filter)
+	w.crcs.index = blockCRC(idx)
+	sums := w.crcs.marshal()
+	ftr.checksumOff = w.blockOff
+	ftr.checksumLen = uint64(len(sums))
+	if _, err := w.f.Write(sums); err != nil {
+		return fmt.Errorf("sstable: write checksums: %w", err)
 	}
-	if _, err := w.f.Write(ftrBytes); err != nil {
+	w.blockOff += uint64(len(sums))
+
+	if _, err := w.f.Write(ftr.marshal()); err != nil {
 		return fmt.Errorf("sstable: write footer: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
@@ -243,11 +166,3 @@ func (w *Writer) Abandon() error {
 
 // Count returns the number of entries added so far.
 func (w *Writer) Count() uint64 { return w.count }
-
-// ModelSegments returns the number of piecewise-linear segments the trained
-// model holds (0 when no model was written). Valid after Finish.
-func (w *Writer) ModelSegments() int { return w.modelSegments }
-
-// ModelBytes returns the size of the persisted model section (0 when no
-// model was written). Valid after Finish.
-func (w *Writer) ModelBytes() int { return w.modelBytes }
