@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func TestPublicAPIAdvisorAndCleanse(t *testing.T) {
+func TestPublicAPIAdvisorAndVerifySweep(t *testing.T) {
 	db := openTestDB(t, 3)
 	db.CreateTable("t", nil)
 	if err := db.CreateIndex("t", []string{"kind"}, SyncInsert, nil); err != nil {
@@ -25,12 +25,12 @@ func TestPublicAPIAdvisorAndCleanse(t *testing.T) {
 			}
 		}
 	}
-	checked, repaired, err := cl.Cleanse("t", "kind")
+	reps, err := cl.VerifyIndexes("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked != 20 || repaired != 10 {
-		t.Errorf("Cleanse = (%d, %d), want (20, 10)", checked, repaired)
+	if len(reps) != 1 || reps[0].Stale != 10 || reps[0].Repaired != 10 || reps[0].Missing != 0 {
+		t.Errorf("VerifyIndexes = %+v, want 10 stale entries repaired", reps)
 	}
 
 	// The advisor saw the writes; with a read-heavy phase it flips.
@@ -60,9 +60,6 @@ func TestPublicAPIAdvisorAndCleanse(t *testing.T) {
 	}
 	if err := cl.SetIndexScheme("t", []string{"kind"}, SyncFull); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := cl.Cleanse("t", "missing"); err == nil {
-		t.Error("Cleanse of missing index succeeded")
 	}
 }
 

@@ -167,8 +167,7 @@ func (f *ChangeFeed) Positions() map[string]LogPos {
 
 // GapSegments returns how many WAL segments were truncated away below the
 // feed's starting positions — non-zero means history was lost before the
-// feed attached and the consumer must re-bootstrap (e.g. from a base-table
-// scan or RebuildIndexFromLog).
+// feed attached and the consumer must re-bootstrap (e.g. from a table scan).
 func (f *ChangeFeed) GapSegments() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -303,15 +302,4 @@ func (db *DB) unregisterFeed(f *ChangeFeed) {
 	db.cdcMu.Lock()
 	delete(db.cdcFeeds, f)
 	db.cdcMu.Unlock()
-}
-
-// RebuildIndexFromLog reconstructs a global index by replaying the base
-// table's WALs instead of scanning the base table — usable when the index
-// table is suspect but the logs are intact. Requires full log retention
-// (Options.WALRetainSegments = -1); a truncated log is an error, never a
-// partial rebuild. Insert-only: point it at a fresh index table. Returns
-// the number of index entries written; follow with VerifyIndexes to
-// cross-check the result against the live base table.
-func (cl *Client) RebuildIndexFromLog(table string, columns []string) (int, error) {
-	return cl.db.m.RebuildIndexFromLog(cl.c, table, columns)
 }

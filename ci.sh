@@ -12,12 +12,15 @@
 #   4. go test ./...       — full test suite (tier-1), including the metrics
 #      golden-file guard (refresh with
 #      `go test ./internal/metrics -run Golden -update-golden`)
-#   5. go test -race ./... — the same suite, root package included, under
+#   5. benchmark/ module   — `go vet` and the ~4 s smoke test of the separate
+#      module under benchmark/, which compiles against internal/ packages
+#      but is never built by tier-1
+#   6. go test -race ./... — the same suite, root package included, under
 #      the race detector
-#   6. benchmark smoke     — every benchmark compiles and survives one
+#   7. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
-#   7. fuzz smoke          — 10 s of FuzzOpen over the SSTable decoders
-#   8. CLI gates           — what only the commands assert: `lsmtool verify`
+#   8. fuzz smoke          — 10 s of FuzzOpen over the SSTable decoders
+#   9. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes, `lsmtool wal tail`, the five `chaoskit` verdicts (two
 #      fixed-seed fault runs, -integrity, -timetravel, -elastic) and the
 #      `diffbench -openloop` shed check
@@ -40,6 +43,9 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== benchmark/ module (vet + smoke) =="
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== go test -race =="
 go test -race ./...
@@ -71,7 +77,7 @@ echo "== chaoskit verdicts =="
 go run ./cmd/chaoskit -seed 1 -scenarios 4 -duration 400ms -trace=false
 # Same harness with the tiered compaction engine kept hot: every flush can
 # arm another bounded merge round, so tombstone handling and the
-# compaction-piggybacked index cleanse run under the same fault schedule.
+# compaction hook's index repairs run under the same fault schedule.
 go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact-threshold 2
 # Integrity pair (DESIGN.md §11): faulted run (scrubber must detect armed
 # misreads, anti-entropy must repair injected divergence) plus the unfaulted

@@ -184,9 +184,8 @@ type Options struct {
 	// WALRetainSegments is the per-region WAL retention knob: 0 (default)
 	// truncates freely at each flush boundary, N > 0 keeps the newest N
 	// sealed segments for CDC consumers regardless of flushes, and -1 never
-	// truncates — full log-as-database mode, required by
-	// Client.RebuildIndexFromLog. Live Changes feeds pin their position in
-	// addition to this knob.
+	// truncates — full log-as-database mode. Live Changes feeds pin their
+	// position in addition to this knob.
 	WALRetainSegments int
 	// CDCBufferRecords bounds each Changes feed's in-memory buffer (default
 	// 1024): the pump goroutines stop reading the WAL when the consumer
@@ -702,14 +701,6 @@ func (s *Session) End() { s.s.End() }
 // ErrSessionExpired is returned by session operations after expiry or End.
 var ErrSessionExpired = core.ErrSessionExpired
 
-// Cleanse sweeps an index, double-checking every entry against the base
-// table and deleting stale ones — the index-maintenance utility of the
-// paper's §7. Mostly useful for sync-insert indexes, whose updates leave
-// stale entries behind by design.
-func (cl *Client) Cleanse(table string, columns ...string) (checked, repaired int, err error) {
-	return cl.db.m.Cleanse(cl.c, table, columns...)
-}
-
 // IndexVerifyReport summarizes one index's anti-entropy sweep: how many
 // digest buckets diverged between the base table and the index, the
 // confirmed violations by kind (missing = entry absent from the index,
@@ -735,8 +726,9 @@ func (r IndexVerifyReport) Healthy() bool { return r.Missing == 0 && r.Stale == 
 // are compared, only divergent buckets are enumerated, every candidate
 // violation is re-verified with point reads, and confirmed violations are
 // repaired in place (missing entries inserted, stale entries deleted, at the
-// timestamps §4.3 prescribes). Sweep activity is counted in the
-// diffindex_antientropy_* metrics and feeds DB.Health.
+// timestamps §4.3 prescribes) — the paper's §7 index-cleanse utility. Sweep
+// activity is counted in the diffindex_antientropy_* metrics and
+// diffindex_reconcile_*_total{source="verify"}, and feeds DB.Health.
 func (cl *Client) VerifyIndexes(table string) ([]IndexVerifyReport, error) {
 	reps, err := cl.db.m.VerifyIndexes(cl.c, table)
 	out := make([]IndexVerifyReport, len(reps))
@@ -751,9 +743,9 @@ func (cl *Client) VerifyIndexes(table string) ([]IndexVerifyReport, error) {
 	return out, err
 }
 
-// SetIndexScheme changes an index's maintenance scheme at runtime,
-// cleansing first when the index leaves SyncInsert (no other scheme's reads
-// repair stale entries).
+// SetIndexScheme changes an index's maintenance scheme at runtime, running
+// the verify sweep first when the index leaves SyncInsert (no other scheme's
+// reads repair stale entries).
 func (cl *Client) SetIndexScheme(table string, columns []string, scheme Scheme) error {
 	return cl.db.m.SetScheme(cl.c, table, columns, scheme.internal())
 }

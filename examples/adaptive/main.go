@@ -2,8 +2,8 @@
 // investigate workload-aware scheme selection", §10) implemented on top of
 // the scheme spectrum. An advisor observes each index's read/write ratio
 // and recommends a scheme per the paper's §3.4 principles; switching an
-// index away from sync-insert first runs the cleanse utility (§7) so no
-// stale entries are orphaned.
+// index away from sync-insert first runs the verify sweep — the paper's
+// cleanse utility (§7) — so no stale entries are orphaned.
 package main
 
 import (
@@ -53,17 +53,17 @@ func main() {
 		u, r, rec.Scheme, rec.Rationale)
 
 	// Apply the recommendation live. Because the index leaves sync-insert,
-	// the switch cleanses stale entries first (update churn left some).
+	// the switch sweeps out stale entries first (update churn left some).
 	for i := 0; i < 50; i++ { // create some stale entries
 		cl.Put("events", []byte(fmt.Sprintf("ev%05d", i)), diffindex.Cols{
 			"kind": []byte("rekinded"),
 		})
 	}
-	checked, repaired, err := cl.Cleanse("events", "kind")
+	reports, err := cl.VerifyIndexes("events")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("manual cleanse: checked %d entries, repaired %d stale\n", checked, repaired)
+	fmt.Printf("manual verify sweep: %d stale entries found, %d repaired\n", reports[0].Stale, reports[0].Repaired)
 
 	if _, err := advisor.Apply(cl, "events", []string{"kind"}, diffindex.Requirements{NeedConsistency: true}); err != nil {
 		panic(err)

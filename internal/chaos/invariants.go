@@ -79,12 +79,12 @@ type titleCell struct {
 // checkInvariants compares cluster state against the per-scheme contracts
 // after quiescence (workload stopped, faults disarmed, partitions healed,
 // crashed servers restarted, AUQs drained, and — for sync-insert — the index
-// cleansed). It returns the number of facts checked and every violation
+// swept). It returns the number of facts checked and every violation
 // found. All schemes are held to the same post-quiescence standard: complete
 // (no lost entries), exact (no stale entries) and durable (no lost acked
 // writes); what differs per scheme is only how much work the runner had to
-// do to reach quiescence (nothing for sync-full, a Cleanse for sync-insert,
-// an AUQ drain for the async schemes).
+// do to reach quiescence (nothing for sync-full, a verify sweep for
+// sync-insert, an AUQ drain for the async schemes).
 func checkInvariants(db *diffindex.DB, model *Model) (checked int, vs []Violation, err error) {
 	c, _ := db.Internal()
 	raw := cluster.NewClient(c, "chaos-checker")

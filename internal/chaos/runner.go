@@ -447,8 +447,17 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 	if cfg.Scheme == diffindex.SyncInsert {
 		// Sync-insert's contract allows stale entries but requires them to
 		// be cleansable; run the sweep so exactness must hold afterwards.
-		if _, _, err := db.NewClient("chaos-admin").Cleanse(workload.TableName, workload.TitleColumn); err != nil {
-			return nil, fmt.Errorf("chaos: cleanse: %w", err)
+		// The sweep also inserts entries it finds missing, which would hide
+		// them from the index-complete check below: report them here.
+		reports, err := db.NewClient("chaos-admin").VerifyIndexes(workload.TableName)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: verify sweep: %w", err)
+		}
+		for _, r := range reports {
+			if r.Missing > 0 {
+				res.Violations = append(res.Violations, Violation{"index-complete",
+					fmt.Sprintf("verify sweep found %d rows with no entry in %s (lost index update)", r.Missing, r.Index)})
+			}
 		}
 	}
 

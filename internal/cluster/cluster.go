@@ -84,7 +84,7 @@ type Config struct {
 	// WALRetainSegments is the per-region WAL retention knob (see
 	// lsm.Options.WALRetainSegments): 0 truncates at each flush boundary,
 	// N > 0 keeps the newest N sealed segments for CDC consumers, -1 never
-	// truncates (log-as-database mode, required by RebuildIndexFromLog).
+	// truncates (log-as-database mode).
 	WALRetainSegments int
 	// ScrubInterval / ScrubBlockPace tune the per-region scrubber (zero
 	// values take the lsm defaults: 5s between cycles, 1ms between blocks).

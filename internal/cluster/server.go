@@ -502,17 +502,6 @@ func (s *RegionServer) ScanAsOf(regionID string, start, end []byte, ts kv.Timest
 	return results, mapStoreErr(err)
 }
 
-// TailWAL reads committed data records of one region's WAL forward from a
-// resumable position — the RPC surface of the CDC feed.
-func (s *RegionServer) TailWAL(regionID string, from wal.Pos, max int) ([]wal.Entry, wal.Pos, int, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, from, 0, err
-	}
-	entries, next, gap, err := region.store.TailWAL(from, max)
-	return entries, next, gap, mapStoreErr(err)
-}
-
 // WALCursor opens a retention-pinning cursor over one region's WAL. The
 // cursor is an in-process handle (it pins segments in the region's log), so
 // it is an administrative API for co-located consumers — the DB-level CDC

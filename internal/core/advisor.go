@@ -5,83 +5,17 @@ import (
 	"sync"
 
 	"diffindex/internal/cluster"
-	"diffindex/internal/kv"
 )
 
-// This file implements two of the paper's stated extensions:
-//
-//   - the index "cleanse" utility listed among the client-side components
-//     (§7: "a utility for index creation, maintenance and cleanse"): a full
-//     sweep that double-checks every index entry against the base table and
-//     deletes the stale ones — Algorithm 2 applied to the whole index; and
-//
-//   - workload-aware scheme selection, the paper's future work ("Ideally
-//     Diff-Index should be able to adaptively choose a scheme by
-//     understanding consistency requirements and observing workload
-//     characteristics such as read/write ratio", §3.4). The Advisor tracks
-//     per-index update and read rates and recommends a scheme following the
-//     paper's five usage principles; SetScheme applies a recommendation
-//     live, cleansing first when the index leaves sync-insert (whose stale
-//     entries would otherwise never be repaired).
-
-// Cleanse sweeps an index, double-checking every entry against the base
-// table and deleting the stale ones. It returns the number of entries
-// checked and repaired. After a cleanse (and with no concurrent writes) a
-// sync-insert index contains no stale entries.
-func (m *Manager) Cleanse(cl *cluster.Client, table string, columns ...string) (checked, repaired int, err error) {
-	def, ok := m.catalog.Find(table, columns...)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: no index on %s(%v)", table, columns)
-	}
-	entries, err := cl.RawScan(def.Name(), nil, nil, kv.MaxTimestamp, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	var repairs []kv.Cell
-	// Double-check in bounded waves: each chunk's base reads ship as one
-	// region-grouped MultiGet instead of one serial Get per entry-column.
-	const cleanseChunk = 512
-	for base := 0; base < len(entries); base += cleanseChunk {
-		chunk := entries[base:min(base+cleanseChunk, len(entries))]
-		vals := make([][]byte, len(chunk))
-		rows := make([][]byte, len(chunk))
-		for i, e := range chunk {
-			val, row, err := kv.SplitIndexKey(e.Key)
-			if err != nil {
-				return checked, repaired, fmt.Errorf("core: corrupt index key in %s: %w", def.Name(), err)
-			}
-			vals[i], rows[i] = val, row
-		}
-		keep, err := m.doubleCheckBatch(cl, def, vals, rows)
-		if err != nil {
-			return checked, repaired, err
-		}
-		checked += len(chunk)
-		for i, e := range chunk {
-			if keep[i] {
-				continue
-			}
-			repairs = append(repairs, kv.Cell{
-				Key:  append([]byte(nil), e.Key...),
-				Ts:   e.Ts,
-				Kind: kv.KindDelete,
-			})
-			repaired++
-		}
-	}
-	// Delete every stale entry found by the sweep in one region-batched
-	// apply per destination region.
-	if len(repairs) > 0 {
-		if err := cl.MultiApply(def.Name(), repairs); err != nil {
-			return checked, repaired, err
-		}
-		m.Counters.IndexDel.Add(int64(len(repairs)))
-	}
-	return checked, repaired, nil
-}
+// This file implements workload-aware scheme selection, the paper's future
+// work ("Ideally Diff-Index should be able to adaptively choose a scheme by
+// understanding consistency requirements and observing workload
+// characteristics such as read/write ratio", §3.4). The Advisor tracks
+// per-index update and read rates and recommends a scheme following the
+// paper's five usage principles; SetScheme applies a recommendation live.
 
 // SetScheme changes an index's maintenance scheme at runtime. Leaving
-// sync-insert triggers a cleanse: the other schemes' read paths do not
+// sync-insert triggers a verify sweep: the other schemes' read paths do not
 // repair stale entries, so any left behind would linger forever.
 func (m *Manager) SetScheme(cl *cluster.Client, table string, columns []string, scheme Scheme) error {
 	def, ok := m.catalog.Find(table, columns...)
@@ -92,8 +26,8 @@ func (m *Manager) SetScheme(cl *cluster.Client, table string, columns []string, 
 		return nil
 	}
 	if def.Scheme == SyncInsert && scheme != SyncInsert {
-		if _, _, err := m.Cleanse(cl, table, columns...); err != nil {
-			return fmt.Errorf("core: cleanse before scheme switch: %w", err)
+		if _, err := m.verifyIndex(cl, def); err != nil {
+			return fmt.Errorf("core: verify before scheme switch: %w", err)
 		}
 	}
 	if !m.catalog.UpdateScheme(table, def.Name(), scheme) {

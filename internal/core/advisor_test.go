@@ -6,41 +6,7 @@ import (
 	"time"
 )
 
-func TestCleanseRepairsStaleEntries(t *testing.T) {
-	e := newEnv(t, 3, ManagerOptions{})
-	def := e.createIndex(t, SyncInsert, "title")
-
-	// Build up stale entries: each update leaves the previous one behind.
-	for gen := 0; gen < 3; gen++ {
-		for i := 0; i < 10; i++ {
-			e.put(t, fmt.Sprintf("item%03d", i), "title", fmt.Sprintf("g%d-%d", gen, i))
-		}
-	}
-	raw := e.rawIndexEntries(t, def)
-	if len(raw) != 30 { // 10 live + 20 stale
-		t.Fatalf("raw entries before cleanse = %d, want 30", len(raw))
-	}
-	checked, repaired, err := e.m.Cleanse(e.cl, e.tbl, "title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked != 30 || repaired != 20 {
-		t.Errorf("Cleanse = (%d checked, %d repaired), want (30, 20)", checked, repaired)
-	}
-	raw = e.rawIndexEntries(t, def)
-	if len(raw) != 10 {
-		t.Errorf("raw entries after cleanse = %d, want 10", len(raw))
-	}
-	// A second cleanse finds nothing to repair.
-	if _, repaired, _ := e.m.Cleanse(e.cl, e.tbl, "title"); repaired != 0 {
-		t.Errorf("second cleanse repaired %d", repaired)
-	}
-	if _, _, err := e.m.Cleanse(e.cl, e.tbl, "nope"); err == nil {
-		t.Error("cleanse of missing index succeeded")
-	}
-}
-
-func TestSetSchemeCleansesWhenLeavingSyncInsert(t *testing.T) {
+func TestSetSchemeSweepsWhenLeavingSyncInsert(t *testing.T) {
 	e := newEnv(t, 3, ManagerOptions{})
 	def := e.createIndex(t, SyncInsert, "title")
 	e.put(t, "item001", "title", "old")
@@ -150,7 +116,7 @@ func TestAdvisorApply(t *testing.T) {
 	if got.Scheme != AsyncSimple {
 		t.Error("scheme not applied to catalog")
 	}
-	// The switch cleansed the stale sync-insert entry.
+	// The switch swept out the stale sync-insert entry.
 	def := IndexDef{Table: e.tbl, Columns: []string{"title"}, Scheme: AsyncSimple}
 	if entries := e.rawIndexEntries(t, def); len(entries) != 1 {
 		t.Errorf("entries after Apply = %v", entries)

@@ -57,7 +57,7 @@ type IndexVerifyReport struct {
 	// queued-async updates caught mid-propagation, not violations.
 	Transient int
 	// Repaired counts violations fixed this sweep (missing entries inserted,
-	// stale entries deleted, both at the timestamps §4.3 prescribes).
+	// stale entries deleted, at the timestamps reconcile's §4.3 rule gives).
 	Repaired int
 }
 
@@ -70,10 +70,10 @@ func (r IndexVerifyReport) String() string {
 }
 
 // VerifyIndexes runs one anti-entropy sweep over every GLOBAL index of a
-// table, repairing confirmed violations through the same raw-apply path the
-// maintenance schemes use. Local indexes are skipped: their entries live in
-// the same region as their rows and are maintained inside the row's write,
-// so there is no cross-table state to diverge.
+// table, repairing confirmed violations through the reconcile engine. Local
+// indexes are skipped: their entries live in the same region as their rows
+// and are maintained inside the row's write, so there is no cross-table
+// state to diverge.
 func (m *Manager) VerifyIndexes(cl *cluster.Client, table string) ([]IndexVerifyReport, error) {
 	var reports []IndexVerifyReport
 	for _, def := range m.catalog.IndexesOn(table) {
@@ -125,138 +125,32 @@ func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyRepo
 		return rep, err
 	}
 	rep.PairsCompared = len(basePairs) + len(idxPairs)
-	baseSet := make(map[string]cluster.IndexEntryPair, len(basePairs))
+	inBase := make(map[string]bool, len(basePairs))
 	for _, p := range basePairs {
-		baseSet[string(kv.IndexKey(p.Value, p.Row))] = p
+		inBase[string(kv.IndexKey(p.Value, p.Row))] = true
 	}
-	idxSet := make(map[string]cluster.IndexEntryPair, len(idxPairs))
+	inIndex := make(map[string]bool, len(idxPairs))
+	var stale, missing []cluster.IndexEntryPair
 	for _, p := range idxPairs {
-		idxSet[string(kv.IndexKey(p.Value, p.Row))] = p
-	}
-	var missing, stale []cluster.IndexEntryPair
-	for k, p := range baseSet {
-		if _, ok := idxSet[k]; !ok {
-			missing = append(missing, p)
-		}
-	}
-	for k, p := range idxSet {
-		if _, ok := baseSet[k]; !ok {
+		k := string(kv.IndexKey(p.Value, p.Row))
+		inIndex[k] = true
+		if !inBase[k] {
 			stale = append(stale, p)
 		}
 	}
-
-	// Phase 3: re-verify candidates with point reads, then repair. The two
-	// enumeration scans above are not a snapshot, so a write racing the sweep
-	// shows up as a candidate; the point reads below see the current state
-	// and filter those out.
-	var repairs []kv.Cell
-	confirmedMissing, transient, err := m.confirmMissing(cl, def, missing)
-	if err != nil {
-		return rep, err
-	}
-	rep.Transient += transient
-	for _, p := range confirmedMissing {
-		// Insert the absent entry at the base row's newest indexed-column
-		// timestamp — the same-timestamp rule (§4.3) keeps the repair
-		// idempotent under redelivery and ordered against future updates.
-		repairs = append(repairs, kv.Cell{Key: kv.IndexKey(p.Value, p.Row), Ts: p.Ts, Kind: kv.KindPut})
-	}
-	rep.Missing = len(confirmedMissing)
-
-	confirmedStale, transient, err := m.confirmStale(cl, def, stale)
-	if err != nil {
-		return rep, err
-	}
-	rep.Transient += transient
-	for _, p := range confirmedStale {
-		// Delete at the entry's own timestamp, exactly like the lazy repair
-		// of Algorithm 2 and Cleanse.
-		repairs = append(repairs, kv.Cell{Key: kv.IndexKey(p.Value, p.Row), Ts: p.Ts, Kind: kv.KindDelete})
-	}
-	rep.Stale = len(confirmedStale)
-
-	m.reg.Counter("diffindex_antientropy_violations_total", metrics.L("kind", "missing")).Add(int64(rep.Missing))
-	m.reg.Counter("diffindex_antientropy_violations_total", metrics.L("kind", "stale")).Add(int64(rep.Stale))
-
-	if len(repairs) > 0 {
-		if err := cl.MultiApply(def.Name(), repairs); err != nil {
-			return rep, err
-		}
-		rep.Repaired = len(repairs)
-		m.reg.Counter("diffindex_antientropy_repairs_total", metrics.L("kind", "missing")).Add(int64(rep.Missing))
-		m.reg.Counter("diffindex_antientropy_repairs_total", metrics.L("kind", "stale")).Add(int64(rep.Stale))
-		m.Counters.IndexPut.Add(int64(rep.Missing))
-		m.Counters.IndexDel.Add(int64(rep.Stale))
-	}
-	return rep, nil
-}
-
-// confirmMissing re-verifies missing-entry candidates: a candidate is a real
-// index-complete breach only if the base row STILL produces that index value
-// and the index STILL has no entry for it. Both checks batch into one
-// region-grouped wave each.
-func (m *Manager) confirmMissing(cl *cluster.Client, def IndexDef, cands []cluster.IndexEntryPair) (confirmed []cluster.IndexEntryPair, transient int, err error) {
-	if len(cands) == 0 {
-		return nil, 0, nil
-	}
-	vals := make([][]byte, len(cands))
-	rows := make([][]byte, len(cands))
-	specs := make([]cluster.GetSpec, len(cands))
-	for i, p := range cands {
-		vals[i], rows[i] = p.Value, p.Row
-		// Index tables route by store key, so a nil Route routes by Key.
-		specs[i] = cluster.GetSpec{Key: kv.IndexKey(p.Value, p.Row)}
-	}
-	baseKeep, err := m.doubleCheckBatch(cl, def, vals, rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	idxRes, err := cl.MultiGet(def.Name(), specs, kv.MaxTimestamp)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, p := range cands {
-		switch {
-		case idxRes[i].Found:
-			// The entry arrived between enumeration and now (async delivery
-			// in flight during the scan) — not a violation.
-			transient++
-		case !baseKeep[i]:
-			// The base row changed since enumeration; the expected pair no
-			// longer exists, so there is nothing to repair.
-			transient++
-		default:
-			confirmed = append(confirmed, p)
+	for _, p := range basePairs {
+		if !inIndex[string(kv.IndexKey(p.Value, p.Row))] {
+			missing = append(missing, p)
 		}
 	}
-	return confirmed, transient, nil
-}
 
-// confirmStale re-verifies stale-entry candidates with the same
-// double-check sync-insert reads use (Algorithm 2): an entry is a real
-// index-exact breach only if the base row does NOT currently produce its
-// value.
-func (m *Manager) confirmStale(cl *cluster.Client, def IndexDef, cands []cluster.IndexEntryPair) (confirmed []cluster.IndexEntryPair, transient int, err error) {
-	if len(cands) == 0 {
-		return nil, 0, nil
-	}
-	vals := make([][]byte, len(cands))
-	rows := make([][]byte, len(cands))
-	for i, p := range cands {
-		vals[i], rows[i] = p.Value, p.Row
-	}
-	keep, err := m.doubleCheckBatch(cl, def, vals, rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, p := range cands {
-		if keep[i] {
-			transient++ // base caught up and matches the entry after all
-			continue
-		}
-		confirmed = append(confirmed, p)
-	}
-	return confirmed, transient, nil
+	// Phase 3: re-verify and repair. The two enumeration scans above are
+	// not a snapshot, so a write racing the sweep shows up as a candidate;
+	// the reconcile engine's point reads see the current state, report those
+	// as transient, and repair only what they confirm.
+	res, err := m.reconcile(cl, def, srcVerify, stale, missing)
+	rep.Missing, rep.Stale, rep.Transient, rep.Repaired = res.Missing, res.Stale, res.Transient, res.Repaired
+	return rep, err
 }
 
 // VerifyIndex runs the sweep for one index, by table and columns.

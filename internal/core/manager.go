@@ -102,6 +102,8 @@ type Manager struct {
 	// apsBatch records the size of every APS micro-batch one worker
 	// drained and applied together.
 	apsBatch *metrics.Histogram
+	// reconcileCounters are the reconcile engine's counters, by source.
+	reconcileCounters map[string]reconcileCounters
 	// shedTotal counts AUQ arrivals shed to the synchronous path by the
 	// MaxBacklog admission cap, across all regions.
 	shedTotal atomic.Int64
@@ -147,15 +149,16 @@ func (m *Manager) noteIndexRead(indexName string) {
 func NewManager(c *cluster.Cluster, opts ManagerOptions) *Manager {
 	reg := c.Metrics()
 	m := &Manager{
-		cluster:     c,
-		catalog:     NewCatalog(),
-		opts:        opts.withDefaults(),
-		reg:         reg,
-		auqs:        make(map[*cluster.Region]*auq),
-		serverConns: make(map[string]*cluster.Client),
-		Counters:    newOpCounters(reg),
-		staleness:   reg.Histogram("diffindex_staleness_ns"),
-		apsBatch:    reg.Histogram("diffindex_aps_batch_size"),
+		cluster:           c,
+		catalog:           NewCatalog(),
+		opts:              opts.withDefaults(),
+		reg:               reg,
+		auqs:              make(map[*cluster.Region]*auq),
+		serverConns:       make(map[string]*cluster.Client),
+		Counters:          newOpCounters(reg),
+		reconcileCounters: newReconcileCounters(reg),
+		staleness:         reg.Histogram("diffindex_staleness_ns"),
+		apsBatch:          reg.Histogram("diffindex_aps_batch_size"),
 	}
 	// Computed gauges over runtime state. They take m.mu / the ApplyStats
 	// counters at read time; the registry evaluates them outside its own
@@ -214,87 +217,17 @@ func (m *Manager) CreateIndex(def IndexDef, splits [][]byte) error {
 			return err
 		}
 	}
-	return m.backfill(def)
-}
-
-// backfill scans the base table and writes index entries for existing rows,
-// carrying each row's base timestamps (same-timestamp rule, §4.3).
-func (m *Manager) backfill(def IndexDef) error {
+	// Backfill: each region derives its rows' (value, row) pairs server-side
+	// — only the pairs cross the network, not the rows' other columns — and
+	// the reconcile engine inserts the ones the index lacks. One digest
+	// bucket selects every row.
 	cl := m.clientFor("diffindex-backfill")
-	// Scan base data only: local-index entries of other indexes live below
-	// BaseDataStart in the same stores.
-	results, err := cl.RawScan(def.Table, kv.BaseDataStart, nil, kv.MaxTimestamp, 0)
+	pairs, err := cl.BaseTableBucketEntries(def.Table, def.Columns, 1, []int{0}, kv.MaxTimestamp)
 	if err != nil {
 		return err
 	}
-	// backfillChunk bounds the global-index cell batch flushed in one
-	// region-batched MultiApply.
-	const backfillChunk = 256
-	var (
-		curRow []byte
-		cols   map[string][]byte
-		maxTs  kv.Timestamp
-		batch  []kv.Cell // pending global-index entries
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := cl.MultiApply(def.Name(), batch); err != nil {
-			return err
-		}
-		m.Counters.IndexPut.Add(int64(len(batch)))
-		batch = batch[:0]
-		return nil
-	}
-	emit := func() error {
-		if cols == nil {
-			return nil
-		}
-		if v, ok := indexValue(def, cols); ok {
-			cell := kv.Cell{Ts: maxTs, Kind: kv.KindPut}
-			if def.Local {
-				// Local entries route by ROW so they land in the row's own
-				// region — they cannot ride the key-routed MultiApply batch.
-				cell.Key = kv.LocalIndexKey(def.Name(), v, curRow)
-				if err := cl.RawApply(def.Table, curRow, []kv.Cell{cell}); err != nil {
-					return err
-				}
-				m.Counters.IndexPut.Inc()
-			} else {
-				cell.Key = kv.IndexKey(v, curRow)
-				batch = append(batch, cell)
-				if len(batch) >= backfillChunk {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		cols, maxTs = nil, 0
-		return nil
-	}
-	for _, res := range results {
-		row, col, err := kv.SplitBaseKey(res.Key)
-		if err != nil {
-			return err
-		}
-		if cols == nil || !bytes.Equal(row, curRow) {
-			if err := emit(); err != nil {
-				return err
-			}
-			curRow = append([]byte(nil), row...)
-			cols = make(map[string][]byte)
-		}
-		cols[string(col)] = res.Value
-		if res.Ts > maxTs {
-			maxTs = res.Ts
-		}
-	}
-	if err := emit(); err != nil {
-		return err
-	}
-	return flush()
+	_, err = m.reconcile(cl, def, srcBackfill, nil, pairs)
+	return err
 }
 
 // DropIndex removes an index definition and forgets its metadata. The index

@@ -1,121 +1,51 @@
 package core
 
 import (
-	"bytes"
-
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
 	"diffindex/internal/lsm"
-	"diffindex/internal/metrics"
 )
 
-// Piggybacked cleanse: when a compaction round of a *base* region garbage-
-// collects old cell versions, each dropped put value is exactly the kind of
-// value a stale index entry would still point to. Instead of sweeping the
-// whole index (Manager.Cleanse, an O(index) batch job), the PostCompact hook
-// validates just the entries those dropped values name — Algorithm 2's
-// check-and-clean applied to the set the merge already paid to read. Stale
-// entries are repaired as a side effect of compaction I/O; live entries are
-// never touched (an entry is deleted only at its own timestamp and only
-// after a base read proves the value it indexes is no longer current).
-
-// PostCompact implements the Coprocessor hook. It runs in the compaction
-// goroutine of the base region's store, after the round installed its
-// output.
+// PostCompact implements the Coprocessor hook: the compaction enumerator of
+// the reconcile engine. It runs in the compaction goroutine of the base
+// region's store, after the round installed its output. When a round
+// garbage-collects old cell versions, each dropped put value is exactly the
+// kind of value a stale index entry would still point to, so the entries
+// those values name are re-checked — Algorithm 2 applied to the set the
+// merge already paid to read — instead of waiting for a read or a sweep.
+//
+// Only sync-insert leaves stale entries behind; every other scheme deleted
+// the superseded entry when the base cell was overwritten. And only global
+// single-column indexes are derivable from a dropped cell: a composite
+// entry's old value needs the row's other columns at the same old
+// timestamp, which the merge no longer has; local entries live in this same
+// store and were GC'd by the same round.
 func (o *observer) PostCompact(ctx cluster.RegionCtx, gc lsm.CompactionGC) {
-	o.m.piggybackCleanse(ctx, gc)
-}
-
-// piggybackCandidate names one index entry to validate: the entry def's
-// index table holds for (value, row) at ts, derived from a dropped base put.
-type piggybackCandidate struct {
-	def IndexDef
-	val []byte
-	ts  kv.Timestamp
-}
-
-func (m *Manager) piggybackCleanse(ctx cluster.RegionCtx, gc lsm.CompactionGC) {
-	table := ctx.Region.Info.Table
-
-	// Only global single-column indexes are validatable from a dropped
-	// cell: a composite entry's old value needs the row's *other* columns
-	// at the same old timestamp, which the merge no longer has; local
-	// entries live in this same store and were GC'd by the same round.
-	var defs []IndexDef
-	for _, def := range m.catalog.IndexesOn(table) {
-		if !def.Local && len(def.Columns) == 1 {
-			defs = append(defs, def)
-		}
-	}
-	if len(defs) == 0 {
-		return
-	}
-
-	// Collect candidates per row, deduplicating identical (def, value)
-	// pairs — several dropped versions of the same value produce one check.
-	byRow := make(map[string][]piggybackCandidate)
-	for _, c := range gc.Dropped {
-		if c.Kind != kv.KindPut || len(c.Value) == 0 {
+	for _, def := range o.m.catalog.IndexesOn(ctx.Region.Info.Table) {
+		if def.Scheme != SyncInsert || def.Local || len(def.Columns) != 1 {
 			continue
 		}
-		row, col, err := kv.SplitBaseKey(c.Key)
-		if err != nil {
-			continue // not a base cell (e.g. a local-index entry)
-		}
-		for _, def := range defs {
-			if def.Columns[0] != string(col) {
+		// Several dropped versions of one value name the same entry.
+		seen := make(map[string]bool)
+		var cands []cluster.IndexEntryPair
+		for _, c := range gc.Dropped {
+			if c.Kind != kv.KindPut || len(c.Value) == 0 {
 				continue
 			}
-			dup := false
-			for _, prev := range byRow[string(row)] {
-				if prev.def.Name() == def.Name() && bytes.Equal(prev.val, c.Value) && prev.ts == c.Ts {
-					dup = true
-					break
-				}
+			row, col, err := kv.SplitBaseKey(c.Key)
+			if err != nil || string(col) != def.Columns[0] {
+				continue // a local-index entry or another column
 			}
-			if !dup {
-				byRow[string(row)] = append(byRow[string(row)], piggybackCandidate{def: def, val: c.Value, ts: c.Ts})
+			if k := string(kv.IndexKey(c.Value, row)); !seen[k] {
+				seen[k] = true
+				// Zero ts: the dropped cell's timestamp need not be the
+				// entry's, so the engine reads the entry's own.
+				cands = append(cands, cluster.IndexEntryPair{Value: c.Value, Row: row})
 			}
 		}
-	}
-	if len(byRow) == 0 {
-		return
-	}
-
-	checked := m.reg.Counter("diffindex_compaction_cleanse_checked_total", metrics.L("table", table))
-	repairedC := m.reg.Counter("diffindex_compaction_cleanse_repaired_total", metrics.L("table", table))
-
-	// Validate with region-local base reads (the compacted rows belong to
-	// this region, so the check costs no network hop), then delete the
-	// stale entries region-batched per index table.
-	repairs := make(map[string][]kv.Cell) // index table → stale entries
-	for rowStr, cands := range byRow {
-		row := []byte(rowStr)
-		cols, err := ctx.Region.LocalGetRow(row, kv.MaxTimestamp)
-		if err != nil {
-			continue // store closing mid-round; a later cleanse catches it
-		}
-		for _, cand := range cands {
-			checked.Inc()
-			if cur, ok := cols[cand.def.Columns[0]]; ok && bytes.Equal(cur, cand.val) {
-				continue // entry points at the row's current value: live
-			}
-			repairs[cand.def.Name()] = append(repairs[cand.def.Name()], kv.Cell{
-				Key:  kv.IndexKey(cand.val, row),
-				Ts:   cand.ts,
-				Kind: kv.KindDelete,
-			})
-		}
-	}
-	if len(repairs) == 0 {
-		return
-	}
-	conn := m.clientFor(ctx.Server.ID())
-	for indexTable, cells := range repairs {
-		// Best effort: a failed repair leaves a stale entry for read repair
-		// or the next round to clean, never breaks anything.
-		if err := conn.MultiApply(indexTable, cells); err == nil {
-			repairedC.Add(int64(len(cells)))
-		}
+		// Best effort: a failed repair (store closing mid-round, index
+		// region unreachable) leaves the stale entry for read repair or the
+		// next round, never breaks anything.
+		_, _ = o.m.reconcile(o.m.clientFor(ctx.Server.ID()), def, srcCompaction, cands, nil)
 	}
 }

@@ -62,7 +62,7 @@ func (m *Manager) RangeByIndex(cl *cluster.Client, table string, columns []strin
 
 // readIndex scans the index table and, for sync-insert, runs Algorithm 2:
 // every hit is double-checked against the base table and stale entries are
-// deleted from the index.
+// deleted from the index (see reconcile).
 func (m *Manager) readIndex(cl *cluster.Client, def IndexDef, lo, hi []byte, limit int, tr *metrics.Trace) ([]IndexHit, error) {
 	// SR1: read the index table.
 	scanStart := time.Now()
@@ -76,61 +76,39 @@ func (m *Manager) readIndex(cl *cluster.Client, def IndexDef, lo, hi []byte, lim
 	m.Counters.IndexRead.Inc()
 	m.noteIndexRead(def.Name())
 
-	// Split every entry up front so SR2 can batch all double checks.
-	vals := make([][]byte, len(entries))
-	rows := make([][]byte, len(entries))
+	cands := make([]cluster.IndexEntryPair, len(entries))
 	for i, e := range entries {
 		val, row, err := kv.SplitIndexKey(e.Key)
 		if err != nil {
 			return nil, fmt.Errorf("core: corrupt index key in %s: %w", def.Name(), err)
 		}
-		vals[i], rows[i] = val, row
+		cands[i] = cluster.IndexEntryPair{Value: val, Row: row, Ts: e.Ts}
 	}
 
-	// SR2: double check, batched. One region-grouped MultiGet wave reads
-	// every entry's indexed base columns; a mismatch with the entry's index
-	// value means the entry is stale — its delete joins the batched repair
-	// below. The wave replaces len(entries) × len(def.Columns) serial Get
-	// round trips with one concurrent RPC per destination region.
-	var keep []bool
+	// SR2 and the clean step of Algorithm 2: this read's hits are the
+	// reconcile engine's stale candidates. One region-grouped MultiGet wave
+	// reads every hit's indexed base columns; entries whose value the row no
+	// longer produces are deleted with one Apply per destination region.
+	var live []bool
 	if def.Scheme == SyncInsert && len(entries) > 0 {
-		checkStart := time.Now()
-		var err error
-		keep, err = m.doubleCheckBatch(cl, def, vals, rows)
-		checkDur := time.Since(checkStart)
-		m.stageHist(metrics.StageCheck, def.Table).RecordDuration(checkDur)
-		tr.AddStage(metrics.StageCheck, checkDur)
+		res, err := m.reconcile(cl, def, srcRead, cands, nil)
+		m.stageHist(metrics.StageCheck, def.Table).RecordDuration(res.CheckDur)
+		tr.AddStage(metrics.StageCheck, res.CheckDur)
+		if res.RepairDur > 0 {
+			m.stageHist(metrics.StageRepair, def.Table).RecordDuration(res.RepairDur)
+			tr.AddStage(metrics.StageRepair, res.RepairDur)
+		}
 		if err != nil {
 			return nil, err
 		}
+		live = res.Live
 	}
 
 	hits := make([]IndexHit, 0, len(entries))
-	var repairs []kv.Cell // stale entries to delete, shipped as one batch
-	for i, e := range entries {
-		if keep != nil && !keep[i] {
-			repairs = append(repairs, kv.Cell{
-				Key:  append([]byte(nil), e.Key...),
-				Ts:   e.Ts,
-				Kind: kv.KindDelete,
-			})
-			continue
+	for i, c := range cands {
+		if live == nil || live[i] {
+			hits = append(hits, IndexHit{Row: append([]byte(nil), c.Row...), Ts: c.Ts})
 		}
-		hits = append(hits, IndexHit{Row: append([]byte(nil), rows[i]...), Ts: e.Ts})
-	}
-	// Algorithm 2's clean step, region-batched: all stale entries found by
-	// this read are deleted with one Apply per destination region instead
-	// of one RPC each.
-	if len(repairs) > 0 {
-		repairStart := time.Now()
-		err := cl.MultiApply(def.Name(), repairs)
-		repairDur := time.Since(repairStart)
-		m.stageHist(metrics.StageRepair, def.Table).RecordDuration(repairDur)
-		tr.AddStage(metrics.StageRepair, repairDur)
-		if err != nil {
-			return nil, err
-		}
-		m.Counters.IndexDel.Add(int64(len(repairs)))
 	}
 	return hits, nil
 }
@@ -169,39 +147,6 @@ func (m *Manager) readLocalIndex(cl *cluster.Client, def IndexDef, lo, hi []byte
 		}
 	}
 	return hits, nil
-}
-
-// doubleCheckBatch implements the check half of Algorithm 2's loop for a
-// whole index read at once: compare each index entry's value with the base
-// table's current value for its row. All entries' base-column reads ship in
-// ONE region-grouped MultiGet wave (one concurrent RPC per destination
-// region) before any keep/repair decision is made. keep[i] == false means
-// entry i is stale; the caller batches its deletion (the clean half) with
-// every other stale entry found by the same read.
-func (m *Manager) doubleCheckBatch(cl *cluster.Client, def IndexDef, indexVals, rows [][]byte) ([]bool, error) {
-	specs := make([]cluster.GetSpec, 0, len(rows)*len(def.Columns))
-	for _, row := range rows {
-		for _, c := range def.Columns {
-			specs = append(specs, cluster.GetSpec{Route: row, Key: kv.BaseKey(row, []byte(c))})
-		}
-	}
-	res, err := cl.MultiGet(def.Table, specs, kv.MaxTimestamp)
-	if err != nil {
-		return nil, err
-	}
-	m.Counters.BaseRead.Add(int64(len(rows)))
-	keep := make([]bool, len(rows))
-	for i := range rows {
-		cols := make(map[string][]byte, len(def.Columns))
-		for j, c := range def.Columns {
-			if r := res[i*len(def.Columns)+j]; r.Found {
-				cols[c] = r.Cell.Value
-			}
-		}
-		baseVal, ok := indexValue(def, cols)
-		keep[i] = ok && bytes.Equal(baseVal, indexVals[i])
-	}
-	return keep, nil
 }
 
 // FetchRows resolves index hits to full base rows, preserving hit order.

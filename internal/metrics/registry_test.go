@@ -80,8 +80,8 @@ func TestMetricsSnapshotStableJSONGolden(t *testing.T) {
 	st := r.Histogram("diffindex_stage_latency_ns", L("stage", "wal"), L("table", "items"))
 	st.Record(2048)
 	st.Record(4096)
-	// The integrity surface: scrub and anti-entropy counters, exactly as the
-	// scrubber and VerifyIndexes emit them.
+	// The integrity surface: scrub, anti-entropy and reconcile counters,
+	// exactly as the scrubber and VerifyIndexes emit them.
 	r.Counter("diffindex_scrub_blocks_total", L("table", "items")).Add(128)
 	r.Counter("diffindex_scrub_bytes_total", L("table", "items")).Add(524288)
 	r.Counter("diffindex_scrub_corruptions_total", L("table", "items")).Add(1)
@@ -89,10 +89,11 @@ func TestMetricsSnapshotStableJSONGolden(t *testing.T) {
 	r.Counter("diffindex_antientropy_sweeps_total", L("table", "items")).Add(3)
 	r.Counter("diffindex_antientropy_buckets_total", L("result", "clean")).Add(190)
 	r.Counter("diffindex_antientropy_buckets_total", L("result", "divergent")).Add(2)
-	r.Counter("diffindex_antientropy_violations_total", L("kind", "missing")).Add(1)
-	r.Counter("diffindex_antientropy_violations_total", L("kind", "stale")).Add(1)
-	r.Counter("diffindex_antientropy_repairs_total", L("kind", "missing")).Add(1)
-	r.Counter("diffindex_antientropy_repairs_total", L("kind", "stale")).Add(1)
+	for _, kind := range []string{"missing", "stale"} {
+		r.Counter("diffindex_reconcile_checked_total", L("source", "verify"), L("kind", kind)).Add(2)
+		r.Counter("diffindex_reconcile_confirmed_total", L("source", "verify"), L("kind", kind)).Add(1)
+		r.Counter("diffindex_reconcile_repaired_total", L("source", "verify"), L("kind", kind)).Add(1)
+	}
 
 	got, err := r.Snapshot().MarshalStableJSON()
 	if err != nil {

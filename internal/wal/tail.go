@@ -39,7 +39,7 @@ func (l *Log) ReadSealed(from, to uint64, fn func(kv.Cell)) error {
 // position). It returns the entries, the position to resume from, and the
 // number of log segments that were truncated away underneath the given
 // position — a non-zero gap means the consumer lost history and must
-// re-bootstrap (e.g. RebuildIndexFromLog from a base snapshot).
+// re-bootstrap (e.g. from a base-table scan).
 //
 // Positions must be frame-aligned: the zero Pos (start of the log) and any
 // Pos returned by TailLog or AppendBatchPos qualify. Tailing the active

@@ -80,13 +80,21 @@ type Health struct {
 	TotalServers int `json:"total_servers"`
 }
 
-// sumCounters totals every counter with the given name across label sets.
-func sumCounters(points []metrics.MetricPoint, name string) int64 {
+// sumCounters totals every counter with the given name across the label sets
+// that carry all of the match labels.
+func sumCounters(points []metrics.MetricPoint, name string, match ...metrics.Label) int64 {
 	var total int64
+next:
 	for _, p := range points {
-		if p.Name == name {
-			total += p.Value
+		if p.Name != name {
+			continue
 		}
+		for _, l := range match {
+			if p.Labels[l.Key] != l.Value {
+				continue next
+			}
+		}
+		total += p.Value
 	}
 	return total
 }
@@ -105,8 +113,8 @@ func (db *DB) Health() Health {
 		ScrubCyclesTotal:        sumCounters(snap.Counters, "diffindex_scrub_cycles_total"),
 		CompactionErrors:        sumCounters(snap.Counters, "diffindex_compaction_errors_total"),
 		PendingIndexUpdates:     db.m.QueueDepth(),
-		IndexViolationsFound:    sumCounters(snap.Counters, "diffindex_antientropy_violations_total"),
-		IndexViolationsRepaired: sumCounters(snap.Counters, "diffindex_antientropy_repairs_total"),
+		IndexViolationsFound:    sumCounters(snap.Counters, "diffindex_reconcile_confirmed_total", metrics.L("source", "verify")),
+		IndexViolationsRepaired: sumCounters(snap.Counters, "diffindex_reconcile_repaired_total", metrics.L("source", "verify")),
 		LiveServers:             len(db.c.LiveServerIDs()),
 		TotalServers:            len(db.c.ServerIDs()),
 	}

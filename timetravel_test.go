@@ -248,48 +248,3 @@ func TestChangesFeedSurvivesFlush(t *testing.T) {
 		t.Errorf("gap = %d; the pin should have held every segment", feed.GapSegments())
 	}
 }
-
-// TestClientRebuildIndexFromLog exercises the public rebuild path: an index
-// created empty over pre-existing data is reconstructed from the logs and
-// verifies clean.
-func TestClientRebuildIndexFromLog(t *testing.T) {
-	db := Open(Options{Servers: 2, WALRetainSegments: -1})
-	defer db.Close()
-	if err := db.CreateTable("items", nil); err != nil {
-		t.Fatal(err)
-	}
-	cl := db.NewClient("app")
-	for i := 0; i < 10; i++ {
-		if _, err := cl.Put("items", []byte(fmt.Sprintf("item%02d", i)), Cols{"cat": []byte(fmt.Sprintf("c%d", i%3))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// CreateIndex backfills; rebuild then re-derives the same entries from
-	// the log (idempotent: identical cells at identical timestamps).
-	if err := db.CreateIndex("items", []string{"cat"}, SyncFull, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err := cl.RebuildIndexFromLog("items", []string{"cat"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Errorf("rebuild wrote %d entries, want 10", n)
-	}
-	reps, err := cl.VerifyIndexes("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reps {
-		if !rep.Healthy() || rep.Repaired != 0 {
-			t.Errorf("index not clean after rebuild: %+v", rep)
-		}
-	}
-	hits, err := cl.GetByIndex("items", []string{"cat"}, []byte("c1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 { // i in 0..9 with i%3 == 1: items 01, 04, 07
-		t.Errorf("GetByIndex(c1) = %d hits, want 3", len(hits))
-	}
-}
