@@ -1,10 +1,10 @@
 package diffindex
 
-// The change-data-capture surface of the log-as-database subsystem
-// (DESIGN.md §13): the WAL is not just a recovery artifact but a consumable
-// record of every committed mutation. Changes opens a feed that tails each
-// region's log through retention-pinning cursors, so a live consumer can
-// never have needed segments truncated out from under it; WALRetainSegments
+// The change-data-capture surface of the retained log (DESIGN.md §13): the
+// WAL is not just a recovery artifact but a consumable record of every
+// committed mutation. Changes opens a feed that tails each region's log
+// through retention-pinning cursors, so a live consumer can never have
+// needed segments truncated out from under it; WALRetainSegments
 // additionally bounds how much history a NOT-yet-opened consumer can still
 // reach.
 
@@ -52,20 +52,24 @@ type ChangeRecord struct {
 }
 
 // cdcReadBatch bounds one cursor read; cdcPollInterval is the idle pause
-// when a region's cursor is caught up with the durable tail.
+// when a region's cursor is caught up with the durable tail; cdcBuffer
+// bounds a feed's in-memory buffer — the pumps stop reading the WAL when the
+// consumer falls that many records behind, bounding memory while the
+// retention pin bounds how much log a paused consumer can hold.
 const (
 	cdcReadBatch    = 256
 	cdcPollInterval = 2 * time.Millisecond
+	cdcBuffer       = 1024
 )
 
 // ChangeFeed streams a table's committed mutations. One pump goroutine per
 // region tails that region's WAL through a retention-pinning cursor and
 // delivers records into Events in per-region log order (no ordering is
 // imposed ACROSS regions — like per-partition ordering in Kafka). The
-// Events channel is bounded by Options.CDCBufferRecords: a slow consumer
-// stalls the pumps, which stop reading the WAL, and the cursor pins keep
-// the unread segments from being truncated. The channel closes when the
-// feed stops (Close, or a pump error — check Err then).
+// Events channel is bounded by cdcBuffer records: a slow consumer stalls the
+// pumps, which stop reading the WAL, and the cursor pins keep the unread
+// segments from being truncated. The channel closes when the feed stops
+// (Close, or a pump error — check Err then).
 type ChangeFeed struct {
 	db    *DB
 	table string
@@ -103,7 +107,7 @@ func (db *DB) ChangesFrom(table string, from map[string]LogPos) (*ChangeFeed, er
 	feed := &ChangeFeed{
 		db:        db,
 		table:     table,
-		ch:        make(chan ChangeRecord, db.cdcBuffer),
+		ch:        make(chan ChangeRecord, cdcBuffer),
 		done:      make(chan struct{}),
 		positions: make(map[string]LogPos, len(regions)),
 		lag:       make(map[string]uint64, len(regions)),
@@ -152,9 +156,11 @@ func (db *DB) ChangesFrom(table string, from map[string]LogPos) (*ChangeFeed, er
 // stops; check Err afterwards.
 func (f *ChangeFeed) Events() <-chan ChangeRecord { return f.ch }
 
-// Positions returns the per-region resume positions reached so far: records
-// delivered before this call will not be re-delivered by a feed resumed
-// from these positions.
+// Positions returns the per-region resume positions reached so far. A
+// position never runs ahead of what has been handed to Events, and is
+// published after its batch, so it can trail the last records received:
+// Close the feed and drain Events before resuming for positions that cover
+// everything delivered, or deduplicate on (Region, Pos).
 func (f *ChangeFeed) Positions() map[string]LogPos {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -255,10 +261,13 @@ func (f *ChangeFeed) pump(ri cluster.RegionInfo, cur *wal.Cursor) {
 				Delete: e.Record.Kind == kv.KindDelete,
 				Pos:    LogPos{Segment: e.Pos.Seg, Offset: e.Pos.Off},
 			}
+			// Count at hand-off, before the send, so a consumer holding N
+			// records never reads a counter below N. A send aborted by Close
+			// leaves the counter one ahead of a feed nobody reads any more.
+			recs.Inc()
+			bytes.Add(int64(len(e.Record.Key) + len(e.Record.Value)))
 			select {
 			case f.ch <- rec:
-				recs.Inc()
-				bytes.Add(int64(len(e.Record.Key) + len(e.Record.Value)))
 			case <-f.done:
 				return
 			}

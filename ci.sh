@@ -19,7 +19,9 @@
 #      the race detector
 #   7. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
-#   8. fuzz smoke          — 10 s of FuzzOpen over the SSTable decoders
+#   8. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
+#      and FuzzReplaySegment over the WAL segment decoder (data frames,
+#      checkpoint frames, unknown meta kinds)
 #   9. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes, `lsmtool wal tail`, the five `chaoskit` verdicts (two
 #      fixed-seed fault runs, -integrity, -timetravel, -elastic) and the
@@ -53,8 +55,9 @@ go test -race ./...
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
-echo "== fuzz smoke (SSTable decoders, 10 s) =="
+echo "== fuzz smoke (SSTable and WAL decoders, 10 s each) =="
 go test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/sstable
+go test -run=NONE -fuzz=FuzzReplaySegment -fuzztime=10s ./internal/wal
 
 echo "== lsmtool =="
 # Offline sweep gate: a clean store must verify; a corrupted one must be
@@ -83,10 +86,11 @@ go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact
 # misreads, anti-entropy must repair injected divergence) plus the unfaulted
 # false-positive control.
 go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
-# Time-travel crash gate (DESIGN.md §13): tear every WAL write mid-snapshot,
-# then recovery through the torn record must fall back cleanly —
-# snapshot+tail replay equals full raw replay, golden as-of reads hold, and
-# the retained log still tails every acknowledged mutation.
+# Time-travel crash gate (DESIGN.md §13): tear every WAL write during a burst
+# of data appends, acknowledge more mutations past the tears, crash without
+# Close — recovery must replay exactly the mutations acknowledged since the
+# flush, golden as-of reads hold, and the retained log still tails every
+# acknowledged mutation with no gap.
 go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
 # Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, cold
 # merges, hot splits and continuous balancing under live load; every

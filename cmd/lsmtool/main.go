@@ -309,8 +309,8 @@ func verifyMain(args []string) {
 }
 
 // walTailMain implements `lsmtool wal tail`: a self-contained CDC demo. It
-// builds a store with full log retention (WALRetainSegments = -1, the
-// log-as-database mode), applies a small workload spanning a flush, then
+// builds a store with full log retention (WALRetainSegments = -1), applies
+// a small workload spanning a flush, then
 // reads the whole WAL back through the same TailLog cursor API the Changes
 // feed uses and prints each committed record.
 func walTailMain(args []string) {

@@ -101,17 +101,6 @@ type Options struct {
 	// this many similar-sized tables, so compaction I/O stays bounded no
 	// matter how many tables a write burst accumulates.
 	CompactionFanIn int
-	// MaxConcurrentCompactions bounds how many compaction rounds may run
-	// at once per region store (default 2); rounds work on disjoint table
-	// sets and run in parallel with flushes.
-	MaxConcurrentCompactions int
-
-	// ReadFanOut bounds how many per-region RPCs one client operation may
-	// have in flight at once on the scatter-gather paths: batched MultiGet
-	// row fetches, region-batched index maintenance, local-index broadcast
-	// scans and index-range scans (default 8; 1 forces the serial
-	// behaviour).
-	ReadFanOut int
 
 	// AUQCapacity bounds each region's asynchronous update queue
 	// (default 4096).
@@ -119,19 +108,12 @@ type Options struct {
 	// APSWorkers is the number of asynchronous processing workers per
 	// region (default 2).
 	APSWorkers int
-	// APSBatch bounds how many queued index updates one APS worker drains
-	// and coalesces into a single region-batched apply (default 16; 1
-	// disables micro-batching).
-	APSBatch int
 	// AUQMaxBacklog, when > 0, caps each region's pending asynchronous
 	// index work: an arrival that would exceed the cap is shed to the
 	// synchronous path (maintained inline in the put), bounding both queue
 	// memory and index staleness under overload. 0 keeps the classic
 	// block-at-capacity backpressure.
 	AUQMaxBacklog int
-	// StalenessSampleEvery samples every Nth async completion into the
-	// staleness histogram (default 1 = all; the paper samples 0.1%).
-	StalenessSampleEvery int
 
 	// BalancerInterval, when > 0, runs the continuous load-aware balancer:
 	// every interval the master compares per-server op counts, migrates one
@@ -176,30 +158,17 @@ type Options struct {
 	ScrubInterval  time.Duration
 	ScrubBlockPace time.Duration
 
-	// SnapshotInterval, when > 0, runs periodic snapshot-in-log rounds on
-	// every region store (DESIGN.md §13): the WAL's sealed unflushed span is
-	// folded into snapshot records appended back into the log, so recovery
-	// replays "latest snapshot + tail" instead of the whole retained log.
-	SnapshotInterval time.Duration
 	// WALRetainSegments is the per-region WAL retention knob: 0 (default)
 	// truncates freely at each flush boundary, N > 0 keeps the newest N
 	// sealed segments for CDC consumers regardless of flushes, and -1 never
-	// truncates — full log-as-database mode. Live Changes feeds pin their
-	// position in addition to this knob.
+	// truncates, so a Changes feed opened late still sees the full history.
+	// Live Changes feeds pin their position in addition to this knob.
 	WALRetainSegments int
-	// CDCBufferRecords bounds each Changes feed's in-memory buffer (default
-	// 1024): the pump goroutines stop reading the WAL when the consumer
-	// falls this many records behind, bounding memory while the retention
-	// pin bounds how much log a paused consumer can hold.
-	CDCBufferRecords int
 
 	// DisableTracing turns off per-operation traces (the op-latency
 	// histograms and the slow-op log). Stage and counter metrics still
 	// record; see DESIGN.md's Observability section for what each costs.
 	DisableTracing bool
-	// SlowOpLog sizes the slow-operation log: the K slowest operations are
-	// retained with their per-stage latency breakdowns (default 32).
-	SlowOpLog int
 }
 
 // DB is a Diff-Index-enabled distributed store: the cluster plus the index
@@ -207,10 +176,6 @@ type Options struct {
 type DB struct {
 	c *cluster.Cluster
 	m *core.Manager
-
-	// cdcBuffer is the per-feed buffer bound for Changes (see
-	// Options.CDCBufferRecords).
-	cdcBuffer int
 
 	// balCfg is the balancer policy built from Options, reused by on-demand
 	// Rebalance rounds.
@@ -233,38 +198,28 @@ func Open(opts Options) *DB {
 			WriteLatency: opts.DiskWriteLatency,
 			SyncLatency:  opts.DiskSyncLatency,
 		},
-		BaseFS:                   opts.BaseFS,
-		BlockCacheBytes:          opts.BlockCacheBytes,
-		MemtableBytes:            opts.MemtableBytes,
-		MaxVersions:              opts.MaxVersions,
-		CompactionThreshold:      opts.CompactionThreshold,
-		CompactionFanIn:          opts.CompactionFanIn,
-		MaxConcurrentCompactions: opts.MaxConcurrentCompactions,
-		ReadFanOut:               opts.ReadFanOut,
-		VerifyChecksums:          opts.VerifyChecksums,
-		DisableScrub:             opts.DisableScrub,
-		ScrubInterval:            opts.ScrubInterval,
-		ScrubBlockPace:           opts.ScrubBlockPace,
-		SnapshotInterval:         opts.SnapshotInterval,
-		WALRetainSegments:        opts.WALRetainSegments,
-		DisableTracing:           opts.DisableTracing,
-		SlowOpK:                  opts.SlowOpLog,
+		BaseFS:              opts.BaseFS,
+		BlockCacheBytes:     opts.BlockCacheBytes,
+		MemtableBytes:       opts.MemtableBytes,
+		MaxVersions:         opts.MaxVersions,
+		CompactionThreshold: opts.CompactionThreshold,
+		CompactionFanIn:     opts.CompactionFanIn,
+		VerifyChecksums:     opts.VerifyChecksums,
+		DisableScrub:        opts.DisableScrub,
+		ScrubInterval:       opts.ScrubInterval,
+		ScrubBlockPace:      opts.ScrubBlockPace,
+		WALRetainSegments:   opts.WALRetainSegments,
+		DisableTracing:      opts.DisableTracing,
 	})
 	m := core.NewManager(c, core.ManagerOptions{
-		QueueCapacity:        opts.AUQCapacity,
-		Workers:              opts.APSWorkers,
-		APSBatch:             opts.APSBatch,
-		MaxBacklog:           opts.AUQMaxBacklog,
-		StalenessSampleEvery: opts.StalenessSampleEvery,
-		SessionTTL:           opts.SessionTTL,
-		SessionMaxBytes:      opts.SessionMaxBytes,
-		DisableDrainOnFlush:  opts.UnsafeDisableDrainOnFlush,
+		QueueCapacity:       opts.AUQCapacity,
+		Workers:             opts.APSWorkers,
+		MaxBacklog:          opts.AUQMaxBacklog,
+		SessionTTL:          opts.SessionTTL,
+		SessionMaxBytes:     opts.SessionMaxBytes,
+		DisableDrainOnFlush: opts.UnsafeDisableDrainOnFlush,
 	})
-	cdcBuffer := opts.CDCBufferRecords
-	if cdcBuffer <= 0 {
-		cdcBuffer = 1024
-	}
-	db := &DB{c: c, m: m, cdcBuffer: cdcBuffer, cdcFeeds: make(map[*ChangeFeed]struct{})}
+	db := &DB{c: c, m: m, cdcFeeds: make(map[*ChangeFeed]struct{})}
 	db.balCfg = cluster.BalanceConfig{
 		HotspotRatio:       opts.HotspotRatio,
 		MergeColdThreshold: opts.MergeColdThreshold,

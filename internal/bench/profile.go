@@ -148,9 +148,6 @@ func (p Profile) Options() diffindex.Options {
 		// client load at low transaction rates, as in the paper's Fig. 11
 		// (staleness stays small until the system approaches saturation).
 		APSWorkers: 4,
-		// The paper samples 0.1% for staleness; at our op counts sampling
-		// everything is cheap and keeps the histograms well-populated.
-		StalenessSampleEvery: 1,
 	}
 }
 

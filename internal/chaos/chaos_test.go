@@ -143,6 +143,24 @@ func TestIntegrityScenarioPair(t *testing.T) {
 	}
 }
 
+// The retained-log crash scenario: WAL appends torn mid-burst, a crash
+// without Close, and recovery that must replay and tail exactly the
+// acknowledged mutations and keep every golden as-of read.
+func TestTimeTravelScenario(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := RunTimeTravel(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("seed %d: %s", seed, v)
+		}
+		if res.TornWrites == 0 || res.AsOfReads == 0 || res.TailedRecords != res.Ops {
+			t.Errorf("seed %d: scenario did not exercise its checks: %+v", seed, res)
+		}
+	}
+}
+
 // Incremental compaction under faults: a table-count trigger of 2 keeps the
 // tiered engine busy for the whole window (every flush arms another round),
 // with extra flush events feeding it tables while crashes, partitions and

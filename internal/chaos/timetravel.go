@@ -11,26 +11,21 @@ import (
 	"diffindex/internal/wal"
 )
 
-// RunTimeTravel runs the log-as-database crash scenario (DESIGN.md §13): a
+// RunTimeTravel runs the retained-log crash scenario (DESIGN.md §13): a
 // seeded workload of puts/overwrites/deletes is driven through an LSM store
 // with full log retention while golden per-timestamp observations are
-// recorded; snapshot-in-log rounds and a flush interleave; then a fault is
-// armed mid-snapshot so the snapshot record itself is torn on disk, the
-// store is abandoned without Close (the crash), and recovery is checked
-// three ways:
+// recorded, with a flush moving the replay boundary part way; then every WAL
+// write is torn during a burst of data appends, more mutations are
+// acknowledged past the torn frames, the store is abandoned without Close
+// (the crash), and recovery is checked three ways:
 //
-//  1. snapshot+tail replay must yield exactly the same record multiset as a
-//     full raw replay (DisableSnapshots) of the same log — torn snapshot
-//     records must be fallen through, never half-applied;
+//  1. replay delivers exactly the mutations acknowledged since the flush —
+//     nothing from below the checkpoint, nothing from a torn frame, nothing
+//     acknowledged lost behind one;
 //  2. every golden observation must read back byte-identically through
 //     GetAsOf on the recovered store — time-travel reads survive the crash;
 //  3. the retained log must still tail every acknowledged mutation — the
 //     CDC history is intact.
-//
-// The multiset comparison is exact because the workload clock is monotonic:
-// every record carries a unique (key, ts), so the snapshot fold's
-// (key, ts, kind) dedupe is the identity and folded cells correspond 1:1 to
-// the raw records they cover.
 func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	res := &TimeTravelResult{Seed: seed}
 	begin := time.Now()
@@ -43,25 +38,27 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 
 	const dir = "timetravel"
 	fault := vfs.NewFaultFS(vfs.NewMemFS())
-	open := func() (*lsm.Store, error) {
+	open := func(onReplay func(kv.Cell)) (*lsm.Store, error) {
 		return lsm.Open(lsm.Options{
 			FS:                 fault,
 			Dir:                dir,
 			MaxVersions:        1024, // never trim: every golden timestamp stays answerable
-			WALRetainSegments:  -1,   // log-as-database mode: full history
+			WALRetainSegments:  -1,   // full history stays tailable
 			DisableAutoFlush:   true,
 			DisableAutoCompact: true,
 			DisableScrub:       true,
+			OnReplay:           onReplay,
 		})
 	}
-	store, err := open()
+	store, err := open(nil)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: timetravel open: %w", err)
 	}
 
 	// Seeded workload over a small keyspace: ~85% puts, ~15% deletes, with
 	// a shadow state snapshotted into golden observations as the clock
-	// advances. Only acknowledged mutations update the shadow.
+	// advances. Only acknowledged mutations update the shadow; mutate
+	// returns how many of its n attempts failed.
 	rng := rand.New(rand.NewSource(seed))
 	clock := kv.NewClock(1)
 	const keyspace = 48
@@ -78,137 +75,90 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		}
 		golden = append(golden, observation{ts: clock.Now(), state: state})
 	}
-	mutate := func(n int) error {
+	unflushed := 0 // acknowledged mutations since the last flush
+	mutate := func(n int) (failed int) {
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("key%03d", rng.Intn(keyspace))
 			ts := clock.Next()
-			if rng.Float64() < 0.15 {
-				if err := store.Delete([]byte(key), ts); err != nil {
-					return fmt.Errorf("chaos: timetravel delete: %w", err)
-				}
+			del := rng.Float64() < 0.15
+			val := fmt.Sprintf("v%d", ts)
+			var err error
+			if del {
+				err = store.Delete([]byte(key), ts)
+			} else {
+				err = store.Put([]byte(key), []byte(val), ts)
+			}
+			if err != nil {
+				failed++
+				continue
+			}
+			if del {
 				delete(shadow, key)
 			} else {
-				val := fmt.Sprintf("v%d", ts)
-				if err := store.Put([]byte(key), []byte(val), ts); err != nil {
-					return fmt.Errorf("chaos: timetravel put: %w", err)
-				}
 				shadow[key] = val
 			}
 			res.Ops++
+			unflushed++
 			if res.Ops%25 == 0 {
 				observe()
 			}
 		}
-		return nil
+		return failed
 	}
 
-	snapshotRound := func() error {
-		st, err := store.SnapshotWAL()
-		if err != nil {
-			return fmt.Errorf("chaos: timetravel snapshot: %w", err)
-		}
-		if st.Taken {
-			res.Snapshots++
-			res.SnapshotCells += st.Cells
-		}
-		return nil
-	}
-
-	// Phase A: build history, flush part of it into SSTables (moving the
-	// replay boundary), then take a clean snapshot of the sealed tail.
-	if err := mutate(120); err != nil {
-		return nil, err
+	// Phase A: build history and flush part of it into SSTables, moving the
+	// replay boundary.
+	if failed := mutate(120); failed > 0 {
+		return nil, fmt.Errorf("chaos: timetravel: %d unfaulted mutations failed", failed)
 	}
 	if err := store.Flush(); err != nil {
 		return nil, fmt.Errorf("chaos: timetravel flush: %w", err)
 	}
-	if err := mutate(60); err != nil {
-		return nil, err
+	unflushed = 0
+	if failed := mutate(100); failed > 0 {
+		return nil, fmt.Errorf("chaos: timetravel: %d unfaulted mutations failed", failed)
 	}
-	if err := snapshotRound(); err != nil {
-		return nil, err
-	}
-	if err := mutate(40); err != nil {
-		return nil, err
-	}
-	check(res.Snapshots >= 1, "snapshot-taken",
-		"no snapshot round folded anything before the crash (ops=%d)", res.Ops)
 
-	// Phase B: crash mid-snapshot. Every WAL write is torn while the round
-	// runs, so the snapshot record is half on disk — exactly the on-disk
-	// state of a process that died inside AppendSnapshotPayload.
+	// Phase B: tear every WAL write during a burst of data appends. Each
+	// failed put leaves a half-written frame on disk — the state of a process
+	// that died inside an append — and stays out of the shadow.
+	const burst = 12
 	fault.Arm(vfs.FaultConfig{
-		Seed:             mix(seed, "snapshot-crash"),
+		Seed:             mix(seed, "torn-appends"),
 		PartialWriteProb: 1,
 		PathSubstr:       ".wal",
 	})
-	_, crashErr := store.SnapshotWAL()
+	res.TornWrites = mutate(burst)
 	fault.Disarm()
-	res.CrashInjected = crashErr != nil
-	check(res.CrashInjected, "snapshot-crash",
-		"snapshot round survived a 100%% torn-write window")
+	check(res.TornWrites == burst, "torn-window",
+		"%d of %d appends survived a 100%% torn-write window", burst-res.TornWrites, burst)
 
-	// A few more acknowledged mutations: the first append rolls off the
-	// tainted segment, sealing the torn snapshot record behind it.
-	if err := mutate(20); err != nil {
-		return nil, err
+	// More acknowledged mutations: the first append must roll off the
+	// tainted segment, or replay would stop at the tear in front of it.
+	tainted := store.ActiveWALSegment()
+	if failed := mutate(20); failed > 0 {
+		return nil, fmt.Errorf("chaos: timetravel: %d mutations failed after the fault window", failed)
 	}
+	check(store.ActiveWALSegment() > tainted, "taint-roll",
+		"acknowledged appends stayed on tainted segment %d", tainted)
 	observe()
 
 	// The crash: abandon the store without Close. Background writers are
 	// all disabled, so the directory now looks exactly like a kill -9.
 	store = nil
 
-	// Check 1: replay equality. Fold the log once through the snapshot path
-	// (what recovery does) and once raw (DisableSnapshots), and require the
-	// exact same record multiset. Each OpenWith creates a fresh empty
-	// active segment — harmless, it replays nothing.
-	collect := func(disableSnapshots bool) (map[string]int, int, error) {
-		counts := map[string]int{}
-		n := 0
-		lg, err := wal.OpenWith(fault, dir+"/wal", wal.ReplayConfig{
-			Replay: func(r wal.Record) {
-				counts[fmt.Sprintf("%s|%d|%d|%s", r.Key, r.Ts, r.Kind, r.Value)]++
-				n++
-			},
-			DisableSnapshots: disableSnapshots,
-			RetainSegments:   -1,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("chaos: timetravel replay(disable=%v): %w", disableSnapshots, err)
-		}
-		lg.Close()
-		return counts, n, nil
-	}
-	snapCells, nSnap, err := collect(false)
-	if err != nil {
-		return nil, err
-	}
-	rawCells, nRaw, err := collect(true)
-	if err != nil {
-		return nil, err
-	}
-	res.ReplayedCells = nSnap
-	equal := len(snapCells) == len(rawCells)
-	if equal {
-		for k, c := range rawCells {
-			if snapCells[k] != c {
-				equal = false
-				break
-			}
-		}
-	}
-	check(equal, "replay-equality",
-		"snapshot+tail replay (%d cells) differs from full raw replay (%d cells)", nSnap, nRaw)
-
-	// Check 2: golden time-travel reads on the recovered store. Every key in
-	// the keyspace at every observed instant must read exactly what a reader
-	// saw when that instant was the present.
-	recovered, err := open()
+	// Check 1: recovery replays exactly the acknowledged unflushed mutations.
+	recovered, err := open(func(kv.Cell) { res.ReplayedCells++ })
 	if err != nil {
 		return nil, fmt.Errorf("chaos: timetravel recover: %w", err)
 	}
 	defer recovered.Close()
+	check(res.ReplayedCells == unflushed, "replay-complete",
+		"recovery replayed %d cells, %d mutations were acknowledged since the flush", res.ReplayedCells, unflushed)
+
+	// Check 2: golden time-travel reads on the recovered store. Every key in
+	// the keyspace at every observed instant must read exactly what a reader
+	// saw when that instant was the present.
 	for _, obs := range golden {
 		mismatches := 0
 		var first string
@@ -260,16 +210,12 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 // TimeTravelResult is one time-travel crash scenario's outcome.
 type TimeTravelResult struct {
 	Seed int64
-	// Ops counts acknowledged mutations; Snapshots the successful
-	// snapshot-in-log rounds and SnapshotCells the cells they folded.
-	Ops           int
-	Snapshots     int
-	SnapshotCells int
-	// CrashInjected reports that the faulted snapshot round failed as
-	// intended, leaving a torn snapshot record on disk.
-	CrashInjected bool
-	// ReplayedCells is the snapshot-path replay's cell count; TailedRecords
-	// how many data records the recovered log tails; AsOfReads the golden
+	// Ops counts acknowledged mutations; TornWrites the appends the fault
+	// window failed, each leaving a torn frame on disk.
+	Ops        int
+	TornWrites int
+	// ReplayedCells is how many cells recovery replayed; TailedRecords how
+	// many data records the recovered log tails; AsOfReads the golden
 	// point-in-time reads evaluated.
 	ReplayedCells int
 	TailedRecords int

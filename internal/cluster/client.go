@@ -36,27 +36,19 @@ type Client struct {
 	// stats, when set, counts Apply RPC fan-out (see ApplyStats).
 	stats *ApplyStats
 
-	// fanOut, when positive, overrides the cluster's ReadFanOut for this
-	// client's scatter-gather operations.
+	// fanOut, when positive, overrides DefaultReadFanOut for this client's
+	// scatter-gather operations.
 	fanOut int
 
 	// tracer mints per-operation traces (shared with the whole cluster).
 	tracer *metrics.Tracer
 }
 
-// SetFanOut overrides the cluster-wide fan-out width for this client: the
-// bound on concurrent per-region RPCs of one batched operation. n ≤ 0
-// restores the cluster default; 1 forces the serial behaviour (useful as a
-// baseline). Not safe to call concurrently with requests; attach before use.
+// SetFanOut overrides the fan-out width for this client: the bound on
+// concurrent per-region RPCs of one batched operation. n ≤ 0 restores
+// DefaultReadFanOut; 1 forces the serial behaviour (useful as a baseline).
+// Not safe to call concurrently with requests; attach before use.
 func (cl *Client) SetFanOut(n int) { cl.fanOut = n }
-
-// fanOutWidth resolves the effective fan-out bound.
-func (cl *Client) fanOutWidth() int {
-	if cl.fanOut > 0 {
-		return cl.fanOut
-	}
-	return cl.cluster.cfg.ReadFanOut
-}
 
 // SetApplyStats attaches a (possibly shared) fan-out counter to the client.
 // Not safe to call concurrently with requests; attach before use.
@@ -200,18 +192,29 @@ func (cl *Client) Delete(table string, row []byte, cols []string) (kv.Timestamp,
 // Get reads one column of a row at the latest timestamp. ok reports whether
 // the column exists.
 func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestamp, bool, error) {
-	return cl.GetAt(table, row, col, kv.MaxTimestamp)
+	return cl.getCol("get", table, row, col, kv.MaxTimestamp, (*RegionServer).Get)
 }
 
-// GetAt reads one column of a row as of timestamp ts.
-func (cl *Client) GetAt(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
-	tr := cl.tracer.Start("get", table)
+// GetAsOf reads one column of a row as it stood at timestamp ts — any
+// timestamp previously returned by Put/Delete qualifies. Unlike a plain read
+// at ts (which answers from whatever versions remain), GetAsOf surfaces
+// lsm.ErrHistoryTrimmed when the version visible at ts may have been
+// garbage-collected by MaxVersions retention, so callers can tell "absent
+// at ts" from "history gone".
+func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
+	return cl.getCol("get-asof", table, row, col, ts, (*RegionServer).GetAsOf)
+}
+
+// getCol is the one column point read, traced as op: it routes to the row's
+// region, where read (RegionServer.Get or GetAsOf) answers it at ts.
+func (cl *Client) getCol(op, table string, row []byte, col string, ts kv.Timestamp, read func(*RegionServer, string, []byte, kv.Timestamp) (kv.Cell, bool, error)) ([]byte, kv.Timestamp, bool, error) {
+	tr := cl.tracer.Start(op, table)
 	defer cl.tracer.Finish(tr)
 	var val []byte
 	var cellTs kv.Timestamp
 	var ok bool
 	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		c, found, err := s.Get(ri.ID, kv.BaseKey(row, []byte(col)), ts)
+		c, found, err := read(s, ri.ID, kv.BaseKey(row, []byte(col)), ts)
 		if err != nil {
 			return err
 		}
@@ -228,12 +231,25 @@ func (cl *Client) GetAt(table string, row []byte, col string, ts kv.Timestamp) (
 // GetRow reads all columns of a row at the latest timestamp. A nil map
 // means the row has no visible columns.
 func (cl *Client) GetRow(table string, row []byte) (map[string][]byte, error) {
-	tr := cl.tracer.Start("get-row", table)
+	return cl.getRow("get-row", table, row, kv.MaxTimestamp)
+}
+
+// GetRowAsOf reads all columns of a row as they stood at timestamp ts. A
+// nil map means the row had no visible columns at ts. Columns whose as-of
+// version may have been trimmed are skipped (scan semantics); use GetAsOf
+// per column for trimmed-history detection.
+func (cl *Client) GetRowAsOf(table string, row []byte, ts kv.Timestamp) (map[string][]byte, error) {
+	return cl.getRow("get-row-asof", table, row, ts)
+}
+
+// getRow is the one row read: the row's columns visible at ts, traced as op.
+func (cl *Client) getRow(op, table string, row []byte, ts kv.Timestamp) (map[string][]byte, error) {
+	tr := cl.tracer.Start(op, table)
 	defer cl.tracer.Finish(tr)
 	prefix := kv.RowPrefix(row)
 	var cols map[string][]byte
 	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		results, err := s.Scan(ri.ID, prefix, kv.PrefixSuccessor(prefix), kv.MaxTimestamp, 0)
+		results, err := s.Scan(ri.ID, prefix, kv.PrefixSuccessor(prefix), ts, 0)
 		if err != nil {
 			return err
 		}
@@ -302,7 +318,18 @@ func (cl *Client) forEachRegion(table string, start, end []byte, fn func(ri Regi
 // Scan reads rows with keys in [startRow, endRow) (nil bounds are open),
 // visiting regions in key order, up to limit rows (limit ≤ 0 = unlimited).
 func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row, error) {
-	tr := cl.tracer.Start("scan", table)
+	return cl.scan("scan", table, startRow, endRow, kv.MaxTimestamp, limit)
+}
+
+// ScanAsOf reads rows with keys in [startRow, endRow) as they stood at
+// timestamp ts — Scan evaluated against historical state.
+func (cl *Client) ScanAsOf(table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
+	return cl.scan("scan-asof", table, startRow, endRow, ts, limit)
+}
+
+// scan is the one row scan: rows as visible at ts, traced as op.
+func (cl *Client) scan(op, table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
+	tr := cl.tracer.Start(op, table)
 	defer cl.tracer.Finish(tr)
 	var rows []Row
 	var curKey []byte
@@ -326,7 +353,7 @@ func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row,
 		if hi != nil {
 			storeHi = kv.RowPrefix(hi)
 		}
-		results, err := s.Scan(ri.ID, storeLo, storeHi, kv.MaxTimestamp, 0)
+		results, err := s.Scan(ri.ID, storeLo, storeHi, ts, 0)
 		if err != nil {
 			return false, err
 		}
@@ -446,7 +473,7 @@ func (cl *Client) multiRoute(table string, n int, routeKey func(i int) []byte, c
 		// (retriable) groups for the next round.
 		var mu sync.Mutex
 		var failed []int
-		err = runFanOut(cl.fanOutWidth(), len(order), func(g int) error {
+		err = runFanOut(cl.fanOut, len(order), func(g int) error {
 			ri := infos[order[g]]
 			group := groups[order[g]]
 			server := cl.cluster.Server(ri.Server)
@@ -648,7 +675,7 @@ func (cl *Client) BroadcastScan(table string, start, end []byte, ts kv.Timestamp
 	}
 	parts := make([][]lsm.ScanResult, len(ranges))
 	rpcs := make([]int, len(ranges))
-	err = runFanOut(cl.fanOutWidth(), len(ranges), func(i int) error {
+	err = runFanOut(cl.fanOut, len(ranges), func(i int) error {
 		return cl.forEachRegion(table, ranges[i].lo, ranges[i].hi, func(ri RegionInfo, _, _ []byte, s *RegionServer) (bool, error) {
 			// A region that merged after the snapshot spans several branch
 			// ranges and would be broadcast once per branch; only the branch
@@ -685,7 +712,7 @@ func (cl *Client) RawScan(table string, start, end []byte, ts kv.Timestamp, limi
 	}
 	parts := make([][]lsm.ScanResult, len(ranges))
 	rpcs := make([]int, len(ranges))
-	err = runFanOut(cl.fanOutWidth(), len(ranges), func(i int) error {
+	err = runFanOut(cl.fanOut, len(ranges), func(i int) error {
 		return cl.forEachRegion(table, ranges[i].lo, ranges[i].hi, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
 			remaining := 0
 			if limit > 0 {

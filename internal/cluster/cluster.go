@@ -63,28 +63,15 @@ type Config struct {
 	// CompactionFanIn bounds how many SSTables one compaction round merges
 	// per region store. Defaults to 4.
 	CompactionFanIn int
-	// MaxConcurrentCompactions bounds concurrent compaction rounds per
-	// region store. Defaults to 2.
-	MaxConcurrentCompactions int
-	// ReadFanOut bounds how many per-region RPCs one client operation may
-	// have in flight at once on the batched/scatter-gather paths (MultiGet,
-	// MultiApply, BroadcastScan, RawScan). Defaults to 8; 1 forces the
-	// serial behaviour.
-	ReadFanOut int
 	// VerifyChecksums makes every region store verify SSTable block CRCs on
 	// read (see lsm.Options.VerifyChecksums).
 	VerifyChecksums bool
 	// DisableScrub turns off the per-region background integrity scrubber.
 	DisableScrub bool
-	// SnapshotInterval, when > 0, runs periodic snapshot-in-log rounds on
-	// every region store (see lsm.Options.SnapshotInterval): the WAL's
-	// sealed unflushed span is folded into snapshot records so recovery
-	// replays "latest snapshot + tail".
-	SnapshotInterval time.Duration
 	// WALRetainSegments is the per-region WAL retention knob (see
 	// lsm.Options.WALRetainSegments): 0 truncates at each flush boundary,
 	// N > 0 keeps the newest N sealed segments for CDC consumers, -1 never
-	// truncates (log-as-database mode).
+	// truncates.
 	WALRetainSegments int
 	// ScrubInterval / ScrubBlockPace tune the per-region scrubber (zero
 	// values take the lsm defaults: 5s between cycles, 1ms between blocks).
@@ -97,9 +84,11 @@ type Config struct {
 	// DisableTracing turns off per-operation traces (the slow-op log and
 	// op-latency histograms); stage histograms still record.
 	DisableTracing bool
-	// SlowOpK is the size of the slow-op log. Defaults to 32.
-	SlowOpK int
 }
+
+// slowOpK is the size of the slow-op log: the K slowest operations are
+// retained with their per-stage latency breakdowns.
+const slowOpK = 32
 
 func (c Config) withDefaults() Config {
 	if c.Servers <= 0 {
@@ -108,14 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.BlockCacheBytes == 0 {
 		c.BlockCacheBytes = 32 << 20
 	}
-	if c.ReadFanOut <= 0 {
-		c.ReadFanOut = DefaultReadFanOut
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
-	}
-	if c.SlowOpK <= 0 {
-		c.SlowOpK = 32
 	}
 	return c
 }
@@ -231,14 +214,11 @@ func New(cfg Config) *Cluster {
 		retainTomb: make(map[string]bool),
 		clock:      kv.NewClock(1),
 		metrics:    cfg.Metrics,
-		tracer:     metrics.NewTracer(cfg.Metrics, cfg.SlowOpK, cfg.DisableTracing),
+		tracer:     metrics.NewTracer(cfg.Metrics, slowOpK, cfg.DisableTracing),
 	}
 	c.fanoutWaves = cfg.Metrics.Counter("diffindex_fanout_waves_total")
 	c.fanoutRPCs = cfg.Metrics.Counter("diffindex_fanout_rpcs_total")
 	c.fanoutItems = cfg.Metrics.Counter("diffindex_fanout_items_total")
-	cfg.Metrics.RegisterGaugeFunc("diffindex_read_fanout_width", func() int64 {
-		return int64(cfg.ReadFanOut)
-	})
 	c.Master = newMaster(c)
 	for i := 0; i < cfg.Servers; i++ {
 		id := fmt.Sprintf("rs%d", i+1)

@@ -5,12 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultReadFanOut is the default bound on concurrent per-region RPCs a
-// single client operation may have in flight (Config.ReadFanOut overrides).
-// Regions are independent servers, so a scatter-gather read's latency is
-// the slowest region's latency — not the sum — as long as the fan-out width
-// covers the region count; 8 covers the common deployments while keeping a
-// single client from monopolizing the network.
+// DefaultReadFanOut is the bound on concurrent per-region RPCs a single
+// client operation may have in flight (Client.SetFanOut overrides it per
+// client, for baselines and tests). Regions are independent servers, so a
+// scatter-gather read's latency is the slowest region's latency — not the
+// sum — as long as the fan-out width covers the region count; 8 covers the
+// common deployments while keeping a single client from monopolizing the
+// network.
 const DefaultReadFanOut = 8
 
 // runFanOut executes fn(0) … fn(n-1) under a bounded worker pool of the

@@ -161,23 +161,21 @@ func (s *RegionServer) OpenRegion(info RegionInfo) error {
 	region := &Region{Info: info, server: s}
 	var replayed []kv.Cell
 	store, err := lsm.Open(lsm.Options{
-		FS:                       s.cluster.FS,
-		Dir:                      regionDir(info),
-		MemtableBytes:            s.cluster.cfg.MemtableBytes,
-		MaxVersions:              s.cluster.cfg.MaxVersions,
-		CompactionThreshold:      s.cluster.cfg.CompactionThreshold,
-		CompactionFanIn:          s.cluster.cfg.CompactionFanIn,
-		MaxConcurrentCompactions: s.cluster.cfg.MaxConcurrentCompactions,
-		RetainTombstones:         s.cluster.retainsTombstones(info.Table),
-		BlockCache:               cache,
-		VerifyChecksums:          s.cluster.cfg.VerifyChecksums,
-		DisableScrub:             s.cluster.cfg.DisableScrub,
-		ScrubInterval:            s.cluster.cfg.ScrubInterval,
-		ScrubBlockPace:           s.cluster.cfg.ScrubBlockPace,
-		SnapshotInterval:         s.cluster.cfg.SnapshotInterval,
-		WALRetainSegments:        s.cluster.cfg.WALRetainSegments,
-		Metrics:                  s.cluster.metrics,
-		MetricsTable:             info.Table,
+		FS:                  s.cluster.FS,
+		Dir:                 regionDir(info),
+		MemtableBytes:       s.cluster.cfg.MemtableBytes,
+		MaxVersions:         s.cluster.cfg.MaxVersions,
+		CompactionThreshold: s.cluster.cfg.CompactionThreshold,
+		CompactionFanIn:     s.cluster.cfg.CompactionFanIn,
+		RetainTombstones:    s.cluster.retainsTombstones(info.Table),
+		BlockCache:          cache,
+		VerifyChecksums:     s.cluster.cfg.VerifyChecksums,
+		DisableScrub:        s.cluster.cfg.DisableScrub,
+		ScrubInterval:       s.cluster.cfg.ScrubInterval,
+		ScrubBlockPace:      s.cluster.cfg.ScrubBlockPace,
+		WALRetainSegments:   s.cluster.cfg.WALRetainSegments,
+		Metrics:             s.cluster.metrics,
+		MetricsTable:        info.Table,
 		OnReplay: func(c kv.Cell) {
 			s.cluster.clock.Observe(c.Ts)
 			replayed = append(replayed, c.Clone())
@@ -488,18 +486,6 @@ func (s *RegionServer) GetAsOf(regionID string, key []byte, ts kv.Timestamp) (kv
 		return kv.Cell{}, false, err // not a routing miss: surface as-is
 	}
 	return c, ok, mapStoreErr(err)
-}
-
-// ScanAsOf returns the visible versions of store keys in [start, end) as
-// they stood at ts; keys whose as-of version may have been trimmed are
-// skipped (see lsm.Store.ScanAsOf).
-func (s *RegionServer) ScanAsOf(regionID string, start, end []byte, ts kv.Timestamp, limit int) ([]lsm.ScanResult, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, err
-	}
-	results, err := region.store.ScanAsOf(start, end, ts, limit)
-	return results, mapStoreErr(err)
 }
 
 // WALCursor opens a retention-pinning cursor over one region's WAL. The

@@ -34,11 +34,6 @@ type ManagerOptions struct {
 	// them exactly as the scheme table (Table 1) predicts. 0 disables the
 	// cap: the queue blocks at QueueCapacity as before.
 	MaxBacklog int
-	// StalenessSampleEvery samples every Nth AUQ completion into the
-	// staleness histogram — the paper samples 0.1% of inserted entries
-	// (§8.2). Defaults to 1 (sample everything; experiments that need the
-	// paper's 0.1% set 1000).
-	StalenessSampleEvery int
 	// SessionTTL is the inactivity limit after which a session expires
 	// (§5.2 uses 30 minutes). Defaults to 30 minutes.
 	SessionTTL time.Duration
@@ -71,9 +66,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	}
 	if o.APSBatch <= 0 {
 		o.APSBatch = 16
-	}
-	if o.StalenessSampleEvery <= 0 {
-		o.StalenessSampleEvery = 1
 	}
 	if o.SessionTTL <= 0 {
 		o.SessionTTL = 30 * time.Minute
@@ -120,7 +112,6 @@ type Manager struct {
 	mu          sync.Mutex
 	auqs        map[*cluster.Region]*auq
 	serverConns map[string]*cluster.Client
-	sampleTick  int64
 	staleness   *metrics.Histogram
 	advisor     *Advisor
 }
@@ -322,15 +313,10 @@ func (m *Manager) WaitForConvergence(timeout time.Duration) bool {
 }
 
 // observeStaleness records one AUQ completion's index-after-data time lag
-// (T2 − T1, §8.2), subject to sampling.
+// (T2 − T1, §8.2). Every completion is recorded; the paper samples 0.1% of
+// inserted entries.
 func (m *Manager) observeStaleness(enqueuedAt time.Time) {
-	m.mu.Lock()
-	m.sampleTick++
-	sample := m.sampleTick%int64(m.opts.StalenessSampleEvery) == 0
-	m.mu.Unlock()
-	if sample {
-		m.staleness.RecordDuration(time.Since(enqueuedAt))
-	}
+	m.staleness.RecordDuration(time.Since(enqueuedAt))
 }
 
 // Staleness exposes the index-staleness histogram (Figure 11's measurement).

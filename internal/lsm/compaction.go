@@ -14,7 +14,7 @@ import (
 // merges a bounded set — at most Options.CompactionFanIn similar-sized
 // tables — so a round's I/O stays proportional to the data it rewrites, not
 // to the store's total size. Rounds with disjoint input sets run
-// concurrently (up to Options.MaxConcurrentCompactions), and because a
+// concurrently (up to maxConcurrentCompactions), and because a
 // round never touches the memtable or the write gate, flushes proceed in
 // parallel with compaction.
 //
@@ -236,15 +236,19 @@ func (s *Store) recordCompactionError(err error) {
 	s.compMu.Unlock()
 }
 
+// maxConcurrentCompactions bounds the compaction rounds one store runs at
+// once (each round works on a disjoint table set, so rounds never conflict).
+const maxConcurrentCompactions = 2
+
 // maybeScheduleCompaction starts background compaction workers, up to
-// MaxConcurrentCompactions, each seeded with a claimed round. Workers keep
+// maxConcurrentCompactions, each seeded with a claimed round. Workers keep
 // claiming follow-up rounds until the picker finds nothing, then exit.
 // Unlike the old single-flight scheduler, a failed round's error is
 // recorded (stats + metrics) instead of being silently discarded.
 func (s *Store) maybeScheduleCompaction() {
 	for {
 		s.compMu.Lock()
-		if s.compWorkers >= s.opts.MaxConcurrentCompactions {
+		if s.compWorkers >= maxConcurrentCompactions {
 			s.compMu.Unlock()
 			return
 		}

@@ -46,11 +46,10 @@ func BenchmarkSustainedWrite(b *testing.B) {
 			)
 			s, err := Open(Options{
 				FS: vfs.NewMemFS(), Dir: "bench",
-				MemtableBytes:            benchMemtable,
-				CompactionThreshold:      benchMaxTables,
-				CompactionFanIn:          4,
-				MaxConcurrentCompactions: 2,
-				DisableAutoCompact:       mode.full,
+				MemtableBytes:       benchMemtable,
+				CompactionThreshold: benchMaxTables,
+				CompactionFanIn:     4,
+				DisableAutoCompact:  mode.full,
 				// Pace flushes from the loop: the async auto-flush cannot
 				// keep up with a tight MemFS put loop, which would batch
 				// everything into a handful of giant tables and hide the

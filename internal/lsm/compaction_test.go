@@ -383,10 +383,9 @@ func TestReadsRaceConcurrentCompactions(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MemtableBytes:            8 << 10,
-		CompactionThreshold:      2,
-		CompactionFanIn:          2,
-		MaxConcurrentCompactions: 2,
+		MemtableBytes:       8 << 10,
+		CompactionThreshold: 2,
+		CompactionFanIn:     2,
 	})
 	if err != nil {
 		t.Fatal(err)

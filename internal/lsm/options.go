@@ -45,10 +45,6 @@ type Options struct {
 	// round's I/O is bounded no matter how many tables accumulate.
 	// Defaults to 4.
 	CompactionFanIn int
-	// MaxConcurrentCompactions bounds the number of compaction rounds
-	// running at once (each round works on a disjoint table set, so rounds
-	// never conflict). Defaults to 2.
-	MaxConcurrentCompactions int
 	// RetainTombstones keeps delete markers through every compaction,
 	// including bottom-tier rounds (the data they mask is still GC'd).
 	// Global-index stores set this: asynchronous index maintenance is
@@ -83,17 +79,11 @@ type Options struct {
 	VerifyChecksums bool
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
-	// SnapshotInterval, when > 0, runs a periodic snapshot-in-log round
-	// (DESIGN.md §13): the WAL's sealed unflushed span is folded into a
-	// snapshot record appended back into the log, so recovery replays
-	// "latest snapshot + tail" instead of the whole retained log. 0 disables
-	// the periodic loop; SnapshotWAL still takes rounds on demand.
-	SnapshotInterval time.Duration
 	// WALRetainSegments is the log retention knob: 0 (the default) truncates
 	// freely at each flush boundary, N > 0 keeps the newest N sealed
 	// segments for CDC consumers regardless of flushes, and -1 never
-	// truncates — full log-as-database mode, required by WAL-sourced index
-	// rebuild. Live CDC cursors pin their position in addition to this knob.
+	// truncates, so a CDC consumer that starts late can still tail the full
+	// history. Live CDC cursors pin their position in addition to this knob.
 	WALRetainSegments int
 	// ScrubInterval is the pause between scrub cycles (a cycle verifies every
 	// block of every live SSTable). Defaults to 5s; short-lived stores never
@@ -118,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactionFanIn <= 0 {
 		o.CompactionFanIn = 4
-	}
-	if o.MaxConcurrentCompactions <= 0 {
-		o.MaxConcurrentCompactions = 2
 	}
 	if o.ScrubInterval <= 0 {
 		o.ScrubInterval = 5 * time.Second
@@ -159,9 +146,4 @@ type Stats struct {
 	// that they are.
 	CompactionErrors    int64
 	LastCompactionError string
-
-	// WALSnapshots counts snapshot-in-log rounds that wrote a snapshot
-	// record; WALSnapshotCells the total cells folded into them.
-	WALSnapshots     int64
-	WALSnapshotCells int64
 }

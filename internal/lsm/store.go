@@ -14,7 +14,6 @@ import (
 	"diffindex/internal/kv"
 	"diffindex/internal/memtable"
 	"diffindex/internal/metrics"
-	"diffindex/internal/snapshot"
 	"diffindex/internal/sstable"
 	"diffindex/internal/wal"
 )
@@ -28,18 +27,28 @@ type tableHandle struct {
 	r    *sstable.Reader
 	refs atomic.Int32
 	// dropped marks the table as replaced by a compaction: when the last
-	// reference is released the file is deleted.
+	// reference is released the file is deleted. closing marks the store as
+	// closed: the last reference out closes the reader and leaves the file,
+	// so a read that took its references just before Close finishes on an
+	// open file instead of failing mid-block.
 	dropped atomic.Bool
+	closing atomic.Bool
 	store   *Store
 }
 
 func (h *tableHandle) acquire() { h.refs.Add(1) }
 
 func (h *tableHandle) release() {
-	if h.refs.Add(-1) == 0 && h.dropped.Load() {
+	if h.refs.Add(-1) != 0 {
+		return
+	}
+	switch {
+	case h.dropped.Load():
 		h.store.opts.BlockCache.DropTable(h.r.Name())
 		h.r.Close()
 		h.store.opts.FS.Remove(h.r.Name())
+	case h.closing.Load():
+		h.r.Close()
 	}
 }
 
@@ -107,14 +116,6 @@ type Store struct {
 
 	// Background-scrubber progress; see scrub.go.
 	scrub scrubState
-
-	// Snapshot-in-log state (DESIGN.md §13): the snapshotter folds the WAL's
-	// sealed unflushed span into snapshot records. Rounds run under flushMu,
-	// which both serializes them against flushes (pinning the flush boundary
-	// for the duration of a fold) and guards the snapshotter's own state.
-	snap                          *snapshot.Snapshotter
-	walSnapshots, walSnapshotB    *metrics.Counter
-	snapshotsTaken, snapshotCells atomic.Int64
 }
 
 // recordStage records d into h when stage metrics are enabled.
@@ -154,8 +155,6 @@ func Open(opts Options) (*Store, error) {
 		s.scrub.bytesC = reg.Counter("diffindex_scrub_bytes_total", table)
 		s.scrub.corruptionsC = reg.Counter("diffindex_scrub_corruptions_total", table)
 		s.scrub.cyclesC = reg.Counter("diffindex_scrub_cycles_total", table)
-		s.walSnapshots = reg.Counter("diffindex_wal_snapshots_total", table)
-		s.walSnapshotB = reg.Counter("diffindex_wal_snapshot_bytes_total", table)
 	}
 
 	// Open existing SSTables, newest (highest file number) first.
@@ -183,10 +182,8 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
-	// Replay the WAL into the memtable; surface each cell to OnReplay so
-	// Diff-Index can re-enqueue index work. Recovery replays "latest
-	// snapshot + tail": a snapshot record's folded cells stand in for the
-	// raw span it covers (DESIGN.md §13).
+	// Replay the WAL from the newest flush checkpoint into the memtable;
+	// surface each cell to OnReplay so Diff-Index can re-enqueue index work.
 	log, err := wal.OpenWith(opts.FS, opts.Dir+"/wal", wal.ReplayConfig{
 		Replay: func(rec wal.Record) {
 			c := rec.Cell()
@@ -201,7 +198,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.log = log
-	s.snap = snapshot.NewSnapshotter(log)
 
 	if reg := opts.Metrics; reg != nil {
 		table := metrics.L("table", opts.MetricsTable)
@@ -215,10 +211,6 @@ func Open(opts Options) (*Store, error) {
 	if !opts.DisableScrub {
 		s.bg.Add(1)
 		go s.scrubLoop()
-	}
-	if opts.SnapshotInterval > 0 {
-		s.bg.Add(1)
-		go s.snapshotLoop()
 	}
 	return s, nil
 }
@@ -479,8 +471,8 @@ func (s *Store) Flush() error {
 	s.mu.Unlock()
 	// Record the flush boundary in the log itself before truncating: recovery
 	// replays only segments ≥ the newest checkpoint, so segments retained
-	// past the boundary (CDC cursors, retention knob, log-as-database mode)
-	// are never re-applied. If the checkpoint append fails the flush still
+	// past the boundary (CDC cursors, the retention knob) are never
+	// re-applied. If the checkpoint append fails the flush still
 	// succeeded — recovery would merely replay more than necessary, and
 	// re-applied cells are identical versions the MVCC read path dedupes.
 	if err := s.log.Checkpoint(keepSeg); err != nil {
@@ -729,9 +721,6 @@ func (s *Store) Stats() Stats {
 		TombstonesDropped:      s.stats.tombstonesDropped.Load(),
 		CompactionErrors:       s.stats.compactionErrors.Load(),
 		LastCompactionError:    lastErr,
-
-		WALSnapshots:     s.snapshotsTaken.Load(),
-		WALSnapshotCells: s.snapshotCells.Load(),
 	}
 }
 
@@ -773,15 +762,11 @@ func (s *Store) Close() error {
 
 	close(s.closeCh) // wake the scrubber out of its paced sleeps
 	s.bg.Wait()
+	// Drop the store's own references. No read can start any more; the last
+	// one still in flight on a table closes its reader on the way out.
 	for _, h := range tables {
-		h.release() // drop the store's own reference
-	}
-	// Readers that were not dropped by compaction still hold open files;
-	// close them now that no reads can start.
-	for _, h := range tables {
-		if !h.dropped.Load() {
-			h.r.Close()
-		}
+		h.closing.Store(true)
+		h.release()
 	}
 	return s.log.Close()
 }

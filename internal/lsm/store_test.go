@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
@@ -402,6 +403,55 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Close(); err != ErrClosed {
 		t.Errorf("double Close: %v", err)
 	}
+}
+
+// TestReadsRaceClose: a read that took its table references just before
+// Close must finish on an open file — a region close (balancer move, split,
+// decommission) races live reads, and the only error the cluster layer can
+// turn into a re-route is ErrClosed. Closing the readers out from under the
+// in-flight scans surfaced "vfs: file is closed" instead. Every block read
+// sleeps here, so a scan of the ~20-block table spans milliseconds and Close
+// lands in the middle of all four.
+func TestReadsRaceClose(t *testing.T) {
+	const keys, readers = 4000, 4
+	fs := vfs.NewLatencyFS(vfs.NewMemFS(), vfs.LatencyProfile{ReadLatency: 200 * time.Microsecond})
+	s := newTestStore(t, fs)
+	batch := make([]kv.Cell, keys)
+	for i := range batch {
+		batch[i] = kv.Cell{Key: []byte(fmt.Sprintf("k%05d", i)), Value: []byte("v"), Ts: 1, Kind: kv.KindPut}
+	}
+	if err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var started, wg sync.WaitGroup
+	started.Add(readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; ; first = false {
+				rows, err := s.Scan(nil, nil, kv.MaxTimestamp, 0)
+				if first {
+					started.Done()
+				}
+				if err == ErrClosed {
+					return
+				}
+				if err != nil || len(rows) != keys {
+					t.Errorf("scan racing Close: %d rows, err %v", len(rows), err)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // TestModelEquivalence drives the store and an in-memory model with random

@@ -1,8 +1,9 @@
 package lsm
 
-// Time-travel surface of the store (DESIGN.md §13): point-in-time reads
-// over the MVCC versions the LSM already keeps, on-demand and periodic
-// snapshot-in-log rounds, and the WAL tail API the CDC feed builds on.
+// Retained-log surface of the store (DESIGN.md §13): GetAsOf, the
+// point-in-time read that can tell "absent at ts" from "history trimmed"
+// (as-of scans are Scan with a timestamp), and the WAL tail API the CDC
+// feed builds on.
 
 import (
 	"bytes"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"diffindex/internal/kv"
-	"diffindex/internal/snapshot"
 	"diffindex/internal/wal"
 )
 
@@ -86,120 +86,6 @@ func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 		return kv.Cell{}, false, ErrHistoryTrimmed
 	}
 	return kv.Cell{}, false, nil
-}
-
-// ScanAsOf returns the newest visible version of every user key in
-// [start, end) as of timestamp ts, up to limit results — Scan evaluated
-// against historical state. Keys whose as-of version may have been trimmed
-// by MaxVersions retention (nothing visible ≤ ts but ≥ MaxVersions newer
-// versions survive) are skipped rather than failing the whole scan; use
-// GetAsOf on an individual key to distinguish trimmed from never-existed.
-func (s *Store) ScanAsOf(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResult, error) {
-	s.stats.scans.Add(1)
-	if s.stageScan != nil {
-		scanStart := time.Now()
-		defer func() { s.stageScan.RecordDuration(time.Since(scanStart)) }()
-	}
-	mems, tables, release, err := s.components()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	iters := make([]internalIterator, 0, len(mems)+len(tables))
-	for _, m := range mems {
-		iters = append(iters, m.Iterator())
-	}
-	for _, h := range tables {
-		iters = append(iters, h.r.Iterator())
-	}
-	merged := newMergeIterator(iters)
-	// Unlike Scan, seek at MaxTimestamp: versions newer than ts must be
-	// walked (not skipped by the seek) so each key's visibility decision
-	// sees its full surviving history.
-	merged.Seek(kv.SeekKey(start, kv.MaxTimestamp))
-
-	var out []ScanResult
-	var curUser []byte // user key whose visible version has been decided
-	for merged.Valid() {
-		c := merged.Cell()
-		if end != nil && bytes.Compare(c.Key, end) >= 0 {
-			break
-		}
-		if curUser != nil && bytes.Equal(c.Key, curUser) {
-			merged.Next()
-			continue // older version of an already-decided key
-		}
-		if c.Ts > ts {
-			merged.Next()
-			continue // newer than the as-of timestamp: invisible
-		}
-		curUser = append(curUser[:0], c.Key...)
-		if !c.Tombstone() {
-			out = append(out, ScanResult{
-				Key:   append([]byte(nil), c.Key...),
-				Value: append([]byte(nil), c.Value...),
-				Ts:    c.Ts,
-			})
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
-		merged.Next()
-	}
-	if err := merged.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SnapshotWAL runs one snapshot-in-log round on demand (the periodic loop
-// calls this too): fold the WAL's sealed unflushed span into a snapshot
-// record using the double-buffer discipline. Rounds where the log has not
-// moved since the last one are skipped (Stats.Taken is false). The round
-// holds the flush mutex, so it never races a flush's roll/checkpoint.
-func (s *Store) SnapshotWAL() (snapshot.Stats, error) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return snapshot.Stats{}, ErrClosed
-	}
-	st, err := s.snap.Maybe()
-	if err != nil {
-		return st, err
-	}
-	if st.Taken {
-		s.snapshotsTaken.Add(1)
-		s.snapshotCells.Add(int64(st.Cells))
-		if s.walSnapshots != nil {
-			s.walSnapshots.Add(1)
-		}
-		if s.walSnapshotB != nil {
-			s.walSnapshotB.Add(int64(st.Bytes))
-		}
-	}
-	return st, err
-}
-
-func (s *Store) snapshotLoop() {
-	defer s.bg.Done()
-	t := time.NewTicker(s.opts.SnapshotInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closeCh:
-			return
-		case <-t.C:
-			// Failures are transient (a tainted segment rolls on the next
-			// append); the next tick retries. A closed store ends the loop.
-			if _, err := s.SnapshotWAL(); errors.Is(err, ErrClosed) || errors.Is(err, wal.ErrClosed) {
-				return
-			}
-		}
-	}
 }
 
 // TailWAL reads committed data records forward from a resumable position

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
@@ -75,20 +74,122 @@ func TestGetAsOfAcrossComponents(t *testing.T) {
 		}
 	}
 
-	// ScanAsOf agrees with the point reads.
-	rows, err := s.ScanAsOf(nil, nil, 2, 0)
+	// Scan at a timestamp agrees with the point reads.
+	rows, err := s.Scan(nil, nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || string(rows[0].Value) != "v2" || rows[0].Ts != 2 {
-		t.Errorf("ScanAsOf(ts=2) = %+v", rows)
+		t.Errorf("Scan(ts=2) = %+v", rows)
 	}
-	rows, err = s.ScanAsOf(nil, nil, 3, 0)
+	rows, err = s.Scan(nil, nil, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 {
-		t.Errorf("ScanAsOf(ts=3) = %+v, want empty (deleted)", rows)
+		t.Errorf("Scan(ts=3) = %+v, want empty (deleted)", rows)
+	}
+}
+
+// TestScanAtEveryTimestamp: an as-of scan is Scan with a timestamp. A
+// put/overwrite/delete history spread over a compacted table, a flushed
+// table and the memtable must scan, at every timestamp it recorded, to the
+// state a model held at that instant; the latest-state scan is the as-of
+// scan at the newest timestamp. The compaction runs before the deletes:
+// merging a tombstone with the versions it masks garbage-collects them, and
+// which history survives is retention's business, not the read path's.
+func TestScanAtEveryTimestamp(t *testing.T) {
+	s := newTimeTravelStore(t, vfs.NewMemFS(), 16)
+	defer s.Close()
+
+	type version struct {
+		val string
+		ts  kv.Timestamp
+	}
+	steps := []struct {
+		key, val string // val "" = delete
+		then     string // "flush" or "compact" after the write
+	}{
+		{"a", "a1", ""},
+		{"b", "b2", ""},
+		{"a", "a3", "flush"},
+		{"c", "c4", ""},
+		{"b", "b5", "flush"},
+		{"d", "d6", "compact"},
+		{"a", "", ""},
+		{"e", "e8", "flush"},
+		{"a", "a9", ""},
+		{"c", "", ""},
+		{"b", "b11", ""},
+	}
+	state := map[string]version{}
+	model := []map[string]version{{}} // model[ts] = visible state at ts
+	for i, st := range steps {
+		ts := kv.Timestamp(i + 1)
+		var err error
+		if st.val == "" {
+			err = s.Delete([]byte(st.key), ts)
+			delete(state, st.key)
+		} else {
+			err = s.Put([]byte(st.key), []byte(st.val), ts)
+			state[st.key] = version{st.val, ts}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch st.then {
+		case "flush":
+			err = s.Flush()
+		case "compact":
+			if err = s.Flush(); err == nil {
+				err = s.Compact()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := make(map[string]version, len(state))
+		for k, v := range state {
+			at[k] = v
+		}
+		model = append(model, at)
+	}
+	if n := s.TableCount(); n != 2 {
+		t.Fatalf("store has %d tables, want a compacted one and a flushed one", n)
+	}
+
+	render := func(rows []ScanResult) string {
+		out := ""
+		for _, r := range rows {
+			out += fmt.Sprintf("%s=%s@%d ", r.Key, r.Value, r.Ts)
+		}
+		return out
+	}
+	for ts, want := range model {
+		var wantRows []ScanResult
+		for _, k := range []string{"a", "b", "c", "d", "e"} {
+			if v, ok := want[k]; ok {
+				wantRows = append(wantRows, ScanResult{Key: []byte(k), Value: []byte(v.val), Ts: v.ts})
+			}
+		}
+		got, err := s.Scan(nil, nil, kv.Timestamp(ts), 0)
+		if err != nil {
+			t.Fatalf("Scan(ts=%d): %v", ts, err)
+		}
+		if render(got) != render(wantRows) {
+			t.Errorf("Scan(ts=%d) = %s, want %s", ts, render(got), render(wantRows))
+		}
+	}
+	latest, err := s.Scan(nil, nil, kv.MaxTimestamp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asOf, err := s.Scan(nil, nil, kv.Timestamp(len(steps)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(latest) != render(asOf) || len(latest) == 0 {
+		t.Errorf("Scan(MaxTimestamp) = %s, as-of the newest ts = %s", render(latest), render(asOf))
 	}
 }
 
@@ -135,96 +236,7 @@ func TestGetAsOfTrimmedHistory(t *testing.T) {
 	}
 }
 
-// TestSnapshotWALStatsAndRecovery: an on-demand snapshot round folds the
-// sealed unflushed span, idle rounds are skipped, and a store reopened
-// through the snapshot recovers the same state a full replay would.
-func TestSnapshotWALStatsAndRecovery(t *testing.T) {
-	fs := vfs.NewMemFS()
-	s := newTimeTravelStore(t, fs, 64)
-	for i := 0; i < 10; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)), kv.Timestamp(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := s.SnapshotWAL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Taken || st.Cells != 10 || st.Bytes == 0 {
-		t.Fatalf("snapshot stats = %+v, want 10 folded cells", st)
-	}
-	// Nothing moved: the next round must skip.
-	st, err = s.SnapshotWAL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Taken {
-		t.Fatalf("idle snapshot round was taken: %+v", st)
-	}
-	// Tail past the snapshot, then crash (no Close) and recover.
-	if err := s.Put([]byte("k99"), []byte("tail"), 100); err != nil {
-		t.Fatal(err)
-	}
-
-	replayed := 0
-	r, err := Open(Options{
-		FS:                 fs,
-		Dir:                "tt",
-		MaxVersions:        64,
-		WALRetainSegments:  -1,
-		DisableAutoFlush:   true,
-		DisableAutoCompact: true,
-		DisableScrub:       true,
-		OnReplay:           func(kv.Cell) { replayed++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if replayed != 11 {
-		t.Errorf("recovery replayed %d cells, want 11 (10 folded + 1 tail)", replayed)
-	}
-	for i := 0; i < 10; i++ {
-		c, ok, err := r.Get([]byte(fmt.Sprintf("k%02d", i)), kv.MaxTimestamp)
-		if err != nil || !ok || string(c.Value) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("recovered k%02d = (%q, %v, %v)", i, c.Value, ok, err)
-		}
-	}
-	if c, ok, _ := r.Get([]byte("k99"), kv.MaxTimestamp); !ok || string(c.Value) != "tail" {
-		t.Fatalf("tail record lost in recovery: (%q, %v)", c.Value, ok)
-	}
-}
-
-// TestSnapshotLoopRunsPeriodically: SnapshotInterval drives rounds without
-// explicit calls.
-func TestSnapshotLoopRunsPeriodically(t *testing.T) {
-	fs := vfs.NewMemFS()
-	s, err := Open(Options{
-		FS:                 fs,
-		Dir:                "tt",
-		WALRetainSegments:  -1,
-		SnapshotInterval:   2 * time.Millisecond,
-		DisableAutoFlush:   true,
-		DisableAutoCompact: true,
-		DisableScrub:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put([]byte("k"), []byte("v"), 1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.snapshotsTaken.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.snapshotsTaken.Load() == 0 {
-		t.Fatal("periodic snapshot loop never took a round")
-	}
-}
-
-// TestAsOfReadsRaceCompaction drives GetAsOf/ScanAsOf concurrently with
+// TestAsOfReadsRaceCompaction drives GetAsOf/Scan-at-ts concurrently with
 // writes, flushes and compactions (run under -race). Readers pin recent
 // timestamps, so retention never invalidates their answers: every read must
 // either succeed with the value written at that timestamp or — for the
@@ -289,8 +301,8 @@ func TestAsOfReadsRaceCompaction(t *testing.T) {
 						return
 					}
 				}
-				if _, err := s.ScanAsOf(nil, nil, kv.Timestamp(ts), 0); err != nil {
-					t.Errorf("ScanAsOf(%d): %v", ts, err)
+				if _, err := s.Scan(nil, nil, kv.Timestamp(ts), 0); err != nil {
+					t.Errorf("Scan(ts=%d): %v", ts, err)
 					return
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
 )
 
@@ -13,25 +12,6 @@ import (
 type Entry struct {
 	Pos    Pos
 	Record Record
-}
-
-// ReadSealed streams the intact data cells of sealed segments in [from, to)
-// in log order, skipping meta records and stopping at each segment's first
-// torn frame (exactly what replay would deliver for that span). Segments
-// already truncated are skipped. Used by the snapshot fold.
-func (l *Log) ReadSealed(from, to uint64, fn func(kv.Cell)) error {
-	for id := from; id < to; id++ {
-		err := replaySegment(l.fs, segmentName(l.dir, id), func(r Record) {
-			fn(r.Cell())
-		})
-		if err != nil {
-			if errors.Is(err, vfs.ErrNotExist) {
-				continue
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // TailLog reads forward from a previously returned position, delivering up
@@ -116,8 +96,14 @@ func (l *Log) tailSegment(id uint64, pos *Pos, out *[]Entry, max int, sealed boo
 		return false, err
 	}
 	defer f.Close()
+	// The size at open bounds this scan: frames appended to the active
+	// segment meanwhile read as its tail and are picked up by the next call.
+	size, err := f.Size()
+	if err != nil {
+		return false, err
+	}
 	for len(*out) < max {
-		payload, next, ok, err := readFrame(f, pos.Off)
+		payload, next, ok, err := readFrame(f, pos.Off, size)
 		if err != nil {
 			return false, err
 		}

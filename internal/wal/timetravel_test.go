@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"diffindex/internal/kv"
-	"diffindex/internal/snapshot"
 	"diffindex/internal/vfs"
 )
 
@@ -38,9 +37,6 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 5, 3)
-	if got := l.FlushedBoundary(); got != boundary {
-		t.Fatalf("FlushedBoundary = %d, want %d", got, boundary)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,80 +52,47 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	}
 }
 
-// TestSnapshotReplayEquality: recovery through a snapshot record must
-// produce exactly the records a raw replay of the same span produces — the
-// snapshot is a compression of the log, never a different history.
-func TestSnapshotReplayEquality(t *testing.T) {
+// TestUnknownMetaKindSkipped: a valid frame of a meta kind this build does
+// not know (anything in the reserved range past KindCheckpoint) sitting
+// between data records is skipped by replay and by tailing — every data
+// record on both sides of it is delivered and the meta frame never is.
+func TestUnknownMetaKindSkipped(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _ := mustOpen(t, fs, "r")
-	appendN(t, l, 0, 20)
-	st, err := snapshot.Take(l) // *Log satisfies snapshot.Log
-	if err != nil {
+	appendN(t, l, 0, 3)
+	if err := l.Append(Record{Kind: 0x11, Value: []byte("not a cell")}); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Taken || st.Cells != 20 {
-		t.Fatalf("snapshot stats = %+v, want Taken with 20 cells", st)
+	appendN(t, l, 3, 3)
+
+	check := func(what string, recs []Record) {
+		t.Helper()
+		if len(recs) != 6 {
+			t.Fatalf("%s delivered %d records, want the 6 data records", what, len(recs))
+		}
+		for i, r := range recs {
+			if IsMeta(r.Kind) {
+				t.Errorf("%s surfaced meta frame %+v", what, r)
+			}
+			if want := fmt.Sprintf("k%04d", i); string(r.Key) != want {
+				t.Errorf("%s record %d key = %q, want %q", what, i, r.Key, want)
+			}
+		}
 	}
-	appendN(t, l, 20, 7) // tail past the snapshot
+	entries, _, gap, err := l.TailLog(Pos{}, 100)
+	if err != nil || gap != 0 {
+		t.Fatalf("TailLog: gap=%d err=%v", gap, err)
+	}
+	tailed := make([]Record, len(entries))
+	for i, e := range entries {
+		tailed[i] = e.Record
+	}
+	check("tail", tailed)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	collect := func(disable bool) []Record {
-		var recs []Record
-		lg, err := OpenWith(fs, "r", ReplayConfig{
-			Replay:           func(r Record) { recs = append(recs, r) },
-			DisableSnapshots: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lg.Close()
-		return recs
-	}
-	viaSnap := collect(false)
-	raw := collect(true)
-	if len(viaSnap) != 27 || len(raw) != 27 {
-		t.Fatalf("replay counts: snapshot path %d, raw %d, want 27 each", len(viaSnap), len(raw))
-	}
-	got := map[string]int{}
-	for _, r := range viaSnap {
-		got[fmt.Sprintf("%s|%d|%d|%s", r.Key, r.Ts, r.Kind, r.Value)]++
-	}
-	for _, r := range raw {
-		k := fmt.Sprintf("%s|%d|%d|%s", r.Key, r.Ts, r.Kind, r.Value)
-		got[k]--
-		if got[k] == 0 {
-			delete(got, k)
-		}
-	}
-	if len(got) != 0 {
-		t.Errorf("snapshot-path and raw replay differ: %v", got)
-	}
-}
-
-// TestUndecodableSnapshotFallsBackToRaw: a snapshot record whose payload
-// does not decode (a half-written or garbage record that still frames
-// correctly) must be ignored, with recovery falling back to the raw
-// records it claimed to cover.
-func TestUndecodableSnapshotFallsBackToRaw(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
-	appendN(t, l, 0, 8)
-	if _, err := l.Roll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendSnapshotPayload([]byte{0xFF, 0x01, 0x02}); err != nil {
-		t.Fatal(err) // bad version byte: frames fine, never decodes
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	_, replayed := mustOpen(t, fs, "r")
-	if len(replayed) != 8 {
-		t.Fatalf("replayed %d records after bogus snapshot, want all 8 raw", len(replayed))
-	}
+	check("replay", replayed)
 }
 
 // TestTruncateBeforeRetentionFloor: RetainSegments keeps the newest N
@@ -175,8 +138,8 @@ func TestTruncateBeforeRetentionFloor(t *testing.T) {
 	}
 }
 
-// TestPinBlocksTruncation: a pin (CDC cursor, snapshot fold) lowers the
-// truncation bound to the pinned segment until released.
+// TestPinBlocksTruncation: a pin (a CDC cursor) lowers the truncation bound
+// to the pinned segment until released.
 func TestPinBlocksTruncation(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _ := mustOpen(t, fs, "r")
@@ -325,82 +288,6 @@ func TestCursorPinsAndFollowsRolls(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkRecoveryReplay compares the two recovery paths over the same
-// log: "snapshot-tail" replays the latest snapshot record plus the raw
-// tail (what OpenWith does by default); "full-log" replays every raw
-// record (DisableSnapshots). Both produce identical state; the snapshot
-// path wins by replacing per-record framing and CRC checks across many
-// segments with one contiguous pre-folded payload. Each iteration removes
-// the empty active segment OpenWith creates, so the directory stays fixed.
-func BenchmarkRecoveryReplay(b *testing.B) {
-	fs := vfs.NewMemFS()
-	l, err := OpenWith(fs, "r", ReplayConfig{RetainSegments: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const total, perSeg, tail = 20000, 1000, 200
-	rec := func(i int) Record {
-		return Record{
-			Key:   []byte(fmt.Sprintf("user%06d/col%d", i%400, i%5)),
-			Value: []byte(fmt.Sprintf("value-%08d-padding-padding-padding", i)),
-			Ts:    kv.Timestamp(i + 1),
-			Kind:  kv.KindPut,
-		}
-	}
-	for i := 0; i < total; i++ {
-		if err := l.Append(rec(i)); err != nil {
-			b.Fatal(err)
-		}
-		if (i+1)%perSeg == 0 {
-			if _, err := l.Roll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if st, err := snapshot.Take(l); err != nil || !st.Taken {
-		b.Fatalf("snapshot: %+v, %v", st, err)
-	}
-	for i := total; i < total+tail; i++ {
-		if err := l.Append(rec(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"snapshot-tail", false}, {"full-log", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				lg, err := OpenWith(fs, "r", ReplayConfig{
-					Replay:           func(Record) { n++ },
-					DisableSnapshots: mode.disable,
-					RetainSegments:   -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				active := lg.ActiveSegment()
-				if err := lg.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if err := fs.Remove(segmentName("r", active)); err != nil {
-					b.Fatal(err)
-				}
-				if n != total+tail {
-					b.Fatalf("replayed %d records, want %d", n, total+tail)
-				}
-			}
-			b.ReportMetric(float64(total+tail), "cells/op")
-		})
 	}
 }
 

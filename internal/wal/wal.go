@@ -7,16 +7,13 @@
 // on this exact mechanism — the drain-AUQ-before-flush rule makes the WAL
 // act as the log for both the memtable and the asynchronous update queue.
 //
-// Beyond data records the log carries two meta record kinds that turn it
-// into the system's source of truth (LogBase's "log as database"):
-//
-//   - checkpoint records, appended by each flush, carry the flush boundary:
-//     every record in a segment with ID < the boundary is durable in
-//     SSTables. Recovery replays only segments at or past the newest
-//     boundary, so retained (not yet truncated) history is never re-applied.
-//   - snapshot records, appended by internal/snapshot's double-buffer
-//     discipline, fold the sealed unflushed span [from, to) into one record;
-//     recovery replays "latest snapshot + tail" instead of the raw span.
+// Beyond data records the log carries one meta record kind: checkpoint
+// records, appended by each flush, carry the flush boundary — every record in
+// a segment with ID < the boundary is durable in SSTables. Recovery replays
+// only segments at or past the newest boundary, so retained (not yet
+// truncated) history is never re-applied. That is the whole recovery path
+// (§5.3; LogBase's checkpoint + log replay): skim for the newest checkpoint,
+// replay the raw segments from it.
 //
 // Positions. A record's durable position — its sequence number — is the
 // pair (segment ID, byte offset); Pos values order records exactly as
@@ -37,7 +34,6 @@ import (
 	"time"
 
 	"diffindex/internal/kv"
-	"diffindex/internal/snapshot"
 	"diffindex/internal/vfs"
 )
 
@@ -50,20 +46,17 @@ type Record struct {
 	Kind  kv.Kind
 }
 
-// Meta record kinds. They live in the same kind byte as kv.KindPut/Delete
-// but above the data range, so replay and tailing can separate them without
-// a second framing layer. Meta records are never surfaced to OnReplay.
-const (
-	// KindCheckpoint marks a flush boundary: its value is the 8-byte LE
-	// segment ID below which every record is durable in SSTables.
-	KindCheckpoint kv.Kind = 0x10
-	// KindSnapshot carries a snapshot payload (see internal/snapshot):
-	// the folded cells of the sealed, unflushed segment span [from, to).
-	KindSnapshot kv.Kind = 0x11
-)
+// KindCheckpoint is the one meta record kind: it marks a flush boundary, its
+// value the 8-byte LE segment ID below which every record is durable in
+// SSTables. Meta kinds live in the same kind byte as kv.KindPut/Delete but
+// above the data range, so replay and tailing can separate them without a
+// second framing layer. Meta records are never surfaced to OnReplay.
+const KindCheckpoint kv.Kind = 0x10
 
-// IsMeta reports whether a record kind is a meta kind (checkpoint or
-// snapshot) rather than a data cell.
+// IsMeta reports whether a record kind is a meta kind rather than a data
+// cell. The whole range at and above KindCheckpoint is reserved: replay and
+// tailing skip a frame of a meta kind they do not know instead of applying
+// it as data.
 func IsMeta(k kv.Kind) bool { return k >= KindCheckpoint }
 
 // Cell converts a data record to its cell form.
@@ -113,18 +106,14 @@ type Log struct {
 	// independently, so records before the tear and in later segments
 	// survive).
 	tainted bool
-	// flushed is the current flush boundary: segments with ID < flushed are
-	// durable in SSTables (recovered from the newest checkpoint record,
-	// advanced by Checkpoint).
-	flushed uint64
 	// retain is the retention knob: 0 truncates freely at the flush
 	// boundary, N > 0 keeps the newest N sealed segments regardless, and
-	// -1 never truncates (log-as-database mode, required by WAL-sourced
-	// index rebuild).
+	// -1 never truncates (the full history stays tailable for CDC consumers
+	// that start late).
 	retain int
 	// pins holds per-segment retention pin counts: TruncateBefore never
 	// removes a segment ≥ the lowest pinned ID. Cursors pin their read
-	// position; a snapshot fold pins its span while it reads.
+	// position.
 	pins map[uint64]int
 	obs  func(recs, bytes int, d time.Duration)
 }
@@ -167,16 +156,9 @@ func parseSegmentID(dir, name string) (uint64, bool) {
 
 // ReplayConfig configures OpenWith.
 type ReplayConfig struct {
-	// Replay, when non-nil, receives every recovered data record: the
-	// chosen snapshot's folded cells first (if any), then the raw tail.
+	// Replay, when non-nil, receives every recovered data record, in log
+	// order.
 	Replay func(Record)
-	// DisableSnapshots ignores snapshot records entirely and replays the
-	// raw records from the flush boundary — the full-replay baseline the
-	// chaos harness and the recovery benchmark compare against. State is
-	// identical as long as the raw segments a snapshot covers have not
-	// been truncated (they never are while the snapshot is current: a
-	// snapshot only covers segments at or past the flush boundary).
-	DisableSnapshots bool
 	// RetainSegments seeds the retention knob (see SetRetention).
 	RetainSegments int
 }
@@ -185,17 +167,10 @@ type ReplayConfig struct {
 // replay for each intact data record, then opens a fresh active segment for
 // appends. Replay stops at the first torn or corrupt record in a segment
 // (data after a torn write was never acknowledged, so dropping it is
-// correct). Recovery honors meta records: it starts at the newest flush
-// checkpoint and substitutes the newest usable snapshot for the raw span it
-// covers ("latest snapshot + tail").
+// correct). Recovery starts at the newest flush checkpoint: segments below
+// it are durable in SSTables and are not re-applied.
 func Open(fs vfs.FS, dir string, replay func(Record)) (*Log, error) {
 	return OpenWith(fs, dir, ReplayConfig{Replay: replay})
-}
-
-// snapCand is a snapshot record located by the recovery index scan.
-type snapCand struct {
-	pos      Pos
-	from, to uint64
 }
 
 // OpenWith is Open with explicit replay configuration.
@@ -212,69 +187,22 @@ func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	// Pass 1 — index scan: find the newest flush boundary and every intact
-	// snapshot record, reading only frame headers plus the (CRC-verified)
-	// payloads of meta frames.
-	var (
-		boundary uint64
-		cands    []snapCand
-	)
+	// Pass 1 — skim for the newest flush boundary.
+	var boundary uint64
 	for _, id := range ids {
-		if err := skimSegment(fs, segmentName(dir, id), func(off int64, kind kv.Kind, payload func() ([]byte, bool)) {
-			switch kind {
-			case KindCheckpoint:
-				if p, ok := payload(); ok {
-					if rec, err := decodePayload(p); err == nil && len(rec.Value) == 8 {
-						if b := binary.LittleEndian.Uint64(rec.Value); b > boundary {
-							boundary = b
-						}
-					}
-				}
-			case KindSnapshot:
-				if p, ok := payload(); ok {
-					if rec, err := decodePayload(p); err == nil {
-						if from, to, err := snapshot.DecodeHeader(rec.Value); err == nil {
-							cands = append(cands, snapCand{pos: Pos{Seg: id, Off: off}, from: from, to: to})
-						}
-					}
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Pick the newest snapshot whose span starts at or past the flush
-	// boundary: anything earlier would re-apply flushed data.
-	var snap *snapCand
-	if !cfg.DisableSnapshots {
-		for i := len(cands) - 1; i >= 0; i-- {
-			if cands[i].from >= boundary {
-				snap = &cands[i]
-				break
-			}
-		}
-	}
-
-	// Pass 2 — replay: the chosen snapshot's folded cells stand in for the
-	// raw records of [snap.from, snap.to); the raw tail (segments ≥ the
-	// snapshot's upper bound, or ≥ the flush boundary when no snapshot is
-	// usable) replays as before.
-	start := boundary
-	if snap != nil {
-		ok, err := replaySnapshot(fs, dir, *snap, cfg.Replay)
+		b, err := skimCheckpoints(fs, segmentName(dir, id))
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			if snap.to > start {
-				start = snap.to
-			}
+		if b > boundary {
+			boundary = b
 		}
 	}
+
+	// Pass 2 — replay the raw segments at or past the boundary.
 	var maxID uint64
 	for _, id := range ids {
-		if id >= start {
+		if id >= boundary {
 			if err := replaySegment(fs, segmentName(dir, id), cfg.Replay); err != nil {
 				return nil, err
 			}
@@ -283,46 +211,16 @@ func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
 	}
 
 	l := &Log{
-		fs:      fs,
-		dir:     dir,
-		segID:   maxID + 1,
-		flushed: boundary,
-		retain:  cfg.RetainSegments,
-		pins:    make(map[uint64]int),
+		fs:     fs,
+		dir:    dir,
+		segID:  maxID + 1,
+		retain: cfg.RetainSegments,
+		pins:   make(map[uint64]int),
 	}
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
 	return l, nil
-}
-
-// replaySnapshot re-reads one snapshot frame, verifies it end to end and
-// emits its folded cells. ok is false when the frame fails verification
-// (recovery then falls back to the raw records, which are still on disk).
-func replaySnapshot(fs vfs.FS, dir string, cand snapCand, replay func(Record)) (bool, error) {
-	f, err := fs.Open(segmentName(dir, cand.pos.Seg))
-	if err != nil {
-		return false, fmt.Errorf("wal: open snapshot segment: %w", err)
-	}
-	defer f.Close()
-	payload, _, ok, err := readFrame(f, cand.pos.Off)
-	if err != nil || !ok {
-		return false, err
-	}
-	rec, err := decodePayload(payload)
-	if err != nil || rec.Kind != KindSnapshot {
-		return false, nil
-	}
-	snapRecs, err := snapshot.Decode(rec.Value)
-	if err != nil {
-		return false, nil
-	}
-	if replay != nil {
-		for _, c := range snapRecs.Cells {
-			replay(Record{Key: c.Key, Value: c.Value, Ts: c.Ts, Kind: c.Kind})
-		}
-	}
-	return true, nil
 }
 
 func (l *Log) openSegment() error {
@@ -385,10 +283,13 @@ func decodePayload(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// readFrame reads and CRC-verifies the frame at off. ok is false at a clean
-// end, torn tail or checksum mismatch (replay stops there); err reports
-// genuine I/O failures only.
-func readFrame(f vfs.File, off int64) (payload []byte, next int64, ok bool, err error) {
+// readFrame reads and CRC-verifies the frame at off in a segment of the
+// given size. ok is false at a clean end, torn tail or checksum mismatch
+// (replay stops there); err reports genuine I/O failures only. A header
+// declaring a payload that runs past size is a torn tail — the length is
+// checked before a buffer is sized from it, since a garbage header can
+// declare 4 GiB.
+func readFrame(f vfs.File, off, size int64) (payload []byte, next int64, ok bool, err error) {
 	header := make([]byte, 8)
 	if _, err := f.ReadAt(header, off); err != nil {
 		if err == io.EOF {
@@ -398,6 +299,9 @@ func readFrame(f vfs.File, off int64) (payload []byte, next int64, ok bool, err 
 	}
 	wantCRC := binary.LittleEndian.Uint32(header[0:4])
 	payloadLen := binary.LittleEndian.Uint32(header[4:8])
+	if off+8+int64(payloadLen) > size {
+		return nil, off, false, nil
+	}
 	payload = make([]byte, payloadLen)
 	if _, err := f.ReadAt(payload, off+8); err != nil {
 		if err == io.EOF {
@@ -419,10 +323,14 @@ func replaySegment(fs vfs.FS, name string, replay func(Record)) error {
 		return fmt.Errorf("wal: open segment %s: %w", name, err)
 	}
 	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return fmt.Errorf("wal: size %s: %w", name, err)
+	}
 
 	var off int64
 	for {
-		payload, next, ok, err := readFrame(f, off)
+		payload, next, ok, err := readFrame(f, off, size)
 		if err != nil {
 			return fmt.Errorf("wal: %s: %w", name, err)
 		}
@@ -440,52 +348,53 @@ func replaySegment(fs vfs.FS, name string, replay func(Record)) error {
 	}
 }
 
-// maxSanePayload bounds the payload length the header-only skim scan trusts
-// before reading the (possibly garbage) frame it describes.
-const maxSanePayload = 1 << 30
-
-// skimSegment walks a segment reading only frame headers plus one kind
-// byte, calling fn for every plausibly framed record. Data frames are NOT
-// checksum-verified here (the replay pass is authoritative for them); fn's
-// payload thunk reads and CRC-verifies the full payload on demand, which
-// pass 1 does only for the rare meta frames it must trust.
-func skimSegment(fs vfs.FS, name string, fn func(off int64, kind kv.Kind, payload func() ([]byte, bool))) error {
+// skimCheckpoints walks a segment reading only frame headers plus one kind
+// byte and returns the largest flush boundary its checkpoint frames carry
+// (0 when it holds none). Data frames are NOT checksum-verified here (the
+// replay pass is authoritative for them); the rare checkpoint frames are
+// read in full and CRC-verified before their boundary is trusted.
+func skimCheckpoints(fs vfs.FS, name string) (uint64, error) {
 	f, err := fs.Open(name)
 	if err != nil {
-		return fmt.Errorf("wal: open segment %s: %w", name, err)
+		return 0, fmt.Errorf("wal: open segment %s: %w", name, err)
 	}
 	defer f.Close()
 
 	size, err := f.Size()
 	if err != nil {
-		return fmt.Errorf("wal: size %s: %w", name, err)
+		return 0, fmt.Errorf("wal: size %s: %w", name, err)
 	}
+	var boundary uint64
 	var off int64
 	header := make([]byte, 8)
 	kindBuf := make([]byte, 1)
 	for {
 		if _, err := f.ReadAt(header, off); err != nil {
 			if err == io.EOF {
-				return nil
+				return boundary, nil
 			}
-			return fmt.Errorf("wal: read %s@%d: %w", name, off, err)
+			return 0, fmt.Errorf("wal: read %s@%d: %w", name, off, err)
 		}
 		payloadLen := int64(binary.LittleEndian.Uint32(header[4:8]))
-		if payloadLen < 9 || payloadLen > maxSanePayload || off+8+payloadLen > size {
-			return nil // torn or implausible tail: stop skimming
+		if payloadLen < 9 || off+8+payloadLen > size {
+			return boundary, nil // torn or implausible tail: stop skimming
 		}
 		// The kind byte sits at payload offset 8 (after the timestamp).
 		if _, err := f.ReadAt(kindBuf, off+8+8); err != nil {
 			if err == io.EOF {
-				return nil
+				return boundary, nil
 			}
-			return fmt.Errorf("wal: read %s@%d: %w", name, off+16, err)
+			return 0, fmt.Errorf("wal: read %s@%d: %w", name, off+16, err)
 		}
-		frameOff := off
-		fn(frameOff, kv.Kind(kindBuf[0]), func() ([]byte, bool) {
-			payload, _, ok, err := readFrame(f, frameOff)
-			return payload, ok && err == nil
-		})
+		if kv.Kind(kindBuf[0]) == KindCheckpoint {
+			if payload, _, ok, err := readFrame(f, off, size); ok && err == nil {
+				if rec, err := decodePayload(payload); err == nil && len(rec.Value) == 8 {
+					if b := binary.LittleEndian.Uint64(rec.Value); b > boundary {
+						boundary = b
+					}
+				}
+			}
+		}
 		off += 8 + payloadLen
 	}
 }
@@ -564,52 +473,21 @@ func (l *Log) appendLocked(buf []byte, recs int) (Pos, error) {
 
 // Checkpoint durably appends a flush-boundary meta record: every record in
 // a segment with ID < boundary is now durable in SSTables. Recovery replays
-// only from the newest boundary, so segments retained past it (for CDC or
-// log-as-database history) are never re-applied.
+// only from the newest boundary, so segments retained past it (for CDC
+// consumers) are never re-applied.
 func (l *Log) Checkpoint(boundary uint64) error {
 	var val [8]byte
 	binary.LittleEndian.PutUint64(val[:], boundary)
 	buf := encodeRecord(Record{Kind: KindCheckpoint, Value: val[:]})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.appendLocked(buf, 1); err != nil {
-		return err
-	}
-	if boundary > l.flushed {
-		l.flushed = boundary
-	}
-	return nil
-}
-
-// FlushedBoundary returns the current flush boundary: segments with ID
-// below it are durable in SSTables.
-func (l *Log) FlushedBoundary() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushed
-}
-
-// AppendSnapshotPayload durably appends a snapshot meta record carrying an
-// internal/snapshot payload (the folded cells of a sealed segment span).
-func (l *Log) AppendSnapshotPayload(payload []byte) error {
-	buf := encodeRecord(Record{Kind: KindSnapshot, Value: payload})
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	_, err := l.appendLocked(buf, 1)
 	return err
 }
 
-// Position returns the active segment ID and its append offset — the
-// position the next record will be written at.
-func (l *Log) Position() (seg uint64, off int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segID, l.segOff
-}
-
 // Pin prevents TruncateBefore from removing segments with ID ≥ seg until
 // the returned release function is called. CDC cursors pin their read
-// position; snapshot folds pin the span they are reading.
+// position.
 func (l *Log) Pin(seg uint64) func() {
 	l.mu.Lock()
 	l.pins[seg]++
@@ -655,8 +533,8 @@ func (l *Log) Roll() (uint64, error) {
 // TruncateBefore deletes segments with ID < keepID — the roll-forward step
 // after a successful flush (§5.3) — and returns how many segments it
 // actually removed. The retention guard lowers the effective bound: pinned
-// segments (live CDC cursors, in-progress snapshot folds) and the last
-// RetainSegments sealed segments survive, and retention -1 disables
+// segments (live CDC cursors) and the last RetainSegments sealed segments
+// survive, and retention -1 disables
 // truncation entirely. A segment another actor removed concurrently (a
 // chaos restart racing a flush) is skipped, not an error.
 func (l *Log) TruncateBefore(keepID uint64) (int, error) {
@@ -666,7 +544,7 @@ func (l *Log) TruncateBefore(keepID uint64) (int, error) {
 		return 0, ErrClosed
 	}
 	if l.retain < 0 {
-		return 0, nil // log-as-database mode: keep everything
+		return 0, nil // keep everything
 	}
 	keep := keepID
 	if l.retain > 0 {

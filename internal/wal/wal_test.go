@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -122,24 +123,40 @@ func TestReplayAcrossMultipleSegments(t *testing.T) {
 }
 
 func TestTornWriteTruncatesTail(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
-	l.Append(Record{Key: []byte("good"), Value: []byte("1"), Ts: 1})
-	seg := l.ActiveSegment()
-	l.Close()
+	// A torn write leaves a header whose payload never made it to disk: a
+	// plausible one, or garbage declaring ~2 GiB. Either is the segment's
+	// tail, and recovery must not size a buffer from the declared length.
+	for _, torn := range [][]byte{
+		{0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0x00, 0x00, 0x00},
+		{0xDE, 0xAD, 0xBE, 0xEF, 0xF0, 0xFF, 0xFF, 0x7F},
+	} {
+		fs := vfs.NewMemFS()
+		l, _ := mustOpen(t, fs, "r")
+		l.Append(Record{Key: []byte("good"), Value: []byte("1"), Ts: 1})
+		seg := l.ActiveSegment()
+		l.Close()
 
-	// Simulate a torn write: append garbage (a plausible header with a
-	// payload that never made it to disk) to the active segment.
-	f, err := fs.Open(fmt.Sprintf("r/%020d.wal", seg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0x00, 0x00, 0x00})
-	f.Close()
+		f, err := fs.Open(fmt.Sprintf("r/%020d.wal", seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(torn)
+		f.Close()
 
-	_, got := mustOpen(t, fs, "r")
-	if len(got) != 1 || string(got[0].Key) != "good" {
-		t.Fatalf("torn tail not dropped: %+v", got)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		lg, got := mustOpen(t, fs, "r")
+		entries, _, _, err := lg.TailLog(Pos{}, 10)
+		runtime.ReadMemStats(&after)
+		if len(got) != 1 || string(got[0].Key) != "good" {
+			t.Fatalf("torn tail %x not dropped by replay: %+v", torn, got)
+		}
+		if err != nil || len(entries) != 1 || string(entries[0].Record.Key) != "good" {
+			t.Fatalf("torn tail %x not dropped by tail: %+v, %v", torn, entries, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("recovery past torn header %x allocated %d bytes", torn, grew)
+		}
 	}
 }
 
@@ -289,15 +306,24 @@ func TestRecordCell(t *testing.T) {
 	}
 }
 
-// FuzzReplaySegment feeds arbitrary bytes as a WAL segment: replay must
-// never panic, and every record it yields must round-trip through the
-// encoder (i.e. only records that were validly encoded are surfaced).
+// FuzzReplaySegment feeds arbitrary bytes as a WAL segment: neither the
+// checkpoint skim nor replay may panic, no meta frame (a checkpoint, or any
+// kind in the reserved range above it) may reach Replay, and every record
+// replay yields must round-trip through the encoder (i.e. only records that
+// were validly encoded are surfaced).
 func FuzzReplaySegment(f *testing.F) {
 	good := encodeRecord(Record{Key: []byte("k"), Value: []byte("v"), Ts: 7, Kind: kv.KindPut})
 	f.Add([]byte{})
 	f.Add(good)
 	f.Add(append(append([]byte{}, good...), good[:5]...)) // torn tail
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x10, 0x00, 0x00, 0x00})
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xF0, 0xFF, 0xFF, 0xFF}) // declares ~4 GiB
+	// A checkpoint frame naming this very segment as the boundary (so the
+	// data after it still replays), then an unknown meta kind between data.
+	checkpoint := encodeRecord(Record{Kind: KindCheckpoint, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
+	f.Add(append(append([]byte{}, checkpoint...), good...))
+	unknown := encodeRecord(Record{Kind: 0x11, Value: []byte("meta")})
+	f.Add(append(append(append([]byte{}, good...), unknown...), good...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := vfs.NewMemFS()
 		w, err := fs.Create("d/00000000000000000001.wal")
@@ -313,6 +339,9 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		l.Close()
 		for _, r := range got {
+			if IsMeta(r.Kind) {
+				t.Fatalf("meta record reached Replay: %+v", r)
+			}
 			enc := encodeRecord(r)
 			dec, err := decodePayload(enc[8:])
 			if err != nil || !bytes.Equal(dec.Key, r.Key) || !bytes.Equal(dec.Value, r.Value) {

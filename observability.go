@@ -27,8 +27,8 @@ func (db *DB) MetricsSnapshot() metrics.RegistrySnapshot {
 }
 
 // SlowOps returns the K slowest operations recorded so far (slowest first),
-// each with its per-stage latency breakdown. K is Options.SlowOpLog; the log
-// is empty when Options.DisableTracing is set.
+// each with its per-stage latency breakdown. K is 32; the log is empty when
+// Options.DisableTracing is set.
 func (db *DB) SlowOps() []metrics.SlowOp {
 	return db.c.Tracer().SlowOps()
 }
