@@ -32,7 +32,6 @@ import (
 	"diffindex/internal/cluster"
 	"diffindex/internal/core"
 	"diffindex/internal/kv"
-	"diffindex/internal/metrics"
 	"diffindex/internal/simnet"
 	"diffindex/internal/vfs"
 )
@@ -65,15 +64,13 @@ type Cols = map[string][]byte
 
 // Options configures a DB. The zero value is a usable 3-server cluster with
 // no simulated latencies (fastest; good for tests). Latency fields model
-// the environment of the paper's experiments — see the bench harness for
-// the calibrated profile.
+// the environment of the paper's experiments.
 type Options struct {
 	// Servers is the number of region servers (default 3).
 	Servers int
 
-	// NetRTT and NetJitter model the cluster network round-trip per RPC.
-	NetRTT    time.Duration
-	NetJitter time.Duration
+	// NetRTT models the cluster network round-trip per RPC.
+	NetRTT time.Duration
 
 	// DiskReadLatency is charged per SSTable block read (a random I/O);
 	// DiskWriteLatency per sequential append; DiskSyncLatency per WAL sync.
@@ -192,7 +189,7 @@ type DB struct {
 func Open(opts Options) *DB {
 	c := cluster.New(cluster.Config{
 		Servers: opts.Servers,
-		Net:     simnet.Config{RTT: opts.NetRTT, Jitter: opts.NetJitter},
+		Net:     simnet.Config{RTT: opts.NetRTT},
 		Disk: vfs.LatencyProfile{
 			ReadLatency:  opts.DiskReadLatency,
 			WriteLatency: opts.DiskWriteLatency,
@@ -426,34 +423,6 @@ func (db *DB) IOCounts() IOCounts {
 		IndexPut: s.IndexPut, IndexDel: s.IndexDel, IndexRead: s.IndexRead,
 		AsyncBaseRead: s.AsyncBaseRead, AsyncIndexPut: s.AsyncIndexPut, AsyncIndexDel: s.AsyncIndexDel,
 	}
-}
-
-// HotPathStats reports the hot-path batching instrumentation: block-cache
-// effectiveness (rolled up across every server's cache shards), the
-// index-maintenance RPC fan-out (Apply RPCs delivered vs. cells they
-// carried — Cells/RPCs is the batching factor, 1.0 meaning the historical
-// one-RPC-per-cell behaviour), and the mean APS micro-batch size.
-type HotPathStats struct {
-	CacheHits, CacheMisses int64
-	ApplyRPCs, ApplyCells  int64
-	APSBatchMean           float64
-}
-
-// HotPathStats returns a snapshot of the hot-path batching counters, read
-// from the metrics registry (the same instruments MetricsSnapshot reports).
-func (db *DB) HotPathStats() HotPathStats {
-	reg := db.c.Metrics()
-	var s HotPathStats
-	for _, id := range db.c.ServerIDs() {
-		hits, _ := reg.Value("diffindex_block_cache_hits", metrics.L("server", id))
-		misses, _ := reg.Value("diffindex_block_cache_misses", metrics.L("server", id))
-		s.CacheHits += hits
-		s.CacheMisses += misses
-	}
-	s.ApplyRPCs, _ = reg.Value("diffindex_apply_rpcs_total")
-	s.ApplyCells, _ = reg.Value("diffindex_apply_cells_total")
-	s.APSBatchMean = reg.Histogram("diffindex_aps_batch_size").Mean()
-	return s
 }
 
 // StalenessStats summarizes the measured index-after-data time lag of

@@ -199,7 +199,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 		go func(w int) {
 			defer workers.Done()
 			cl := db.NewClient(fmt.Sprintf("chaos-w%d", w))
-			gen := workload.NewGenerator("uniform", cfg.Records, mix(cfg.Seed, fmt.Sprintf("worker-%d", w)))
+			gen := workload.NewUniform(cfg.Records, mix(cfg.Seed, fmt.Sprintf("worker-%d", w)))
 			for {
 				select {
 				case <-stop:
@@ -223,7 +223,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 			cl := db.NewClient("chaos-sess")
 			sess := cl.NewSession()
 			defer sess.End()
-			gen := workload.NewGenerator("uniform", cfg.Records, mix(cfg.Seed, "session"))
+			gen := workload.NewUniform(cfg.Records, mix(cfg.Seed, "session"))
 			for {
 				select {
 				case <-stop:

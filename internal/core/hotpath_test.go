@@ -182,7 +182,7 @@ func TestBackfillUsesBatchedRPCs(t *testing.T) {
 }
 
 // TestCacheStatsRollup sanity-checks the per-server block-cache stats
-// accessor feeding HotPathStats.
+// accessor feeding the diffindex_block_cache_{hits,misses} gauges.
 func TestCacheStatsRollup(t *testing.T) {
 	e := newEnv(t, 2, ManagerOptions{})
 	e.put(t, "item001", "title", "alpha")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
 )
 
@@ -179,6 +180,57 @@ func TestLocalIndexIOCounts(t *testing.T) {
 	res, err := e.c.Server(ri.Server).Scan(ri.ID, lo, hi, kv.MaxTimestamp, 0)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("local entry not in the row's region: %v err=%v", res, err)
+	}
+}
+
+// TestLocalVsGlobalLookupFanout is §3.1's query side, counted in simnet
+// calls: an exact-match lookup on a local index broadcasts to every region
+// of the base table, so its cost grows with the region count, while a global
+// index answers from the one index region holding the value, at the same
+// cost for any base-table split. The update side is TestLocalIndexIOCounts.
+func TestLocalVsGlobalLookupFanout(t *testing.T) {
+	const rows = 64
+	lookupCalls := func(regions int, local bool) int64 {
+		c := cluster.New(cluster.Config{Servers: 8})
+		defer c.Close()
+		m := NewManager(c, ManagerOptions{})
+		var splits [][]byte
+		for i := 1; i < regions; i++ {
+			splits = append(splits, []byte(fmt.Sprintf("item%03d", i*rows/regions)))
+		}
+		if err := c.Master.CreateTable("items", splits); err != nil {
+			t.Fatal(err)
+		}
+		def := IndexDef{Table: "items", Columns: []string{"title"}, Scheme: SyncFull, Local: local}
+		if err := m.CreateIndex(def, nil); err != nil {
+			t.Fatal(err)
+		}
+		cl := cluster.NewClient(c, "testclient")
+		for i := 0; i < rows; i++ {
+			row := []byte(fmt.Sprintf("item%03d", i))
+			if _, err := cl.Put("items", row, map[string][]byte{"title": []byte(fmt.Sprintf("t%03d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lookup := func() {
+			hits, err := m.GetByIndex(cl, "items", []string{"title"}, []byte("t042"))
+			if err != nil || len(hits) != 1 || string(hits[0].Row) != "item042" {
+				t.Fatalf("lookup t042 = %v, err %v", hits, err)
+			}
+		}
+		lookup() // warm the client's region cache
+		before := c.Net.Calls()
+		lookup()
+		return c.Net.Calls() - before
+	}
+
+	for _, regions := range []int{2, 4, 8} {
+		if got := lookupCalls(regions, true); got != int64(regions) {
+			t.Errorf("local lookup over %d regions: %d simnet calls, want one per region", regions, got)
+		}
+		if got := lookupCalls(regions, false); got != 1 {
+			t.Errorf("global lookup over %d base regions: %d simnet calls, want 1", regions, got)
+		}
 	}
 }
 

@@ -28,8 +28,7 @@ import (
 // and write amplification grow with store size; the tiered engine sheds
 // the same debt with bounded fan-in rounds.
 //
-// Run with -benchtime=150000x or more for stable numbers; checked-in
-// results live in bench_output_compaction.txt.
+// Run with -benchtime=150000x or more for stable numbers.
 func BenchmarkSustainedWrite(b *testing.B) {
 	modes := []struct {
 		name string

@@ -14,8 +14,7 @@ import (
 // disabled. The store is pre-loaded so every cycle has real blocks to verify,
 // and the scrub interval is shortened to near-zero so the walker is
 // continuously active during the measured window — a strict upper bound on
-// the default 5s-interval configuration. The acceptance bar is ≤5% impact;
-// checked-in results live in bench_output_scrub.txt.
+// the default 5s-interval configuration. The acceptance bar is ≤5% impact.
 func BenchmarkScrubOverhead(b *testing.B) {
 	modes := []struct {
 		name  string

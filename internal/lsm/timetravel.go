@@ -16,14 +16,15 @@ import (
 
 // ErrHistoryTrimmed reports that a point-in-time read cannot be answered
 // faithfully: the version visible at the requested timestamp has (or may
-// have) been garbage-collected by compaction's MaxVersions retention. The
-// detection is conservative: it fires only when nothing is visible at the
-// requested timestamp AND at least MaxVersions newer versions of the key
-// survive — the signature of a trimmed tail. A key genuinely born after the
-// timestamp with that many newer versions is indistinguishable from a
-// trimmed one, so callers needing exact history must retain it (raise
-// MaxVersions, or read from the log via TailWAL). Reads at kv.MaxTimestamp
-// can never return this error.
+// have) been garbage-collected by compaction's MaxVersions retention. It
+// fires whenever at least MaxVersions versions of the key newer than the
+// requested timestamp survive, whether or not an older version is found
+// below them: a compaction round that merged only newer tables may have
+// trimmed the version that was visible at the timestamp while an older
+// table still holds one from before it. The refusal is conservative — an
+// untrimmed history that deep is refused too — so callers needing exact
+// history must retain it (raise MaxVersions, or read from the log via
+// TailWAL). Reads at kv.MaxTimestamp can never return this error.
 var ErrHistoryTrimmed = errors.New("lsm: requested version trimmed by MaxVersions retention")
 
 // GetAsOf returns the value of key as it stood at timestamp ts: the newest
@@ -54,30 +55,13 @@ func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 		iters = append(iters, h.r.Iterator())
 	}
 	merged := newMergeIterator(iters)
-	// Seek to the key's newest version so every version newer than ts is
-	// observed (the trimmed-history detector needs the count), then take
-	// the first version at or below ts.
+	// Seek to the key's newest version and count the versions newer than ts
+	// (the trimmed-history detector needs the count); the iterator then
+	// sits on the first version at or below ts, if any.
 	merged.Seek(kv.SeekKey(key, kv.MaxTimestamp))
-
 	newer := 0
-	for ; merged.Valid(); merged.Next() {
-		c := merged.Cell()
-		if !bytes.Equal(c.Key, key) {
-			break
-		}
-		if c.Ts > ts {
-			newer++
-			continue
-		}
-		// Newest version ≤ ts decides the read; a tombstone means the key
-		// was deleted as of ts (a definitive answer, not trimmed history).
-		if err := merged.Err(); err != nil {
-			return kv.Cell{}, false, err
-		}
-		if c.Tombstone() {
-			return kv.Cell{}, false, nil
-		}
-		return c.Clone(), true, nil
+	for ; merged.Valid() && bytes.Equal(merged.Cell().Key, key) && merged.Cell().Ts > ts; merged.Next() {
+		newer++
 	}
 	if err := merged.Err(); err != nil {
 		return kv.Cell{}, false, err
@@ -85,7 +69,16 @@ func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	if ts < kv.MaxTimestamp && newer >= s.opts.MaxVersions {
 		return kv.Cell{}, false, ErrHistoryTrimmed
 	}
-	return kv.Cell{}, false, nil
+	if !merged.Valid() {
+		return kv.Cell{}, false, nil
+	}
+	// Newest version ≤ ts decides the read; a tombstone means the key was
+	// deleted as of ts (a definitive answer, not trimmed history).
+	c := merged.Cell()
+	if !bytes.Equal(c.Key, key) || c.Tombstone() {
+		return kv.Cell{}, false, nil
+	}
+	return c.Clone(), true, nil
 }
 
 // TailWAL reads committed data records forward from a resumable position

@@ -236,6 +236,94 @@ func TestGetAsOfTrimmedHistory(t *testing.T) {
 	}
 }
 
+// TestGetAsOfTrimInNonBottomRound: a compaction round that merges only the
+// newer tables trims their versions past MaxVersions while an older table
+// still holds a version below the trimmed ones. An as-of read at a trimmed
+// timestamp must refuse, not fall through to that older version.
+func TestGetAsOfTrimInNonBottomRound(t *testing.T) {
+	s, err := Open(Options{
+		FS:                 vfs.NewMemFS(),
+		Dir:                "tt",
+		MaxVersions:        4,
+		CompactionFanIn:    2,
+		DisableAutoFlush:   true,
+		DisableAutoCompact: true,
+		DisableScrub:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := []byte("k")
+	put := func(k []byte, val string, ts int) {
+		t.Helper()
+		if err := s.Put(k, []byte(val), kv.Timestamp(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Table A: v1@1 plus filler, so the picker leaves it out as the largest.
+	put(key, "v1", 1)
+	for i := 0; i < 200; i++ {
+		put([]byte(fmt.Sprintf("filler%03d", i)), "x", 1)
+	}
+	flush()
+	// Table B: v2..v5; table C: v6..v9.
+	for ts := 2; ts <= 9; ts++ {
+		put(key, fmt.Sprintf("v%d", ts), ts)
+		if ts == 5 || ts == 9 {
+			flush()
+		}
+	}
+	ran, err := s.CompactOnce()
+	if err != nil || !ran {
+		t.Fatalf("CompactOnce = (%v, %v)", ran, err)
+	}
+	if n := s.TableCount(); n != 2 {
+		t.Fatalf("store has %d tables, want A plus the merge of B and C", n)
+	}
+	if c, ok, err := s.GetAsOf(key, 3); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("GetAsOf(k, 3) = (%q, %v, %v), want ErrHistoryTrimmed", c.Value, ok, err)
+	}
+	if c, ok, err := s.GetAsOf(key, 9); err != nil || !ok || string(c.Value) != "v9" {
+		t.Fatalf("GetAsOf(k, 9) = (%q, %v, %v), want v9", c.Value, ok, err)
+	}
+}
+
+// TestGetAsOfMaskedByDelete: a full compaction under a delete drops the
+// versions the tombstone masks, so an as-of read below the delete finds
+// nothing. It must refuse rather than report the key absent.
+func TestGetAsOfMaskedByDelete(t *testing.T) {
+	t.Skip("masked-drop history loss: needs the GC horizon, ROADMAP item 1 step 2")
+	s := newTimeTravelStore(t, vfs.NewMemFS(), 3)
+	defer s.Close()
+	key := []byte("k")
+	for ts, write := range []func(kv.Timestamp) error{
+		func(ts kv.Timestamp) error { return s.Put(key, []byte("v1"), ts) },
+		func(ts kv.Timestamp) error { return s.Put(key, []byte("v2"), ts) },
+		func(ts kv.Timestamp) error { return s.Delete(key, ts) },
+	} {
+		if err := write(kv.Timestamp(ts + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c, ok, err := s.GetAsOf(key, 2)
+	if !errors.Is(err, ErrHistoryTrimmed) && !(ok && string(c.Value) == "v2") {
+		t.Fatalf("GetAsOf(k, 2) = (%q, %v, %v), want v2 or ErrHistoryTrimmed", c.Value, ok, err)
+	}
+}
+
 // TestAsOfReadsRaceCompaction drives GetAsOf/Scan-at-ts concurrently with
 // writes, flushes and compactions (run under -race). Readers pin recent
 // timestamps, so retention never invalidates their answers: every read must

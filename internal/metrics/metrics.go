@@ -1,6 +1,6 @@
-// Package metrics provides the measurement primitives used by the experiment
-// harness: lock-free log-bucketed latency histograms (HdrHistogram-style),
-// atomic counters, and percentile reports. The paper reports mean latency vs
+// Package metrics provides the measurement primitives behind the store's
+// registry and the benchmark: lock-free log-bucketed latency histograms
+// (HdrHistogram-style), atomic counters, and percentile reports. The paper reports mean latency vs
 // throughput curves (Figs. 7, 8, 10), selectivity sweeps (Fig. 9), and a
 // staleness distribution (Fig. 11); all of them are built from Histogram.
 package metrics
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -121,36 +120,6 @@ func (h *Histogram) Min() int64 {
 	return m
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 ≤ q ≤ 1).
-func (h *Histogram) Quantile(q float64) int64 {
-	n := h.total.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= target {
-			u := bucketUpper(i)
-			if m := h.max.Load(); u > m {
-				return m
-			}
-			return u
-		}
-	}
-	return h.max.Load()
-}
-
 // Merge adds other's samples into h. Min/max merge exactly; bucket counts
 // merge exactly; the result is equivalent to recording both sample streams.
 func (h *Histogram) Merge(other *Histogram) {
@@ -201,8 +170,8 @@ type Snapshot struct {
 //
 //   - Count and every quantile derive from ONE pass over the bucket array,
 //     so the quantiles are mutually monotone (P50 ≤ P95 ≤ P99 ≤ P999) and
-//     consistent with Count — unlike calling Count and Quantile separately,
-//     which can disagree about how many samples exist.
+//     consistent with Count — reading them from separate passes could
+//     disagree about how many samples exist.
 //   - Min is never the empty sentinel when Count > 0, and Min ≤ Max
 //     (Record publishes max before min, and both move monotonically).
 //   - Quantiles are clamped to Max; Mean is clamped to [Min, Max] when it
@@ -300,63 +269,3 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Reset sets the counter to zero and returns the previous value.
 func (c *Counter) Reset() int64 { return c.v.Swap(0) }
-
-// Meter measures throughput: operations counted over a wall-clock window.
-type Meter struct {
-	ops   Counter
-	start time.Time
-}
-
-// NewMeter returns a meter whose window starts now.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Mark records n completed operations.
-func (m *Meter) Mark(n int64) { m.ops.Add(n) }
-
-// Rate returns operations per second since the meter was created.
-func (m *Meter) Rate() float64 {
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.ops.Load()) / elapsed
-}
-
-// Ops returns the total operations marked.
-func (m *Meter) Ops() int64 { return m.ops.Load() }
-
-// FormatTable renders rows as a fixed-width text table: the printer used by
-// the experiment harness to emit the paper's tables and figure series.
-func FormatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
-}

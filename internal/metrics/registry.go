@@ -148,9 +148,8 @@ func (r *Registry) RegisterGaugeFunc(name string, fn func() int64, labels ...Lab
 }
 
 // Value reads a single scalar metric by name+labels, checking counters,
-// stored gauges and computed gauges in that order. It is the lookup path of
-// the legacy accessors (HotPathStats, IOCounts) re-implemented as registry
-// views. ok is false when no such metric exists.
+// stored gauges and computed gauges in that order. ok is false when no such
+// metric exists.
 func (r *Registry) Value(name string, labels ...Label) (v int64, ok bool) {
 	k := key(name, sortLabels(labels))
 	r.mu.RLock()

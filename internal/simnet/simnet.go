@@ -28,9 +28,6 @@ type Config struct {
 	// RTT is the round-trip time charged per call (half before the call
 	// executes, half before the response returns).
 	RTT time.Duration
-	// Jitter, if non-zero, adds a uniform random duration in [0, Jitter) to
-	// each direction.
-	Jitter time.Duration
 }
 
 // FaultConfig arms the network with a seeded message-level fault
@@ -60,7 +57,6 @@ type Network struct {
 
 	mu         sync.RWMutex
 	partitions map[[2]string]bool
-	rng        *rand.Rand
 	faults     FaultConfig
 	faultRng   *rand.Rand
 
@@ -77,7 +73,6 @@ func New(cfg Config) *Network {
 	return &Network{
 		cfg:        cfg,
 		partitions: make(map[[2]string]bool),
-		rng:        rand.New(rand.NewSource(0xD1F)),
 		sleep:      time.Sleep,
 	}
 }
@@ -87,16 +82,6 @@ func pairKey(a, b string) [2]string {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-func (n *Network) oneWay() time.Duration {
-	d := n.cfg.RTT / 2
-	if n.cfg.Jitter > 0 {
-		n.mu.Lock()
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
-		n.mu.Unlock()
-	}
-	return d
 }
 
 // messageFault samples the injected fault for one message direction:
@@ -133,7 +118,7 @@ func (n *Network) Call(from, to string, fn func() error) error {
 		return ErrPartitioned
 	}
 	dropped, extra := n.messageFault()
-	if d := n.oneWay() + extra; d > 0 {
+	if d := n.cfg.RTT/2 + extra; d > 0 {
 		n.sleep(d)
 	}
 	if dropped {
@@ -153,7 +138,7 @@ func (n *Network) Call(from, to string, fn func() error) error {
 		return ErrPartitioned
 	}
 	dropped, extra = n.messageFault()
-	if d := n.oneWay() + extra; d > 0 {
+	if d := n.cfg.RTT/2 + extra; d > 0 {
 		n.sleep(d)
 	}
 	if dropped {

@@ -71,16 +71,3 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 		t.Errorf("after HealAll: %v", err)
 	}
 }
-
-func TestJitterBounded(t *testing.T) {
-	n := New(Config{RTT: 100 * time.Microsecond, Jitter: 50 * time.Microsecond})
-	var total time.Duration
-	n.sleep = func(d time.Duration) { total += d }
-	for i := 0; i < 100; i++ {
-		total = 0
-		n.Call("a", "b", func() error { return nil })
-		if total < 100*time.Microsecond || total >= 200*time.Microsecond {
-			t.Fatalf("RTT with jitter = %v, want [100µs, 200µs)", total)
-		}
-	}
-}

@@ -30,8 +30,8 @@ func (p LatencyProfile) transfer(n int) time.Duration {
 }
 
 // IOStats counts I/O operations flowing through a LatencyFS. Counters are
-// cumulative and safe for concurrent use; the experiment harness snapshots
-// them to report per-scheme I/O costs (Table 2).
+// cumulative and safe for concurrent use; the benchmark snapshots them to
+// report per-op disk I/O.
 type IOStats struct {
 	Reads      atomic.Int64
 	Writes     atomic.Int64

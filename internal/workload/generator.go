@@ -1,9 +1,8 @@
-// Package workload reproduces the paper's benchmark driver: YCSB (§8.1)
-// extended with an item table of 10 columns (~1 KB rows) whose item_title
-// and item_price columns are indexed. It provides the YCSB key-choosers
-// (zipfian with Gray's algorithm, uniform, latest), a loader, and a
-// closed-loop multi-threaded runner with optional throughput throttling,
-// measuring per-operation latency histograms.
+// Package workload reproduces the paper's benchmark schema and key choice:
+// YCSB (§8.1) extended with an item table of 10 columns (~1 KB rows) whose
+// item_title and item_price columns are indexed. It provides the YCSB
+// key-choosers (uniform, and scrambled zipfian with Gray's algorithm), the
+// op kinds a workload mix draws from, and a loader.
 package workload
 
 import (
@@ -11,45 +10,20 @@ import (
 	"math/rand"
 )
 
-// Generator chooses item ordinals in [0, n) under some popularity
-// distribution. Generators are NOT safe for concurrent use; give each
-// worker thread its own.
-type Generator interface {
-	Next() int64
-}
-
-// NewGenerator builds a generator by distribution name: "uniform",
-// "zipfian" (YCSB's default: SCRAMBLED zipfian with constant 0.99, so the
-// hot set is spread across the whole key space rather than clustered in one
-// region) or "latest" (zipfian over the most recent keys).
-func NewGenerator(distribution string, n int64, seed int64) Generator {
-	rng := rand.New(rand.NewSource(seed))
-	switch distribution {
-	case "zipfian":
-		return NewScrambledZipfian(n, seed)
-	case "latest":
-		return &latestGenerator{z: NewZipfian(n, ZipfianConstant, rng), n: n}
-	default:
-		return &uniformGenerator{n: n, rng: rng}
-	}
-}
-
-type uniformGenerator struct {
+// Uniform chooses item ordinals in [0, n) uniformly. It is NOT safe for
+// concurrent use; give each worker thread its own.
+type Uniform struct {
 	n   int64
 	rng *rand.Rand
 }
 
-// Next implements Generator.
-func (g *uniformGenerator) Next() int64 { return g.rng.Int63n(g.n) }
-
-// latestGenerator skews toward the highest ordinals ("latest" records).
-type latestGenerator struct {
-	z *Zipfian
-	n int64
+// NewUniform builds a seeded uniform chooser over [0, n).
+func NewUniform(n int64, seed int64) *Uniform {
+	return &Uniform{n: n, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Next implements Generator.
-func (g *latestGenerator) Next() int64 { return g.n - 1 - g.z.Next() }
+// Next returns the next ordinal.
+func (g *Uniform) Next() int64 { return g.rng.Int63n(g.n) }
 
 // ZipfianConstant is YCSB's default skew parameter θ.
 const ZipfianConstant = 0.99
@@ -86,7 +60,7 @@ func zetaStatic(n int64, theta float64) float64 {
 	return sum
 }
 
-// Next implements Generator.
+// Next returns the next ordinal.
 func (z *Zipfian) Next() int64 {
 	u := z.rng.Float64()
 	uz := u * z.zetan
@@ -111,7 +85,7 @@ func NewScrambledZipfian(n int64, seed int64) *ScrambledZipfian {
 	return &ScrambledZipfian{z: NewZipfian(n, ZipfianConstant, rand.New(rand.NewSource(seed))), n: n}
 }
 
-// Next implements Generator.
+// Next returns the next ordinal.
 func (s *ScrambledZipfian) Next() int64 {
 	return int64(fnvHash64(uint64(s.z.Next()))) % s.n
 }

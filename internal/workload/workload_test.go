@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"diffindex"
 )
@@ -31,7 +30,7 @@ func TestZipfianSkewAndRange(t *testing.T) {
 }
 
 func TestUniformCoverage(t *testing.T) {
-	g := NewGenerator("uniform", 100, 7)
+	g := NewUniform(100, 7)
 	seen := map[int64]bool{}
 	for i := 0; i < 10000; i++ {
 		v := g.Next()
@@ -42,24 +41,6 @@ func TestUniformCoverage(t *testing.T) {
 	}
 	if len(seen) < 95 {
 		t.Errorf("uniform covered only %d/100 values", len(seen))
-	}
-}
-
-func TestLatestSkewsHigh(t *testing.T) {
-	g := NewGenerator("latest", 1000, 7)
-	high := 0
-	const draws = 10000
-	for i := 0; i < draws; i++ {
-		v := g.Next()
-		if v < 0 || v >= 1000 {
-			t.Fatalf("latest out of range: %d", v)
-		}
-		if v >= 900 {
-			high++
-		}
-	}
-	if high < draws/3 {
-		t.Errorf("latest drew top decile only %d/%d", high, draws)
 	}
 }
 
@@ -85,12 +66,16 @@ func TestScrambledZipfianSpreads(t *testing.T) {
 	}
 }
 
+// chooser is what every key-chooser in this package implements.
+type chooser interface{ Next() int64 }
+
 func TestGeneratorDeterminism(t *testing.T) {
-	for _, d := range []string{"uniform", "zipfian", "latest"} {
-		a := NewGenerator(d, 500, 42)
-		b := NewGenerator(d, 500, 42)
+	for d, pair := range map[string][2]chooser{
+		"uniform": {NewUniform(500, 42), NewUniform(500, 42)},
+		"zipfian": {NewScrambledZipfian(500, 42), NewScrambledZipfian(500, 42)},
+	} {
 		for i := 0; i < 10000; i++ {
-			if a.Next() != b.Next() {
+			if pair[0].Next() != pair[1].Next() {
 				t.Fatalf("%s: same-seed generators diverged at draw %d", d, i)
 			}
 		}
@@ -104,16 +89,17 @@ func TestGeneratorDeterminism(t *testing.T) {
 // consumption, changing the scramble hash, touching the zipfian constants —
 // must show up as a deliberate golden update in review, not as silent drift.
 func TestGeneratorGoldenSequences(t *testing.T) {
-	golden := map[string][]int64{
-		"uniform": {675, 411, 760, 9, 657, 261, 247, 208, 868, 184, 314, 41},
-		"zipfian": {30, 202, 842, 611, 202, 30, 408, 30, 30, 816, 145, 611},
-		"latest":  {991, 999, 950, 997, 999, 991, 755, 991, 991, 931, 864, 997},
-	}
-	for d, want := range golden {
-		g := NewGenerator(d, 1000, 42)
-		for i, w := range want {
-			if got := g.Next(); got != w {
-				t.Errorf("%s draw %d = %d, want %d (seeded sequence drifted)", d, i, got, w)
+	for _, g := range []struct {
+		name string
+		gen  chooser
+		want []int64
+	}{
+		{"uniform", NewUniform(1000, 42), []int64{675, 411, 760, 9, 657, 261, 247, 208, 868, 184, 314, 41}},
+		{"zipfian", NewScrambledZipfian(1000, 42), []int64{30, 202, 842, 611, 202, 30, 408, 30, 30, 816, 145, 611}},
+	} {
+		for i, w := range g.want {
+			if got := g.gen.Next(); got != w {
+				t.Errorf("%s draw %d = %d, want %d (seeded sequence drifted)", g.name, i, got, w)
 			}
 		}
 	}
@@ -224,82 +210,26 @@ func TestSetupLoadAndRun(t *testing.T) {
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("title index hits = %v err=%v", hits, err)
 	}
-	// A run with a mixed op profile completes and records latencies.
-	res := Run(db, RunConfig{
-		Records:  records,
-		Threads:  4,
-		TotalOps: 400,
-		Mix: map[OpKind]float64{
-			OpIndexRead: 0.3,
-			OpRangeRead: 0.1,
-			OpRowRead:   0.1,
-			// remaining 0.5 → updates
-		},
-		RangeSelectivity: 0.01,
-		Distribution:     "zipfian",
-		Seed:             11,
-	})
-	if res.Ops == 0 || res.TPS <= 0 {
-		t.Fatalf("empty result: %+v", res)
+}
+
+// TestPickOpFollowsMix: every kind in the mix is drawn at about its share,
+// and the unassigned mass goes to updates.
+func TestPickOpFollowsMix(t *testing.T) {
+	mix := map[OpKind]float64{OpIndexRead: 0.3, OpRangeRead: 0.1, OpRowRead: 0.1}
+	rng := rand.New(rand.NewSource(11))
+	const draws = 10000
+	counts := map[OpKind]int{}
+	for i := 0; i < draws; i++ {
+		counts[PickOp(rng, mix)]++
 	}
-	if res.Errors != 0 {
-		t.Errorf("%d errors during run", res.Errors)
-	}
-	for _, k := range []OpKind{OpUpdate, OpIndexRead, OpRangeRead, OpRowRead} {
-		if res.PerOp[k].Count() == 0 {
-			t.Errorf("op kind %s never ran", k)
+	want := map[OpKind]float64{OpUpdate: 0.5, OpIndexRead: 0.3, OpRangeRead: 0.1, OpRowRead: 0.1}
+	for k, p := range want {
+		if got := float64(counts[k]) / draws; got < p-0.03 || got > p+0.03 {
+			t.Errorf("%s drawn %.3f of the time, want ≈%.2f", k, got, p)
 		}
 	}
-	if res.All.Count() != res.Ops {
-		t.Errorf("All histogram count %d != ops %d", res.All.Count(), res.Ops)
-	}
-}
-
-func TestRunThrottled(t *testing.T) {
-	db := diffindex.Open(diffindex.Options{Servers: 2})
-	defer db.Close()
-	if err := Setup(db, 50, 2, int(diffindex.AsyncSimple), -1, 1); err != nil {
-		t.Fatal(err)
-	}
-	const target = 500.0
-	res := Run(db, RunConfig{
-		Records:      50,
-		Threads:      2,
-		Duration:     400 * time.Millisecond,
-		TargetTPS:    target,
-		Distribution: "uniform",
-		Seed:         3,
-	})
-	if res.TPS > target*1.5 {
-		t.Errorf("throttled run achieved %.0f TPS, target %.0f", res.TPS, target)
-	}
-	if res.Ops == 0 {
-		t.Error("throttled run did nothing")
-	}
-	if !db.WaitForIndexes(5 * time.Second) {
-		t.Error("async index did not converge after run")
-	}
-}
-
-func TestRunDurationMode(t *testing.T) {
-	db := diffindex.Open(diffindex.Options{Servers: 2})
-	defer db.Close()
-	if err := Setup(db, 20, 2, -1, -1, 1); err != nil { // no-index baseline
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res := Run(db, RunConfig{
-		Records:      20,
-		Threads:      2,
-		Duration:     100 * time.Millisecond,
-		Distribution: "uniform",
-		Seed:         5,
-	})
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		t.Errorf("duration mode returned too early: %v", elapsed)
-	}
-	if res.Ops == 0 {
-		t.Error("no ops in duration mode")
+	if PickOp(rng, nil) != OpUpdate {
+		t.Error("an empty mix must pick updates")
 	}
 }
 

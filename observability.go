@@ -15,8 +15,8 @@ import (
 // This file is the DB's live observability surface: programmatic snapshots
 // of the metrics registry, the slow-operation log, a periodic JSON dumper,
 // and an expvar-style HTTP endpoint. All of it reads the same registry that
-// the hot paths write, so numbers here always agree with IOCounts,
-// HotPathStats and Staleness (which are views over the same instruments).
+// the hot paths write, so numbers here always agree with IOCounts and
+// Staleness (which are views over the same instruments).
 
 // MetricsSnapshot returns a point-in-time snapshot of every counter, gauge
 // and histogram in the DB's metrics registry. Counters and gauges are read
@@ -161,7 +161,7 @@ type metricsDump struct {
 // StartMetricsDump writes a JSON line with the full registry snapshot to w
 // every interval until the returned stop function is called. Writes are
 // serialized; errors from w stop the dumper. Intended for piping live stats
-// from long experiments into a file or a terminal (`diffbench -metrics`).
+// from long-running programs into a file or a terminal.
 func (db *DB) StartMetricsDump(w io.Writer, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
