@@ -17,12 +17,15 @@
 #      but is never built by tier-1
 #   6. go test -race ./... — the same suite, root package included, under
 #      the race detector
-#   7. benchmark smoke     — every benchmark compiles and survives one
+#   7. race stress         — 30 runs each of the tests that race region
+#      moves, reads and writes against Close and compaction (~16 s wall on
+#      2 CPUs); one failure fails the step
+#   8. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
-#   8. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
+#   9. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
 #      and FuzzReplaySegment over the WAL segment decoder (data frames,
 #      checkpoint frames, unknown meta kinds)
-#   9. CLI gates           — what only the commands assert: `lsmtool verify`
+#  10. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes, `lsmtool wal tail` and the five `chaoskit` verdicts (two
 #      fixed-seed fault runs, -integrity, -timetravel, -elastic)
 set -eu
@@ -51,12 +54,19 @@ echo "== benchmark/ module (vet + smoke) =="
 echo "== go test -race =="
 go test -race ./...
 
+echo "== race stress (30 runs each) =="
+# Each test below once failed only a few runs in a hundred; one pass of the
+# suite cannot tell those apart from fixed.
+go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose' ./internal/cluster ./internal/lsm
+
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "== fuzz smoke (SSTable and WAL decoders, 10 s each) =="
-go test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/sstable
-go test -run=NONE -fuzz=FuzzReplaySegment -fuzztime=10s ./internal/wal
+# Minimization is bounded: at its 60 s default the first new input found
+# is minimized for the rest of the run, and the smoke stops executing.
+go test -run=NONE -fuzz=FuzzOpen -fuzztime=10s -fuzzminimizetime=100x ./internal/sstable
+go test -run=NONE -fuzz=FuzzReplaySegment -fuzztime=10s -fuzzminimizetime=100x ./internal/wal
 
 echo "== lsmtool =="
 # Offline sweep gate: a clean store must verify; a corrupted one must be

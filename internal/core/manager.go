@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,24 +377,54 @@ func (mu *indexMutations) merge(other indexMutations) {
 // then per index emits a delete of the superseded entry at ts−δ and an
 // insert of the new entry at ts.
 func (m *Manager) buildIndexMutations(ctx cluster.RegionCtx, t task, async bool, relevant []IndexDef) (indexMutations, error) {
-	var muts indexMutations
 	if len(relevant) == 0 {
-		return muts, nil
+		return indexMutations{}, nil
 	}
-
 	// R_B(k, t_new − δ): one local read of the row's pre-image (§4.1 SU3 /
 	// Algorithm 4 BA2). Local because the observer/APS runs on the server
 	// hosting the base region.
-	oldCols, err := ctx.Region.LocalGetRow(t.row, t.ts-kv.Delta)
+	oldCols, err := readPreImage(ctx.Region, t.row, t.ts-kv.Delta, relevant)
 	if err != nil {
-		return muts, err
+		return indexMutations{}, err
 	}
 	if async {
 		m.Counters.AsyncBaseRead.Inc()
 	} else {
 		m.Counters.BaseRead.Inc()
 	}
+	return indexMutationsFrom(t, relevant, oldCols), nil
+}
 
+// readPreImage is R_B(k, ts) restricted to what the indexes need: the
+// row's indexed columns as they stood at ts, one point read per distinct
+// column of defs. A point read is bloom-filtered and skips tables whose key
+// range excludes it, and copies one column's value — where a read of the
+// whole row would merge every column of it from every table. Columns absent
+// at ts are absent from the map.
+func readPreImage(region *cluster.Region, row []byte, ts kv.Timestamp, defs []IndexDef) (map[string][]byte, error) {
+	cols := make(map[string][]byte)
+	var read []string
+	for _, def := range defs {
+		for _, col := range def.Columns {
+			if slices.Contains(read, col) {
+				continue
+			}
+			read = append(read, col)
+			c, ok, err := region.LocalGet(kv.BaseKey(row, []byte(col)), ts)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				cols[col] = c.Value
+			}
+		}
+	}
+	return cols, nil
+}
+
+// indexMutationsFrom computes the index cells of mutation t against defs,
+// given the pre-image oldCols of (at least) the columns defs index.
+func indexMutationsFrom(t task, defs []IndexDef, oldCols map[string][]byte) indexMutations {
 	// The row's post-image: pre-image overlaid with this mutation.
 	newCols := make(map[string][]byte, len(oldCols)+len(t.putCols))
 	for c, v := range oldCols {
@@ -406,6 +437,7 @@ func (m *Manager) buildIndexMutations(ctx cluster.RegionCtx, t task, async bool,
 		delete(newCols, c)
 	}
 
+	var muts indexMutations
 	emit := func(def IndexDef, v []byte, cell kv.Cell) {
 		if def.Local {
 			cell.Key = kv.LocalIndexKey(def.Name(), v, t.row)
@@ -418,7 +450,7 @@ func (m *Manager) buildIndexMutations(ctx cluster.RegionCtx, t task, async bool,
 		}
 		muts.global[def.Name()] = append(muts.global[def.Name()], cell)
 	}
-	for _, def := range relevant {
+	for _, def := range defs {
 		oldVal, hadOld := indexValue(def, oldCols)
 		newVal, hasNew := indexValue(def, newCols)
 
@@ -435,7 +467,7 @@ func (m *Manager) buildIndexMutations(ctx cluster.RegionCtx, t task, async bool,
 			emit(def, newVal, kv.Cell{Ts: t.ts, Kind: kv.KindPut})
 		}
 	}
-	return muts, nil
+	return muts
 }
 
 // applyMutations ships computed index cells. Global entries go through the

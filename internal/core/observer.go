@@ -140,19 +140,15 @@ func (o *observer) syncInsert(ctx cluster.RegionCtx, def IndexDef, t task) {
 	newVal, ok := indexValue(def, t.putCols)
 	if !ok {
 		// A partial put that does not cover the whole composite index:
-		// complete the post-image from the pre-image. (Single-column
-		// indexes — the paper's setting — never take this branch, keeping
-		// sync-insert's update path free of base reads.)
-		oldCols, err := ctx.Region.LocalGetRow(t.row, t.ts-kv.Delta)
+		// complete the post-image from the pre-image of the index's columns.
+		// (Single-column indexes — the paper's setting — never take this
+		// branch, keeping sync-insert's update path free of base reads.)
+		merged, err := readPreImage(ctx.Region, t.row, t.ts-kv.Delta, []IndexDef{def})
 		if err != nil {
 			o.m.auqFor(ctx).enqueue(t)
 			return
 		}
 		o.m.Counters.BaseRead.Inc()
-		merged := make(map[string][]byte, len(oldCols)+len(t.putCols))
-		for c, v := range oldCols {
-			merged[c] = v
-		}
 		for c, v := range t.putCols {
 			merged[c] = v
 		}

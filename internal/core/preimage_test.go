@@ -1,0 +1,216 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"diffindex/internal/cluster"
+	"diffindex/internal/kv"
+)
+
+// regionCapture is the table's observer, plus a record of the region
+// context of every put it sees, so a test can reach a base region's store.
+type regionCapture struct {
+	*observer
+	mu   sync.Mutex
+	ctxs map[string]cluster.RegionCtx // by region ID
+}
+
+func (c *regionCapture) PostPut(ctx cluster.RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+	c.mu.Lock()
+	keep := ctx
+	keep.Trace = nil
+	c.ctxs[ctx.Region.Info.ID] = keep
+	c.mu.Unlock()
+	return c.observer.PostPut(ctx, row, cols, ts)
+}
+
+// captureRegions wraps the base table's observer; call it after the last
+// CreateIndex, which registers the plain observer again.
+func (e *env) captureRegions() *regionCapture {
+	c := &regionCapture{observer: &observer{m: e.m}, ctxs: map[string]cluster.RegionCtx{}}
+	e.c.RegisterCoprocessor(e.tbl, c)
+	return c
+}
+
+// regionOf returns the context of the base region holding row, which a put
+// to that region must already have passed through.
+func (c *regionCapture) regionOf(t *testing.T, e *env, row string) cluster.RegionCtx {
+	t.Helper()
+	ri, err := e.c.Master.Locate(e.tbl, []byte(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctx, ok := c.ctxs[ri.ID]
+	if !ok {
+		t.Fatalf("no put has reached region %s yet", ri.ID)
+	}
+	return ctx
+}
+
+// TestSyncFullPreImageIsPointReads: one sync-full put on a base region with
+// several flushed tables reads its pre-image with exactly one Store.Get per
+// indexed column and no Store.Scan — Table 2's one base read, as point reads.
+func TestSyncFullPreImageIsPointReads(t *testing.T) {
+	e := newEnv(t, 3, ManagerOptions{})
+	e.createIndex(t, SyncFull, "title")
+	e.createIndex(t, SyncFull, "title", "price") // two distinct columns in all
+	capture := e.captureRegions()
+	ri, err := e.c.Master.Locate(e.tbl, []byte("item001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.cl.Put(e.tbl, []byte("item001"), map[string][]byte{
+			"title": []byte(fmt.Sprintf("t%d", i)), "price": []byte(fmt.Sprintf("%d", i)), "note": []byte("n"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.c.Server(ri.Server).Flush(ri.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := capture.regionOf(t, e, "item001").Region.Store()
+	if n := store.TableCount(); n < 2 {
+		t.Fatalf("base region has %d tables, want several", n)
+	}
+
+	before, counters := store.Stats(), e.m.Counters.Snapshot()
+	e.put(t, "item001", "title", "t9")
+	after, d := store.Stats(), e.m.Counters.Snapshot().Sub(counters)
+	if scans := after.Scans - before.Scans; scans != 0 {
+		t.Errorf("put did %d Store.Scan calls on the base region, want 0", scans)
+	}
+	if gets := after.Gets - before.Gets; gets != 2 {
+		t.Errorf("put did %d Store.Get calls on the base region, want 2 (title, price)", gets)
+	}
+	if d.BaseRead != 1 {
+		t.Errorf("Table 2 base reads = %d, want 1", d.BaseRead)
+	}
+}
+
+// TestPreImagePointReadsMatchRowRead drives seeded histories of full-row
+// puts, partial puts, overwrites and deletes of indexed columns, whole-row
+// deletes, flushes and compactions against one single-column index, one
+// composite index, or two indexes. After every step it builds the index
+// mutations of hypothetical puts and deletes at the current time and at
+// earlier timestamps two ways — from the point-read pre-image, and from a
+// whole-row read restricted to the indexed columns — and requires the cells
+// to be identical.
+func TestPreImagePointReadsMatchRowRead(t *testing.T) {
+	for _, layout := range []struct {
+		name    string
+		indexes [][]string
+	}{
+		{"single", [][]string{{"title"}}},
+		{"composite", [][]string{{"title", "price"}}},
+		{"two", [][]string{{"title"}, {"price"}}},
+	} {
+		t.Run(layout.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				checkPreImageHistory(t, layout.indexes, seed)
+			}
+		})
+	}
+}
+
+func checkPreImageHistory(t *testing.T, indexes [][]string, seed int64) {
+	e := newEnv(t, 2, ManagerOptions{})
+	var defs []IndexDef
+	for _, cols := range indexes {
+		defs = append(defs, e.createIndex(t, SyncFull, cols...))
+	}
+	capture := e.captureRegions()
+	rng := rand.New(rand.NewSource(seed))
+	rows := []string{"item001", "item002", "item003"} // one base region
+	cols := []string{"title", "price", "note"}
+	value := func() []byte { return []byte(fmt.Sprintf("v%d", rng.Intn(4))) }
+	put := func(row string, vals map[string][]byte) kv.Timestamp {
+		ts, err := e.cl.Put(e.tbl, []byte(row), vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	del := func(row string, cols []string) kv.Timestamp {
+		ts, err := e.cl.Delete(e.tbl, []byte(row), cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+
+	stamps := []kv.Timestamp{put(rows[0], map[string][]byte{"title": value()})}
+	ctx := capture.regionOf(t, e, rows[0])
+	store := ctx.Region.Store()
+	for step := 0; step < 40; step++ {
+		row := rows[rng.Intn(len(rows))]
+		switch op := rng.Intn(9); op {
+		case 0, 1: // full-row put
+			stamps = append(stamps, put(row, map[string][]byte{"title": value(), "price": value(), "note": value()}))
+		case 2: // partial put of any one column
+			stamps = append(stamps, put(row, map[string][]byte{cols[rng.Intn(len(cols))]: value()}))
+		case 3: // overwrite an indexed column
+			stamps = append(stamps, put(row, map[string][]byte{cols[rng.Intn(2)]: value()}))
+		case 4: // delete an indexed column
+			stamps = append(stamps, del(row, []string{cols[rng.Intn(2)]}))
+		case 5: // delete the whole row
+			stamps = append(stamps, del(row, nil))
+		case 6:
+			if err := store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		case 7:
+			if _, err := store.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+		case 8:
+			if err := store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// The pre-image just before "now" and just before a few earlier
+		// mutations (what a redelivered APS task reads).
+		probes := []kv.Timestamp{stamps[len(stamps)-1] + 1}
+		for i := 0; i < 3; i++ {
+			probes = append(probes, stamps[rng.Intn(len(stamps))])
+		}
+		for _, row := range rows {
+			for _, ts := range probes {
+				for _, tk := range []task{
+					{row: []byte(row), ts: ts, putCols: map[string][]byte{"title": value()}},
+					{row: []byte(row), ts: ts, putCols: map[string][]byte{"price": value(), "note": value()}},
+					{row: []byte(row), ts: ts, delCols: []string{"title"}},
+					{row: []byte(row), ts: ts, delCols: cols},
+				} {
+					got, err := e.m.buildIndexMutations(ctx, tk, false, defs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					whole, err := ctx.Region.LocalGetRow(tk.row, tk.ts-kv.Delta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					indexed := map[string][]byte{}
+					for _, def := range defs {
+						for _, c := range def.Columns {
+							if v, ok := whole[c]; ok {
+								indexed[c] = v
+							}
+						}
+					}
+					if want := indexMutationsFrom(tk, defs, indexed); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d step %d, %s at %d, task %+v:\npoint reads: %+v\nrow read:    %+v",
+							seed, step, row, ts, tk, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -143,5 +144,45 @@ func TestPipelineOnClosedStore(t *testing.T) {
 	}
 	if err := s.Apply(kv.Cell{Key: []byte("k"), Ts: 1}); err != ErrClosed {
 		t.Errorf("Apply after close: %v", err)
+	}
+}
+
+// TestPipelineRacesClose: writes racing Close fail only with ErrClosed, the
+// error the cluster maps to a retriable routing miss. Close can shut the WAL
+// between a write's closed check and its append; that append wrote nothing
+// and must report ErrClosed too, not the log's own error.
+func TestPipelineRacesClose(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		s := newTestStore(t, vfs.NewMemFS())
+		var wg sync.WaitGroup
+		started := make(chan struct{}, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if i == 10 {
+						started <- struct{}{}
+					}
+					key := []byte(fmt.Sprintf("w%d-%06d", w, i))
+					err := s.Pipeline(func() error {
+						return s.ApplyBatchLocked([]kv.Cell{{Key: key, Value: []byte("v"), Ts: kv.Timestamp(i + 1), Kind: kv.KindPut}}, nil)
+					})
+					if err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("write racing Close: %v, want ErrClosed", err)
+						}
+						return
+					}
+				}
+			}(w)
+		}
+		for w := 0; w < 4; w++ {
+			<-started
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }

@@ -332,6 +332,12 @@ func (s *Store) applyBatch(cells []kv.Cell, tr *metrics.Trace) error {
 		walStart = time.Now()
 	}
 	pos, err := log.AppendBatchPos(recs)
+	if errors.Is(err, wal.ErrClosed) {
+		// Close shut the log after the closed check above. Nothing was
+		// written, so the caller may re-route and retry like any write to a
+		// closed store.
+		return ErrClosed
+	}
 	if err != nil {
 		return err
 	}

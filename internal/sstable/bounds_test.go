@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -91,17 +92,24 @@ func TestMayContainKey(t *testing.T) {
 
 // TestSearchBlockRestarts checks the restart-point binary search against the
 // ground-truth linear scan (restarts=nil) for every entry boundary and for
-// keys that fall between entries.
+// keys that fall between entries, comparing the reconstructed keys the two
+// land on. Every restart entry must decode on its own: it shares nothing
+// with the entry before it. prefixCells puts entries with multi-byte
+// lengths on restart points.
 func TestSearchBlockRestarts(t *testing.T) {
-	cells := seqCells(3000)
-	fs := vfs.NewMemFS()
-	buildTable(t, fs, "t.sst", cells)
-	r, err := Open(fs, "t.sst", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, cells := range [][]kv.Cell{seqCells(3000), prefixCells()} {
+		fs := vfs.NewMemFS()
+		buildTable(t, fs, "t.sst", cells)
+		r, err := Open(fs, "t.sst", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searchRestarts(t, r)
+		r.Close()
 	}
-	defer r.Close()
+}
 
+func searchRestarts(t *testing.T, r *Reader) {
 	for bi := 0; bi < r.NumBlocks(); bi++ {
 		blk, err := r.block(bi)
 		if err != nil {
@@ -112,22 +120,32 @@ func TestSearchBlockRestarts(t *testing.T) {
 			t.Fatal("no restart points recorded")
 		}
 		probe := func(seek []byte) {
-			got := searchBlock(blk, restarts, seek)
-			want := searchBlock(blk, nil, seek)
-			if got != want {
-				t.Fatalf("block %d searchBlock(%q): restarts=%d linear=%d", bi, seek, got, want)
+			gotKey, _, gotNext, gotOK := seekEntry(blk, restarts, seek, nil)
+			wantKey, _, wantNext, wantOK := seekEntry(blk, nil, seek, nil)
+			if gotOK != wantOK || gotNext != wantNext || gotNext < 0 || (gotOK && !bytes.Equal(gotKey, wantKey)) {
+				t.Fatalf("block %d seekEntry(%q): restarts=(%v %d %q) linear=(%v %d %q)",
+					bi, seek, gotOK, gotNext, gotKey, wantOK, wantNext, wantKey)
 			}
 		}
-		off := 0
-		for off < len(blk) {
-			ikey, _, n := blockEntry(blk[off:])
-			if n == 0 {
-				t.Fatalf("block %d: malformed entry at %d", bi, off)
+		var keys [][]byte
+		var key []byte
+		for off := 0; off < len(blk); {
+			start := off
+			if key, _, off = nextEntry(blk, off, key); off < 0 {
+				t.Fatalf("block %d: malformed entry at %d", bi, start)
 			}
+			keys = append(keys, append([]byte(nil), key...))
+			if start == 0 || slices.Contains(restarts, uint32(start)) {
+				shared, suffix, _, _ := blockEntry(blk[start:])
+				if shared != 0 || !bytes.Equal(suffix, key) {
+					t.Fatalf("block %d restart at %d shares %d bytes", bi, start, shared)
+				}
+			}
+		}
+		for _, ikey := range keys {
 			probe(ikey)                                       // exact hit
 			probe(append([]byte(nil), ikey[:len(ikey)-1]...)) // prefix: sorts below
 			probe(append(append([]byte(nil), ikey...), 0))    // just above
-			off += n
 		}
 		probe([]byte{})                       // below everything
 		probe(bytes.Repeat([]byte{0xff}, 24)) // above everything

@@ -15,7 +15,10 @@
 // and the offsets of every restartInterval-th entry. The first key gives
 // zero-I/O gap rejection (a point get whose key falls between two blocks
 // never reads either); the restart points turn the in-block entry scan into
-// a binary search plus a short tail (DESIGN.md §12).
+// a binary search plus a short tail (DESIGN.md §12). Each data-block entry
+// stores only the part of its key that differs from the previous key; a
+// restart entry stores its whole key, so the search reads restart keys in
+// place and a scan rebuilds keys from the restart before it.
 //
 // The checksum section holds one CRC32C (Castagnoli) per data block plus
 // CRCs of the filter and index blocks, self-protected by a trailing section
@@ -31,6 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
+
+	"diffindex/internal/kv"
 )
 
 // TargetBlockSize is the uncompressed size at which a data block is cut.
@@ -265,30 +271,110 @@ func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, entries []indexE
 	return smallest, entries, nil
 }
 
-// appendBlockEntry appends one key/value entry to a data block.
-func appendBlockEntry(dst, ikey, value []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ikey)))
+// appendBlockEntry appends one entry to a data block:
+//
+//	uvarint(shared) uvarint(len(suffix)) uvarint(len(value)) suffix value
+//
+// where shared is the length of the prefix ikey has in common with prev, the
+// previous entry's key, and suffix is the rest of ikey. A restart entry
+// passes a nil prev and so shares nothing: its suffix is its whole key.
+func appendBlockEntry(dst, prev, ikey, value []byte) []byte {
+	shared := 0
+	for shared < len(prev) && shared < len(ikey) && prev[shared] == ikey[shared] {
+		shared++
+	}
+	dst = binary.AppendUvarint(dst, uint64(shared))
+	dst = binary.AppendUvarint(dst, uint64(len(ikey)-shared))
 	dst = binary.AppendUvarint(dst, uint64(len(value)))
-	dst = append(dst, ikey...)
+	dst = append(dst, ikey[shared:]...)
 	return append(dst, value...)
 }
 
-// blockEntry decodes the entry at b, returning the key, value and the number
-// of bytes consumed (0 when b is exhausted or malformed).
-func blockEntry(b []byte) (ikey, value []byte, n int) {
-	klen, s1 := binary.Uvarint(b)
+// blockEntry decodes the entry at b, returning its shared-prefix length, key
+// suffix, value and the number of bytes consumed (0 when b is exhausted or
+// malformed). The suffix and value alias b. The two hot loops, nextEntry and
+// the restart search, first try a fast path for entries whose three lengths
+// are all one-byte varints — the short keys and values of typical entries —
+// and fall back to this general decoder.
+func blockEntry(b []byte) (shared uint64, suffix, value []byte, n int) {
+	shared, s1 := binary.Uvarint(b)
 	if s1 <= 0 {
-		return nil, nil, 0
+		return 0, nil, nil, 0
 	}
-	vlen, s2 := binary.Uvarint(b[s1:])
+	klen, s2 := binary.Uvarint(b[s1:])
 	if s2 <= 0 {
-		return nil, nil, 0
+		return 0, nil, nil, 0
 	}
-	head := s1 + s2
-	if uint64(len(b[head:])) < klen+vlen {
-		return nil, nil, 0
+	vlen, s3 := binary.Uvarint(b[s1+s2:])
+	if s3 <= 0 {
+		return 0, nil, nil, 0
 	}
-	ikey = b[head : head+int(klen)]
-	value = b[head+int(klen) : head+int(klen)+int(vlen)]
-	return ikey, value, head + int(klen) + int(vlen)
+	head := s1 + s2 + s3
+	rest := uint64(len(b) - head)
+	if klen > rest || vlen > rest-klen {
+		return 0, nil, nil, 0
+	}
+	end := head + int(klen)
+	return shared, b[head:end], b[end : end+int(vlen)], end + int(vlen)
+}
+
+// nextEntry decodes the entry at blk[off:] on top of key, the previous
+// entry's key: the shared prefix is already there, so only the suffix is
+// appended, in key's own storage. It returns the entry's key and value and
+// the offset of the following entry; next is negative when the entry is
+// malformed, including one claiming a longer shared prefix than key has.
+// The value aliases blk.
+func nextEntry(blk []byte, off int, key []byte) (ikey, value []byte, next int) {
+	b := blk[off:]
+	if len(b) >= 3 && b[0]|b[1]|b[2] < 0x80 {
+		shared, end := int(b[0]), 3+int(b[1])
+		if vend := end + int(b[2]); shared <= len(key) && vend <= len(b) {
+			return append(key[:shared], b[3:end]...), b[end:vend], off + vend
+		}
+		return key, nil, -1
+	}
+	shared, suffix, value, n := blockEntry(b)
+	if n == 0 || shared > uint64(len(key)) {
+		return key, nil, -1
+	}
+	return append(key[:shared], suffix...), value, off + n
+}
+
+// seekEntry finds the first entry in blk with internal key ≥ target,
+// rebuilding keys in key's storage. It binary-searches the restart points —
+// a restart entry shares nothing, so its key is compared in place — and then
+// scans a ≤restartInterval-entry tail (from the block start when restarts is
+// empty), never decoding past the target. found reports whether such an
+// entry exists; next is the offset after it (len(blk) when every entry is
+// below target), or negative on a malformed entry.
+func seekEntry(blk []byte, restarts []uint32, target, key []byte) (ikey, value []byte, next int, found bool) {
+	off := 0
+	if len(restarts) > 0 {
+		// First restart with key ≥ target; the scan starts one restart
+		// earlier (the target may precede that restart's entry).
+		j := sort.Search(len(restarts), func(j int) bool {
+			b := blk[restarts[j]:]
+			if len(b) < 3 || b[0] != 0 || b[1]|b[2] >= 0x80 || 3+int(b[1]) > len(b) {
+				shared, suffix, _, n := blockEntry(b)
+				if n == 0 || shared != 0 {
+					return true // malformed: stay left, the scan reports it
+				}
+				return kv.CompareInternal(suffix, target) >= 0
+			}
+			return kv.CompareInternal(b[3:3+int(b[1])], target) >= 0
+		})
+		if j > 0 {
+			off = int(restarts[j-1])
+		}
+	}
+	key = key[:0]
+	for off < len(blk) {
+		if key, value, off = nextEntry(blk, off, key); off < 0 {
+			return key, nil, off, false
+		}
+		if kv.CompareInternal(key, target) >= 0 {
+			return key, value, off, true
+		}
+	}
+	return key, nil, off, false
 }

@@ -22,8 +22,15 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	// Long shared prefixes, multi-byte varints (two blocks' worth), and an
+	// entry whose shared length overshoots the previous key.
+	buildTable(f, fs, "prefix.sst", prefixCells()[:40])
+	buildMalformedShared(f, fs, "bad.sst")
+
 	f.Add([]byte{})
 	f.Add(good)
+	f.Add(readAll(f, fs, "prefix.sst"))
+	f.Add(readAll(f, fs, "bad.sst"))
 	f.Add(good[ftr.indexOff : ftr.indexOff+ftr.indexLen])
 	for _, cut := range []uint64{1, 8, footerLen - 1, footerLen, footerLen + ftr.checksumLen, uint64(len(good)) - ftr.indexOff} {
 		f.Add(good[:uint64(len(good))-cut])

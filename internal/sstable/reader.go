@@ -242,51 +242,17 @@ func (r *Reader) seekBlock(ikey []byte) int {
 	})
 }
 
-// searchBlock returns the offset of the first entry in blk with internal
-// key ≥ seek, or len(blk) when every entry is below seek. It binary-searches
-// the restart points and scans a ≤restartInterval-entry tail (from the block
-// start when restarts is empty), exiting at the first entry ≥ seek — it
-// never walks entries past the target. A malformed entry is reported as a
-// negative offset.
-func searchBlock(blk []byte, restarts []uint32, seek []byte) int {
-	off := 0
-	if len(restarts) > 0 {
-		// First restart with key ≥ seek; the scan starts one restart
-		// earlier (the target may precede that restart's entry).
-		j := sort.Search(len(restarts), func(j int) bool {
-			ikey, _, n := blockEntry(blk[restarts[j]:])
-			if n == 0 {
-				return true // malformed tail: stay left, the scan reports it
-			}
-			return kv.CompareInternal(ikey, seek) >= 0
-		})
-		if j > 0 {
-			off = int(restarts[j-1])
-		}
-	}
-	for off < len(blk) {
-		ikey, _, n := blockEntry(blk[off:])
-		if n == 0 {
-			return -1
-		}
-		if kv.CompareInternal(ikey, seek) >= 0 {
-			return off
-		}
-		off += n
-	}
-	return len(blk)
-}
-
 // Get returns the newest version of userKey with timestamp ≤ ts stored in
-// this table. The returned cell may be a tombstone. The bool reports whether
-// any visible version exists here.
+// this table. The returned cell may be a tombstone; its Key is userKey
+// itself and its Value aliases the (immutable) block. The bool reports
+// whether any visible version exists here.
 func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	if !r.filter.MayContain(userKey) {
 		return kv.Cell{}, false, nil
 	}
-	// Seek key built in a stack buffer: for ordinary key lengths the hottest
-	// read path does zero allocations.
-	var seekArr [128]byte
+	// Seek key and decoded keys live in stack buffers: for ordinary key
+	// lengths the hottest read path does zero allocations.
+	var seekArr, keyArr [128]byte
 	seek := kv.AppendInternalKey(seekArr[:0], userKey, ts, kv.KindDelete)
 	bi := r.seekBlock(seek)
 	if bi >= len(r.index) {
@@ -303,18 +269,14 @@ func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	if err != nil {
 		return kv.Cell{}, false, err
 	}
-	off := searchBlock(blk, r.index[bi].restarts, seek)
-	if off < 0 {
+	ikey, val, next, found := seekEntry(blk, r.index[bi].restarts, seek, keyArr[:0])
+	if next < 0 {
 		return kv.Cell{}, false, fmt.Errorf("%w: %s block %d", ErrBadTable, r.name, bi)
 	}
-	if off >= len(blk) {
+	if !found {
 		// seek falls past this block's last entry only if the index is
 		// inconsistent; treat as not found.
 		return kv.Cell{}, false, nil
-	}
-	ikey, val, n := blockEntry(blk[off:])
-	if n == 0 {
-		return kv.Cell{}, false, fmt.Errorf("%w: %s block %d", ErrBadTable, r.name, bi)
 	}
 	uk, vts, kind, err := kv.ParseInternalKey(ikey)
 	if err != nil {
@@ -325,12 +287,14 @@ func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 		// version here. The scan never parses entries past this point.
 		return kv.Cell{}, false, nil
 	}
-	return kv.Cell{Key: uk, Value: val, Ts: vts, Kind: kind}, true, nil
+	return kv.Cell{Key: userKey, Value: val, Ts: vts, Kind: kind}, true, nil
 }
 
 // Iterator returns a cursor over the whole table in internal-key order.
 func (r *Reader) Iterator() *Iterator {
-	return &Iterator{r: r, blockIdx: -1}
+	it := &Iterator{r: r, blockIdx: -1}
+	it.ikey = it.keyArr[:0]
+	return it
 }
 
 // Iterator walks a table's entries in internal-key order. Errors encountered
@@ -341,7 +305,10 @@ type Iterator struct {
 	blk      []byte
 	off      int
 
+	// ikey is rebuilt in place entry by entry (see nextEntry); keyArr is its
+	// initial storage, so keys up to that size need no allocation.
 	ikey, value []byte
+	keyArr      [64]byte
 	valid       bool
 	err         error
 }
@@ -369,12 +336,17 @@ func (it *Iterator) Seek(seek []byte) {
 	// index is inconsistent) continues into the following block.
 	e := &it.r.index[bi]
 	if kv.CompareInternal(seek, e.firstKey) > 0 {
-		off := searchBlock(it.blk, e.restarts, seek)
-		if off < 0 {
+		ikey, val, next, found := seekEntry(it.blk, e.restarts, seek, it.ikey)
+		it.ikey = ikey
+		if next < 0 {
 			it.fail(fmt.Errorf("%w: %s block %d", ErrBadTable, it.r.name, it.blockIdx))
 			return
 		}
-		it.off = off
+		it.off = next
+		if found {
+			it.value, it.valid = val, true
+			return
+		}
 	}
 	it.stepEntry()
 }
@@ -390,7 +362,8 @@ func (it *Iterator) loadBlock() bool {
 		it.fail(err)
 		return false
 	}
-	it.blk, it.off = blk, 0
+	// The block's first entry shares nothing, so the key restarts empty.
+	it.blk, it.off, it.ikey = blk, 0, it.ikey[:0]
 	return true
 }
 
@@ -413,13 +386,12 @@ func (it *Iterator) nextBlock() {
 func (it *Iterator) stepEntry() {
 	for {
 		if it.off < len(it.blk) {
-			ikey, val, n := blockEntry(it.blk[it.off:])
-			if n == 0 {
+			ikey, val, next := nextEntry(it.blk, it.off, it.ikey)
+			if next < 0 {
 				it.fail(fmt.Errorf("%w: %s block %d", ErrBadTable, it.r.name, it.blockIdx))
 				return
 			}
-			it.off += n
-			it.ikey, it.value, it.valid = ikey, val, true
+			it.ikey, it.value, it.off, it.valid = ikey, val, next, true
 			return
 		}
 		if !it.advanceBlock() {
@@ -439,14 +411,16 @@ func (it *Iterator) Next() {
 	it.stepEntry()
 }
 
-// InternalKey returns the current internal key. Valid until the next call
-// that advances the iterator past a block boundary.
+// InternalKey returns the current internal key. It lives in the iterator's
+// own key buffer: valid until the next Next or Seek.
 func (it *Iterator) InternalKey() []byte { return it.ikey }
 
-// Value returns the current value.
+// Value returns the current value. It aliases the immutable block, so it
+// stays valid after the iterator moves on.
 func (it *Iterator) Value() []byte { return it.value }
 
-// Cell decodes the current entry.
+// Cell decodes the current entry. Its Key, like InternalKey, is valid until
+// the next Next or Seek.
 func (it *Iterator) Cell() kv.Cell {
 	uk, ts, kind, _ := kv.ParseInternalKey(it.ikey)
 	return kv.Cell{Key: uk, Value: it.value, Ts: ts, Kind: kind}

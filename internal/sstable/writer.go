@@ -56,6 +56,16 @@ func (w *Writer) Add(ikey, value []byte) error {
 	if w.lastKey != nil && kv.CompareInternal(ikey, w.lastKey) <= 0 {
 		return fmt.Errorf("sstable: out-of-order key %x after %x", ikey, w.lastKey)
 	}
+	prev := w.lastKey // the key this entry's shared prefix refers to
+	if w.blockEntries == 0 {
+		w.blockFirstKey = append([]byte(nil), ikey...)
+		prev = nil
+	} else if w.blockEntries%restartInterval == 0 {
+		w.blockRestarts = append(w.blockRestarts, uint32(len(w.block)))
+		prev = nil
+	}
+	w.blockEntries++
+	w.block = appendBlockEntry(w.block, prev, ikey, value)
 	w.lastKey = append(w.lastKey[:0], ikey...)
 
 	user := kv.InternalUserKey(ikey)
@@ -71,14 +81,6 @@ func (w *Writer) Add(ikey, value []byte) error {
 	if _, _, kind, err := kv.ParseInternalKey(ikey); err == nil && kind == kv.KindDelete {
 		w.tombstones++
 	}
-
-	if w.blockEntries == 0 {
-		w.blockFirstKey = append([]byte(nil), ikey...)
-	} else if w.blockEntries%restartInterval == 0 {
-		w.blockRestarts = append(w.blockRestarts, uint32(len(w.block)))
-	}
-	w.blockEntries++
-	w.block = appendBlockEntry(w.block, ikey, value)
 	if len(w.block) >= TargetBlockSize {
 		return w.cutBlock()
 	}

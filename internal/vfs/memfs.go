@@ -21,9 +21,46 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memData)}
 }
 
+// chunkSize is the unit in which a MemFS file grows. A file past its first
+// chunk gains whole chunks, so an append never re-copies what is already
+// written; only the first chunk grows by reallocation, which keeps small
+// files small.
+const chunkSize = 64 << 10
+
 type memData struct {
-	mu   sync.RWMutex
-	data []byte
+	mu     sync.RWMutex
+	chunks [][]byte // every chunk but the last holds exactly chunkSize bytes
+	size   int64
+}
+
+// write appends p. The caller holds mu.
+func (d *memData) write(p []byte) {
+	for len(p) > 0 {
+		if len(d.chunks) == 0 || len(d.chunks[len(d.chunks)-1]) == chunkSize {
+			var c []byte
+			if len(d.chunks) > 0 {
+				c = make([]byte, 0, chunkSize)
+			}
+			d.chunks = append(d.chunks, c)
+		}
+		last := &d.chunks[len(d.chunks)-1]
+		n := min(len(p), chunkSize-len(*last))
+		*last = append(*last, p[:n]...)
+		p = p[n:]
+		d.size += int64(n)
+	}
+}
+
+// readAt copies the bytes at off into p and returns how many it copied. The
+// caller holds mu and has checked 0 ≤ off < size.
+func (d *memData) readAt(p []byte, off int64) int {
+	n := 0
+	for n < len(p) && off < d.size {
+		k := copy(p[n:], d.chunks[off/chunkSize][off%chunkSize:])
+		n += k
+		off += int64(k)
+	}
+	return n
 }
 
 // Create implements FS.
@@ -116,7 +153,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	f.d.mu.Lock()
-	f.d.data = append(f.d.data, p...)
+	f.d.write(p)
 	f.d.mu.Unlock()
 	return len(p), nil
 }
@@ -131,10 +168,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("vfs: negative offset %d", off)
 	}
-	if off >= int64(len(f.d.data)) {
+	if off >= f.d.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.d.data[off:])
+	n := f.d.readAt(p, off)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -151,7 +188,7 @@ func (f *memFile) Size() (int64, error) {
 	}
 	f.d.mu.RLock()
 	defer f.d.mu.RUnlock()
-	return int64(len(f.d.data)), nil
+	return f.d.size, nil
 }
 
 // Close marks the handle closed. The underlying data stays in the FS.

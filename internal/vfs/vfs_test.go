@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -237,4 +238,107 @@ func TestLatencyFSPassthrough(t *testing.T) {
 	if _, err := lfs.Open("b"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Open removed: %v", err)
 	}
+}
+
+// pattern returns n bytes of a position-dependent pattern starting at file
+// offset off, so any misplaced byte is detected.
+func pattern(off, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		p := off + i
+		b[i] = byte(p ^ p>>8 ^ p>>16)
+	}
+	return b
+}
+
+// TestMemFSChunkBoundaries writes in sizes that land on, just before and just
+// past chunk boundaries, and reads every write back plus ranges straddling
+// each boundary and ranges running past EOF.
+func TestMemFSChunkBoundaries(t *testing.T) {
+	fs := NewMemFS()
+	f, _ := fs.Create("f")
+	size := 0
+	for _, n := range []int{1, chunkSize - 2, 1, 1, 3*chunkSize + 5, 0, chunkSize - 6, 7, 2 * chunkSize} {
+		if _, err := f.Write(pattern(size, n)); err != nil {
+			t.Fatal(err)
+		}
+		size += n
+		if got, _ := f.Size(); got != int64(size) {
+			t.Fatalf("Size = %d, want %d", got, size)
+		}
+	}
+	for b := chunkSize; b < size; b += chunkSize {
+		for _, r := range [][2]int{{b - 1, 2}, {b - 100, 200}, {b, 1}, {b - 1, 1}, {b - chunkSize, 2*chunkSize + 3}} {
+			off, n := r[0], min(r[1], size-r[0])
+			buf := make([]byte, n)
+			if got, err := f.ReadAt(buf, int64(off)); got != n || err != nil {
+				t.Fatalf("ReadAt(%d, %d) = (%d, %v)", off, n, got, err)
+			}
+			if !bytes.Equal(buf, pattern(off, n)) {
+				t.Fatalf("ReadAt(%d, %d): wrong bytes", off, n)
+			}
+		}
+	}
+	whole := make([]byte, size+10)
+	if n, err := f.ReadAt(whole, 0); n != size || err != io.EOF || !bytes.Equal(whole[:n], pattern(0, size)) {
+		t.Fatalf("whole-file ReadAt = (%d, %v), want (%d, EOF) and the written bytes", n, err, size)
+	}
+	if n, err := f.ReadAt(make([]byte, 4), int64(size)); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt at EOF = (%d, %v)", n, err)
+	}
+	if n, err := f.ReadAt(make([]byte, 4), int64(size+chunkSize)); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt a chunk past EOF = (%d, %v)", n, err)
+	}
+}
+
+// TestMemFSTailWhileAppending reads a file through a second handle while a
+// writer appends to it, as the WAL tail reads a live segment: every read up
+// to the size it observed returns exactly the written bytes.
+func TestMemFSTailWhileAppending(t *testing.T) {
+	fs := NewMemFS()
+	w, _ := fs.Create("seg")
+	r, err := fs.Open("seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 5*chunkSize + 123
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for off, i := 0, 0; off < total; i++ {
+			n := min([]int{17, 4096, chunkSize - 1, 1, 70000}[i%5], total-off)
+			if _, err := w.Write(pattern(off, n)); err != nil {
+				t.Error(err)
+				return
+			}
+			off += n
+		}
+	}()
+	read := 0
+	for read < total {
+		size, err := r.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(size) == read {
+			select {
+			case <-done:
+				if s, _ := r.Size(); int(s) == read {
+					t.Fatalf("writer finished at %d of %d bytes", read, total)
+				}
+			default:
+				runtime.Gosched()
+			}
+			continue
+		}
+		buf := make([]byte, int(size)-read)
+		if n, err := r.ReadAt(buf, int64(read)); n != len(buf) || err != nil {
+			t.Fatalf("ReadAt(%d, %d) = (%d, %v)", read, len(buf), n, err)
+		}
+		if !bytes.Equal(buf, pattern(read, len(buf))) {
+			t.Fatalf("tail read at %d: wrong bytes", read)
+		}
+		read = int(size)
+	}
+	<-done
 }
