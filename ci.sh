@@ -18,8 +18,9 @@
 #   6. go test -race ./... — the same suite, root package included, under
 #      the race detector
 #   7. race stress         — 30 runs each of the tests that race region
-#      moves, reads and writes against Close and compaction (~16 s wall on
-#      2 CPUs); one failure fails the step
+#      transitions, flushes, reads and writes against Close and compaction,
+#      plus the topology churn property (~25 s wall on 2 CPUs);
+#      one failure fails the step
 #   8. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
 #   9. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
@@ -27,7 +28,8 @@
 #      checkpoint frames, unknown meta kinds)
 #  10. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes, `lsmtool wal tail` and the five `chaoskit` verdicts (two
-#      fixed-seed fault runs, -integrity, -timetravel, -elastic)
+#      fixed-seed fault runs, -integrity, -timetravel, -elastic); the fault
+#      runs and -elastic include the topology check
 set -eu
 cd "$(dirname "$0")"
 
@@ -57,7 +59,7 @@ go test -race ./...
 echo "== race stress (30 runs each) =="
 # Each test below once failed only a few runs in a hundred; one pass of the
 # suite cannot tell those apart from fixed.
-go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose' ./internal/cluster ./internal/lsm
+go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose' ./internal/cluster ./internal/lsm
 
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
@@ -103,7 +105,9 @@ go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
 go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
 # Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, cold
 # merges, hot splits and continuous balancing under live load; every
-# per-scheme invariant must hold and the AUQ backlog must stay under its cap.
+# per-scheme invariant must hold, every region must be served where the
+# master routes it (the topology verdict, checked after every scenario), and
+# the AUQ backlog must stay under its cap.
 go run ./cmd/chaoskit -scenarios 0 -elastic -trace=false
 
 echo "CI PASSED"

@@ -19,7 +19,8 @@ type Violation struct {
 	// matches — a stale entry surviving where the scheme forbids it),
 	// "durability" (an acknowledged base write is missing or shadowed after
 	// recovery), "session-ryw" (a session read missed the session's own
-	// write), or "convergence" (async queues failed to drain).
+	// write), "convergence" (async queues failed to drain), or "topology" (a
+	// region is routed to a server that does not serve it, unfrozen).
 	Invariant string
 	// Detail identifies the offending row/entry.
 	Detail string
@@ -88,6 +89,16 @@ type titleCell struct {
 func checkInvariants(db *diffindex.DB, model *Model) (checked int, vs []Violation, err error) {
 	c, _ := db.Internal()
 	raw := cluster.NewClient(c, "chaos-checker")
+
+	// Topology first: every request for an unserved region's range exhausts
+	// its retries, so the scans below would only fail on it.
+	checked++
+	for _, ri := range c.Master.Unserved() {
+		vs = append(vs, Violation{"topology", fmt.Sprintf("region %s is routed to %s, which does not serve it", ri.ID, ri.Server)})
+	}
+	if len(vs) > 0 {
+		return checked, vs, nil
+	}
 
 	// Base-table ground truth: every row's visible title and its timestamp.
 	baseCells, err := raw.RawScan(workload.TableName, kv.BaseDataStart, nil, kv.MaxTimestamp, 0)

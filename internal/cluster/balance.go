@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,9 +9,10 @@ import (
 
 // This file is the elastic half of the cluster: a continuous load-aware
 // balancer that generalizes RestartServer's one-shot steal-from-most-loaded
-// rebalance into a periodic loop, a safe region-move primitive it is built
-// on, cold-range merges (split's inverse as a *policy*, driving
-// Master.mergeRegions), and live server decommission with drain-and-handoff.
+// rebalance into a periodic loop, region moves, cold-range merges (split's
+// inverse as a *policy*, driving Master.mergeRegions), and live server
+// decommission with drain-and-handoff. All of them are planners over the
+// one region-transition primitive (transition.go).
 //
 // Every decision is deterministic given the observed load counters: servers
 // and regions are considered in sorted order and ties go to the
@@ -88,7 +88,6 @@ func (m *Master) balanceOnce(cfg BalanceConfig) BalanceReport {
 	cfg = cfg.withDefaults()
 	reg := m.cluster.metrics
 	reg.Counter("diffindex_balance_rounds_total").Inc()
-	m.repairUnhosted()
 
 	servers := m.cluster.AssignableServerIDs()
 	sort.Strings(servers)
@@ -189,9 +188,7 @@ func (m *Master) planMove(cfg BalanceConfig, servers []string, loads map[string]
 // floor.
 func (m *Master) mergeColdOnce(cfg BalanceConfig, regionLoad map[string]int64) (string, bool) {
 	type pair struct {
-		table        string
 		lower, upper string
-		start        []byte // lower's start key, to find the child afterwards
 		load         int64
 	}
 	var best *pair
@@ -213,12 +210,11 @@ func (m *Master) mergeColdOnce(cfg BalanceConfig, regionLoad map[string]int64) (
 			if !lok || !hok || ll >= cfg.MergeColdThreshold || hl >= cfg.MergeColdThreshold {
 				continue
 			}
-			ls, hs := m.cluster.Server(lo.Server), m.cluster.Server(hi.Server)
-			if ls == nil || hs == nil || !ls.hostsUnfrozen(lo.ID) || !hs.hostsUnfrozen(hi.ID) {
+			if !m.serves(*lo) || !m.serves(*hi) {
 				continue
 			}
 			if best == nil || ll+hl < best.load || (ll+hl == best.load && lo.ID < best.lower) {
-				best = &pair{table: name, lower: lo.ID, upper: hi.ID, start: lo.Start, load: ll + hl}
+				best = &pair{lower: lo.ID, upper: hi.ID, load: ll + hl}
 			}
 		}
 	}
@@ -226,195 +222,49 @@ func (m *Master) mergeColdOnce(cfg BalanceConfig, regionLoad map[string]int64) (
 	if best == nil {
 		return "", false
 	}
-	if err := m.mergeRegions(best.lower, best.upper); err != nil {
-		return "", false
-	}
-	// The child took the lower parent's slot: it is the unique region of the
-	// table whose start key equals the lower parent's.
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if meta, ok := m.tables[best.table]; ok {
-		for _, ri := range meta.regions {
-			if bytes.Equal(ri.Start, best.start) {
-				return ri.ID, true
-			}
-		}
-	}
-	return "", true
+	child, err := m.mergeRegions(best.lower, best.upper)
+	return child, err == nil
 }
 
 // MoveRegion migrates one region to the given live server: close on the
 // current host (dropping its AUQ), reopen on the target (WAL replay
-// reconstructs the memtable and re-enqueues index work, §5.3) — exactly the
-// steal RestartServer performs, as a standalone primitive. Returns
+// reconstructs the memtable and re-enqueues index work, §5.3). Returns
 // (false, nil) when the region was not movable (re-homed concurrently by
-// failure recovery, frozen mid-split, or already on the target).
+// failure recovery, frozen mid-split, or already on the target) or landed
+// elsewhere because the target could not open it.
 func (m *Master) MoveRegion(regionID, to string) (bool, error) {
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	m.mu.RLock()
-	ri := m.findRegionLocked(regionID)
-	var from string
-	if ri != nil {
-		from = ri.Server
-	}
-	m.mu.RUnlock()
-	if ri == nil {
-		return false, fmt.Errorf("cluster: unknown region %s", regionID)
-	}
-	if from == to {
-		return false, nil
-	}
-	return m.moveRegion(regionID, from, to)
+	return m.moveRegion(regionID, "", to)
 }
 
-// repairUnhosted is the balancer's janitor pass (HBase's hbck, as a chore):
-// a region whose metadata points at a live, un-crashed server that does not
-// actually host it is re-opened there. Handoffs publish metadata before
-// opening, so a single observation may just be a move or crash recovery in
-// flight — only a region seen unhosted on the SAME server in two
-// consecutive rounds is repaired. Runs under topoMu (from balanceOnce).
-func (m *Master) repairUnhosted() {
-	var stuck []RegionInfo
-	seen := make(map[string]string)
-	m.mu.RLock()
-	for _, meta := range m.tables {
-		for _, ri := range meta.regions {
-			s := m.cluster.Server(ri.Server)
-			if s == nil || s.Crashed() || s.hostsRegion(ri.ID) {
-				continue // crash recovery owns it, or nothing is wrong
-			}
-			seen[ri.ID] = ri.Server
-			if m.unhosted[ri.ID] == ri.Server {
-				stuck = append(stuck, *ri)
-			}
-		}
-	}
-	m.mu.RUnlock()
-	m.unhosted = seen
-	for _, info := range stuck {
-		// Claim-then-open: act only if the assignment is still current.
-		m.mu.RLock()
-		cur := m.findRegionLocked(info.ID)
-		ok := cur != nil && cur.Server == info.Server
-		m.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if s := m.cluster.Server(info.Server); s != nil && !s.Crashed() {
-			s.OpenRegion(info) // idempotent, best-effort; WAL replay restores state
-		}
-	}
-}
-
-// reviveParent restores a region a failed split or merge froze (and maybe
-// closed) without ever publishing its replacement: unfreeze it if still
-// hosted, otherwise reopen it in place (WAL replay restores any unflushed
-// tail). Best-effort — if the host crashed, crash recovery re-homes the
-// region by metadata, which still routes to it.
-func (m *Master) reviveParent(info RegionInfo) {
-	m.mu.RLock()
-	cur := ""
-	if ri := m.findRegionLocked(info.ID); ri != nil {
-		cur = ri.Server
-	}
-	m.mu.RUnlock()
-	if cur == "" {
-		return // replaced in metadata: nothing routes to it anymore
-	}
-	s := m.cluster.Server(cur)
-	if s == nil || s.Crashed() {
-		return // crash recovery owns it now
-	}
-	if err := s.UnfreezeRegion(info.ID); err == nil {
-		return
-	}
-	info.Server = cur
-	s.OpenRegion(info) // best-effort; a crash beyond this point re-homes it
-}
-
-// findRegionLocked resolves a region's metadata entry; m.mu must be held.
-func (m *Master) findRegionLocked(regionID string) *RegionInfo {
-	for _, meta := range m.tables {
-		for _, ri := range meta.regions {
-			if ri.ID == regionID {
-				return ri
-			}
-		}
-	}
-	return nil
-}
-
-// moveRegion performs the migration with the topology lock held. The
-// assignment is published BEFORE the handoff: once metadata points at the
-// target, a concurrent CrashServer(donor) will not re-home the region, so
-// its store is never opened on two servers at once. Clients routing on the
-// stale map get ErrRegionNotFound/ErrServerDown and retry.
+// moveRegion plans one move, from server from ("" for wherever the region
+// is) to server to, with the topology lock held.
 func (m *Master) moveRegion(regionID, from, to string) (bool, error) {
-	donor, target := m.cluster.Server(from), m.cluster.Server(to)
-	if donor == nil || target == nil {
-		return false, fmt.Errorf("cluster: unknown server in move %s: %s -> %s", regionID, from, to)
-	}
-
-	// Claim: re-validate under mu immediately before publishing, so the
-	// move composes with concurrent crash/restart recovery (which also
-	// updates assignments under mu).
-	m.mu.Lock()
+	m.mu.RLock()
+	var src RegionInfo
 	ri := m.findRegionLocked(regionID)
-	if ri == nil {
-		m.mu.Unlock()
+	if ri != nil {
+		src = *ri
+	}
+	m.mu.RUnlock()
+	target := m.cluster.Server(to)
+	switch {
+	case ri == nil:
 		return false, fmt.Errorf("cluster: unknown region %s", regionID)
+	case target == nil:
+		return false, fmt.Errorf("cluster: unknown server %s", to)
+	case from == "":
+		from = src.Server
 	}
-	if ri.Server != from || donor.Crashed() || target.Crashed() || !donor.hostsUnfrozen(regionID) {
-		m.mu.Unlock()
-		return false, nil // re-homed, frozen, or an endpoint died: not movable now
+	if src.Server != from || from == to || target.Crashed() || !m.serves(src) {
+		return false, nil // re-homed, already there, frozen, or an endpoint died
 	}
-	ri.Server = to
-	info := *ri
-	m.mu.Unlock()
-
-	// Handoff: close on the donor (its AUQ entries drop; WAL replay on the
-	// target reconstructs them). A routing miss means the donor crashed in
-	// the window and already released the store — equally fine.
-	if err := donor.CloseRegion(regionID); err != nil && !errors.Is(err, ErrRegionNotFound) && !errors.Is(err, ErrServerDown) {
-		return false, err
-	}
-	if err := target.OpenRegion(info); err == nil {
-		return true, nil
-	}
-
-	// The target died before adopting the region. If its crash handler
-	// already re-homed it (metadata moved on), we are done; otherwise
-	// re-home it ourselves so the region is never left unserved.
-	m.mu.Lock()
-	ri = m.findRegionLocked(regionID)
-	if ri == nil || ri.Server != to {
-		m.mu.Unlock()
+	placed, err := m.move(src, to)
+	if errors.Is(err, errStaleClaim) {
 		return false, nil
 	}
-	fallback := ""
-	if !donor.Crashed() && !donor.Removed() {
-		fallback = from
-	} else {
-		for _, id := range m.cluster.AssignableServerIDs() {
-			if id != to {
-				fallback = id
-				break
-			}
-		}
-	}
-	if fallback == "" {
-		m.mu.Unlock()
-		return false, fmt.Errorf("cluster: no live server to re-home %s after failed move to %s", regionID, to)
-	}
-	ri.Server = fallback
-	info = *ri
-	m.mu.Unlock()
-	candidates := append([]string{from}, m.cluster.AssignableServerIDs()...)
-	if err := m.recoverRegion(info, candidates); err != nil {
-		return false, fmt.Errorf("cluster: re-home %s after failed move to %s: %w", regionID, to, err)
-	}
-	return false, nil
+	return placed == to, err
 }
 
 // DecommissionServer removes a live server from the cluster gracefully:
@@ -440,8 +290,8 @@ func (m *Master) DecommissionServer(id string) error {
 
 	// Best-effort flush BEFORE taking the topology lock: a flush waits out
 	// any in-flight replay dispatch on the region's write gate, and that
-	// dispatch may itself be blocked until the balancer's repair pass (which
-	// needs topoMu) heals some other region.
+	// dispatch may itself be blocked until a transition (which needs topoMu)
+	// puts the region its index work targets back in service.
 	_ = server.FlushAll()
 
 	m.topoMu.Lock()

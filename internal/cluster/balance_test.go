@@ -394,7 +394,11 @@ func TestBalancerRacesTopologyChanges(t *testing.T) {
 	wg.Wait()
 	c.Master.StopBalancer()
 
-	// Invariant: the region map tiles the key space with no gaps/overlaps.
+	// Invariants: every region is served where the metadata says, and the
+	// region map tiles the key space with no gaps/overlaps.
+	if un := c.Master.Unserved(); len(un) != 0 {
+		t.Fatalf("unserved regions after storm: %v", un)
+	}
 	regions, err := c.Master.RegionsOf("t")
 	if err != nil {
 		t.Fatal(err)

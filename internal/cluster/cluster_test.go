@@ -10,7 +10,53 @@ import (
 
 	"diffindex/internal/kv"
 	"diffindex/internal/lsm"
+	"diffindex/internal/vfs"
 )
+
+// TestOpenRegionWaitsForOpenInFlight: an OpenRegion that finds the same
+// region already opening must return that open's result. Returning nil at
+// once told the caller the region was placed while the open could still
+// fail, and the region was left routed to a server that never hosted it.
+func TestOpenRegionWaitsForOpenInFlight(t *testing.T) {
+	fault := vfs.NewFaultFS(vfs.NewMemFS())
+	c := New(Config{Servers: 1, BaseFS: fault})
+	t.Cleanup(func() { c.Close() })
+	if err := c.Master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewClient(c, "cl").Put("t", []byte("k"), map[string][]byte{"v": []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ri, _ := c.Master.Locate("t", []byte("k"))
+	s := c.Server(ri.Server)
+	if err := s.CloseRegion(ri.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every read of the region's files stalls, then fails.
+	fault.Arm(vfs.FaultConfig{Seed: 1, ReadErrProb: 1, SpikeProb: 1,
+		SpikeLatency: 20 * time.Millisecond, PathSubstr: regionDir(ri) + "/"})
+	first := make(chan error, 1)
+	go func() { first <- s.OpenRegion(ri) }()
+	if !WaitFor(time.Second, func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		_, ok := s.opening[ri.ID]
+		return ok
+	}) {
+		t.Fatal("first open never started")
+	}
+	second := s.OpenRegion(ri)
+	if err := <-first; err == nil || second == nil {
+		t.Fatalf("opens of an unreadable region returned %v and %v, want two errors", err, second)
+	}
+	if s.hostsUnfrozen(ri.ID) {
+		t.Fatal("server hosts a region whose open failed")
+	}
+}
 
 func newTestCluster(t testing.TB, servers int) *Cluster {
 	t.Helper()

@@ -11,7 +11,8 @@ import (
 // Master is the management node (§2.2): it creates tables, assigns regions
 // to region servers, and — standing in for ZooKeeper's failure detection and
 // reassignment — recovers the regions of a crashed server onto live ones,
-// where WAL replay restores their memtables (§5.3).
+// where WAL replay restores their memtables (§5.3). Every placement change
+// goes through one region-transition primitive (transition.go).
 type Master struct {
 	cluster *Cluster
 
@@ -22,19 +23,14 @@ type Master struct {
 	// topoMu serializes region-topology mutations: splits, merges, balancer
 	// moves and decommissions. Crash and restart handling deliberately do
 	// NOT take it — failure recovery must preempt a topology change that may
-	// be stalled behind a fault window; the individual operations tolerate
-	// that preemption by re-validating metadata under mu.
+	// be stalled behind a fault window; a transition tolerates that
+	// preemption by re-checking its claim under mu.
 	topoMu sync.Mutex
 
 	// Continuous balancer loop state (see balance.go).
 	balMu   sync.Mutex
 	balStop chan struct{}
 	balWG   sync.WaitGroup
-
-	// unhosted tracks regions observed routed to a live server that does
-	// not actually host them, keyed region ID → server ID. Guarded by
-	// topoMu: only the balancer's repair pass reads or writes it.
-	unhosted map[string]string
 }
 
 type tableMeta struct {
@@ -43,8 +39,15 @@ type tableMeta struct {
 	// raw tables route by the store key itself (index tables); row tables
 	// route by the row key decoded from composite store keys (base tables).
 	// Region splitting needs this to route existing cells to child regions.
-	raw       bool
-	nextSplit int // counter for child-region IDs
+	raw    bool
+	nextID int // counter behind every region ID of the table
+}
+
+// newRegionID mints the table's next region ID; m.mu must be held. IDs are
+// never reused, so a failed transition's files cannot shadow a later one.
+func (t *tableMeta) newRegionID() string {
+	t.nextID++
+	return fmt.Sprintf("%s.r%04d", t.name, t.nextID-1)
 }
 
 func newMaster(c *Cluster) *Master {
@@ -93,25 +96,26 @@ func (m *Master) createTable(name string, splits [][]byte, raw bool) error {
 	bounds = append(bounds, nil)
 	bounds = append(bounds, splits...)
 	bounds = append(bounds, nil)
+	var regions []RegionInfo
 	for i := 0; i < len(bounds)-1; i++ {
-		server := live[m.rr%len(live)]
-		m.rr++
-		meta.regions = append(meta.regions, &RegionInfo{
-			ID:     fmt.Sprintf("%s.r%04d", name, i),
+		regions = append(regions, RegionInfo{
+			ID:     meta.newRegionID(),
 			Table:  name,
 			Start:  bounds[i],
 			End:    bounds[i+1],
-			Server: server,
+			Server: live[m.rr%len(live)],
 		})
+		m.rr++
 	}
+	// Registered empty: the name is taken now, the regions appear once open.
 	m.tables[name] = meta
-	regions := append([]*RegionInfo(nil), meta.regions...)
 	m.mu.Unlock()
 
-	for _, ri := range regions {
-		if err := m.cluster.Server(ri.Server).OpenRegion(*ri); err != nil {
-			return err
-		}
+	if _, err := m.transition(nil, regions); err != nil {
+		m.mu.Lock()
+		delete(m.tables, name)
+		m.mu.Unlock()
+		return err
 	}
 	return nil
 }
@@ -125,11 +129,13 @@ func (m *Master) HasTable(name string) bool {
 }
 
 // RegionsOf returns a copy of the table's region map, sorted by start key.
+// A table whose first regions are still opening has none yet: clients must
+// not cache an empty map, so it reads as missing.
 func (m *Master) RegionsOf(table string) ([]RegionInfo, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	meta, ok := m.tables[table]
-	if !ok {
+	if !ok || len(meta.regions) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, table)
 	}
 	out := make([]RegionInfo, len(meta.regions))
@@ -154,6 +160,18 @@ func (m *Master) Locate(table string, key []byte) (RegionInfo, error) {
 	return regions[i], nil
 }
 
+// findRegionLocked resolves a region's metadata entry; m.mu must be held.
+func (m *Master) findRegionLocked(regionID string) *RegionInfo {
+	for _, meta := range m.tables {
+		for _, ri := range meta.regions {
+			if ri.ID == regionID {
+				return ri
+			}
+		}
+	}
+	return nil
+}
+
 // CrashServer kills a region server and recovers each of its regions on a
 // live server. In HBase this is driven by ZooKeeper heartbeat expiry; here
 // the fault injector calls it directly so experiments control timing.
@@ -164,9 +182,9 @@ func (m *Master) CrashServer(id string) error {
 	}
 	server.crash()
 
-	// Reassign every region that was hosted by the dead server. Prefer
-	// assignable servers; fall back to any live server so recovery never
-	// stalls just because the survivors are draining.
+	// Re-home every region the dead server hosted. Prefer assignable
+	// servers; fall back to any live server so recovery never stalls just
+	// because the survivors are draining.
 	m.mu.Lock()
 	live := m.cluster.AssignableServerIDs()
 	if len(live) == 0 {
@@ -176,77 +194,17 @@ func (m *Master) CrashServer(id string) error {
 		m.mu.Unlock()
 		return ErrNoLiveServers
 	}
-	var toRecover []*RegionInfo
+	var plan []handoff
 	for _, meta := range m.tables {
 		for _, ri := range meta.regions {
 			if ri.Server == id {
-				ri.Server = live[m.rr%len(live)]
+				plan = append(plan, handoff{*ri, live[m.rr%len(live)]})
 				m.rr++
-				toRecover = append(toRecover, ri)
 			}
 		}
-	}
-	recover := make([]RegionInfo, len(toRecover))
-	for i, ri := range toRecover {
-		recover[i] = *ri
 	}
 	m.mu.Unlock()
-
-	// Reopen every reassigned region, falling back to other live servers
-	// when an open fails (the chosen server crashed in the window, or a
-	// fault-injected disk error hit the reopen). One region's failure must
-	// not strand the rest un-recovered.
-	var firstErr error
-	for _, ri := range recover {
-		if err := m.recoverRegion(ri, live); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// recoverRegion opens a region on its published server, re-targeting it to
-// the other candidates when the open fails. Every re-target republishes the
-// assignment under mu before opening — the claim-then-open discipline all
-// placement paths follow, so concurrent recovery never double-opens a
-// region's store.
-func (m *Master) recoverRegion(ri RegionInfo, candidates []string) error {
-	tried := make(map[string]bool, len(candidates)+1)
-	var lastErr error
-	for {
-		tried[ri.Server] = true
-		if s := m.cluster.Server(ri.Server); s != nil && !s.Crashed() {
-			if err := s.OpenRegion(ri); err == nil {
-				return nil
-			} else {
-				lastErr = err
-			}
-		}
-		next := ""
-		for _, id := range candidates {
-			if s := m.cluster.Server(id); !tried[id] && s != nil && !s.Crashed() && !s.Removed() {
-				next = id
-				break
-			}
-		}
-		if next == "" {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("cluster: no live server could adopt region %s", ri.ID)
-			}
-			return lastErr
-		}
-		m.mu.Lock()
-		cur := m.findRegionLocked(ri.ID)
-		if cur == nil || cur.Server != ri.Server {
-			// Someone else re-homed (or dissolved) the region meanwhile;
-			// their claim wins.
-			m.mu.Unlock()
-			return nil
-		}
-		cur.Server = next
-		ri = *cur
-		m.mu.Unlock()
-	}
+	return m.handOff(plan)
 }
 
 // RestartServer brings a crashed region server back online: the server
@@ -271,10 +229,6 @@ func (m *Master) RestartServer(id string) error {
 	}
 	server.restart()
 
-	type move struct {
-		info RegionInfo
-		from string // "" when no live server hosts the region
-	}
 	m.mu.Lock()
 	live := m.cluster.LiveServerIDs() // includes id now
 	liveSet := make(map[string]bool, len(live))
@@ -298,10 +252,9 @@ func (m *Master) RestartServer(id string) error {
 		}
 	}
 	sortRegionPtrs(orphans)
-	var moves []move
+	var plan []handoff
 	for _, ri := range orphans {
-		ri.Server = id
-		moves = append(moves, move{info: *ri})
+		plan = append(plan, handoff{*ri, id})
 	}
 	held := len(orphans)
 	fair := total / len(live)
@@ -329,28 +282,26 @@ func (m *Master) RestartServer(id string) error {
 			delete(byServer, donor) // nothing movable here (e.g. mid-split)
 			continue
 		}
-		ri.Server = id
-		moves = append(moves, move{info: *ri, from: donor})
+		plan = append(plan, handoff{*ri, id})
 		held++
 	}
 	m.mu.Unlock()
+	return m.handOff(plan)
+}
 
+// handoff is one planned move of a region, keeping its ID, to server to.
+type handoff struct {
+	src RegionInfo
+	to  string
+}
+
+// handOff runs each planned move as its own transition, so one failure
+// never strands the rest, and returns the first error. A move another
+// transition claimed first is skipped: that claim wins.
+func (m *Master) handOff(plan []handoff) error {
 	var firstErr error
-	for _, mv := range moves {
-		if mv.from != "" {
-			// Close on the donor first: its AUQ entries for the region are
-			// dropped and reconstructed by WAL replay on the new host. A
-			// routing miss or a donor that crashed in the window already
-			// released the store.
-			if err := m.cluster.Server(mv.from).CloseRegion(mv.info.ID); err != nil &&
-				!errors.Is(err, ErrRegionNotFound) && !errors.Is(err, ErrServerDown) && firstErr == nil {
-				firstErr = err
-			}
-		}
-		// recoverRegion retries the open and falls back to other live
-		// servers, so one failed adoption never strands the region (or the
-		// rest of the plan) unserved.
-		if err := m.recoverRegion(mv.info, live); err != nil && firstErr == nil {
+	for _, h := range plan {
+		if _, err := m.move(h.src, h.to); err != nil && !errors.Is(err, errStaleClaim) && firstErr == nil {
 			firstErr = err
 		}
 	}

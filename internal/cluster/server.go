@@ -24,7 +24,11 @@ type RegionServer struct {
 
 	mu      sync.RWMutex
 	regions map[string]*Region
-	opening map[string]struct{} // region IDs with an OpenRegion in flight
+	opening map[string]*openCall // OpenRegion calls in flight, by region ID
+	// sweepMu is held while crash releases the hosted regions, so a
+	// CloseRegion that finds its region already gone can wait until the
+	// store is closed.
+	sweepMu sync.Mutex
 	crashed atomic.Bool
 	// draining marks a server being decommissioned: it still serves its
 	// regions while the master hands them off, but receives no new
@@ -45,7 +49,7 @@ func newRegionServer(c *Cluster, id string) *RegionServer {
 		cluster: c,
 		cache:   sstable.NewBlockCache(c.cfg.BlockCacheBytes),
 		regions: make(map[string]*Region),
-		opening: make(map[string]struct{}),
+		opening: make(map[string]*openCall),
 		ops:     c.metrics.Counter("diffindex_server_ops_total", metrics.L("server", id)),
 	}
 	// Computed gauges read through CacheStats so they keep reporting the
@@ -128,34 +132,47 @@ func mapStoreErr(err error) error {
 	return err
 }
 
+// openCall is one OpenRegion in flight; err is set before done closes.
+type openCall struct {
+	done chan struct{}
+	err  error
+}
+
 // OpenRegion opens (or recovers) a region on this server. Cells found in the
 // region's WAL are replayed into a fresh memtable and surfaced to the
 // table's coprocessor via OnReplay, after the region is fully open (§5.3:
 // replayed puts re-enter the AUQ).
-func (s *RegionServer) OpenRegion(info RegionInfo) error {
+func (s *RegionServer) OpenRegion(info RegionInfo) (err error) {
 	if s.crashed.Load() {
 		return ErrServerDown
 	}
-	// Reserve the slot first: recovery paths (crash re-homing, the repair
-	// pass, a retried move) may race each other onto the same server, and
-	// two lsm stores must never be open on one region directory at once.
-	// An already-hosted or already-opening region makes the open a no-op.
+	// Reserve the slot first: two lsm stores must never be open on one
+	// region directory at once. An already-hosted region makes the open a
+	// no-op; a second open of a region already opening waits for the first
+	// and returns its result, so no caller takes a failed open for a placed
+	// region.
 	s.mu.Lock()
 	if _, ok := s.regions[info.ID]; ok {
 		s.mu.Unlock()
 		return nil
 	}
-	if _, ok := s.opening[info.ID]; ok {
+	if call, ok := s.opening[info.ID]; ok {
 		s.mu.Unlock()
-		return nil
+		<-call.done
+		return call.err
 	}
-	s.opening[info.ID] = struct{}{}
+	call := &openCall{done: make(chan struct{})}
+	s.opening[info.ID] = call
 	cache := s.cache
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		delete(s.opening, info.ID)
+		if s.opening[info.ID] == call {
+			delete(s.opening, info.ID)
+		}
 		s.mu.Unlock()
+		call.err = err
+		close(call.done)
 	}()
 
 	region := &Region{Info: info, server: s}
@@ -249,14 +266,26 @@ func (s *RegionServer) OpenRegion(info RegionInfo) error {
 }
 
 // CloseRegion closes a hosted region, leaving its files for another server.
+// It first waits out an open of the region in flight here and, when the
+// region is already gone, a crash still releasing it: on return this server
+// holds no store for the region.
 func (s *RegionServer) CloseRegion(regionID string) error {
 	s.mu.Lock()
+	for call := s.opening[regionID]; call != nil; call = s.opening[regionID] {
+		s.mu.Unlock()
+		<-call.done
+		s.mu.Lock()
+	}
 	region, ok := s.regions[regionID]
 	delete(s.regions, regionID)
 	s.mu.Unlock()
 	if !ok {
+		s.sweepMu.Lock()
+		s.sweepMu.Unlock()
 		return ErrRegionNotFound
 	}
+	// The AUQ goes before the store: a flush blocked in its pre-flush drain
+	// then gives up instead of holding the flushMu that Store.Close waits on.
 	if cp := s.cluster.coprocessor(region.Info.Table); cp != nil {
 		cp.OnRegionClose(RegionCtx{Region: region, Server: s, Cluster: s.cluster})
 	}
@@ -274,7 +303,7 @@ func (s *RegionServer) region(id string) (*Region, error) {
 		return nil, ErrRegionNotFound
 	}
 	if region.frozen.Load() {
-		return nil, ErrRegionNotFound // mid-split: clients re-route and retry
+		return nil, ErrRegionNotFound // mid-split or merge: clients re-route and retry
 	}
 	// Every data RPC that resolved a region counts toward the hotspot
 	// signal: per region for placement decisions, per server for imbalance
@@ -284,8 +313,8 @@ func (s *RegionServer) region(id string) (*Region, error) {
 	return region, nil
 }
 
-// FreezeRegion makes a hosted region reject requests (used while a split is
-// in flight). The region's store stays open for the split's own flush.
+// FreezeRegion makes a hosted region reject requests while a split or merge
+// hands it over. The store stays open for the transition's own flush.
 func (s *RegionServer) FreezeRegion(id string) error {
 	if s.crashed.Load() {
 		return ErrServerDown
@@ -297,22 +326,6 @@ func (s *RegionServer) FreezeRegion(id string) error {
 		return ErrRegionNotFound
 	}
 	region.frozen.Store(true)
-	return nil
-}
-
-// UnfreezeRegion reverts FreezeRegion — the failure path of a split or
-// merge that froze a parent it could not finish dismantling.
-func (s *RegionServer) UnfreezeRegion(id string) error {
-	if s.crashed.Load() {
-		return ErrServerDown
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	region, ok := s.regions[id]
-	if !ok {
-		return ErrRegionNotFound
-	}
-	region.frozen.Store(false)
 	return nil
 }
 
@@ -578,6 +591,8 @@ func (s *RegionServer) Regions() []RegionInfo {
 // and SSTables survive in the shared FS. Subsequent RPCs fail with
 // ErrServerDown. Idempotent: regions are released exactly once.
 func (s *RegionServer) crash() {
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
 	s.crashed.Store(true)
 	s.mu.Lock()
 	regions := s.regions
@@ -604,27 +619,14 @@ func (s *RegionServer) restart() {
 	s.mu.Lock()
 	s.cache = sstable.NewBlockCache(s.cluster.cfg.BlockCacheBytes)
 	s.regions = make(map[string]*Region)
-	s.opening = make(map[string]struct{})
+	s.opening = make(map[string]*openCall)
 	s.mu.Unlock()
 	s.crashed.Store(false)
 }
 
-// hostsRegion reports whether the server holds the region at all — frozen,
-// serving, or with an open still in flight. The repair pass uses it: any of
-// those states means the region is not stranded.
-func (s *RegionServer) hostsRegion(regionID string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.regions[regionID]; ok {
-		return true
-	}
-	_, ok := s.opening[regionID]
-	return ok
-}
-
 // hostsUnfrozen reports whether the server currently serves the region and
-// no split has frozen it. The master's rebalancer only steals regions that
-// are actually movable.
+// no split or merge has frozen it. The master's rebalancer only steals
+// regions that are actually movable.
 func (s *RegionServer) hostsUnfrozen(regionID string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

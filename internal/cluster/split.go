@@ -3,46 +3,22 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-
-	"diffindex/internal/kv"
-	"diffindex/internal/lsm"
 )
 
 // SplitRegion splits a region in two at splitKey (a routing key strictly
 // inside the region's range), like HBase's manual region split. The lower
 // child stays on the region's server; the upper child is assigned
-// round-robin. While the split runs the parent rejects requests and clients
-// transparently retry with backoff until the children are registered.
-//
-// The sequence is: freeze the parent (new mutations bounce), flush it (the
-// pre-flush hook drains its AUQ, so no asynchronous index work is pending
-// and the WAL rolls forward), close it, re-read its persisted data, route
-// every cell — base cells by row, local-index cells by their row, raw cells
-// by themselves — into the matching child, and publish the children in the
-// partition map. Timestamps are preserved, so the copy is idempotent under
-// LSM semantics.
+// round-robin. The parent is frozen, flushed (draining its AUQ) and closed,
+// and its full history is copied into the children (transition.go); clients
+// back off and retry until the children are published.
 func (m *Master) SplitRegion(regionID string, splitKey []byte) error {
-	// Serialize against merges, balancer moves and decommissions: two
-	// topology operations must never close/open the same region's store
-	// concurrently. Crash/restart recovery intentionally bypasses this lock.
+	// Serialize against merges, balancer moves and decommissions. Crash and
+	// restart recovery intentionally bypass this lock.
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	return m.splitRegion(regionID, splitKey)
-}
 
-func (m *Master) splitRegion(regionID string, splitKey []byte) error {
-	// Locate the parent and validate the split point.
 	m.mu.Lock()
-	var meta *tableMeta
-	var idx int
-	var parent *RegionInfo
-	for _, tm := range m.tables {
-		for i, ri := range tm.regions {
-			if ri.ID == regionID {
-				meta, idx, parent = tm, i, ri
-			}
-		}
-	}
+	parent := m.findRegionLocked(regionID)
 	if parent == nil {
 		m.mu.Unlock()
 		return fmt.Errorf("cluster: unknown region %s", regionID)
@@ -51,280 +27,86 @@ func (m *Master) splitRegion(regionID string, splitKey []byte) error {
 		m.mu.Unlock()
 		return fmt.Errorf("cluster: split key %q outside region %s", splitKey, parent)
 	}
-	server := m.cluster.Server(parent.Server)
 	live := m.cluster.AssignableServerIDs()
 	if len(live) == 0 {
 		live = m.cluster.LiveServerIDs()
 	}
-	if server == nil || server.Crashed() || len(live) == 0 {
+	if m.cluster.Server(parent.Server).Crashed() || len(live) == 0 {
 		m.mu.Unlock()
 		return ErrServerDown
 	}
-	upperServer := live[m.rr%len(live)]
-	m.rr++
-	meta.nextSplit++
-	lower := &RegionInfo{
-		ID:     fmt.Sprintf("%s.s%04da", parent.ID, meta.nextSplit),
+	meta := m.tables[parent.Table]
+	lower := RegionInfo{
+		ID:     meta.newRegionID(),
 		Table:  parent.Table,
 		Start:  parent.Start,
 		End:    append([]byte(nil), splitKey...),
 		Server: parent.Server,
 	}
-	upper := &RegionInfo{
-		ID:     fmt.Sprintf("%s.s%04db", parent.ID, meta.nextSplit),
+	upper := RegionInfo{
+		ID:     meta.newRegionID(),
 		Table:  parent.Table,
 		Start:  append([]byte(nil), splitKey...),
 		End:    parent.End,
-		Server: upperServer,
+		Server: live[m.rr%len(live)],
 	}
-	raw := meta.raw
-	parentInfo := *parent
+	m.rr++
+	src := *parent
 	m.mu.Unlock()
 
-	// Any failure past the freeze must put the parent back in service:
-	// close partially opened children, then unfreeze or reopen the parent
-	// wherever the metadata still routes to it. Leaving it frozen or
-	// unhosted would bounce its key range forever.
-	fail := func(err error) error {
-		m.cluster.Server(lower.Server).CloseRegion(lower.ID)
-		m.cluster.Server(upper.Server).CloseRegion(upper.ID)
-		m.reviveParent(parentInfo)
-		return err
-	}
-
-	// Freeze: the parent stops accepting requests; clients back off.
-	if err := server.FreezeRegion(regionID); err != nil {
-		return err
-	}
-	// Flush drains the region's AUQ (pre-flush hook) and persists the
-	// memtable; the WAL rolls forward, so the persisted SSTables are the
-	// complete region state.
-	if err := server.Flush(regionID); err != nil {
-		return fail(err)
-	}
-	if err := server.CloseRegion(regionID); err != nil {
-		return fail(err)
-	}
-
-	// Re-open the parent's store read-only to stream its live data. The
-	// WAL is empty after the flush; replaying it is a no-op.
-	parentStore, err := lsm.Open(lsm.Options{
-		FS:                 m.cluster.FS,
-		Dir:                regionDir(parentInfo),
-		DisableAutoFlush:   true,
-		DisableAutoCompact: true,
-	})
-	if err != nil {
-		return fail(fmt.Errorf("cluster: reopen parent for split: %w", err))
-	}
-	// ScanAll copies the full MVCC history — every version plus tombstones.
-	// Without tombstones a late-redelivered index cell (at-least-once
-	// delivery) could resurrect a superseded entry in the child; without
-	// older base versions a redelivered AUQ task could miss its pre-image
-	// read and skip the superseded-entry delete.
-	cells, err := parentStore.ScanAll(nil, nil, kv.MaxTimestamp)
-	parentStore.Close()
-	if err != nil {
-		return fail(err)
-	}
-
-	// Open the children and route the parent's cells into them.
-	if err := m.cluster.Server(lower.Server).OpenRegion(*lower); err != nil {
-		return fail(err)
-	}
-	if err := m.cluster.Server(upper.Server).OpenRegion(*upper); err != nil {
-		return fail(err)
-	}
-	var lowerCells, upperCells []kv.Cell
-	for _, cell := range cells {
-		route, err := routingKeyOf(raw, cell.Key)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: split routing: %w", err))
-		}
-		if bytes.Compare(route, splitKey) < 0 {
-			lowerCells = append(lowerCells, cell)
-		} else {
-			upperCells = append(upperCells, cell)
-		}
-	}
-	if err := applyChunked(m.cluster.Server(lower.Server), lower.ID, lowerCells); err != nil {
-		return fail(err)
-	}
-	if err := applyChunked(m.cluster.Server(upper.Server), upper.ID, upperCells); err != nil {
-		return fail(err)
-	}
-
-	// Publish the children; clients refresh on their next routing miss.
-	// Re-validate first: if the parent's host crashed mid-split, recovery
-	// re-homed and REOPENED the parent elsewhere, and it may have accepted
-	// writes the children never saw — publishing would lose them. Abandon
-	// the split instead (the reopened parent keeps serving).
-	m.mu.Lock()
-	if cur := m.findRegionLocked(parentInfo.ID); cur == nil || cur.Server != parentInfo.Server {
-		m.mu.Unlock()
-		return fail(fmt.Errorf("cluster: split of %s preempted by crash recovery", parentInfo.ID))
-	}
-	meta.regions = append(meta.regions[:idx], append([]*RegionInfo{lower, upper}, meta.regions[idx+1:]...)...)
-	m.mu.Unlock()
-
-	// Garbage-collect the parent's files (its data now lives in the
-	// children's stores and WALs).
-	if names, err := m.cluster.FS.List(regionDir(parentInfo) + "/"); err == nil {
-		for _, name := range names {
-			m.cluster.FS.Remove(name)
-		}
+	if _, err := m.transition([]RegionInfo{src}, []RegionInfo{lower, upper}); err != nil {
+		return fmt.Errorf("cluster: split %s: %w", regionID, err)
 	}
 	return nil
 }
 
 // MergeRegions merges two ADJACENT regions of a table into one, the inverse
 // of SplitRegion (HBase's region merge). Both parents are frozen, flushed
-// (draining their AUQs) and closed; their data streams into a fresh child
+// (draining their AUQs) and closed; their history is copied into a child
 // covering the union range, hosted on the lower parent's server.
 func (m *Master) MergeRegions(lowerID, upperID string) error {
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	return m.mergeRegions(lowerID, upperID)
+	_, err := m.mergeRegions(lowerID, upperID)
+	return err
 }
 
 // mergeRegions is MergeRegions without the topology lock, for callers that
-// already hold it (the balancer's cold-merge pass).
-func (m *Master) mergeRegions(lowerID, upperID string) error {
+// already hold it (the balancer's cold-merge pass). It returns the child's
+// ID.
+func (m *Master) mergeRegions(lowerID, upperID string) (string, error) {
 	m.mu.Lock()
-	var meta *tableMeta
-	var idx int // index of the lower region
-	for _, tm := range m.tables {
-		for i, ri := range tm.regions {
-			if ri.ID == lowerID {
-				meta, idx = tm, i
-			}
-		}
-	}
-	if meta == nil {
+	lower := m.findRegionLocked(lowerID)
+	if lower == nil {
 		m.mu.Unlock()
-		return fmt.Errorf("cluster: unknown region %s", lowerID)
+		return "", fmt.Errorf("cluster: unknown region %s", lowerID)
+	}
+	meta := m.tables[lower.Table]
+	idx := 0
+	for meta.regions[idx] != lower {
+		idx++
 	}
 	if idx+1 >= len(meta.regions) || meta.regions[idx+1].ID != upperID {
 		m.mu.Unlock()
-		return fmt.Errorf("cluster: regions %s and %s are not adjacent", lowerID, upperID)
+		return "", fmt.Errorf("cluster: regions %s and %s are not adjacent", lowerID, upperID)
 	}
-	lower, upper := meta.regions[idx], meta.regions[idx+1]
-	ls := m.cluster.Server(lower.Server)
-	us := m.cluster.Server(upper.Server)
-	if ls == nil || us == nil || ls.Crashed() || us.Crashed() {
+	upper := meta.regions[idx+1]
+	if m.cluster.Server(lower.Server).Crashed() || m.cluster.Server(upper.Server).Crashed() {
 		m.mu.Unlock()
-		return ErrServerDown
+		return "", ErrServerDown
 	}
-	meta.nextSplit++
-	child := &RegionInfo{
-		ID:     fmt.Sprintf("%s.m%04d", lower.ID, meta.nextSplit),
+	child := RegionInfo{
+		ID:     meta.newRegionID(),
 		Table:  lower.Table,
 		Start:  lower.Start,
 		End:    upper.End,
 		Server: lower.Server,
 	}
-	lowerInfo, upperInfo := *lower, *upper
+	sources := []RegionInfo{*lower, *upper}
 	m.mu.Unlock()
 
-	// Any failure past the first freeze must put both parents back in
-	// service (see splitRegion's twin cleanup).
-	fail := func(err error) error {
-		m.cluster.Server(child.Server).CloseRegion(child.ID)
-		m.reviveParent(lowerInfo)
-		m.reviveParent(upperInfo)
-		return err
+	if _, err := m.transition(sources, []RegionInfo{child}); err != nil {
+		return "", fmt.Errorf("cluster: merge %s and %s: %w", lowerID, upperID, err)
 	}
-
-	// Freeze, flush (drain), close both parents.
-	for _, p := range []struct {
-		s  *RegionServer
-		id string
-	}{{ls, lowerID}, {us, upperID}} {
-		if err := p.s.FreezeRegion(p.id); err != nil {
-			return fail(err)
-		}
-		if err := p.s.Flush(p.id); err != nil {
-			return fail(err)
-		}
-		if err := p.s.CloseRegion(p.id); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Stream both parents' persisted data into the child.
-	if err := m.cluster.Server(child.Server).OpenRegion(*child); err != nil {
-		return fail(err)
-	}
-	for _, parent := range []RegionInfo{lowerInfo, upperInfo} {
-		store, err := lsm.Open(lsm.Options{
-			FS:                 m.cluster.FS,
-			Dir:                regionDir(parent),
-			DisableAutoFlush:   true,
-			DisableAutoCompact: true,
-		})
-		if err != nil {
-			return fail(fmt.Errorf("cluster: reopen parent for merge: %w", err))
-		}
-		// ScanAll copies the full MVCC history (see splitRegion): the merged
-		// child must keep masking late-redelivered index cells and keep
-		// answering pre-image reads for redelivered AUQ tasks.
-		cells, err := store.ScanAll(nil, nil, kv.MaxTimestamp)
-		store.Close()
-		if err != nil {
-			return fail(err)
-		}
-		if err := applyChunked(m.cluster.Server(child.Server), child.ID, cells); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Publish the child, GC the parents' files. Re-validate first (see
-	// splitRegion): a parent re-homed by crash recovery mid-merge was
-	// reopened elsewhere and may hold writes the child never saw.
-	m.mu.Lock()
-	for _, parent := range []RegionInfo{lowerInfo, upperInfo} {
-		if cur := m.findRegionLocked(parent.ID); cur == nil || cur.Server != parent.Server {
-			m.mu.Unlock()
-			return fail(fmt.Errorf("cluster: merge of %s preempted by crash recovery", parent.ID))
-		}
-	}
-	meta.regions = append(meta.regions[:idx], append([]*RegionInfo{child}, meta.regions[idx+2:]...)...)
-	m.mu.Unlock()
-	for _, parent := range []RegionInfo{lowerInfo, upperInfo} {
-		if names, err := m.cluster.FS.List(regionDir(parent) + "/"); err == nil {
-			for _, name := range names {
-				m.cluster.FS.Remove(name)
-			}
-		}
-	}
-	return nil
-}
-
-// routingKeyOf maps a store key to its routing key: identity for raw
-// tables; for row tables, the row of a base cell or of a local-index entry.
-func routingKeyOf(raw bool, storeKey []byte) ([]byte, error) {
-	if raw {
-		return storeKey, nil
-	}
-	if kv.IsLocalIndexKey(storeKey) {
-		return kv.LocalIndexRow(storeKey)
-	}
-	row, _, err := kv.SplitBaseKey(storeKey)
-	return row, err
-}
-
-// applyChunked writes cells to a region in batches.
-func applyChunked(s *RegionServer, regionID string, cells []kv.Cell) error {
-	const chunk = 256
-	for len(cells) > 0 {
-		n := chunk
-		if n > len(cells) {
-			n = len(cells)
-		}
-		if err := s.Apply(regionID, cells[:n]); err != nil {
-			return err
-		}
-		cells = cells[n:]
-	}
-	return nil
+	return child.ID, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diffindex/internal/kv"
+	"diffindex/internal/vfs"
 )
 
 func TestSplitRegionBasic(t *testing.T) {
@@ -241,6 +242,67 @@ func TestMergeRegions(t *testing.T) {
 	if len(rows) != 41 {
 		t.Fatalf("rows after split+merge = %d", len(rows))
 	}
+}
+
+// TestTransitionRollsBackWhenTargetFails: a split or merge whose new region
+// cannot take its data (every write to the new region's directory fails)
+// returns an error and puts the source range back in service, with every
+// row intact. Once the fault clears, the same operations go through.
+func TestTransitionRollsBackWhenTargetFails(t *testing.T) {
+	fault := vfs.NewFaultFS(vfs.NewMemFS())
+	c := New(Config{Servers: 2, BaseFS: fault})
+	t.Cleanup(func() { c.Close() })
+	if err := c.Master.CreateTable("t", splits("m")); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(c, "cl")
+	for i := 0; i < 40; i++ {
+		row := []byte(fmt.Sprintf("%c%02d", 'a'+byte(i%26), i))
+		if _, err := cl.Put("t", row, map[string][]byte{"v": []byte(fmt.Sprint(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string, regions int) {
+		t.Helper()
+		if un := c.Master.Unserved(); len(un) != 0 {
+			t.Fatalf("%s: unserved regions %v", stage, un)
+		}
+		if got, _ := c.Master.RegionsOf("t"); len(got) != regions {
+			t.Fatalf("%s: %d regions, want %d", stage, len(got), regions)
+		}
+		rows, err := cl.Scan("t", nil, nil, 0)
+		if err != nil || len(rows) != 40 {
+			t.Fatalf("%s: scan = %d rows, err %v", stage, len(rows), err)
+		}
+	}
+	// Region IDs come from one per-table counter: CreateTable minted
+	// t.r0000 and t.r0001, so the split's lower child is t.r0002 and the
+	// merge's child, after the failed split's two, is t.r0004.
+	regions, _ := c.Master.RegionsOf("t")
+	fault.Arm(vfs.FaultConfig{Seed: 1, WriteErrProb: 1, PathSubstr: "/t.r0002/"})
+	if err := c.Master.SplitRegion(regions[0].ID, []byte("f")); err == nil {
+		t.Fatal("split into an unwritable region succeeded")
+	}
+	check("after failed split", 2)
+	fault.Arm(vfs.FaultConfig{Seed: 1, WriteErrProb: 1, PathSubstr: "/t.r0004/"})
+	if err := c.Master.MergeRegions(regions[0].ID, regions[1].ID); err == nil {
+		t.Fatal("merge into an unwritable region succeeded")
+	}
+	check("after failed merge", 2)
+
+	fault.Disarm()
+	if err := c.Master.MergeRegions(regions[0].ID, regions[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	check("after merge", 1)
+	regions, _ = c.Master.RegionsOf("t")
+	if regions[0].ID != "t.r0005" {
+		t.Errorf("merged child is %s, want t.r0005", regions[0].ID)
+	}
+	if err := c.Master.SplitRegion(regions[0].ID, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	check("after split", 2)
 }
 
 func TestMergeRegionsErrors(t *testing.T) {

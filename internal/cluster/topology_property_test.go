@@ -7,11 +7,15 @@ import (
 	"testing/quick"
 )
 
-// TestTopologyChurnProperty drives random puts, deletes, splits, merges and
-// crashes against one table and checks the table's contents against a model
-// map after every topology change and at the end. This is the integration
-// invariant behind elasticity: topology changes never lose, duplicate or
-// corrupt data.
+// TestTopologyChurnProperty drives random puts, deletes, splits, merges,
+// moves, crashes (some followed by a restart) and server add + decommission
+// pairs against one table. It checks the table's contents against a model
+// map after every topology change and at the end, and after every op that
+// every region is served, unfrozen, by the server the metadata names. This
+// is the integration invariant behind elasticity: topology changes never
+// lose, duplicate or corrupt data, and never leave a range unserved. No
+// balancer runs, so nothing could repair a stranded region behind the
+// check.
 func TestTopologyChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -45,7 +49,11 @@ func TestTopologyChurnProperty(t *testing.T) {
 
 		crashes := 0
 		for op := 0; op < 120; op++ {
-			switch rng.Intn(12) {
+			if un := c.Master.Unserved(); len(un) != 0 {
+				t.Logf("seed %d op %d: unserved regions %v", seed, op, un)
+				return false
+			}
+			switch rng.Intn(15) {
 			case 0: // split a random region at a random existing row
 				if len(model) == 0 {
 					continue
@@ -93,6 +101,42 @@ func TestTopologyChurnProperty(t *testing.T) {
 						return false
 					}
 				}
+			case 4: // move a random region to a random live server
+				regions, _ := c.Master.RegionsOf("t")
+				live := c.LiveServerIDs()
+				ri := regions[rng.Intn(len(regions))]
+				if _, err := c.Master.MoveRegion(ri.ID, live[rng.Intn(len(live))]); err != nil {
+					t.Logf("seed %d: move: %v", seed, err)
+					return false
+				}
+				if !verify("after move") {
+					return false
+				}
+			case 5: // crash a server and restart it (keep one other alive)
+				if live := c.LiveServerIDs(); len(live) > 1 {
+					victim := live[rng.Intn(len(live))]
+					if err := c.Master.CrashServer(victim); err != nil {
+						t.Logf("seed %d: crash: %v", seed, err)
+						return false
+					}
+					if err := c.Master.RestartServer(victim); err != nil {
+						t.Logf("seed %d: restart: %v", seed, err)
+						return false
+					}
+					if !verify("after crash and restart") {
+						return false
+					}
+				}
+			case 6: // add a server, then decommission a random live one
+				c.AddServer()
+				live := c.LiveServerIDs()
+				if err := c.Master.DecommissionServer(live[rng.Intn(len(live))]); err != nil {
+					t.Logf("seed %d: decommission: %v", seed, err)
+					return false
+				}
+				if !verify("after add and decommission") {
+					return false
+				}
 			case 3: // delete
 				if len(model) == 0 {
 					continue
@@ -114,6 +158,10 @@ func TestTopologyChurnProperty(t *testing.T) {
 				}
 				model[k] = v
 			}
+		}
+		if un := c.Master.Unserved(); len(un) != 0 {
+			t.Logf("seed %d final: unserved regions %v", seed, un)
+			return false
 		}
 		return verify("final")
 	}

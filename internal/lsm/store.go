@@ -762,6 +762,14 @@ func (s *Store) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
+	s.mu.Unlock()
+	// An explicit Flush writes and installs its table holding only flushMu,
+	// and bg covers only auto-flushes: wait it out, or the next owner of the
+	// directory opens a half-written table and the late install leaks its
+	// reader into a closed store.
+	s.flushMu.Lock()
+	s.flushMu.Unlock()
+	s.mu.Lock()
 	tables := s.tables
 	s.tables = nil
 	s.mu.Unlock()

@@ -454,6 +454,52 @@ func TestReadsRaceClose(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFlushRacesClose: Close must not return while an explicit Flush is
+// still writing its SSTable. The next owner of a region opens the directory
+// as soon as the old owner's Close returns; a half-written table there fails
+// that open ("malformed table", "bad magic"). Every write sleeps here, so
+// the flush's table write spans milliseconds and Close lands inside it.
+func TestFlushRacesClose(t *testing.T) {
+	const keys = 2000
+	fs := vfs.NewLatencyFS(vfs.NewMemFS(), vfs.LatencyProfile{WriteLatency: 100 * time.Microsecond})
+	s := newTestStore(t, fs)
+	batch := make([]kv.Cell, keys)
+	for i := range batch {
+		batch[i] = kv.Cell{Key: []byte(fmt.Sprintf("k%05d", i)), Value: []byte("v"), Ts: 1, Kind: kv.KindPut}
+	}
+	if err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.Flush() }()
+	// Close once the memtable is swapped out: the flush is in its table write.
+	for {
+		s.mu.RLock()
+		swapped := len(s.imm) > 0
+		s.mu.RUnlock()
+		if swapped {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(Options{FS: fs, Dir: "store", DisableAutoFlush: true, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatalf("open after Close raced Flush: %v", err)
+	}
+	defer reopened.Close()
+	rows, err := reopened.Scan(nil, nil, kv.MaxTimestamp, 0)
+	if err != nil || len(rows) != keys {
+		t.Fatalf("reopened store: %d rows, err %v; want %d", len(rows), err, keys)
+	}
+	if err := <-flushed; err != nil && err != ErrClosed {
+		t.Fatalf("flush racing Close: %v", err)
+	}
+}
+
 // TestModelEquivalence drives the store and an in-memory model with random
 // operations including flushes and compactions, then compares reads.
 func TestModelEquivalence(t *testing.T) {
