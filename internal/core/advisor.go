@@ -72,9 +72,7 @@ type Advisor struct {
 // manager reports each index update and index read to it.
 func (m *Manager) NewAdvisor() *Advisor {
 	a := &Advisor{m: m, updates: make(map[string]int64), reads: make(map[string]int64)}
-	m.mu.Lock()
-	m.advisor = a
-	m.mu.Unlock()
+	m.advisor.Store(a)
 	return a
 }
 

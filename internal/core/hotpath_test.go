@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"diffindex/internal/metrics"
 )
 
 // TestSyncFullRPCBatching counter-verifies the tentpole claim: a sync-full
@@ -203,5 +205,30 @@ func TestCacheStatsRollup(t *testing.T) {
 	}
 	if misses == 0 || hits == 0 {
 		t.Errorf("cache stats hits=%d misses=%d, want both > 0", hits, misses)
+	}
+}
+
+// TestStageHistHitAllocs guards the read and write paths' stage recording:
+// once a (stage, table[, scheme]) histogram is resolved, recording into it
+// does no registry lookup and allocates nothing, and it is the instrument
+// the registry reports under those labels.
+func TestStageHistHitAllocs(t *testing.T) {
+	e := newEnv(t, 1, ManagerOptions{})
+	h := e.m.stageHist(metrics.StageIndexScan, e.tbl)
+	if want := e.c.Metrics().Histogram("diffindex_stage_latency_ns",
+		metrics.L("stage", metrics.StageIndexScan), metrics.L("table", e.tbl)); h != want {
+		t.Fatal("stageHist resolved a different instrument than the registry")
+	}
+	hs := e.m.schemeStages.With(metrics.StageIndexRPC, e.tbl, SyncInsert.String())
+	if want := e.c.Metrics().Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageIndexRPC),
+		metrics.L("table", e.tbl), metrics.L("scheme", "sync-insert")); hs != want {
+		t.Fatal("schemeStages resolved a different instrument than the registry")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		e.m.stageHist(metrics.StageIndexScan, e.tbl).Record(1)
+		e.m.schemeStages.With(metrics.StageIndexRPC, e.tbl, SyncInsert.String()).Record(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("stage histogram hit = %v allocs, want 0", allocs)
 	}
 }

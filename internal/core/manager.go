@@ -110,30 +110,31 @@ type Manager struct {
 	// DB.MetricsSnapshot read the same instruments.
 	reg *metrics.Registry
 
+	// stages and schemeStages resolve the stage-latency histograms by
+	// (stage, table) and (stage, table, scheme) once per combination.
+	stages, schemeStages *metrics.HistogramVec
+
 	mu          sync.Mutex
 	auqs        map[*cluster.Region]*auq
 	serverConns map[string]*cluster.Client
 	staleness   *metrics.Histogram
-	advisor     *Advisor
+	// advisor is read on every index read and indexed put, so it is an
+	// atomic pointer rather than state under mu.
+	advisor atomic.Pointer[Advisor]
 }
 
 // noteIndexUpdate/noteIndexRead report per-index activity to the attached
-// advisor, if any.
-func (m *Manager) noteIndexUpdate(indexName string) {
-	m.mu.Lock()
-	a := m.advisor
-	m.mu.Unlock()
-	if a != nil {
-		a.noteUpdate(indexName)
+// advisor, if any. Without one they cost an atomic load: not even the index
+// name is built.
+func (m *Manager) noteIndexUpdate(def IndexDef) {
+	if a := m.advisor.Load(); a != nil {
+		a.noteUpdate(def.Name())
 	}
 }
 
-func (m *Manager) noteIndexRead(indexName string) {
-	m.mu.Lock()
-	a := m.advisor
-	m.mu.Unlock()
-	if a != nil {
-		a.noteRead(indexName)
+func (m *Manager) noteIndexRead(def IndexDef) {
+	if a := m.advisor.Load(); a != nil {
+		a.noteRead(def.Name())
 	}
 }
 
@@ -151,6 +152,8 @@ func NewManager(c *cluster.Cluster, opts ManagerOptions) *Manager {
 		reconcileCounters: newReconcileCounters(reg),
 		staleness:         reg.Histogram("diffindex_staleness_ns"),
 		apsBatch:          reg.Histogram("diffindex_aps_batch_size"),
+		stages:            reg.HistogramVec("diffindex_stage_latency_ns", "stage", "table"),
+		schemeStages:      reg.HistogramVec("diffindex_stage_latency_ns", "stage", "table", "scheme"),
 	}
 	// Computed gauges over runtime state. They take m.mu / the ApplyStats
 	// counters at read time; the registry evaluates them outside its own
@@ -161,11 +164,9 @@ func NewManager(c *cluster.Cluster, opts ManagerOptions) *Manager {
 	return m
 }
 
-// stageHist resolves the stage-latency histogram for a stage on a base
-// table, with optional extra labels (e.g. the index scheme).
-func (m *Manager) stageHist(stage, table string, extra ...metrics.Label) *metrics.Histogram {
-	labels := append([]metrics.Label{metrics.L("stage", stage), metrics.L("table", table)}, extra...)
-	return m.reg.Histogram("diffindex_stage_latency_ns", labels...)
+// stageHist returns the stage-latency histogram for a stage on a base table.
+func (m *Manager) stageHist(stage, table string) *metrics.Histogram {
+	return m.stages.With(stage, table)
 }
 
 // ApplyStats reports the cumulative index-maintenance fan-out: Apply RPCs

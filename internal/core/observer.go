@@ -57,7 +57,7 @@ func (o *observer) dispatch(ctx cluster.RegionCtx, t task) {
 		if !covered {
 			continue
 		}
-		o.m.noteIndexUpdate(def.Name())
+		o.m.noteIndexUpdate(def)
 		if def.Local {
 			// Local index maintenance is synchronous and region-local
 			// (§3.1): same server, so the writes below cost no network hop.
@@ -75,7 +75,7 @@ func (o *observer) dispatch(ctx cluster.RegionCtx, t task) {
 			rpcStart := time.Now()
 			o.syncInsert(ctx, def, t)
 			d := time.Since(rpcStart)
-			o.m.stageHist(metrics.StageIndexRPC, ctx.Region.Info.Table, metrics.L("scheme", "sync-insert")).RecordDuration(d)
+			o.m.schemeStages.With(metrics.StageIndexRPC, ctx.Region.Info.Table, SyncInsert.String()).RecordDuration(d)
 			ctx.Trace.AddStage(metrics.StageIndexRPC, d)
 		case AsyncSimple, AsyncSession:
 			needsAsync = true
@@ -93,7 +93,7 @@ func (o *observer) dispatch(ctx cluster.RegionCtx, t task) {
 		rpcStart := time.Now()
 		err := o.syncFull(ctx, t)
 		d := time.Since(rpcStart)
-		o.m.stageHist(metrics.StageIndexRPC, ctx.Region.Info.Table, metrics.L("scheme", "sync-full")).RecordDuration(d)
+		o.m.schemeStages.With(metrics.StageIndexRPC, ctx.Region.Info.Table, SyncFull.String()).RecordDuration(d)
 		ctx.Trace.AddStage(metrics.StageIndexRPC, d)
 		if err != nil {
 			// A failed synchronous operation degrades to eventual

@@ -86,6 +86,45 @@ func DecodePart(b []byte) (part, rest []byte, err error) {
 	return nil, nil, ErrBadEncoding
 }
 
+// FirstPartLen returns the length of b's first encoded part, terminator
+// included, without decoding it: b[:n] is the prefix that every key sharing
+// b's first part begins with — a base key's row, an index key's value. It
+// returns -1 when b does not start with a complete, well-formed part (a
+// local-index key, a raw key, a truncated part).
+func FirstPartLen(b []byte) int {
+	for i := 0; i < len(b); i++ {
+		if b[i] != escByte {
+			continue
+		}
+		if i+1 >= len(b) {
+			return -1
+		}
+		switch b[i+1] {
+		case escCont:
+			i++
+		case escTerm:
+			return i + 2
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
+// IsPartRange reports whether [lo, hi) is exactly the keys whose first part
+// is lo: lo is one complete part and hi is PrefixSuccessor(lo). A row read
+// and an exact-value index read scan such a range, and SSTables whose
+// filter lacks lo can be skipped for it.
+func IsPartRange(lo, hi []byte) bool {
+	n := len(lo)
+	if n == 0 || len(hi) != n || FirstPartLen(lo) != n {
+		return false
+	}
+	// lo ends with the terminator byte escTerm, so its successor only
+	// increments that byte.
+	return hi[n-1] == escTerm+1 && bytes.Equal(hi[:n-1], lo[:n-1])
+}
+
 // DecodeComposite decodes every part of a composite key.
 func DecodeComposite(b []byte) ([][]byte, error) {
 	var parts [][]byte

@@ -29,6 +29,20 @@ func FuzzDecodeComposite(f *testing.F) {
 	})
 }
 
+func FuzzFirstPartLen(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(RowPrefix([]byte("row")))
+	f.Add(BaseKey([]byte("row"), []byte("col")))
+	f.Add(IndexKey([]byte{0x00, 0xFF, 0x00}, []byte("row")))
+	f.Add(IndexKey([]byte{0xFF}, nil))
+	f.Add(LocalIndexKey("lidx_t_c", []byte("value"), []byte("row")))
+	f.Add([]byte{'r', 'o', 0x00})
+	f.Add([]byte{0x00, 0xFF})
+	f.Add([]byte{0x00, 0x00})
+	f.Add([]byte{0x00, 0x01})
+	f.Fuzz(checkFirstPartLen)
+}
+
 func FuzzParseInternalKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(InternalKey([]byte("user"), 42, KindPut))

@@ -347,8 +347,11 @@ func (s *Store) applyBatch(cells []kv.Cell, tr *metrics.Trace) error {
 		recordStage(s.stageWAL, d)
 		tr.AddStage(metrics.StageWAL, d)
 		// The durable log position of this batch: a slow-op entry can name
-		// the exact segment@offset a stalled append landed at.
-		tr.Annotate("wal_pos", pos.String())
+		// the exact segment@offset a stalled append landed at. The trace
+		// formats it only if the slow-op log admits the operation.
+		if tr != nil {
+			tr.Annotate("wal_pos", pos)
+		}
 		memStart = time.Now()
 	}
 	for _, c := range cells {
@@ -613,11 +616,17 @@ func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResul
 	}
 	defer release()
 
+	// A range that is exactly one composite part (a row, an index value)
+	// skips every table whose bounds or filter rule the part out.
+	onePart := kv.IsPartRange(start, end)
 	iters := make([]internalIterator, 0, len(mems)+len(tables))
 	for _, m := range mems {
 		iters = append(iters, m.Iterator())
 	}
 	for _, h := range tables {
+		if onePart && !h.r.MayContainPrefix(start) {
+			continue
+		}
 		iters = append(iters, h.r.Iterator())
 	}
 	merged := newMergeIterator(iters)

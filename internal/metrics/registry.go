@@ -135,6 +135,67 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return lookupOrCreate(r, r.hists, name, labels, NewHistogram)
 }
 
+// maxVecLabels bounds a HistogramVec's label keys; the vocabulary's widest
+// hot-path histogram is (stage, table, scheme).
+const maxVecLabels = 3
+
+// HistogramVec is one histogram name over a fixed list of label keys. Each
+// label-value combination is resolved from the registry once and memoised
+// in a copy-on-write map, so a hot path pays one lock-free map lookup — no
+// registry lock, no label sort, no key building — per record.
+type HistogramVec struct {
+	reg  *Registry
+	name string
+	keys []string
+
+	mu    sync.Mutex // serializes misses
+	hists atomic.Pointer[map[[maxVecLabels]string]*Histogram]
+}
+
+// HistogramVec returns a vector of the histograms registered under name with
+// the given label keys (at most three). It is cheap to create; resolve it
+// once and keep it where the hot path can reach it.
+func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
+	if len(keys) > maxVecLabels {
+		panic("metrics: HistogramVec supports at most 3 label keys")
+	}
+	return &HistogramVec{reg: r, name: name, keys: keys}
+}
+
+// With returns the histogram for the given label values, one per key in
+// order — the same instrument Registry.Histogram returns for those labels.
+func (v *HistogramVec) With(values ...string) *Histogram {
+	var k [maxVecLabels]string
+	copy(k[:], values)
+	if m := v.hists.Load(); m != nil {
+		if h, ok := (*m)[k]; ok {
+			return h
+		}
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	old := v.hists.Load()
+	if old != nil {
+		if h, ok := (*old)[k]; ok {
+			return h
+		}
+	}
+	labels := make([]Label, len(v.keys))
+	for i, key := range v.keys {
+		labels[i] = L(key, values[i])
+	}
+	h := v.reg.Histogram(v.name, labels...)
+	next := make(map[[maxVecLabels]string]*Histogram, 1)
+	if old != nil {
+		for ek, eh := range *old {
+			next[ek] = eh
+		}
+	}
+	next[k] = h
+	v.hists.Store(&next)
+	return h
+}
+
 // RegisterGaugeFunc registers a computed gauge: fn is evaluated at snapshot
 // (and Value) time. Re-registering the same name+labels replaces the
 // function. fn must be safe for concurrent use and must not call back into

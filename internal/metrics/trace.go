@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,14 +39,34 @@ type Stage struct {
 // index-maintenance pipeline, accumulating per-stage durations. A nil
 // *Trace is valid and records nothing, so instrumentation points call its
 // methods unconditionally.
+//
+// The stages and notes of an ordinary operation fit the inline arrays, so a
+// trace costs one allocation; notes are formatted only for an operation the
+// slow-op log admits.
 type Trace struct {
 	op    string
 	table string
-	start time.Time
+	start time.Duration // on the monotonic clock, see monoNow
 
-	mu     sync.Mutex
-	stages []Stage
-	notes  map[string]string
+	mu       sync.Mutex
+	stages   []Stage
+	notes    []note
+	stageArr [4]Stage
+	noteArr  [1]note
+}
+
+// clockBase anchors monoNow.
+var clockBase = time.Now()
+
+// monoNow reads only the monotonic clock: time.Now also reads the wall
+// clock, which a trace's duration never needs.
+func monoNow() time.Duration { return time.Since(clockBase) }
+
+// note is one annotation, kept unformatted until the slow-op log admits the
+// operation.
+type note struct {
+	key   string
+	value fmt.Stringer
 }
 
 // Op returns the operation name (put, get, scan, index-get, ...).
@@ -79,21 +100,25 @@ func (t *Trace) StartStage(name string) func() {
 
 // Annotate attaches a key/value note to the trace — positional context a
 // duration can't carry, like the WAL position ("wal_pos" = "segment@offset")
-// of the batch a stalled append was writing. Later values overwrite earlier
-// ones for the same key. Safe on a nil trace.
-func (t *Trace) Annotate(key, value string) {
+// of the batch a stalled append was writing. The value is formatted only if
+// the slow-op log admits the operation. Later values overwrite earlier ones
+// for the same key. Safe on a nil trace.
+func (t *Trace) Annotate(key string, value fmt.Stringer) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.notes == nil {
-		t.notes = make(map[string]string, 2)
+	defer t.mu.Unlock()
+	for i := range t.notes {
+		if t.notes[i].key == key {
+			t.notes[i].value = value
+			return
+		}
 	}
-	t.notes[key] = value
-	t.mu.Unlock()
+	t.notes = append(t.notes, note{key: key, value: value})
 }
 
-// Notes returns a copy of the annotations recorded so far (nil when none).
+// Notes returns the annotations recorded so far, formatted (nil when none).
 func (t *Trace) Notes() map[string]string {
 	if t == nil {
 		return nil
@@ -104,8 +129,8 @@ func (t *Trace) Notes() map[string]string {
 		return nil
 	}
 	out := make(map[string]string, len(t.notes))
-	for k, v := range t.notes {
-		out[k] = v
+	for _, n := range t.notes {
+		out[n.key] = n.value.String()
 	}
 	return out
 }
@@ -146,12 +171,15 @@ type SlowOpLog struct {
 // NewSlowOpLog returns a log retaining the k slowest ops (k ≤ 0 disables).
 func NewSlowOpLog(k int) *SlowOpLog { return &SlowOpLog{k: k} }
 
+// admits reports whether an op of total latency d would rank among the K
+// slowest — the lock-free check that lets a fast op skip building its entry.
+func (l *SlowOpLog) admits(d time.Duration) bool {
+	return l != nil && l.k > 0 && int64(d) > l.min.Load()
+}
+
 // Offer records op if it ranks among the K slowest.
 func (l *SlowOpLog) Offer(op SlowOp) {
-	if l == nil || l.k <= 0 {
-		return
-	}
-	if int64(op.Total) <= l.min.Load() {
+	if !l.admits(op.Total) {
 		return // faster than the current K-th slowest: not admissible
 	}
 	l.mu.Lock()
@@ -201,14 +229,18 @@ func (l *SlowOpLog) Snapshot() []SlowOp {
 // and offers the trace to the slow-op log. A nil or disabled tracer returns
 // nil traces, making the whole tracing path a no-op.
 type Tracer struct {
-	reg      *Registry
-	slow     *SlowOpLog
-	disabled bool
+	opLatency *HistogramVec
+	slow      *SlowOpLog
+	disabled  bool
 }
 
 // NewTracer builds a tracer over reg with a slow-op log of size slowK.
 func NewTracer(reg *Registry, slowK int, disabled bool) *Tracer {
-	return &Tracer{reg: reg, slow: NewSlowOpLog(slowK), disabled: disabled}
+	return &Tracer{
+		opLatency: reg.HistogramVec("diffindex_op_latency_ns", "op", "table"),
+		slow:      NewSlowOpLog(slowK),
+		disabled:  disabled,
+	}
 }
 
 // Start begins tracing one operation; returns nil when tracing is disabled.
@@ -216,19 +248,24 @@ func (tr *Tracer) Start(op, table string) *Trace {
 	if tr == nil || tr.disabled {
 		return nil
 	}
-	return &Trace{op: op, table: table, start: time.Now()}
+	t := &Trace{op: op, table: table, start: monoNow()}
+	t.stages, t.notes = t.stageArr[:0], t.noteArr[:0]
+	return t
 }
 
 // Finish completes a trace: the total latency lands in the
 // op-latency histogram for (op, table) and the trace is offered to the
-// slow-op log. Safe with a nil trace or tracer.
+// slow-op log. Only an op the log admits has its stages and notes copied.
+// Safe with a nil trace or tracer.
 func (tr *Tracer) Finish(t *Trace) {
 	if tr == nil || t == nil {
 		return
 	}
-	total := time.Since(t.start)
-	tr.reg.Histogram("diffindex_op_latency_ns", L("op", t.op), L("table", t.table)).RecordDuration(total)
-	tr.slow.Offer(SlowOp{Op: t.op, Table: t.table, Total: total, Stages: t.Stages(), Notes: t.Notes()})
+	total := monoNow() - t.start
+	tr.opLatency.With(t.op, t.table).RecordDuration(total)
+	if tr.slow.admits(total) {
+		tr.slow.Offer(SlowOp{Op: t.op, Table: t.table, Total: total, Stages: t.Stages(), Notes: t.Notes()})
+	}
 }
 
 // SlowOps returns the slowest operations recorded so far, slowest first.

@@ -171,6 +171,28 @@ func (r *Reader) MayContainKey(userKey []byte) bool {
 	return bytes.Compare(userKey, r.smallest) >= 0 && bytes.Compare(userKey, r.largest) <= 0
 }
 
+// MayContainPrefix reports whether the table may hold a user key that
+// begins with prefix — the zero-I/O check a single-part scan (a row read, an
+// exact-value index read) uses to skip tables. The [smallest, largest]
+// bounds are checked first; when prefix is one complete composite part the
+// Bloom filter, which holds every key's first part, is consulted too.
+// Conservative: any other prefix passes the filter.
+func (r *Reader) MayContainPrefix(prefix []byte) bool {
+	if r.smallest == nil || r.largest == nil {
+		return len(r.index) > 0
+	}
+	if bytes.Compare(r.largest, prefix) < 0 {
+		return false // every key sorts below the prefix
+	}
+	if bytes.Compare(r.smallest, prefix) > 0 && !bytes.HasPrefix(r.smallest, prefix) {
+		return false // every key sorts above the prefix's range
+	}
+	if kv.FirstPartLen(prefix) != len(prefix) {
+		return true
+	}
+	return r.filter.MayContain(prefix)
+}
+
 // Close releases the underlying file handle.
 func (r *Reader) Close() error { return r.f.Close() }
 

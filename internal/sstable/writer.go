@@ -27,8 +27,12 @@ type Writer struct {
 	blockRestarts []uint32
 	blockEntries  int
 
-	userKeys [][]byte // distinct user keys, for the Bloom filter
-	lastUser []byte
+	// Bloom filter entries: every distinct user key, and every distinct
+	// first composite part (kv.FirstPartLen) so single-part scans can skip
+	// the table — HBase's ROWCOL and ROW filters in one.
+	filterKeys [][]byte
+	lastUser   []byte
+	lastFirst  []byte
 
 	smallest, largest []byte // user-key bounds
 	count             uint64
@@ -70,8 +74,17 @@ func (w *Writer) Add(ikey, value []byte) error {
 
 	user := kv.InternalUserKey(ikey)
 	if w.lastUser == nil || string(user) != string(w.lastUser) {
-		w.userKeys = append(w.userKeys, append([]byte(nil), user...))
+		w.filterKeys = append(w.filterKeys, append([]byte(nil), user...))
 		w.lastUser = append(w.lastUser[:0], user...)
+		// Keys sharing a first part are adjacent, so comparing with the
+		// previous one deduplicates. A key that is exactly one part is
+		// already in the filter as itself.
+		if n := kv.FirstPartLen(user); n > 0 && string(user[:n]) != string(w.lastFirst) {
+			w.lastFirst = append(w.lastFirst[:0], user[:n]...)
+			if n < len(user) {
+				w.filterKeys = append(w.filterKeys, append([]byte(nil), user[:n]...))
+			}
+		}
 	}
 	if w.smallest == nil {
 		w.smallest = append([]byte(nil), user...)
@@ -124,7 +137,7 @@ func (w *Writer) Finish() error {
 	ftr.entryCount = w.count
 	ftr.tombstoneCount = w.tombstones
 
-	filter := bloom.New(w.userKeys, bloom.BitsPerKey).Marshal()
+	filter := bloom.New(w.filterKeys, bloom.BitsPerKey).Marshal()
 	ftr.filterOff = w.blockOff
 	ftr.filterLen = uint64(len(filter))
 	if _, err := w.f.Write(filter); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -104,6 +105,39 @@ func stageSet(stages []metrics.Stage) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestSlowOpCarriesWALPosition checks that tracing's lazy notes still reach
+// the slow-op log: an admitted put carries its stages and the position its
+// WAL batch landed at, formatted as segment@offset.
+func TestSlowOpCarriesWALPosition(t *testing.T) {
+	db := openTestDB(t, 1)
+	if err := db.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := db.NewClient("c")
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Put("t", []byte("r1"), Cols{"a": []byte{byte('0' + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walPos := regexp.MustCompile(`^[0-9]+@[0-9]+$`)
+	var puts int
+	for _, op := range db.SlowOps() {
+		if op.Op != "put" || op.Table != "t" {
+			continue
+		}
+		puts++
+		if got := stageSet(op.Stages); strings.Join(got, ",") != metrics.StageMemtable+","+metrics.StageWAL {
+			t.Errorf("put stages = %v, want [memtable wal]", got)
+		}
+		if p := op.Notes["wal_pos"]; !walPos.MatchString(p) {
+			t.Errorf("put wal_pos note = %q, want segment@offset", p)
+		}
+	}
+	if puts != 3 {
+		t.Fatalf("%d puts in the slow-op log, want 3", puts)
+	}
 }
 
 // TestMetricsLegacyViewsEquivalence pins the "one source of truth" contract:
