@@ -10,7 +10,6 @@
 //	lsmtool [-rows 2000] [-versions 3] [-stats]
 //	lsmtool verify [-rows 2000] [-tables 4] [-corrupt 0]
 //	lsmtool stats [-rows 2000] [-tables 4]
-//	lsmtool wal tail [-rows 12] [-from seg@off] [-max 0]
 //
 // -stats attaches a metrics registry to the store and, after the
 // walkthrough, dumps every instrument (WAL append counters, per-stage
@@ -27,15 +26,6 @@
 // The stats subcommand inspects physical table layout: it flushes -tables
 // SSTables and prints every table's block/entry counts and restart points —
 // the on-disk picture behind DESIGN.md §12.
-//
-// The wal tail subcommand demonstrates the CDC surface (DESIGN.md §13): it
-// drives a store with full log retention through puts, a delete, a flush
-// and more puts, then tails the WAL from -from (default the log start,
-// "0@0"), printing one line per committed data record — position,
-// timestamp, kind, key, value — exactly what a DB.Changes consumer sees.
-// The flush rolls the log and appends a checkpoint record mid-stream, so
-// the output shows positions crossing a segment boundary while meta records
-// stay invisible.
 package main
 
 import (
@@ -49,7 +39,6 @@ import (
 	"diffindex/internal/metrics"
 	"diffindex/internal/sstable"
 	"diffindex/internal/vfs"
-	"diffindex/internal/wal"
 )
 
 func main() {
@@ -59,10 +48,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "stats" {
 		statsMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 2 && os.Args[1] == "wal" && os.Args[2] == "tail" {
-		walTailMain(os.Args[3:])
 		return
 	}
 	rows := flag.Int("rows", 2000, "rows to write per stage")
@@ -306,90 +291,6 @@ func verifyMain(args []string) {
 	if totalCorrupt > 0 {
 		os.Exit(1)
 	}
-}
-
-// walTailMain implements `lsmtool wal tail`: a self-contained CDC demo. It
-// builds a store with full log retention (WALRetainSegments = -1), applies
-// a small workload spanning a flush, then
-// reads the whole WAL back through the same TailLog cursor API the Changes
-// feed uses and prints each committed record.
-func walTailMain(args []string) {
-	fl := flag.NewFlagSet("wal tail", flag.ExitOnError)
-	rows := fl.Int("rows", 12, "rows to write before tailing")
-	fromStr := fl.String("from", "0@0", "position to tail from (segment@offset)")
-	max := fl.Int("max", 0, "stop after this many records (0 = all)")
-	fl.Parse(args)
-
-	var from wal.Pos
-	if _, err := fmt.Sscanf(*fromStr, "%d@%d", &from.Seg, &from.Off); err != nil {
-		fmt.Fprintf(os.Stderr, "bad -from %q: want segment@offset\n", *fromStr)
-		os.Exit(2)
-	}
-
-	fs := vfs.NewMemFS()
-	store, err := lsm.Open(lsm.Options{
-		FS:                 fs,
-		Dir:                "demo",
-		DisableAutoFlush:   true,
-		DisableAutoCompact: true,
-		DisableScrub:       true,
-		WALRetainSegments:  -1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer store.Close()
-	clock := kv.NewClock(1)
-	for i := 0; i < *rows; i++ {
-		key := []byte(fmt.Sprintf("row%08d", i))
-		if err := store.Put(key, []byte(fmt.Sprintf("value-%d", i)), clock.Next()); err != nil {
-			panic(err)
-		}
-		if i == *rows/2 {
-			// Roll the log mid-stream: later records land in a new segment,
-			// and the flush's checkpoint meta record is skipped by the tail.
-			if err := store.Flush(); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if err := store.Delete([]byte("row00000000"), clock.Next()); err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("tailing WAL from %s (active segment %d)\n", from, store.ActiveWALSegment())
-	total := 0
-	pos := from
-	for {
-		batch := 256
-		if *max > 0 && *max-total < batch {
-			batch = *max - total
-		}
-		if batch == 0 {
-			break
-		}
-		entries, next, gap, err := store.TailWAL(pos, batch)
-		if err != nil {
-			panic(err)
-		}
-		if gap > 0 {
-			fmt.Printf("WARNING: %d segments truncated below the start position\n", gap)
-		}
-		if len(entries) == 0 {
-			break
-		}
-		for _, e := range entries {
-			kind := "put"
-			val := string(e.Record.Value)
-			if e.Record.Kind == kv.KindDelete {
-				kind, val = "delete", "-"
-			}
-			fmt.Printf("%-12s ts=%-6d %-6s %-12s %s\n", e.Pos, e.Record.Ts, kind, e.Record.Key, val)
-			total++
-		}
-		pos = next
-	}
-	fmt.Printf("tailed %d records, resume position %s\n", total, pos)
 }
 
 // statsMain implements `lsmtool stats`: flush -tables SSTables, then re-open

@@ -26,12 +26,12 @@
 package diffindex
 
 import (
-	"sync"
 	"time"
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/core"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 	"diffindex/internal/simnet"
 	"diffindex/internal/vfs"
 )
@@ -155,13 +155,6 @@ type Options struct {
 	ScrubInterval  time.Duration
 	ScrubBlockPace time.Duration
 
-	// WALRetainSegments is the per-region WAL retention knob: 0 (default)
-	// truncates freely at each flush boundary, N > 0 keeps the newest N
-	// sealed segments for CDC consumers regardless of flushes, and -1 never
-	// truncates, so a Changes feed opened late still sees the full history.
-	// Live Changes feeds pin their position in addition to this knob.
-	WALRetainSegments int
-
 	// DisableTracing turns off per-operation traces (the op-latency
 	// histograms and the slow-op log). Stage and counter metrics still
 	// record; see DESIGN.md's Observability section for what each costs.
@@ -177,12 +170,6 @@ type DB struct {
 	// balCfg is the balancer policy built from Options, reused by on-demand
 	// Rebalance rounds.
 	balCfg cluster.BalanceConfig
-
-	// cdcMu guards the set of live change feeds; cdcGauge registers the
-	// feed-lag gauge once, on the first feed.
-	cdcMu    sync.Mutex
-	cdcFeeds map[*ChangeFeed]struct{}
-	cdcGauge sync.Once
 }
 
 // Open builds the cluster and index runtime.
@@ -205,7 +192,6 @@ func Open(opts Options) *DB {
 		DisableScrub:        opts.DisableScrub,
 		ScrubInterval:       opts.ScrubInterval,
 		ScrubBlockPace:      opts.ScrubBlockPace,
-		WALRetainSegments:   opts.WALRetainSegments,
 		DisableTracing:      opts.DisableTracing,
 	})
 	m := core.NewManager(c, core.ManagerOptions{
@@ -216,7 +202,7 @@ func Open(opts Options) *DB {
 		SessionMaxBytes:     opts.SessionMaxBytes,
 		DisableDrainOnFlush: opts.UnsafeDisableDrainOnFlush,
 	})
-	db := &DB{c: c, m: m, cdcFeeds: make(map[*ChangeFeed]struct{})}
+	db := &DB{c: c, m: m}
 	db.balCfg = cluster.BalanceConfig{
 		HotspotRatio:       opts.HotspotRatio,
 		MergeColdThreshold: opts.MergeColdThreshold,
@@ -505,6 +491,12 @@ func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row,
 	}
 	return out, nil
 }
+
+// ErrHistoryTrimmed is returned by the as-of read methods when the version
+// visible at the requested timestamp may have been garbage-collected by
+// MaxVersions retention — "absent at ts" cannot be distinguished from
+// "history gone", so the read refuses to guess.
+var ErrHistoryTrimmed = lsm.ErrHistoryTrimmed
 
 // GetAsOf reads one column of a row as it stood at timestamp ts — any
 // timestamp previously returned by Put or Delete, or a past Staleness

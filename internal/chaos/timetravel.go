@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -19,13 +20,13 @@ import (
 // acknowledged past the torn frames, the store is abandoned without Close
 // (the crash), and recovery is checked three ways:
 //
-//  1. replay delivers exactly the mutations acknowledged since the flush —
-//     nothing from below the checkpoint, nothing from a torn frame, nothing
-//     acknowledged lost behind one;
+//  1. replay delivers exactly the mutations acknowledged since the flush,
+//     record for record and in order — nothing from below the checkpoint,
+//     nothing from a torn frame, nothing acknowledged lost behind one;
 //  2. every golden observation must read back byte-identically through
 //     GetAsOf on the recovered store — time-travel reads survive the crash;
-//  3. the retained log must still tail every acknowledged mutation — the
-//     CDC history is intact.
+//  3. tailing the retained log by position yields exactly every
+//     acknowledged mutation, record for record and in order.
 func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	res := &TimeTravelResult{Seed: seed}
 	begin := time.Now()
@@ -43,7 +44,7 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 			FS:                 fault,
 			Dir:                dir,
 			MaxVersions:        1024, // never trim: every golden timestamp stays answerable
-			WALRetainSegments:  -1,   // full history stays tailable
+			WALNeverTruncate:   true, // full history stays tailable
 			DisableAutoFlush:   true,
 			DisableAutoCompact: true,
 			DisableScrub:       true,
@@ -57,8 +58,8 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 
 	// Seeded workload over a small keyspace: ~85% puts, ~15% deletes, with
 	// a shadow state snapshotted into golden observations as the clock
-	// advances. Only acknowledged mutations update the shadow; mutate
-	// returns how many of its n attempts failed.
+	// advances. Only acknowledged mutations update the shadow and the acked
+	// list; mutate returns how many of its n attempts failed.
 	rng := rand.New(rand.NewSource(seed))
 	clock := kv.NewClock(1)
 	const keyspace = 48
@@ -68,6 +69,7 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		state map[string]string
 	}
 	var golden []observation
+	var acked []kv.Cell
 	observe := func() {
 		state := make(map[string]string, len(shadow))
 		for k, v := range shadow {
@@ -75,30 +77,26 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		}
 		golden = append(golden, observation{ts: clock.Now(), state: state})
 	}
-	unflushed := 0 // acknowledged mutations since the last flush
 	mutate := func(n int) (failed int) {
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("key%03d", rng.Intn(keyspace))
-			ts := clock.Next()
-			del := rng.Float64() < 0.15
-			val := fmt.Sprintf("v%d", ts)
-			var err error
-			if del {
-				err = store.Delete([]byte(key), ts)
+			c := kv.Cell{Key: []byte(key), Ts: clock.Next(), Kind: kv.KindPut}
+			if rng.Float64() < 0.15 {
+				c.Kind = kv.KindDelete
 			} else {
-				err = store.Put([]byte(key), []byte(val), ts)
+				c.Value = []byte(fmt.Sprintf("v%d", c.Ts))
 			}
-			if err != nil {
+			if err := store.Apply(c); err != nil {
 				failed++
 				continue
 			}
-			if del {
+			if c.Kind == kv.KindDelete {
 				delete(shadow, key)
 			} else {
-				shadow[key] = val
+				shadow[key] = string(c.Value)
 			}
+			acked = append(acked, c)
 			res.Ops++
-			unflushed++
 			if res.Ops%25 == 0 {
 				observe()
 			}
@@ -114,7 +112,7 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	if err := store.Flush(); err != nil {
 		return nil, fmt.Errorf("chaos: timetravel flush: %w", err)
 	}
-	unflushed = 0
+	flushed := len(acked) // acked[flushed:] is what recovery must replay
 	if failed := mutate(100); failed > 0 {
 		return nil, fmt.Errorf("chaos: timetravel: %d unfaulted mutations failed", failed)
 	}
@@ -148,13 +146,16 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	store = nil
 
 	// Check 1: recovery replays exactly the acknowledged unflushed mutations.
-	recovered, err := open(func(kv.Cell) { res.ReplayedCells++ })
+	var replayed []kv.Cell
+	recovered, err := open(func(c kv.Cell) { replayed = append(replayed, c.Clone()) })
 	if err != nil {
 		return nil, fmt.Errorf("chaos: timetravel recover: %w", err)
 	}
 	defer recovered.Close()
-	check(res.ReplayedCells == unflushed, "replay-complete",
-		"recovery replayed %d cells, %d mutations were acknowledged since the flush", res.ReplayedCells, unflushed)
+	res.ReplayedCells = len(replayed)
+	diff := divergence(replayed, acked[flushed:])
+	check(diff == "", "replay-complete",
+		"recovery replay diverges from the %d mutations acknowledged since the flush: %s", len(acked)-flushed, diff)
 
 	// Check 2: golden time-travel reads on the recovered store. Every key in
 	// the keyspace at every observed instant must read exactly what a reader
@@ -185,26 +186,46 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 
 	// Check 3: the retained log still tails every acknowledged mutation —
 	// nothing acked was lost behind the torn frame, nothing phantom appears.
-	tailed := 0
+	var tailed []kv.Cell
 	var pos wal.Pos
 	for {
 		entries, next, gap, err := recovered.TailWAL(pos, 4096)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: timetravel tail: %w", err)
 		}
-		check(gap == 0, "tail-gap", "tail from %s reported a %d-segment gap under -1 retention", pos, gap)
+		check(gap == 0, "tail-gap", "tail from %s reported a %d-segment gap on a never-truncated log", pos, gap)
 		if len(entries) == 0 {
 			break
 		}
-		tailed += len(entries)
+		for _, e := range entries {
+			tailed = append(tailed, e.Record.Cell())
+		}
 		pos = next
 	}
-	res.TailedRecords = tailed
-	check(tailed == res.Ops, "tail-complete",
-		"log tails %d records, %d mutations were acknowledged", tailed, res.Ops)
+	res.TailedRecords = len(tailed)
+	diff = divergence(tailed, acked)
+	check(diff == "", "tail-complete",
+		"log tail diverges from the %d acknowledged mutations: %s", len(acked), diff)
 
 	res.Elapsed = time.Since(begin)
 	return res, nil
+}
+
+// divergence describes the first difference between got and want — key,
+// timestamp, kind or value of a record, or the record count — or returns ""
+// when they are the same mutations in the same order.
+func divergence(got, want []kv.Cell) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		g, w := got[i], want[i]
+		if !bytes.Equal(g.Key, w.Key) || g.Ts != w.Ts || g.Kind != w.Kind || !bytes.Equal(g.Value, w.Value) {
+			return fmt.Sprintf("record %d is %s %q@%d=%q, want %s %q@%d=%q",
+				i, g.Kind, g.Key, g.Ts, g.Value, w.Kind, w.Key, w.Ts, w.Value)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d records, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 // TimeTravelResult is one time-travel crash scenario's outcome.

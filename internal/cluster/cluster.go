@@ -68,11 +68,6 @@ type Config struct {
 	VerifyChecksums bool
 	// DisableScrub turns off the per-region background integrity scrubber.
 	DisableScrub bool
-	// WALRetainSegments is the per-region WAL retention knob (see
-	// lsm.Options.WALRetainSegments): 0 truncates at each flush boundary,
-	// N > 0 keeps the newest N sealed segments for CDC consumers, -1 never
-	// truncates.
-	WALRetainSegments int
 	// ScrubInterval / ScrubBlockPace tune the per-region scrubber (zero
 	// values take the lsm defaults: 5s between cycles, 1ms between blocks).
 	ScrubInterval  time.Duration

@@ -10,7 +10,6 @@ import (
 	"diffindex/internal/lsm"
 	"diffindex/internal/metrics"
 	"diffindex/internal/sstable"
-	"diffindex/internal/wal"
 )
 
 // RegionServer hosts regions and serves puts, gets and scans for their key
@@ -190,7 +189,6 @@ func (s *RegionServer) OpenRegion(info RegionInfo) (err error) {
 		DisableScrub:        s.cluster.cfg.DisableScrub,
 		ScrubInterval:       s.cluster.cfg.ScrubInterval,
 		ScrubBlockPace:      s.cluster.cfg.ScrubBlockPace,
-		WALRetainSegments:   s.cluster.cfg.WALRetainSegments,
 		Metrics:             s.cluster.metrics,
 		MetricsTable:        info.Table,
 		OnReplay: func(c kv.Cell) {
@@ -499,18 +497,6 @@ func (s *RegionServer) GetAsOf(regionID string, key []byte, ts kv.Timestamp) (kv
 		return kv.Cell{}, false, err // not a routing miss: surface as-is
 	}
 	return c, ok, mapStoreErr(err)
-}
-
-// WALCursor opens a retention-pinning cursor over one region's WAL. The
-// cursor is an in-process handle (it pins segments in the region's log), so
-// it is an administrative API for co-located consumers — the DB-level CDC
-// feed — rather than a remoted RPC.
-func (s *RegionServer) WALCursor(regionID string, from wal.Pos) (*wal.Cursor, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, err
-	}
-	return region.store.WALCursor(from), nil
 }
 
 // Scan returns the visible versions of store keys in [start, end) at ts.

@@ -12,20 +12,29 @@ import (
 )
 
 // regionCapture is the table's observer, plus a record of the region
-// context of every put it sees, so a test can reach a base region's store.
+// context of every put and flush it sees, so a test can reach a region's
+// store.
 type regionCapture struct {
 	*observer
 	mu   sync.Mutex
 	ctxs map[string]cluster.RegionCtx // by region ID
 }
 
-func (c *regionCapture) PostPut(ctx cluster.RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+func (c *regionCapture) record(ctx cluster.RegionCtx) {
 	c.mu.Lock()
-	keep := ctx
-	keep.Trace = nil
-	c.ctxs[ctx.Region.Info.ID] = keep
+	ctx.Trace = nil
+	c.ctxs[ctx.Region.Info.ID] = ctx
 	c.mu.Unlock()
+}
+
+func (c *regionCapture) PostPut(ctx cluster.RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+	c.record(ctx)
 	return c.observer.PostPut(ctx, row, cols, ts)
+}
+
+func (c *regionCapture) PreFlush(ctx cluster.RegionCtx) error {
+	c.record(ctx)
+	return c.observer.PreFlush(ctx)
 }
 
 // captureRegions wraps the base table's observer; call it after the last

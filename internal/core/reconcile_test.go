@@ -5,39 +5,56 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
 	"diffindex/internal/metrics"
+	"diffindex/internal/vfs"
 	"diffindex/internal/wal"
 )
+
+// keepWALFS drops every removal of a WAL segment, so a region's log keeps
+// every cell the region was ever sent.
+type keepWALFS struct{ vfs.FS }
+
+func (fs keepWALFS) Remove(name string) error {
+	if strings.HasSuffix(name, ".wal") {
+		return nil
+	}
+	return fs.FS.Remove(name)
+}
 
 // newCompactionEnv builds a cluster whose stores compact eagerly: two
 // SSTables arm a round, one retained version per key, so every overwrite
 // that reaches a second flush is garbage-collected on the next merge. The
-// WALs are never truncated, so indexLog sees every cell an index table was
+// WALs are never truncated, so indexLog sees every cell the title index was
 // ever sent.
 func newCompactionEnv(t testing.TB) *env {
 	t.Helper()
 	c := cluster.New(cluster.Config{
 		Servers:             3,
+		BaseFS:              keepWALFS{vfs.NewMemFS()},
 		MaxVersions:         1,
 		CompactionThreshold: 2,
 		CompactionFanIn:     2,
-		WALRetainSegments:   -1,
 	})
 	t.Cleanup(func() { c.Close() })
 	m := NewManager(c, ManagerOptions{})
 	if err := c.Master.CreateTable("items", [][]byte{[]byte("item500")}); err != nil {
 		t.Fatal(err)
 	}
-	return &env{c: c, m: m, cl: cluster.NewClient(c, "testclient"), tbl: "items"}
+	// Registered before the index table exists, so no region reads the
+	// coprocessor map while it is written.
+	capture := &regionCapture{observer: &observer{m: m}, ctxs: map[string]cluster.RegionCtx{}}
+	c.RegisterCoprocessor(IndexDef{Table: "items", Columns: []string{"title"}}.Name(), capture)
+	return &env{c: c, m: m, cl: cluster.NewClient(c, "testclient"), tbl: "items", indexRegions: capture}
 }
 
-// indexLog returns every cell written to an index table, tombstones
-// included, in apply order, by tailing its (single) region's WAL. An index
-// that does not exist yet has an empty log.
+// indexLog returns every cell written to the title index's table,
+// tombstones included, in apply order, by tailing its (single) region's
+// WAL. An index that does not exist yet has an empty log.
 func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 	t.Helper()
 	regions, err := e.c.Master.RegionsOf(def.Name())
@@ -47,16 +64,26 @@ func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 	if len(regions) != 1 {
 		t.Fatalf("index table %s has %d regions, want 1", def.Name(), len(regions))
 	}
-	cur, err := e.c.Server(regions[0].Server).WALCursor(regions[0].ID, wal.Pos{})
-	if err != nil {
+	// The flush hands the region to the capture's PreFlush.
+	if err := e.c.Server(regions[0].Server).Flush(regions[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Close()
+	e.indexRegions.mu.Lock()
+	ctx, ok := e.indexRegions.ctxs[regions[0].ID]
+	e.indexRegions.mu.Unlock()
+	if !ok {
+		t.Fatalf("index table %s: region %s was not captured", def.Name(), regions[0].ID)
+	}
+	store := ctx.Region.Store()
 	var out []kv.Cell
+	var pos wal.Pos
 	for {
-		entries, err := cur.Next(4096)
+		entries, next, gap, err := store.TailWAL(pos, 4096)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if gap != 0 {
+			t.Fatalf("index table %s: log lost %d segments", def.Name(), gap)
 		}
 		if len(entries) == 0 {
 			return out
@@ -64,6 +91,7 @@ func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 		for _, en := range entries {
 			out = append(out, en.Record.Cell().Clone())
 		}
+		pos = next
 	}
 }
 

@@ -79,12 +79,10 @@ type Options struct {
 	VerifyChecksums bool
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
-	// WALRetainSegments is the log retention knob: 0 (the default) truncates
-	// freely at each flush boundary, N > 0 keeps the newest N sealed
-	// segments for CDC consumers regardless of flushes, and -1 never
-	// truncates, so a CDC consumer that starts late can still tail the full
-	// history. Live CDC cursors pin their position in addition to this knob.
-	WALRetainSegments int
+	// WALNeverTruncate keeps every WAL segment past its flush, so TailWAL
+	// reaches the full history. By default each flush truncates the log at
+	// its boundary.
+	WALNeverTruncate bool
 	// ScrubInterval is the pause between scrub cycles (a cycle verifies every
 	// block of every live SSTable). Defaults to 5s; short-lived stores never
 	// start a cycle.

@@ -192,7 +192,7 @@ func Open(opts Options) (*Store, error) {
 				opts.OnReplay(c)
 			}
 		},
-		RetainSegments: opts.WALRetainSegments,
+		NeverTruncate: opts.WALNeverTruncate,
 	})
 	if err != nil {
 		return nil, err
@@ -479,8 +479,8 @@ func (s *Store) Flush() error {
 	}
 	s.mu.Unlock()
 	// Record the flush boundary in the log itself before truncating: recovery
-	// replays only segments ≥ the newest checkpoint, so segments retained
-	// past the boundary (CDC cursors, the retention knob) are never
+	// replays only segments ≥ the newest checkpoint, so segments a
+	// WALNeverTruncate store keeps below the boundary are never
 	// re-applied. If the checkpoint append fails the flush still
 	// succeeded — recovery would merely replay more than necessary, and
 	// re-applied cells are identical versions the MVCC read path dedupes.

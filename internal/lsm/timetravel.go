@@ -2,8 +2,8 @@ package lsm
 
 // Retained-log surface of the store (DESIGN.md §13): GetAsOf, the
 // point-in-time read that can tell "absent at ts" from "history trimmed"
-// (as-of scans are Scan with a timestamp), and the WAL tail API the CDC
-// feed builds on.
+// (as-of scans are Scan with a timestamp), and the WAL tail that reads the
+// retained log by position.
 
 import (
 	"bytes"
@@ -88,15 +88,8 @@ func (s *Store) TailWAL(from wal.Pos, max int) ([]wal.Entry, wal.Pos, int, error
 	return s.log.TailLog(from, max)
 }
 
-// WALCursor opens a retention-pinning cursor over the store's committed
-// records — the primitive a CDC consumer holds. The caller must Close it to
-// release the truncation pin.
-func (s *Store) WALCursor(from wal.Pos) *wal.Cursor {
-	return s.log.NewCursor(from)
-}
-
-// ActiveWALSegment returns the WAL's active segment number — the reference
-// point for a consumer's segment lag.
+// ActiveWALSegment returns the WAL's active segment number, which moves
+// when a flush or a failed append rolls the log.
 func (s *Store) ActiveWALSegment() uint64 {
 	return s.log.ActiveSegment()
 }

@@ -16,7 +16,7 @@ func newTimeTravelStore(t testing.TB, fs vfs.FS, maxVersions int) *Store {
 		FS:                 fs,
 		Dir:                "tt",
 		MaxVersions:        maxVersions,
-		WALRetainSegments:  -1,
+		WALNeverTruncate:   true,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
 		DisableScrub:       true,

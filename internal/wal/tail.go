@@ -124,64 +124,3 @@ func (l *Log) tailSegment(id uint64, pos *Pos, out *[]Entry, max int, sealed boo
 	}
 	return false, nil
 }
-
-// Cursor is a resumable, retention-pinning reader over committed data
-// records — the primitive the CDC feed is built on. While a cursor is open,
-// TruncateBefore will not remove the segment it points at or anything
-// newer, bounding how far a slow consumer can fall behind the truncation
-// horizon. Close the cursor to release the pin. A Cursor is not safe for
-// concurrent use.
-type Cursor struct {
-	l     *Log
-	pos   Pos
-	unpin func()
-	gap   int
-}
-
-// NewCursor opens a cursor at from (use the zero Pos for the start of the
-// retained log) and pins retention there.
-func (l *Log) NewCursor(from Pos) *Cursor {
-	return &Cursor{l: l, pos: from, unpin: l.Pin(from.Seg)}
-}
-
-// Next returns up to max committed records past the cursor's position and
-// advances it. An empty result means the cursor is caught up with the
-// active segment's durable tail.
-func (c *Cursor) Next(max int) ([]Entry, error) {
-	entries, next, gap, err := c.l.TailLog(c.pos, max)
-	if err != nil {
-		return nil, err
-	}
-	c.gap += gap
-	if next != c.pos {
-		// Re-pin at the new position before releasing the old pin so
-		// truncation can never slip between the two.
-		unpin := c.l.Pin(next.Seg)
-		c.unpin()
-		c.unpin = unpin
-		c.pos = next
-	}
-	return entries, nil
-}
-
-// Pos returns the cursor's resume position.
-func (c *Cursor) Pos() Pos { return c.pos }
-
-// GapSegments returns the total number of truncated-away segments the
-// cursor has skipped — non-zero means the consumer missed history.
-func (c *Cursor) GapSegments() int { return c.gap }
-
-// Lag returns how many segments the cursor trails the active segment by.
-func (c *Cursor) Lag() uint64 {
-	active := c.l.ActiveSegment()
-	if c.pos.Seg >= active {
-		return 0
-	}
-	return active - c.pos.Seg
-}
-
-// Close releases the cursor's retention pin. The cursor remains readable
-// (Next keeps working) but no longer holds segments against truncation.
-func (c *Cursor) Close() {
-	c.unpin()
-}

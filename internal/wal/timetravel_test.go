@@ -95,85 +95,43 @@ func TestUnknownMetaKindSkipped(t *testing.T) {
 	check("replay", replayed)
 }
 
-// TestTruncateBeforeRetentionFloor: RetainSegments keeps the newest N
-// sealed segments through truncation; -1 disables truncation entirely.
+// TestTruncateBeforeRetentionFloor: a log opened with NeverTruncate keeps
+// every segment through truncation, so the full history stays tailable.
 func TestTruncateBeforeRetentionFloor(t *testing.T) {
 	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
+	l, err := OpenWith(fs, "r", ReplayConfig{NeverTruncate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		appendN(t, l, i*3, 3)
 		if _, err := l.Roll(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	active := l.ActiveSegment() // 5: four sealed segments behind it
-
-	l.SetRetention(2)
-	removed, err := l.TruncateBefore(active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Floor = active-2 = 3: segments 1 and 2 go, 3 and 4 survive.
-	if removed != 2 {
-		t.Errorf("TruncateBefore removed %d segments, want 2 under retention 2", removed)
-	}
-	_, _, gap, err := l.TailLog(Pos{}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap != 2 {
-		t.Errorf("tail gap = %d after truncation, want 2", gap)
-	}
-
-	l.SetRetention(-1)
-	removed, err = l.TruncateBefore(active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Errorf("TruncateBefore removed %d segments under -1 retention, want 0", removed)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPinBlocksTruncation: a pin (a CDC cursor) lowers the truncation bound
-// to the pinned segment until released.
-func TestPinBlocksTruncation(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
-	for i := 0; i < 3; i++ {
-		appendN(t, l, i*2, 2)
-		if _, err := l.Roll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	release := l.Pin(2)
 	removed, err := l.TruncateBefore(l.ActiveSegment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 { // only segment 1: the pin holds 2 and above
-		t.Errorf("removed %d segments with pin at 2, want 1", removed)
+	if removed != 0 {
+		t.Errorf("TruncateBefore removed %d segments from a never-truncating log, want 0", removed)
 	}
-	release()
-	release() // idempotent
-	removed, err = l.TruncateBefore(l.ActiveSegment())
+	entries, _, gap, err := l.TailLog(Pos{}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 { // segments 2 and 3
-		t.Errorf("removed %d segments after release, want 2", removed)
+	if gap != 0 || len(entries) != 12 {
+		t.Errorf("tail after truncation: gap=%d, %d records; want gap 0 and all 12", gap, len(entries))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTailLogResumeAndGap: TailLog pages through committed records with
-// resumable positions, skips meta records, and reports history truncated
-// below a resume position as a gap.
+// TestTailLogResumeAndGap: TailLog pages through committed records across
+// segment rolls with resumable positions, skips meta records, and reports
+// history truncated below a resume position — the log start or a position
+// inside a removed segment — as a gap of that many segments.
 func TestTailLogResumeAndGap(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _ := mustOpen(t, fs, "r")
@@ -186,6 +144,10 @@ func TestTailLogResumeAndGap(t *testing.T) {
 		t.Fatal(err) // meta record: must be invisible to tailing
 	}
 	appendN(t, l, 4, 4)
+	if _, err := l.Roll(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 8, 2)
 
 	var got []Entry
 	pos := Pos{}
@@ -203,8 +165,8 @@ func TestTailLogResumeAndGap(t *testing.T) {
 		got = append(got, entries...)
 		pos = next
 	}
-	if len(got) != 8 {
-		t.Fatalf("tailed %d records, want 8 (checkpoint meta must be skipped)", len(got))
+	if len(got) != 10 {
+		t.Fatalf("tailed %d records, want 10 (checkpoint meta must be skipped)", len(got))
 	}
 	for i, e := range got {
 		if want := fmt.Sprintf("k%04d", i); string(e.Record.Key) != want {
@@ -215,107 +177,34 @@ func TestTailLogResumeAndGap(t *testing.T) {
 		}
 	}
 
-	// Truncate the first segment away: a fresh tail must report the gap.
-	if _, err := l.TruncateBefore(2); err != nil {
-		t.Fatal(err)
-	}
-	entries, _, gap, err := l.TailLog(Pos{}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap != 1 {
-		t.Errorf("gap = %d after truncating one segment, want 1", gap)
-	}
-	if len(entries) != 4 {
-		t.Errorf("tailed %d records after truncation, want the 4 surviving", len(entries))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCursorPinsAndFollowsRolls: a cursor's pin protects its unread
-// segments from truncation, Next follows rolls forward, and Close releases
-// the pin so truncation proceeds.
-func TestCursorPinsAndFollowsRolls(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
-	appendN(t, l, 0, 3)
-	cur := l.NewCursor(Pos{})
-
-	// Roll + truncate while the cursor still points at segment 1: the pin
-	// must keep it.
-	if _, err := l.Roll(); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 3, 3)
-	removed, err := l.TruncateBefore(l.ActiveSegment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Fatalf("truncation removed %d segments out from under a cursor", removed)
-	}
-
-	var got []Entry
-	for {
-		entries, err := cur.Next(100)
+	// Truncate segment by segment: every resume position below the oldest
+	// survivor reports the segments it can never see, then tails the rest.
+	for _, tc := range []struct {
+		keep uint64 // TruncateBefore bound
+		from Pos
+		gap  int
+		left int // records still tailable
+	}{
+		{keep: 2, from: Pos{}, gap: 1, left: 6},
+		{keep: 2, from: got[1].Pos, gap: 1, left: 6}, // mid segment 1
+		{keep: 3, from: Pos{}, gap: 2, left: 2},
+		{keep: 3, from: got[5].Pos, gap: 1, left: 2}, // mid segment 2
+	} {
+		if _, err := l.TruncateBefore(tc.keep); err != nil {
+			t.Fatal(err)
+		}
+		entries, _, gap, err := l.TailLog(tc.from, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) == 0 {
-			break
+		if gap != tc.gap || len(entries) != tc.left {
+			t.Errorf("truncate before %d, tail from %s: gap=%d, %d records; want gap %d, %d records",
+				tc.keep, tc.from, gap, len(entries), tc.gap, tc.left)
 		}
-		got = append(got, entries...)
-	}
-	if len(got) != 6 {
-		t.Fatalf("cursor read %d records, want 6 across the roll", len(got))
-	}
-	if cur.GapSegments() != 0 {
-		t.Errorf("cursor gap = %d, want 0", cur.GapSegments())
-	}
-	if cur.Lag() != 0 {
-		t.Errorf("cursor lag = %d segments after catching up, want 0", cur.Lag())
-	}
-
-	cur.Close()
-	removed, err = l.TruncateBefore(l.ActiveSegment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 {
-		t.Error("truncation removed nothing after the cursor released its pin")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCursorStartsWithGapAfterTruncation: a cursor opened below the oldest
-// retained segment reports how much history it can never see.
-func TestCursorStartsWithGapAfterTruncation(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, _ := mustOpen(t, fs, "r")
-	for i := 0; i < 3; i++ {
-		appendN(t, l, i*2, 2)
-		if _, err := l.Roll(); err != nil {
-			t.Fatal(err)
+		if len(entries) > 0 && string(entries[0].Record.Key) != string(got[len(got)-tc.left].Record.Key) {
+			t.Errorf("truncate before %d, tail from %s starts at %q, want the oldest survivor %q",
+				tc.keep, tc.from, entries[0].Record.Key, got[len(got)-tc.left].Record.Key)
 		}
-	}
-	if _, err := l.TruncateBefore(3); err != nil {
-		t.Fatal(err)
-	}
-	cur := l.NewCursor(Pos{})
-	defer cur.Close()
-	entries, err := cur.Next(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.GapSegments() != 2 {
-		t.Errorf("cursor gap = %d, want 2 truncated segments", cur.GapSegments())
-	}
-	if len(entries) != 2 {
-		t.Errorf("cursor read %d surviving records, want 2", len(entries))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

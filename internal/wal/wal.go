@@ -18,7 +18,7 @@
 // Positions. A record's durable position — its sequence number — is the
 // pair (segment ID, byte offset); Pos values order records exactly as
 // replay delivers them and are resumable: TailLog reads forward from any
-// previously returned position, which is what the CDC feed checkpoints.
+// previously returned position.
 package wal
 
 import (
@@ -65,8 +65,8 @@ func (r Record) Cell() kv.Cell {
 }
 
 // Pos is a record's durable log position: its segment ID and byte offset —
-// the per-segment sequence number CDC cursors resume from. Positions
-// compare in replay order.
+// the per-segment sequence number a tail resumes from. Positions compare in
+// replay order.
 type Pos struct {
 	Seg uint64
 	Off int64
@@ -106,16 +106,10 @@ type Log struct {
 	// independently, so records before the tear and in later segments
 	// survive).
 	tainted bool
-	// retain is the retention knob: 0 truncates freely at the flush
-	// boundary, N > 0 keeps the newest N sealed segments regardless, and
-	// -1 never truncates (the full history stays tailable for CDC consumers
-	// that start late).
-	retain int
-	// pins holds per-segment retention pin counts: TruncateBefore never
-	// removes a segment ≥ the lowest pinned ID. Cursors pin their read
-	// position.
-	pins map[uint64]int
-	obs  func(recs, bytes int, d time.Duration)
+	// neverTruncate turns TruncateBefore into a no-op, so the full history
+	// stays tailable.
+	neverTruncate bool
+	obs           func(recs, bytes int, d time.Duration)
 }
 
 // SetObserver installs a callback invoked after every durable append with the
@@ -126,14 +120,6 @@ type Log struct {
 func (l *Log) SetObserver(fn func(recs, bytes int, d time.Duration)) {
 	l.mu.Lock()
 	l.obs = fn
-	l.mu.Unlock()
-}
-
-// SetRetention sets the segment-retention knob (see Log.retain). Safe to
-// call at any time; it affects subsequent TruncateBefore calls.
-func (l *Log) SetRetention(n int) {
-	l.mu.Lock()
-	l.retain = n
 	l.mu.Unlock()
 }
 
@@ -159,8 +145,8 @@ type ReplayConfig struct {
 	// Replay, when non-nil, receives every recovered data record, in log
 	// order.
 	Replay func(Record)
-	// RetainSegments seeds the retention knob (see SetRetention).
-	RetainSegments int
+	// NeverTruncate keeps every segment: TruncateBefore removes nothing.
+	NeverTruncate bool
 }
 
 // Open replays every recoverable record under dir in log order, invoking
@@ -211,11 +197,10 @@ func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
 	}
 
 	l := &Log{
-		fs:     fs,
-		dir:    dir,
-		segID:  maxID + 1,
-		retain: cfg.RetainSegments,
-		pins:   make(map[uint64]int),
+		fs:            fs,
+		dir:           dir,
+		segID:         maxID + 1,
+		neverTruncate: cfg.NeverTruncate,
 	}
 	if err := l.openSegment(); err != nil {
 		return nil, err
@@ -473,8 +458,8 @@ func (l *Log) appendLocked(buf []byte, recs int) (Pos, error) {
 
 // Checkpoint durably appends a flush-boundary meta record: every record in
 // a segment with ID < boundary is now durable in SSTables. Recovery replays
-// only from the newest boundary, so segments retained past it (for CDC
-// consumers) are never re-applied.
+// only from the newest boundary, so segments a never-truncating log keeps
+// below it are never re-applied.
 func (l *Log) Checkpoint(boundary uint64) error {
 	var val [8]byte
 	binary.LittleEndian.PutUint64(val[:], boundary)
@@ -483,25 +468,6 @@ func (l *Log) Checkpoint(boundary uint64) error {
 	defer l.mu.Unlock()
 	_, err := l.appendLocked(buf, 1)
 	return err
-}
-
-// Pin prevents TruncateBefore from removing segments with ID ≥ seg until
-// the returned release function is called. CDC cursors pin their read
-// position.
-func (l *Log) Pin(seg uint64) func() {
-	l.mu.Lock()
-	l.pins[seg]++
-	l.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			l.mu.Lock()
-			if l.pins[seg]--; l.pins[seg] <= 0 {
-				delete(l.pins, seg)
-			}
-			l.mu.Unlock()
-		})
-	}
 }
 
 // rollLocked closes the active segment and opens the next one. Callers hold
@@ -532,34 +498,17 @@ func (l *Log) Roll() (uint64, error) {
 
 // TruncateBefore deletes segments with ID < keepID — the roll-forward step
 // after a successful flush (§5.3) — and returns how many segments it
-// actually removed. The retention guard lowers the effective bound: pinned
-// segments (live CDC cursors) and the last RetainSegments sealed segments
-// survive, and retention -1 disables
-// truncation entirely. A segment another actor removed concurrently (a
-// chaos restart racing a flush) is skipped, not an error.
+// actually removed. A log opened with NeverTruncate removes nothing. A
+// segment another actor removed concurrently (a chaos restart racing a
+// flush) is skipped, not an error.
 func (l *Log) TruncateBefore(keepID uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.retain < 0 {
-		return 0, nil // keep everything
-	}
-	keep := keepID
-	if l.retain > 0 {
-		floor := uint64(0)
-		if l.segID > uint64(l.retain) {
-			floor = l.segID - uint64(l.retain)
-		}
-		if floor < keep {
-			keep = floor
-		}
-	}
-	for seg := range l.pins {
-		if seg < keep {
-			keep = seg
-		}
+	if l.neverTruncate {
+		return 0, nil
 	}
 	names, err := l.fs.List(l.dir + "/")
 	if err != nil {
@@ -567,7 +516,7 @@ func (l *Log) TruncateBefore(keepID uint64) (int, error) {
 	}
 	removed := 0
 	for _, name := range names {
-		if id, ok := parseSegmentID(l.dir, name); ok && id < keep {
+		if id, ok := parseSegmentID(l.dir, name); ok && id < keepID {
 			if err := l.fs.Remove(name); err != nil {
 				if errors.Is(err, vfs.ErrNotExist) {
 					continue // removed concurrently: already gone, not a failure
@@ -587,8 +536,8 @@ func (l *Log) ActiveSegment() uint64 {
 	return l.segID
 }
 
-// Close closes the log. Further appends fail with ErrClosed; existing
-// cursors keep reading (segment files are immutable once sealed).
+// Close closes the log. Further appends fail with ErrClosed; TailLog keeps
+// reading (segment files are immutable once sealed).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
