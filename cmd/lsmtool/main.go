@@ -24,8 +24,8 @@
 // any corruption is found, so the command doubles as a CI gate.
 //
 // The stats subcommand inspects physical table layout: it flushes -tables
-// SSTables and prints every table's block/entry counts and restart points —
-// the on-disk picture behind DESIGN.md §12.
+// SSTables and prints every table's block/entry counts, restart points and
+// max timestamp — the on-disk picture behind DESIGN.md §12.
 package main
 
 import (
@@ -294,8 +294,8 @@ func verifyMain(args []string) {
 }
 
 // statsMain implements `lsmtool stats`: flush -tables SSTables, then re-open
-// each one cold and print its physical layout — blocks, entries and restart
-// points.
+// each one cold and print its physical layout — blocks, entries, restart
+// points and the max timestamp point reads skip the table by.
 func statsMain(args []string) {
 	fl := flag.NewFlagSet("stats", flag.ExitOnError)
 	rows := fl.Int("rows", 2000, "rows to write per flushed table")
@@ -331,7 +331,7 @@ func statsMain(args []string) {
 	}
 
 	names, _ := fs.List("demo/")
-	fmt.Printf("%-36s %7s %8s %9s\n", "table", "blocks", "entries", "restarts")
+	fmt.Printf("%-36s %7s %8s %9s %8s\n", "table", "blocks", "entries", "restarts", "max ts")
 	for _, name := range names {
 		if !strings.HasSuffix(name, ".sst") {
 			continue
@@ -342,7 +342,7 @@ func statsMain(args []string) {
 			continue
 		}
 		info := r.Info()
-		fmt.Printf("%-36s %7d %8d %9d\n", name, info.Blocks, info.Entries, info.Restarts)
+		fmt.Printf("%-36s %7d %8d %9d %8d\n", name, info.Blocks, info.Entries, info.Restarts, info.MaxTimestamp)
 		r.Close()
 	}
 }

@@ -544,7 +544,8 @@ func (s *Store) Get(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 
 // GetCell is like Get but also surfaces tombstones: ok is true when any
 // version (including a delete marker) is visible at ts. Diff-Index read
-// repair uses it to distinguish "no version" from "deleted".
+// repair uses it to distinguish "no version" from "deleted". Tables whose
+// max timestamp rules out a winning version are not read (DESIGN §12).
 func (s *Store) GetCell(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	s.stats.gets.Add(1)
 	if s.stageGet != nil {
@@ -581,6 +582,13 @@ func (s *Store) GetCell(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 		// spares the Bloom probe and any block read on stores with many
 		// non-overlapping tables.
 		if !h.r.MayContainKey(key) {
+			continue
+		}
+		// Skip tables that cannot hold a winning version: every entry is
+		// older than the best so far, or only ties a tombstone. Timestamps
+		// arrive out of component order (t−δ deletes, repairs, WAL replay),
+		// so this is decided per table, never by stopping at the first.
+		if found && (h.r.MaxTimestamp() < best.Ts || h.r.MaxTimestamp() == best.Ts && best.Tombstone()) {
 			continue
 		}
 		c, ok, err := h.r.Get(key, ts)

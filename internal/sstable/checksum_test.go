@@ -166,6 +166,8 @@ func TestChecksumMetadataCorruptionRejectedAtOpen(t *testing.T) {
 	}{
 		{"filter-block", ftr.filterOff + 5, ErrCorruption},
 		{"index-block", ftr.indexOff + 64, ErrCorruption},
+		// The max timestamp follows the length-prefixed smallest user key.
+		{"index-max-timestamp", ftr.indexOff + 1 + uint64(len("user000000")), ErrCorruption},
 		{"checksum-section", ftr.checksumOff + 2, ErrCorruption},
 		{"footer-index-offset", uint64(len(clean)) - footerLen + 16 + 7, ErrBadTable},
 		{"footer-magic", uint64(len(clean)) - 4, ErrBadTable},
@@ -194,9 +196,10 @@ func TestCorruptIndexCountRejectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index block opens with the length-prefixed smallest user key; the
-	// entry count follows. Overwrite it with the uvarint of 1<<64 - 1.
-	count := ftr.indexOff + 1 + uint64(len("user000000"))
+	// The index block opens with the length-prefixed smallest user key and
+	// the one-byte max timestamp (1); the entry count follows. Overwrite it
+	// with the uvarint of 1<<64 - 1.
+	count := ftr.indexOff + 1 + uint64(len("user000000")) + 1
 	copy(buf[count:], "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")
 	writeAll(t, fs, "t.sst", buf)
 	if _, err := Open(fs, "t.sst", nil); !errors.Is(err, ErrCorruption) {
@@ -219,20 +222,23 @@ func TestDecodersBoundCounts(t *testing.T) {
 		t.Fatalf("unmarshalChecksums(wrapping count) = %v, want ErrBadTable", err)
 	}
 
-	entry := marshalIndex(nil, []indexEntry{{lastKey: []byte("k"), firstKey: []byte("k"), handle: blockHandle{0, 10}}})
+	entry := marshalIndex(nil, 7, []indexEntry{{lastKey: []byte("k"), firstKey: []byte("k"), handle: blockHandle{0, 10}}})
+	// Every index block opens with the smallest key's length (0 here) and
+	// the max timestamp (7).
 	for name, idx := range map[string][]byte{
-		"entry count":   append([]byte{0}, huge...),
+		"entry count":   append([]byte{0, 7}, huge...),
 		"restart count": append(entry[:len(entry)-1:len(entry)-1], huge...),
-		"key length":    append([]byte{0, 1}, huge...),
-		"handle":        marshalIndex(nil, []indexEntry{{handle: blockHandle{8, 10}}}),
-		"restart":       marshalIndex(nil, []indexEntry{{handle: blockHandle{0, 10}, restarts: []uint32{11}}}),
+		"key length":    append([]byte{0, 7, 1}, huge...),
+		"handle":        marshalIndex(nil, 7, []indexEntry{{handle: blockHandle{8, 10}}}),
+		"restart":       marshalIndex(nil, 7, []indexEntry{{handle: blockHandle{0, 10}, restarts: []uint32{11}}}),
 		"trailing":      append(append([]byte(nil), entry...), 0),
+		"max timestamp": {0, 0x80},
 	} {
-		if _, _, err := unmarshalIndex(idx, 10); !errors.Is(err, ErrBadTable) {
+		if _, _, _, err := unmarshalIndex(idx, 10); !errors.Is(err, ErrBadTable) {
 			t.Errorf("unmarshalIndex(bad %s) = %v, want ErrBadTable", name, err)
 		}
 	}
-	if _, got, err := unmarshalIndex(entry, 10); err != nil || len(got) != 1 {
-		t.Fatalf("unmarshalIndex(valid) = %d entries, %v", len(got), err)
+	if _, maxTs, got, err := unmarshalIndex(entry, 10); err != nil || len(got) != 1 || maxTs != 7 {
+		t.Fatalf("unmarshalIndex(valid) = %d entries, max ts %d, %v", len(got), maxTs, err)
 	}
 }

@@ -50,6 +50,7 @@ func FuzzOpen(f *testing.F) {
 	for off := ftr.indexOff; off < ftr.indexOff+ftr.indexLen; off += 7 {
 		flip(off)
 	}
+	flip(ftr.indexOff + 1 + uint64(len("user000000"))) // the max timestamp
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		unmarshalIndex(data, uint64(len(data)))

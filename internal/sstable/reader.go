@@ -24,6 +24,7 @@ type Reader struct {
 
 	smallest   []byte // smallest user key, from the index block
 	largest    []byte // largest user key, from the index block
+	maxTs      kv.Timestamp
 	count      uint64
 	tombstones uint64
 	size       int64
@@ -108,7 +109,7 @@ func newReader(f vfs.File, name string, cache *BlockCache) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadTable, name, err)
 	}
 	// Data blocks precede the filter block.
-	smallest, index, err := unmarshalIndex(idxBuf, ftr.filterOff)
+	smallest, maxTs, index, err := unmarshalIndex(idxBuf, ftr.filterOff)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -124,6 +125,7 @@ func newReader(f vfs.File, name string, cache *BlockCache) (*Reader, error) {
 		index:      index,
 		filter:     filter,
 		smallest:   smallest,
+		maxTs:      maxTs,
 		count:      ftr.entryCount,
 		tombstones: ftr.tombstoneCount,
 		size:       size,
@@ -159,6 +161,11 @@ func (r *Reader) SmallestUserKey() []byte { return r.smallest }
 // LargestUserKey returns the largest user key in the table (nil for an empty
 // table).
 func (r *Reader) LargestUserKey() []byte { return r.largest }
+
+// MaxTimestamp returns the largest timestamp of any entry in the table,
+// tombstones included (0 for an empty table). A point read that already holds
+// a version newer than this needs nothing from the table.
+func (r *Reader) MaxTimestamp() kv.Timestamp { return r.maxTs }
 
 // MayContainKey reports whether userKey falls inside the table's
 // [smallest, largest] user-key range — a zero-I/O pre-check point reads use
@@ -202,14 +209,15 @@ func (r *Reader) NumBlocks() int { return len(r.index) }
 // TableInfo summarizes a table's shape and lookup-accelerator footprint —
 // the per-table view `lsmtool stats` prints for operators.
 type TableInfo struct {
-	Blocks   int
-	Entries  uint64
-	Restarts int // total in-block restart points across all blocks
+	Blocks       int
+	Entries      uint64
+	Restarts     int // total in-block restart points across all blocks
+	MaxTimestamp kv.Timestamp
 }
 
 // Info returns the table's shape summary.
 func (r *Reader) Info() TableInfo {
-	info := TableInfo{Blocks: len(r.index), Entries: r.count}
+	info := TableInfo{Blocks: len(r.index), Entries: r.count, MaxTimestamp: r.maxTs}
 	for i := range r.index {
 		info.Restarts += len(r.index[i].restarts)
 	}

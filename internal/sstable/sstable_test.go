@@ -83,7 +83,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 // The footer's tombstone count lets the compaction picker reason about a
-// table without reading it; it must survive the write→open round trip.
+// table without reading it; it must survive the write→open round trip. So
+// must the index block's max timestamp, which counts tombstones: here the
+// newest entry is a delete marker, neither the table's first nor its last
+// entry.
 func TestTombstoneCountInFooter(t *testing.T) {
 	fs := vfs.NewMemFS()
 	cells := []kv.Cell{
@@ -101,6 +104,9 @@ func TestTombstoneCountInFooter(t *testing.T) {
 	if got := r.TombstoneCount(); got != 2 {
 		t.Errorf("TombstoneCount = %d, want 2", got)
 	}
+	if got, info := r.MaxTimestamp(), r.Info(); got != 4 || info.MaxTimestamp != 4 {
+		t.Errorf("MaxTimestamp = %d, Info().MaxTimestamp = %d, want 4", got, info.MaxTimestamp)
+	}
 
 	buildTable(t, fs, "clean.sst", cells[:1])
 	rc, err := Open(fs, "clean.sst", nil)
@@ -110,6 +116,9 @@ func TestTombstoneCountInFooter(t *testing.T) {
 	defer rc.Close()
 	if got := rc.TombstoneCount(); got != 0 {
 		t.Errorf("TombstoneCount = %d, want 0", got)
+	}
+	if got := rc.MaxTimestamp(); got != 1 {
+		t.Errorf("MaxTimestamp = %d, want 1", got)
 	}
 }
 
@@ -303,6 +312,11 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abandon()
+	// A key too short to carry a timestamp would escape the table's max
+	// timestamp.
+	if err := w.Add([]byte("short"), nil); err == nil {
+		t.Error("Add of a key without a timestamp suffix must fail")
+	}
 	if err := w.Add(kv.InternalKey([]byte("b"), 1, kv.KindPut), nil); err != nil {
 		t.Fatal(err)
 	}

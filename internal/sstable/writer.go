@@ -35,6 +35,7 @@ type Writer struct {
 	lastFirst  []byte
 
 	smallest, largest []byte // user-key bounds
+	maxTs             kv.Timestamp
 	count             uint64
 	tombstones        uint64
 	finished          bool
@@ -60,6 +61,10 @@ func (w *Writer) Add(ikey, value []byte) error {
 	if w.lastKey != nil && kv.CompareInternal(ikey, w.lastKey) <= 0 {
 		return fmt.Errorf("sstable: out-of-order key %x after %x", ikey, w.lastKey)
 	}
+	user, ts, kind, err := kv.ParseInternalKey(ikey)
+	if err != nil {
+		return fmt.Errorf("sstable: %w", err)
+	}
 	prev := w.lastKey // the key this entry's shared prefix refers to
 	if w.blockEntries == 0 {
 		w.blockFirstKey = append([]byte(nil), ikey...)
@@ -72,7 +77,6 @@ func (w *Writer) Add(ikey, value []byte) error {
 	w.block = appendBlockEntry(w.block, prev, ikey, value)
 	w.lastKey = append(w.lastKey[:0], ikey...)
 
-	user := kv.InternalUserKey(ikey)
 	if w.lastUser == nil || string(user) != string(w.lastUser) {
 		w.filterKeys = append(w.filterKeys, append([]byte(nil), user...))
 		w.lastUser = append(w.lastUser[:0], user...)
@@ -90,8 +94,11 @@ func (w *Writer) Add(ikey, value []byte) error {
 		w.smallest = append([]byte(nil), user...)
 	}
 	w.largest = append(w.largest[:0], user...)
+	if w.count == 0 || ts > w.maxTs {
+		w.maxTs = ts
+	}
 	w.count++
-	if _, _, kind, err := kv.ParseInternalKey(ikey); err == nil && kind == kv.KindDelete {
+	if kind == kv.KindDelete {
 		w.tombstones++
 	}
 	if len(w.block) >= TargetBlockSize {
@@ -145,7 +152,7 @@ func (w *Writer) Finish() error {
 	}
 	w.blockOff += uint64(len(filter))
 
-	idx := marshalIndex(w.smallest, w.index)
+	idx := marshalIndex(w.smallest, w.maxTs, w.index)
 	ftr.indexOff = w.blockOff
 	ftr.indexLen = uint64(len(idx))
 	if _, err := w.f.Write(idx); err != nil {

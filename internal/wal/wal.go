@@ -437,17 +437,16 @@ func (l *Log) appendLocked(buf []byte, recs int) (Pos, error) {
 	if l.obs != nil {
 		start = time.Now()
 	}
-	seg := segmentName(l.dir, l.segID)
 	pos := Pos{Seg: l.segID, Off: l.segOff}
 	if _, err := l.seg.Write(buf); err != nil {
 		l.tainted = true
-		return Pos{}, fmt.Errorf("wal: append %s: %w", seg, err)
+		return Pos{}, fmt.Errorf("wal: append %s: %w", segmentName(l.dir, l.segID), err)
 	}
 	if err := l.seg.Sync(); err != nil {
 		// The bytes may or may not be durable; the record was not acked, so
 		// the safe treatment is the same as a torn write.
 		l.tainted = true
-		return Pos{}, fmt.Errorf("wal: sync %s: %w", seg, err)
+		return Pos{}, fmt.Errorf("wal: sync %s: %w", segmentName(l.dir, l.segID), err)
 	}
 	l.segOff += int64(len(buf))
 	if l.obs != nil {

@@ -350,3 +350,25 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendFormatsNoSegmentName: the write path formats the segment name
+// only for an error, so a successful append of a pre-encoded frame costs
+// no allocation beyond the file's own growth.
+func TestAppendFormatsNoSegmentName(t *testing.T) {
+	l, err := Open(vfs.NewMemFS(), "wal", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	buf := encodeRecord(Record{Kind: kv.KindPut, Key: []byte("k"), Value: []byte("v"), Ts: 1})
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if _, err := l.appendLocked(buf, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 0.5 {
+		t.Fatalf("%.3f allocs per append, want under 0.5", allocs)
+	}
+}
