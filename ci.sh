@@ -12,21 +12,23 @@
 #   4. go test ./...       — full test suite (tier-1), including the metrics
 #      golden-file guard (refresh with
 #      `go test ./internal/metrics -run Golden -update-golden`)
-#   5. benchmark/ module   — `go vet` and the ~4 s smoke test of the separate
+#   5. examples            — `go run` of every example under examples/; each
+#      panics on a wrong result (~3 s together on 2 CPUs)
+#   6. benchmark/ module   — `go vet` and the ~4 s smoke test of the separate
 #      module under benchmark/, which compiles against internal/ packages
 #      but is never built by tier-1
-#   6. go test -race ./... — the same suite, root package included, under
+#   7. go test -race ./... — the same suite, root package included, under
 #      the race detector
-#   7. race stress         — 30 runs each of the tests that race region
+#   8. race stress         — 30 runs each of the tests that race region
 #      transitions, flushes, reads and writes against Close and compaction,
 #      plus the topology churn property (~25 s wall on 2 CPUs);
 #      one failure fails the step
-#   8. benchmark smoke     — every benchmark compiles and survives one
+#   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
-#   9. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
+#  10. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
 #      and FuzzReplaySegment over the WAL segment decoder (data frames,
 #      checkpoint frames, unknown meta kinds)
-#  10. CLI gates           — what only the commands assert: `lsmtool verify`
+#  11. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes and the five `chaoskit` verdicts (two fixed-seed fault
 #      runs, -integrity, -timetravel, -elastic); the fault runs and -elastic
 #      include the topology check
@@ -49,6 +51,13 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== examples =="
+# Each example checks its own narrative and panics on a wrong result; the
+# compile in step 3 alone would not catch an API change that breaks one.
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
 
 echo "== benchmark/ module (vet + smoke) =="
 (cd benchmark && go vet ./... && go test ./...)

@@ -36,8 +36,8 @@ import (
 	"diffindex/internal/vfs"
 )
 
-// Scheme selects how an index is maintained (§3.4 of the paper). Schemes
-// are chosen per index.
+// Scheme selects how an index is maintained (§3.4 of the paper). Each
+// index gets its scheme at CreateIndex and keeps it.
 type Scheme int
 
 const (
@@ -99,12 +99,6 @@ type Options struct {
 	// matter how many tables a write burst accumulates.
 	CompactionFanIn int
 
-	// AUQCapacity bounds each region's asynchronous update queue
-	// (default 4096).
-	AUQCapacity int
-	// APSWorkers is the number of asynchronous processing workers per
-	// region (default 2).
-	APSWorkers int
 	// AUQMaxBacklog, when > 0, caps each region's pending asynchronous
 	// index work: an arrival that would exceed the cap is shed to the
 	// synchronous path (maintained inline in the put), bounding both queue
@@ -113,27 +107,10 @@ type Options struct {
 	AUQMaxBacklog int
 
 	// BalancerInterval, when > 0, runs the continuous load-aware balancer:
-	// every interval the master compares per-server op counts, migrates one
-	// region from the most- to the least-loaded server when the hotspot
-	// ratio is exceeded, and merges one cold adjacent region pair when
-	// MergeColdThreshold is set. 0 disables the loop (Rebalance still runs
-	// rounds on demand).
+	// every interval the master compares per-server op counts and migrates
+	// one region from the most- to the least-loaded server when the most
+	// loaded carries more than twice the least. 0 disables the loop.
 	BalancerInterval time.Duration
-	// HotspotRatio is the most/least-loaded ratio that triggers a balancer
-	// move (default 2.0).
-	HotspotRatio float64
-	// MergeColdThreshold, when > 0, lets balancer rounds merge adjacent
-	// regions that each served fewer ops than this since the last round.
-	MergeColdThreshold int64
-	// MinRegionsPerTable is the floor cold merges never shrink a table
-	// below (default 2).
-	MinRegionsPerTable int
-
-	// SessionTTL expires inactive sessions (default 30 min, as in §5.2).
-	SessionTTL time.Duration
-	// SessionMaxBytes caps a session's private memory before session
-	// consistency degrades (default 1 MiB).
-	SessionMaxBytes int64
 
 	// UnsafeDisableDrainOnFlush turns off the drain-AUQ-before-flush
 	// recovery protocol. A crash after a flush then silently loses queued
@@ -166,10 +143,6 @@ type Options struct {
 type DB struct {
 	c *cluster.Cluster
 	m *core.Manager
-
-	// balCfg is the balancer policy built from Options, reused by on-demand
-	// Rebalance rounds.
-	balCfg cluster.BalanceConfig
 }
 
 // Open builds the cluster and index runtime.
@@ -195,23 +168,13 @@ func Open(opts Options) *DB {
 		DisableTracing:      opts.DisableTracing,
 	})
 	m := core.NewManager(c, core.ManagerOptions{
-		QueueCapacity:       opts.AUQCapacity,
-		Workers:             opts.APSWorkers,
 		MaxBacklog:          opts.AUQMaxBacklog,
-		SessionTTL:          opts.SessionTTL,
-		SessionMaxBytes:     opts.SessionMaxBytes,
 		DisableDrainOnFlush: opts.UnsafeDisableDrainOnFlush,
 	})
-	db := &DB{c: c, m: m}
-	db.balCfg = cluster.BalanceConfig{
-		HotspotRatio:       opts.HotspotRatio,
-		MergeColdThreshold: opts.MergeColdThreshold,
-		MinRegionsPerTable: opts.MinRegionsPerTable,
-	}
 	if opts.BalancerInterval > 0 {
-		c.Master.StartBalancer(opts.BalancerInterval, db.balCfg)
+		c.Master.StartBalancer(opts.BalancerInterval, cluster.BalanceConfig{})
 	}
-	return db
+	return &DB{c: c, m: m}
 }
 
 // CreateTable creates a base table pre-split at the given row keys into
@@ -284,7 +247,7 @@ func (db *DB) RestartServer(id string) error { return db.c.Master.RestartServer(
 
 // AddServer grows the cluster by one empty region server and returns its ID.
 // The new server receives regions through new-table assignment and the
-// balancer (continuous or on-demand Rebalance rounds).
+// balancer loop (Options.BalancerInterval).
 func (db *DB) AddServer() string { return db.c.AddServer() }
 
 // RemoveServer decommissions a live server gracefully: it stops receiving
@@ -293,60 +256,6 @@ func (db *DB) AddServer() string { return db.c.AddServer() }
 // elastic inverse of AddServer; contrast with CrashServer, which models
 // failure.
 func (db *DB) RemoveServer(id string) error { return db.c.Master.DecommissionServer(id) }
-
-// RegionMove records one balancer-driven region migration.
-type RegionMove struct {
-	Region, From, To string
-}
-
-// RebalanceReport is what one balancer round observed and did.
-type RebalanceReport struct {
-	// Loads is the per-server op count accumulated since the previous round.
-	Loads map[string]int64
-	// Moves lists region migrations performed this round (at most one).
-	Moves []RegionMove
-	// Merged lists child regions created by cold merges (at most one).
-	Merged []string
-}
-
-// Rebalance runs one load-aware balancer round on demand (the continuous
-// loop runs the same round every Options.BalancerInterval): migrate one
-// region from the most- to the least-loaded server when the hotspot ratio
-// is exceeded, and merge one cold adjacent region pair when
-// MergeColdThreshold is configured.
-func (db *DB) Rebalance() RebalanceReport {
-	rep := db.c.Master.BalanceOnce(db.balCfg)
-	out := RebalanceReport{Loads: rep.Loads, Merged: rep.Merged}
-	for _, mv := range rep.Moves {
-		out.Moves = append(out.Moves, RegionMove{Region: mv.Region, From: mv.From, To: mv.To})
-	}
-	return out
-}
-
-// MoveRegion migrates one region to the given live server, reporting whether
-// the move happened (false when the region was re-homed concurrently, is
-// mid-split, or already lives there).
-func (db *DB) MoveRegion(regionID, server string) (bool, error) {
-	return db.c.Master.MoveRegion(regionID, server)
-}
-
-// AUQStats reports asynchronous-update-queue pressure: total and worst
-// single-region backlog, plus how many arrivals admission control shed to
-// the synchronous path (see Options.AUQMaxBacklog).
-type AUQStats struct {
-	Depth          int64 // queued + in-flight tasks across all regions
-	MaxRegionDepth int64 // largest single-region backlog (≤ AUQMaxBacklog when capped)
-	Shed           int64 // arrivals degraded to synchronous maintenance
-}
-
-// AUQStats returns a snapshot of AUQ backlog and admission-control counters.
-func (db *DB) AUQStats() AUQStats {
-	return AUQStats{
-		Depth:          db.m.QueueDepth(),
-		MaxRegionDepth: db.m.MaxRegionQueueDepth(),
-		Shed:           db.m.ShedTotal(),
-	}
-}
 
 // RegionDesc describes one region of a table.
 type RegionDesc struct {
@@ -657,71 +566,6 @@ func (cl *Client) VerifyIndexes(table string) ([]IndexVerifyReport, error) {
 		}
 	}
 	return out, err
-}
-
-// SetIndexScheme changes an index's maintenance scheme at runtime, running
-// the verify sweep first when the index leaves SyncInsert (no other scheme's
-// reads repair stale entries).
-func (cl *Client) SetIndexScheme(table string, columns []string, scheme Scheme) error {
-	return cl.db.m.SetScheme(cl.c, table, columns, scheme.internal())
-}
-
-// Requirements declares an application's needs for one index, feeding the
-// adaptive scheme advisor (the paper's §3.4 principles).
-type Requirements struct {
-	NeedConsistency       bool
-	NeedReadYourWrites    bool
-	ReadLatencyCritical   bool
-	UpdateLatencyCritical bool
-}
-
-// Recommendation is the advisor's output: a scheme, the reasoning, and the
-// observed workload counts it was based on.
-type Recommendation struct {
-	Scheme         Scheme
-	Rationale      string
-	Updates, Reads int64
-}
-
-// Advisor observes per-index workload (update and read rates) and
-// recommends maintenance schemes — the workload-aware scheme selection the
-// paper leaves as future work (§3.4).
-type Advisor struct {
-	a *core.Advisor
-}
-
-// NewAdvisor attaches an advisor to the database; from then on every index
-// update and index read is counted per index.
-func (db *DB) NewAdvisor() *Advisor { return &Advisor{a: db.m.NewAdvisor()} }
-
-// Observed returns the op counts recorded for an index.
-func (a *Advisor) Observed(table string, columns ...string) (updates, reads int64) {
-	return a.a.Observed(table, columns...)
-}
-
-// Recommend applies the paper's five usage principles to the declared
-// requirements and the observed read/write ratio.
-func (a *Advisor) Recommend(table string, columns []string, req Requirements) Recommendation {
-	rec := a.a.Recommend(table, columns, core.Requirements{
-		NeedConsistency:       req.NeedConsistency,
-		NeedReadYourWrites:    req.NeedReadYourWrites,
-		ReadLatencyCritical:   req.ReadLatencyCritical,
-		UpdateLatencyCritical: req.UpdateLatencyCritical,
-	})
-	return Recommendation{
-		Scheme: Scheme(rec.Scheme), Rationale: rec.Rationale,
-		Updates: rec.Updates, Reads: rec.Reads,
-	}
-}
-
-// Apply recommends and immediately applies the scheme for an index through
-// the given client.
-func (a *Advisor) Apply(cl *Client, table string, columns []string, req Requirements) (Recommendation, error) {
-	rec := a.Recommend(table, columns, req)
-	if err := cl.SetIndexScheme(table, columns, rec.Scheme); err != nil {
-		return rec, err
-	}
-	return rec, nil
 }
 
 // IndexSplitPoints builds index-table split keys from representative

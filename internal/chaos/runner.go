@@ -147,7 +147,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 		DisableTracing:            true,
 	})
 	defer db.Close()
-	c, _ := db.Internal()
+	c, m := db.Internal()
 
 	if err := db.CreateTable(workload.TableName, workload.TableSplits(cfg.Records, cfg.Servers)); err != nil {
 		return nil, err
@@ -289,7 +289,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 					return
 				default:
 				}
-				if d := db.AUQStats().MaxRegionDepth; d > maxBacklog.Load() {
+				if d := m.MaxRegionQueueDepth(); d > maxBacklog.Load() {
 					maxBacklog.Store(d)
 				}
 				time.Sleep(time.Millisecond)
@@ -472,11 +472,11 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 		// re-enqueues when inline maintenance fails mid-fault, so concurrent
 		// writers can overshoot the cap by at most their own count; anything
 		// beyond that bounded slack means admission control leaked.
-		if d := db.AUQStats().MaxRegionDepth; d > maxBacklog.Load() {
+		if d := m.MaxRegionQueueDepth(); d > maxBacklog.Load() {
 			maxBacklog.Store(d)
 		}
 		res.MaxAUQBacklog = maxBacklog.Load()
-		res.AUQShed = db.AUQStats().Shed
+		res.AUQShed = m.ShedTotal()
 		// Two legitimate overshoot sources: concurrent writers racing the
 		// cap check (bounded by the writer count), and crash-recovery WAL
 		// replay re-enqueueing up to a full cap's worth of preserved tasks

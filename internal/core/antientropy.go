@@ -39,7 +39,7 @@ const VerifyBuckets = 64
 type IndexVerifyReport struct {
 	Table string
 	Index string
-	// Scheme is the index's maintenance scheme at sweep time.
+	// Scheme is the index's maintenance scheme.
 	Scheme Scheme
 	// Buckets is the digest-vector width; DivergentBuckets how many buckets
 	// differed between the base side and the index side.

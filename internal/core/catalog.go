@@ -51,21 +51,6 @@ func (c *Catalog) Remove(table, name string) bool {
 	return false
 }
 
-// UpdateScheme changes the maintenance scheme of an index by name. Callers
-// switching an index away from sync-insert must cleanse it first (see
-// Manager.SetScheme).
-func (c *Catalog) UpdateScheme(table, name string, scheme Scheme) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, d := range c.byTable[table] {
-		if d.Name() == name {
-			c.byTable[table][i].Scheme = scheme
-			return true
-		}
-	}
-	return false
-}
-
 // IndexesOn returns the indexes defined on a table (a copy).
 func (c *Catalog) IndexesOn(table string) []IndexDef {
 	c.mu.RLock()

@@ -118,24 +118,6 @@ type Manager struct {
 	auqs        map[*cluster.Region]*auq
 	serverConns map[string]*cluster.Client
 	staleness   *metrics.Histogram
-	// advisor is read on every index read and indexed put, so it is an
-	// atomic pointer rather than state under mu.
-	advisor atomic.Pointer[Advisor]
-}
-
-// noteIndexUpdate/noteIndexRead report per-index activity to the attached
-// advisor, if any. Without one they cost an atomic load: not even the index
-// name is built.
-func (m *Manager) noteIndexUpdate(def IndexDef) {
-	if a := m.advisor.Load(); a != nil {
-		a.noteUpdate(def.Name())
-	}
-}
-
-func (m *Manager) noteIndexRead(def IndexDef) {
-	if a := m.advisor.Load(); a != nil {
-		a.noteRead(def.Name())
-	}
 }
 
 // NewManager creates the Diff-Index runtime for a cluster.

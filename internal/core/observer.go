@@ -57,7 +57,6 @@ func (o *observer) dispatch(ctx cluster.RegionCtx, t task) {
 		if !covered {
 			continue
 		}
-		o.m.noteIndexUpdate(def)
 		if def.Local {
 			// Local index maintenance is synchronous and region-local
 			// (§3.1): same server, so the writes below cost no network hop.

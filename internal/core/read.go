@@ -74,7 +74,6 @@ func (m *Manager) readIndex(cl *cluster.Client, def IndexDef, lo, hi []byte, lim
 		return nil, err
 	}
 	m.Counters.IndexRead.Inc()
-	m.noteIndexRead(def)
 
 	cands := make([]cluster.IndexEntryPair, len(entries))
 	for i, e := range entries {
@@ -132,7 +131,6 @@ func (m *Manager) readLocalIndex(cl *cluster.Client, def IndexDef, lo, hi []byte
 		return nil, err
 	}
 	m.Counters.IndexRead.Inc()
-	m.noteIndexRead(def)
 
 	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
 	hits := make([]IndexHit, 0, len(entries))
