@@ -526,42 +526,37 @@ func (s *Session) End() { s.s.End() }
 // ErrSessionExpired is returned by session operations after expiry or End.
 var ErrSessionExpired = core.ErrSessionExpired
 
-// IndexVerifyReport summarizes one index's anti-entropy sweep: how many
-// digest buckets diverged between the base table and the index, the
+// IndexVerifyReport summarizes one index's anti-entropy sweep: the
 // confirmed violations by kind (missing = entry absent from the index,
 // breaking index-complete; stale = entry no base row justifies, breaking
 // index-exact), candidates that re-verified clean (in-flight updates), and
 // the repairs applied.
 type IndexVerifyReport struct {
-	Table, Index     string
-	Scheme           Scheme
-	Buckets          int
-	DivergentBuckets int
-	PairsCompared    int
-	Missing, Stale   int
-	Transient        int
-	Repaired         int
+	Table, Index   string
+	Scheme         Scheme
+	Missing, Stale int
+	Transient      int
+	Repaired       int
 }
 
 // Healthy reports whether the sweep confirmed zero violations.
 func (r IndexVerifyReport) Healthy() bool { return r.Missing == 0 && r.Stale == 0 }
 
 // VerifyIndexes runs one anti-entropy sweep over every global index of a
-// table: merkle-style hash-bucket digests of the base table and the index
-// are compared, only divergent buckets are enumerated, every candidate
-// violation is re-verified with point reads, and confirmed violations are
-// repaired in place (missing entries inserted, stale entries deleted, at the
-// timestamps §4.3 prescribes) — the paper's §7 index-cleanse utility. Sweep
-// activity is counted in the diffindex_antientropy_* metrics and
-// diffindex_reconcile_*_total{source="verify"}, and feeds DB.Health.
+// table: the index pairs the base table's rows call for and the entries the
+// index holds are each enumerated once, one scan per region, and diffed;
+// every candidate violation is re-verified with point reads, and confirmed
+// violations are repaired in place (missing entries inserted, stale entries
+// deleted, at the timestamps §4.3 prescribes) — the paper's §7
+// index-cleanse utility. Sweep activity is counted in
+// diffindex_reconcile_*_total{source="verify"}, which feeds DB.Health.
 func (cl *Client) VerifyIndexes(table string) ([]IndexVerifyReport, error) {
 	reps, err := cl.db.m.VerifyIndexes(cl.c, table)
 	out := make([]IndexVerifyReport, len(reps))
 	for i, r := range reps {
 		out[i] = IndexVerifyReport{
 			Table: r.Table, Index: r.Index, Scheme: Scheme(r.Scheme),
-			Buckets: r.Buckets, DivergentBuckets: r.DivergentBuckets,
-			PairsCompared: r.PairsCompared, Missing: r.Missing, Stale: r.Stale,
+			Missing: r.Missing, Stale: r.Stale,
 			Transient: r.Transient, Repaired: r.Repaired,
 		}
 	}

@@ -1,28 +1,20 @@
 package cluster
 
 import (
-	"hash/fnv"
-
 	"diffindex/internal/kv"
 )
 
-// Anti-entropy support: merkle-style hash-bucket digests of index state.
+// Anti-entropy support: enumerate both sides of a global index.
 //
 // A global index is healthy when the set of (indexValue, row) pairs derivable
 // from the base table equals the set of entries stored in the index table.
-// Comparing the two sets directly would ship every pair over the network; the
-// anti-entropy protocol instead compares fixed-size digest vectors. Each pair
-// hashes into one of `buckets` buckets by its row key, and a bucket's digest
-// is the XOR of its pairs' 64-bit hashes. XOR is commutative and associative,
-// so per-region digest vectors merge into a table-wide vector in any order —
-// region splits, moves and scatter scheduling cannot change the result. Only
-// buckets whose digests differ between the base side and the index side are
-// then enumerated pair-by-pair.
+// The sweep enumerates both sets, one scan per region of each table, and the
+// caller diffs them. Deriving a base row's pair happens server-side, so only
+// pairs cross the network, never the rows' other columns.
 //
-// Digests cover (value, row) with length-prefixed hashing (no concatenation
-// ambiguity). Timestamps are excluded: presence and value equality define the
-// index-complete / index-exact contracts (§6.1); timestamps only matter when
-// repairing, so the enumeration RPCs return them alongside each pair.
+// Presence and value equality define the index-complete / index-exact
+// contracts (§6.1); timestamps only matter when repairing, so the
+// enumeration RPCs return them alongside each pair.
 
 // IndexEntryPair is one (indexValue, row) pair surfaced by anti-entropy
 // enumeration, with the timestamp repairs must carry: for an index-side entry
@@ -34,43 +26,11 @@ type IndexEntryPair struct {
 	Ts    kv.Timestamp
 }
 
-// aeBucket assigns a row key to a digest bucket.
-func aeBucket(row []byte, buckets int) int {
-	h := fnv.New32a()
-	h.Write(row)
-	return int(h.Sum32() % uint32(buckets))
-}
-
-// aeDigest hashes one (value, row) pair, length-prefixing each part so
-// distinct pairs never collide by concatenation.
-func aeDigest(value, row []byte) uint64 {
-	h := fnv.New64a()
-	var lenBuf [8]byte
-	putLen := func(b []byte) {
-		n := len(b)
-		for i := 0; i < 8; i++ {
-			lenBuf[i] = byte(n >> (8 * i))
-		}
-		h.Write(lenBuf[:])
-		h.Write(b)
-	}
-	putLen(value)
-	putLen(row)
-	return h.Sum64()
-}
-
-// xorMerge folds src into dst element-wise.
-func xorMerge(dst, src []uint64) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
-}
-
 // --- Server-side RPCs -------------------------------------------------------
 
-// IndexDigest scans an index-table region's store keys in [lo, hi) at ts and
-// returns the region's per-bucket XOR digest of its (value, row) entries.
-func (s *RegionServer) IndexDigest(regionID string, lo, hi []byte, buckets int, ts kv.Timestamp) ([]uint64, error) {
+// indexEntries returns an index-table region's (value, row, ts) entries in
+// store-key range [lo, hi) visible at ts.
+func (s *RegionServer) indexEntries(regionID string, lo, hi []byte, ts kv.Timestamp) ([]IndexEntryPair, error) {
 	region, err := s.region(regionID)
 	if err != nil {
 		return nil, err
@@ -79,41 +39,11 @@ func (s *RegionServer) IndexDigest(regionID string, lo, hi []byte, buckets int, 
 	if err != nil {
 		return nil, mapStoreErr(err)
 	}
-	dig := make([]uint64, buckets)
+	out := make([]IndexEntryPair, 0, len(results))
 	for _, res := range results {
 		val, row, err := kv.SplitIndexKey(res.Key)
 		if err != nil {
 			return nil, err
-		}
-		dig[aeBucket(row, buckets)] ^= aeDigest(val, row)
-	}
-	return dig, nil
-}
-
-// IndexBucketEntries returns an index-table region's (value, row, ts) entries
-// in [lo, hi) whose rows fall into one of the wanted buckets — the
-// enumeration step, restricted to buckets the digest comparison flagged.
-func (s *RegionServer) IndexBucketEntries(regionID string, lo, hi []byte, buckets int, want []int, ts kv.Timestamp) ([]IndexEntryPair, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, err
-	}
-	wanted := make(map[int]bool, len(want))
-	for _, b := range want {
-		wanted[b] = true
-	}
-	results, err := region.store.Scan(lo, hi, ts, 0)
-	if err != nil {
-		return nil, mapStoreErr(err)
-	}
-	var out []IndexEntryPair
-	for _, res := range results {
-		val, row, err := kv.SplitIndexKey(res.Key)
-		if err != nil {
-			return nil, err
-		}
-		if !wanted[aeBucket(row, buckets)] {
-			continue
 		}
 		out = append(out, IndexEntryPair{
 			Value: append([]byte(nil), val...),
@@ -170,41 +100,16 @@ func baseIndexPairs(region *Region, lo, hi []byte, columns []string, ts kv.Times
 	return nil
 }
 
-// BaseIndexDigest scans a base-table region in [lo, hi) (store-key bounds,
-// at or above kv.BaseDataStart) and returns the per-bucket XOR digest of the
-// index pairs its rows SHOULD have for an index on columns — the base-side
-// half of the digest comparison.
-func (s *RegionServer) BaseIndexDigest(regionID string, lo, hi []byte, columns []string, buckets int, ts kv.Timestamp) ([]uint64, error) {
+// baseEntries returns the expected (value, row, maxColumnTs) index pairs of
+// a base-table region's rows in store-key range [lo, hi) (at or above
+// kv.BaseDataStart) for an index on columns.
+func (s *RegionServer) baseEntries(regionID string, lo, hi []byte, columns []string, ts kv.Timestamp) ([]IndexEntryPair, error) {
 	region, err := s.region(regionID)
 	if err != nil {
 		return nil, err
-	}
-	dig := make([]uint64, buckets)
-	err = baseIndexPairs(region, lo, hi, columns, ts, func(val, row []byte, _ kv.Timestamp) {
-		dig[aeBucket(row, buckets)] ^= aeDigest(val, row)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dig, nil
-}
-
-// BaseBucketEntries returns the expected (value, row, maxColumnTs) index
-// pairs of a base-table region's rows in the wanted buckets.
-func (s *RegionServer) BaseBucketEntries(regionID string, lo, hi []byte, columns []string, buckets int, want []int, ts kv.Timestamp) ([]IndexEntryPair, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, err
-	}
-	wanted := make(map[int]bool, len(want))
-	for _, b := range want {
-		wanted[b] = true
 	}
 	var out []IndexEntryPair
 	err = baseIndexPairs(region, lo, hi, columns, ts, func(val, row []byte, maxTs kv.Timestamp) {
-		if !wanted[aeBucket(row, buckets)] {
-			return
-		}
 		out = append(out, IndexEntryPair{
 			Value: append([]byte(nil), val...),
 			Row:   append([]byte(nil), row...),
@@ -219,32 +124,13 @@ func (s *RegionServer) BaseBucketEntries(regionID string, lo, hi []byte, columns
 
 // --- Client-side fan-out ----------------------------------------------------
 
-// IndexTableDigest computes the table-wide per-bucket digest of an index
-// table by walking its regions with the routing cursor and XOR-merging each
-// region's digest vector. Raw (index) tables route by store key, so each
-// region digests its clamped store-key slice exactly once.
-func (cl *Client) IndexTableDigest(table string, buckets int, ts kv.Timestamp) ([]uint64, error) {
-	dig := make([]uint64, buckets)
-	err := cl.forEachRegion(table, nil, nil, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
-		part, err := s.IndexDigest(ri.ID, lo, hi, buckets, ts)
-		if err != nil {
-			return false, err
-		}
-		xorMerge(dig, part)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dig, nil
-}
-
-// IndexTableBucketEntries enumerates an index table's entries in the wanted
-// buckets, concatenated across regions in routing order.
-func (cl *Client) IndexTableBucketEntries(table string, buckets int, want []int, ts kv.Timestamp) ([]IndexEntryPair, error) {
+// IndexTableEntries enumerates an index table's entries, one RPC per region,
+// concatenated in routing order. Raw (index) tables route by store key, so
+// each region enumerates its clamped store-key slice exactly once.
+func (cl *Client) IndexTableEntries(table string, ts kv.Timestamp) ([]IndexEntryPair, error) {
 	var out []IndexEntryPair
 	err := cl.forEachRegion(table, nil, nil, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
-		part, err := s.IndexBucketEntries(ri.ID, lo, hi, buckets, want, ts)
+		part, err := s.indexEntries(ri.ID, lo, hi, ts)
 		if err != nil {
 			return false, err
 		}
@@ -271,32 +157,14 @@ func baseStoreBounds(lo, hi []byte) (storeLo, storeHi []byte) {
 	return storeLo, storeHi
 }
 
-// BaseTableIndexDigest computes the table-wide per-bucket digest of the index
-// pairs a base table's rows SHOULD have for an index on columns.
-func (cl *Client) BaseTableIndexDigest(table string, columns []string, buckets int, ts kv.Timestamp) ([]uint64, error) {
-	dig := make([]uint64, buckets)
-	err := cl.forEachRegion(table, nil, nil, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
-		storeLo, storeHi := baseStoreBounds(lo, hi)
-		part, err := s.BaseIndexDigest(ri.ID, storeLo, storeHi, columns, buckets, ts)
-		if err != nil {
-			return false, err
-		}
-		xorMerge(dig, part)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dig, nil
-}
-
-// BaseTableBucketEntries enumerates the expected index pairs of a base
-// table's rows in the wanted buckets.
-func (cl *Client) BaseTableBucketEntries(table string, columns []string, buckets int, want []int, ts kv.Timestamp) ([]IndexEntryPair, error) {
+// BaseTableEntries enumerates the index pairs a base table's rows SHOULD
+// have for an index on columns, one RPC per region, concatenated in routing
+// order.
+func (cl *Client) BaseTableEntries(table string, columns []string, ts kv.Timestamp) ([]IndexEntryPair, error) {
 	var out []IndexEntryPair
 	err := cl.forEachRegion(table, nil, nil, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
 		storeLo, storeHi := baseStoreBounds(lo, hi)
-		part, err := s.BaseBucketEntries(ri.ID, storeLo, storeHi, columns, buckets, want, ts)
+		part, err := s.baseEntries(ri.ID, storeLo, storeHi, columns, ts)
 		if err != nil {
 			return false, err
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -70,7 +71,9 @@ type Region struct {
 
 // lockRow locks row's stripe and returns it for the caller to unlock.
 func (r *Region) lockRow(row []byte) *sync.Mutex {
-	mu := &r.rowLocks[aeBucket(row, len(r.rowLocks))]
+	h := fnv.New32a()
+	h.Write(row)
+	mu := &r.rowLocks[h.Sum32()%uint32(len(r.rowLocks))]
 	mu.Lock()
 	return mu
 }

@@ -5,7 +5,6 @@ import (
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
-	"diffindex/internal/metrics"
 )
 
 // Anti-entropy index verification: the background check that a global index
@@ -22,18 +21,12 @@ import (
 //   - an index entry no base row justifies breaks index-exact (reads return
 //     phantom rows, modulo the double-check of sync-insert) — "stale".
 //
-// The comparison is digest-first (see cluster's hash-bucket protocol): only
-// buckets whose base-side and index-side digests differ are enumerated
-// pair-by-pair, so a healthy index costs two digest scans and no enumeration.
+// The comparison is one enumerate-and-diff pass: each side is enumerated
+// once, one RPC per region, and the two pair sets are diffed in memory.
 // Because the two sides are scanned without a common snapshot, in-flight
 // writes and queued async updates can masquerade as divergence; every
 // candidate is therefore re-verified with point reads before it is counted
 // or repaired, and candidates that re-verify clean are reported as transient.
-
-// VerifyBuckets is the digest-vector width used by VerifyIndexes. More
-// buckets localize divergence better (fewer pairs enumerated per divergent
-// bucket); fewer buckets shrink the digest exchange.
-const VerifyBuckets = 64
 
 // IndexVerifyReport summarizes one index's anti-entropy sweep.
 type IndexVerifyReport struct {
@@ -41,13 +34,6 @@ type IndexVerifyReport struct {
 	Index string
 	// Scheme is the index's maintenance scheme.
 	Scheme Scheme
-	// Buckets is the digest-vector width; DivergentBuckets how many buckets
-	// differed between the base side and the index side.
-	Buckets          int
-	DivergentBuckets int
-	// PairsCompared counts the (value, row) pairs enumerated from the
-	// divergent buckets, both sides combined.
-	PairsCompared int
 	// Missing / Stale are CONFIRMED violations: expected entries absent from
 	// the index (index-complete breach) and index entries without a matching
 	// base row (index-exact breach).
@@ -65,8 +51,8 @@ type IndexVerifyReport struct {
 func (r IndexVerifyReport) Healthy() bool { return r.Missing == 0 && r.Stale == 0 }
 
 func (r IndexVerifyReport) String() string {
-	return fmt.Sprintf("%s[%s]: buckets %d/%d divergent, %d pairs, %d missing, %d stale, %d transient, %d repaired",
-		r.Index, r.Scheme, r.DivergentBuckets, r.Buckets, r.PairsCompared, r.Missing, r.Stale, r.Transient, r.Repaired)
+	return fmt.Sprintf("%s[%s]: %d missing, %d stale, %d transient, %d repaired",
+		r.Index, r.Scheme, r.Missing, r.Stale, r.Transient, r.Repaired)
 }
 
 // VerifyIndexes runs one anti-entropy sweep over every GLOBAL index of a
@@ -90,41 +76,17 @@ func (m *Manager) VerifyIndexes(cl *cluster.Client, table string) ([]IndexVerify
 }
 
 func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyReport, error) {
-	rep := IndexVerifyReport{Table: def.Table, Index: def.Name(), Scheme: def.Scheme, Buckets: VerifyBuckets}
-	m.reg.Counter("diffindex_antientropy_sweeps_total", metrics.L("table", def.Table)).Inc()
+	rep := IndexVerifyReport{Table: def.Table, Index: def.Name(), Scheme: def.Scheme}
 
-	// Phase 1: digest exchange. One scan of each side, fixed-size result.
-	baseDig, err := cl.BaseTableIndexDigest(def.Table, def.Columns, VerifyBuckets, kv.MaxTimestamp)
+	// Enumerate each side once and diff the pair sets.
+	basePairs, err := cl.BaseTableEntries(def.Table, def.Columns, kv.MaxTimestamp)
 	if err != nil {
 		return rep, err
 	}
-	idxDig, err := cl.IndexTableDigest(def.Name(), VerifyBuckets, kv.MaxTimestamp)
+	idxPairs, err := cl.IndexTableEntries(def.Name(), kv.MaxTimestamp)
 	if err != nil {
 		return rep, err
 	}
-	var divergent []int
-	for i := range baseDig {
-		if baseDig[i] != idxDig[i] {
-			divergent = append(divergent, i)
-		}
-	}
-	rep.DivergentBuckets = len(divergent)
-	m.reg.Counter("diffindex_antientropy_buckets_total", metrics.L("result", "clean")).Add(int64(VerifyBuckets - len(divergent)))
-	m.reg.Counter("diffindex_antientropy_buckets_total", metrics.L("result", "divergent")).Add(int64(len(divergent)))
-	if len(divergent) == 0 {
-		return rep, nil
-	}
-
-	// Phase 2: enumerate ONLY the divergent buckets and diff the pair sets.
-	basePairs, err := cl.BaseTableBucketEntries(def.Table, def.Columns, VerifyBuckets, divergent, kv.MaxTimestamp)
-	if err != nil {
-		return rep, err
-	}
-	idxPairs, err := cl.IndexTableBucketEntries(def.Name(), VerifyBuckets, divergent, kv.MaxTimestamp)
-	if err != nil {
-		return rep, err
-	}
-	rep.PairsCompared = len(basePairs) + len(idxPairs)
 	inBase := make(map[string]bool, len(basePairs))
 	for _, p := range basePairs {
 		inBase[string(kv.IndexKey(p.Value, p.Row))] = true
@@ -144,23 +106,11 @@ func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyRepo
 		}
 	}
 
-	// Phase 3: re-verify and repair. The two enumeration scans above are
-	// not a snapshot, so a write racing the sweep shows up as a candidate;
-	// the reconcile engine's point reads see the current state, report those
-	// as transient, and repair only what they confirm.
+	// Re-verify and repair. The two enumeration scans above are not a
+	// snapshot, so a write racing the sweep shows up as a candidate; the
+	// reconcile engine's point reads see the current state, report those as
+	// transient, and repair only what they confirm.
 	res, err := m.reconcile(cl, def, srcVerify, stale, missing)
 	rep.Missing, rep.Stale, rep.Transient, rep.Repaired = res.Missing, res.Stale, res.Transient, res.Repaired
 	return rep, err
-}
-
-// VerifyIndex runs the sweep for one index, by table and columns.
-func (m *Manager) VerifyIndex(cl *cluster.Client, table string, columns ...string) (IndexVerifyReport, error) {
-	def, ok := m.catalog.Find(table, columns...)
-	if !ok {
-		return IndexVerifyReport{}, fmt.Errorf("core: no index on %s(%v)", table, columns)
-	}
-	if def.Local {
-		return IndexVerifyReport{}, fmt.Errorf("core: %s is a local index; anti-entropy applies to global indexes", def.Name())
-	}
-	return m.verifyIndex(cl, def)
 }

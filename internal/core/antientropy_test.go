@@ -17,11 +17,10 @@ func loadRows(t testing.TB, e *env, n int) {
 	}
 }
 
-func TestAntiEntropyCleanIndex(t *testing.T) {
-	e := newEnv(t, 3, ManagerOptions{})
-	e.createIndex(t, SyncFull, "color")
-	loadRows(t, e, 40)
-
+// verifyOne sweeps the test table, which carries exactly one global index,
+// and returns that index's report.
+func verifyOne(t testing.TB, e *env) IndexVerifyReport {
+	t.Helper()
 	reports, err := e.m.VerifyIndexes(e.cl, e.tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -29,12 +28,20 @@ func TestAntiEntropyCleanIndex(t *testing.T) {
 	if len(reports) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
-	rep := reports[0]
-	if !rep.Healthy() || rep.DivergentBuckets != 0 || rep.Repaired != 0 {
+	return reports[0]
+}
+
+// clean reports whether a sweep saw no candidate pair at all: nothing
+// confirmed and nothing that re-verified clean either.
+func clean(rep IndexVerifyReport) bool { return rep.Healthy() && rep.Transient == 0 }
+
+func TestAntiEntropyCleanIndex(t *testing.T) {
+	e := newEnv(t, 3, ManagerOptions{})
+	e.createIndex(t, SyncFull, "color")
+	loadRows(t, e, 40)
+
+	if rep := verifyOne(t, e); !clean(rep) || rep.Repaired != 0 {
 		t.Fatalf("clean index reported divergence: %s", rep)
-	}
-	if rep.Buckets != VerifyBuckets {
-		t.Fatalf("Buckets = %d", rep.Buckets)
 	}
 }
 
@@ -57,27 +64,16 @@ func TestAntiEntropyRepairsMissingEntry(t *testing.T) {
 		t.Fatalf("index unexpectedly already has the entry: %v", got)
 	}
 
-	rep, err := e.m.VerifyIndex(e.cl, e.tbl, "color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Missing != 1 || rep.Stale != 0 || rep.Repaired != 1 {
+	if rep := verifyOne(t, e); rep.Missing != 1 || rep.Stale != 0 || rep.Transient != 0 || rep.Repaired != 1 {
 		t.Fatalf("report: %s", rep)
-	}
-	if rep.DivergentBuckets == 0 {
-		t.Fatalf("digest comparison missed the divergence: %s", rep)
 	}
 
 	// The repaired entry now serves index reads.
 	if got := e.lookupRows(t, []string{"color"}, "lost"); len(got) != 1 || got[0] != "item123" {
 		t.Fatalf("post-repair lookup = %v", got)
 	}
-	// And the index digests converge: a second sweep is clean.
-	rep2, err := e.m.VerifyIndex(e.cl, e.tbl, "color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Healthy() || rep2.DivergentBuckets != 0 {
+	// And the two sides converge: a second sweep is clean.
+	if rep2 := verifyOne(t, e); !clean(rep2) {
 		t.Fatalf("residual divergence after repair: %s", rep2)
 	}
 }
@@ -101,21 +97,13 @@ func TestAntiEntropyRepairsStaleEntry(t *testing.T) {
 		t.Fatalf("phantom not visible pre-repair: %v", got)
 	}
 
-	rep, err := e.m.VerifyIndex(e.cl, e.tbl, "color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stale != 1 || rep.Missing != 0 || rep.Repaired != 1 {
+	if rep := verifyOne(t, e); rep.Stale != 1 || rep.Missing != 0 || rep.Transient != 0 || rep.Repaired != 1 {
 		t.Fatalf("report: %s", rep)
 	}
 	if got := e.lookupRows(t, []string{"color"}, "phantom"); len(got) != 0 {
 		t.Fatalf("phantom still served after repair: %v", got)
 	}
-	rep2, err := e.m.VerifyIndex(e.cl, e.tbl, "color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Healthy() || rep2.DivergentBuckets != 0 {
+	if rep2 := verifyOne(t, e); !clean(rep2) {
 		t.Fatalf("residual divergence after repair: %s", rep2)
 	}
 }
@@ -141,11 +129,7 @@ func TestAntiEntropyCompositeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := e.m.VerifyIndex(e.cl, e.tbl, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Missing != 1 || rep.Repaired != 1 {
+	if rep := verifyOne(t, e); rep.Missing != 1 || rep.Stale != 0 || rep.Repaired != 1 {
 		t.Fatalf("report: %s", rep)
 	}
 	want := kv.EncodeComposite([]byte("ax"), []byte("bx"))
@@ -161,11 +145,7 @@ func TestAntiEntropyAsyncIndexAfterConvergence(t *testing.T) {
 	if !e.m.WaitForConvergence(5e9) {
 		t.Fatal("async index did not converge")
 	}
-	rep, err := e.m.VerifyIndex(e.cl, e.tbl, "color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Healthy() || rep.Repaired != 0 {
+	if rep := verifyOne(t, e); !clean(rep) || rep.Repaired != 0 {
 		t.Fatalf("converged async index reported divergence: %s", rep)
 	}
 }
@@ -184,7 +164,64 @@ func TestAntiEntropySkipsLocalIndexes(t *testing.T) {
 	if len(reports) != 0 {
 		t.Fatalf("local index swept: %v", reports)
 	}
-	if _, err := e.m.VerifyIndex(e.cl, e.tbl, "color"); err == nil {
-		t.Fatal("VerifyIndex on a local index must fail")
+}
+
+// The sweep is one enumerate-and-diff pass: each base region and each index
+// region is enumerated by exactly one RPC, and everything else the sweep
+// sends is the reconcile engine's. On a sync-insert index where every row
+// left a stale entry behind, no grouping of rows can find a part of either
+// side that agrees, so no scan is saved by comparing summaries first.
+func TestVerifyEnumeratesEachSideOnce(t *testing.T) {
+	e := newEnv(t, 3, ManagerOptions{})
+	def := IndexDef{Table: e.tbl, Columns: []string{"title"}, Scheme: SyncInsert}
+	if err := e.m.CreateIndex(def, [][]byte{kv.IndexValuePrefix([]byte("m"))}); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 500 // under reconcileChunk: the engine runs one wave
+	for i := 0; i < rows; i++ {
+		row := fmt.Sprintf("item%03d", 2*i) // both base regions
+		old, cur := "a", "b"
+		if i%2 == 1 {
+			old, cur = "n", "o" // the other index region
+		}
+		e.put(t, row, "title", fmt.Sprintf("%s%03d", old, i))
+		e.put(t, row, "title", fmt.Sprintf("%s%03d", cur, i))
+	}
+	base, err := e.c.Master.RegionsOf(e.tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := e.c.Master.RegionsOf(def.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base) != 2 || len(index) != 2 {
+		t.Fatalf("regions: %d base, %d index; want 2 and 2", len(base), len(index))
+	}
+	regions := int64(len(base) + len(index))
+
+	// The stale wave's candidates carry the timestamps the enumeration read,
+	// so the engine makes no index lookup: one MultiGet RPC per base region
+	// for the double-check and one MultiApply RPC per index region for the
+	// deletes, as every region holds candidates.
+	before := e.c.Net.Calls()
+	rep := verifyOne(t, e)
+	if rep.Stale != rows || rep.Missing != 0 || rep.Repaired != rows {
+		t.Fatalf("report: %s", rep)
+	}
+	enumeration, reconcile := regions, regions
+	if got := e.c.Net.Calls() - before; got != enumeration+reconcile {
+		t.Errorf("sweep with %d stale entries: %d simnet calls, want %d enumeration + %d reconcile",
+			rows, got, enumeration, reconcile)
+	}
+
+	// Once repaired, the engine has nothing to check: the sweep is the two
+	// enumerations alone.
+	before = e.c.Net.Calls()
+	if rep := verifyOne(t, e); !clean(rep) {
+		t.Fatalf("second sweep = %s; want clean", rep)
+	}
+	if got := e.c.Net.Calls() - before; got != regions {
+		t.Errorf("clean sweep: %d simnet calls, want %d, one per region", got, regions)
 	}
 }

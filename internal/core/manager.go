@@ -194,10 +194,10 @@ func (m *Manager) CreateIndex(def IndexDef, splits [][]byte) error {
 	}
 	// Backfill: each region derives its rows' (value, row) pairs server-side
 	// — only the pairs cross the network, not the rows' other columns — and
-	// the reconcile engine inserts the ones the index lacks. One digest
-	// bucket selects every row.
+	// the reconcile engine inserts the ones the index lacks: the verify
+	// sweep's base-side enumeration.
 	cl := m.clientFor("diffindex-backfill")
-	pairs, err := cl.BaseTableBucketEntries(def.Table, def.Columns, 1, []int{0}, kv.MaxTimestamp)
+	pairs, err := cl.BaseTableEntries(def.Table, def.Columns, kv.MaxTimestamp)
 	if err != nil {
 		return err
 	}

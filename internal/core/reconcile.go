@@ -14,8 +14,8 @@ import (
 // hold for a row and writes the difference. The base table is the truth and
 // the index a derivable cache of it, so every repair is the same step —
 // Algorithm 2's double-check-and-clean — fed by four enumerators: one
-// sync-insert read's hits (read.go), both sides of the digest buckets that
-// diverged (antientropy.go), the base versions a merge round dropped
+// sync-insert read's hits (read.go), the pairs only one side of a verify
+// sweep holds (antientropy.go), the base versions a merge round dropped
 // (piggyback.go), every pair of a table an index is created over
 // (CreateIndex).
 //

@@ -146,15 +146,15 @@ func TestReconcileTimestampRule(t *testing.T) {
 			liveRow: "item001", liveVal: "old", visible: "old→item001",
 		},
 		{
-			name: "digest-bucket stale", scheme: SyncFull, created: true,
+			name: "verify stale", scheme: SyncFull, created: true,
 			run: func(t *testing.T, e *env) kv.Cell {
 				e.put(t, "item042", "title", "real")
 				phantom := kv.Cell{Key: kv.IndexKey([]byte("phantom"), []byte("item042")), Ts: 777777, Kind: kv.KindPut}
 				if err := e.cl.RawApply(title.Name(), phantom.Key, []kv.Cell{phantom}); err != nil {
 					t.Fatal(err)
 				}
-				if rep, err := e.m.VerifyIndex(e.cl, e.tbl, "title"); err != nil || rep.Stale != 1 || rep.Repaired != 1 {
-					t.Fatalf("verify: %s, err %v", rep, err)
+				if rep := verifyOne(t, e); rep.Stale != 1 || rep.Repaired != 1 {
+					t.Fatalf("verify: %s", rep)
 				}
 				phantom.Kind = kv.KindDelete
 				return phantom
@@ -162,12 +162,12 @@ func TestReconcileTimestampRule(t *testing.T) {
 			liveRow: "item042", liveVal: "phantom", visible: "phantom→item042", masked: "real→item042",
 		},
 		{
-			name: "digest-bucket missing", scheme: SyncFull, created: true,
+			name: "verify missing", scheme: SyncFull, created: true,
 			run: func(t *testing.T, e *env) kv.Cell {
 				e.rawPut(t, "item123", 900000, "title", "lost")
 				e.rawPut(t, "item123", 900005, "price", "9") // newer, not indexed
-				if rep, err := e.m.VerifyIndex(e.cl, e.tbl, "title"); err != nil || rep.Missing != 1 || rep.Repaired != 1 {
-					t.Fatalf("verify: %s, err %v", rep, err)
+				if rep := verifyOne(t, e); rep.Missing != 1 || rep.Repaired != 1 {
+					t.Fatalf("verify: %s", rep)
 				}
 				return kv.Cell{Key: kv.IndexKey([]byte("lost"), []byte("item123")), Ts: 900000, Kind: kv.KindPut}
 			},
@@ -351,8 +351,8 @@ func TestCompactionHookRepairsStaleEntries(t *testing.T) {
 		}
 	}
 	// A verify sweep now finds nothing left to repair.
-	if rep, err := e.m.VerifyIndex(e.cl, e.tbl, "title"); err != nil || !rep.Healthy() || rep.DivergentBuckets != 0 {
-		t.Errorf("post-compaction verify = %s, err %v; want clean", rep, err)
+	if rep := verifyOne(t, e); !clean(rep) {
+		t.Errorf("post-compaction verify = %s; want clean", rep)
 	}
 }
 
@@ -506,10 +506,7 @@ func TestVerifyRestoresEmptiedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := e.m.VerifyIndex(e.cl, e.tbl, "title")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := verifyOne(t, e)
 	// 40 rows − 6 with the title deleted = 34 entries.
 	if rep.Missing != 34 || rep.Repaired != 34 || rep.Stale != 0 {
 		t.Fatalf("restoring sweep: %s", rep)
@@ -543,8 +540,8 @@ func TestVerifyRestoresEmptiedIndex(t *testing.T) {
 		t.Errorf("restored index differs from the base table's pairs:\n got %v\nwant %v", got, want)
 	}
 
-	if rep, err = e.m.VerifyIndex(e.cl, e.tbl, "title"); err != nil || !rep.Healthy() || rep.DivergentBuckets != 0 {
-		t.Errorf("second sweep = %s, err %v; want clean", rep, err)
+	if rep = verifyOne(t, e); !clean(rep) {
+		t.Errorf("second sweep = %s; want clean", rep)
 	}
 	// The registered coprocessor keeps maintaining the restored index.
 	put("item001", "fresh")
