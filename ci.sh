@@ -107,8 +107,9 @@ go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
 # flush, golden as-of reads hold, and tailing the retained log yields every
 # acknowledged mutation, in order, with no gap and nothing else.
 go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
-# Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, cold
-# merges, hot splits and continuous balancing under live load; every
+# Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, one
+# merge through DB.MergeRegions, a split and continuous balancing under
+# live load; every
 # per-scheme invariant must hold, every region must be served where the
 # master routes it (the topology verdict, checked after every scenario), and
 # the AUQ backlog must stay under its cap.

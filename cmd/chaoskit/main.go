@@ -9,7 +9,7 @@
 // so five scenarios cover every scheme at least once. Exit status is 0 iff
 // every scenario upheld every invariant. -elastic additionally runs the
 // elastic cluster-dynamics scenario (live server adds, a decommission
-// drain, a cold merge and a split under the continuous balancer and AUQ
+// drain, a region merge and a split under the continuous balancer and AUQ
 // admission control) once per scheme. -ablation additionally runs the
 // §5.3 drain-on-flush negative control, which must produce violations.
 // -integrity additionally runs the silent-corruption pair: a faulted run

@@ -109,7 +109,8 @@ type Options struct {
 	// BalancerInterval, when > 0, runs the continuous load-aware balancer:
 	// every interval the master compares per-server op counts and migrates
 	// one region from the most- to the least-loaded server when the most
-	// loaded carries more than twice the least. 0 disables the loop.
+	// loaded carries more than twice the least and at least 16 ops more.
+	// 0 disables the loop.
 	BalancerInterval time.Duration
 
 	// UnsafeDisableDrainOnFlush turns off the drain-AUQ-before-flush
@@ -172,7 +173,7 @@ func Open(opts Options) *DB {
 		DisableDrainOnFlush: opts.UnsafeDisableDrainOnFlush,
 	})
 	if opts.BalancerInterval > 0 {
-		c.Master.StartBalancer(opts.BalancerInterval, cluster.BalanceConfig{})
+		c.Master.StartBalancer(opts.BalancerInterval)
 	}
 	return &DB{c: c, m: m}
 }

@@ -9,46 +9,23 @@ import (
 
 // This file is the elastic half of the cluster: a continuous load-aware
 // balancer that generalizes RestartServer's one-shot steal-from-most-loaded
-// rebalance into a periodic loop, region moves, cold-range merges (split's
-// inverse as a *policy*, driving Master.mergeRegions), and live server
-// decommission with drain-and-handoff. All of them are planners over the
-// one region-transition primitive (transition.go).
+// rebalance into a periodic loop, region moves, and live server decommission
+// with drain-and-handoff. All of them are planners over the one
+// region-transition primitive (transition.go).
 //
 // Every decision is deterministic given the observed load counters: servers
 // and regions are considered in sorted order and ties go to the
 // lexicographically smallest ID, mirroring RestartServer's plan.
 
-// BalanceConfig tunes one balancer round.
-type BalanceConfig struct {
-	// HotspotRatio is the donor/receiver load ratio that triggers a move
-	// (default 2.0): the most-loaded server must carry more than
-	// HotspotRatio times the least-loaded server's ops.
-	HotspotRatio float64
-	// MinMoveOps is the minimum absolute load gap (ops since the previous
-	// round) worth acting on; smaller gaps are noise (default 16).
-	MinMoveOps int64
-	// MergeColdThreshold, when > 0, merges adjacent regions of a table when
-	// BOTH served fewer ops than this since the previous round — cold
-	// ranges collapse so their fixed per-region cost (stores, AUQs, scan
-	// fan-out) is reclaimed. 0 disables merging.
-	MergeColdThreshold int64
-	// MinRegionsPerTable is the floor cold merges never shrink a table
-	// below (default 2).
-	MinRegionsPerTable int
-}
-
-func (c BalanceConfig) withDefaults() BalanceConfig {
-	if c.HotspotRatio <= 1 {
-		c.HotspotRatio = 2.0
-	}
-	if c.MinMoveOps <= 0 {
-		c.MinMoveOps = 16
-	}
-	if c.MinRegionsPerTable <= 0 {
-		c.MinRegionsPerTable = 2
-	}
-	return c
-}
+const (
+	// hotspotRatio is the donor/receiver load ratio that triggers a move:
+	// the most-loaded server must carry more than hotspotRatio times the
+	// least-loaded server's ops.
+	hotspotRatio = 2.0
+	// minMoveOps is the minimum absolute load gap (ops since the previous
+	// round) worth acting on; smaller gaps are noise.
+	minMoveOps = 16
+)
 
 // Move records one balancer-driven region migration.
 type Move struct {
@@ -62,9 +39,6 @@ type BalanceReport struct {
 	Loads map[string]int64
 	// Moves lists the region migrations performed (at most one per round).
 	Moves []Move
-	// Merged lists child region IDs created by cold merges (at most one
-	// merge per round).
-	Merged []string
 }
 
 // hostedRegion pairs a region with its load delta for planning.
@@ -74,18 +48,12 @@ type hostedRegion struct {
 }
 
 // BalanceOnce runs one round of the continuous balancer: collect per-region
-// load deltas, move the region that best evens out the worst hotspot (at
-// most one move), then merge the coldest adjacent region pair (at most one
-// merge). Single-step rounds keep each round cheap and let the loop converge
-// incrementally, like HBase's balancer chore.
-func (m *Master) BalanceOnce(cfg BalanceConfig) BalanceReport {
+// load deltas and move the region that best evens out the worst hotspot (at
+// most one move). Single-step rounds keep each round cheap and let the loop
+// converge incrementally, like HBase's balancer chore.
+func (m *Master) BalanceOnce() BalanceReport {
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	return m.balanceOnce(cfg)
-}
-
-func (m *Master) balanceOnce(cfg BalanceConfig) BalanceReport {
-	cfg = cfg.withDefaults()
 	reg := m.cluster.metrics
 	reg.Counter("diffindex_balance_rounds_total").Inc()
 
@@ -116,17 +84,10 @@ func (m *Master) balanceOnce(cfg BalanceConfig) BalanceReport {
 	}
 	m.mu.RUnlock()
 
-	if mv, ok := m.planMove(cfg, servers, report.Loads, byServer); ok {
+	if mv, ok := m.planMove(servers, report.Loads, byServer); ok {
 		if moved, err := m.moveRegion(mv.Region, mv.From, mv.To); err == nil && moved {
 			report.Moves = append(report.Moves, mv)
 			reg.Counter("diffindex_balance_moves_total").Inc()
-		}
-	}
-
-	if cfg.MergeColdThreshold > 0 {
-		if child, ok := m.mergeColdOnce(cfg, regionLoad); ok {
-			report.Merged = append(report.Merged, child)
-			reg.Counter("diffindex_balance_merges_total").Inc()
 		}
 	}
 	return report
@@ -138,7 +99,7 @@ func (m *Master) balanceOnce(cfg BalanceConfig) BalanceReport {
 // |g − 2L|, so the best candidate minimizes that residual; a move is only
 // made when it strictly shrinks the gap (a region hotter than the whole gap
 // would just relocate the hotspot).
-func (m *Master) planMove(cfg BalanceConfig, servers []string, loads map[string]int64, byServer map[string][]hostedRegion) (Move, bool) {
+func (m *Master) planMove(servers []string, loads map[string]int64, byServer map[string][]hostedRegion) (Move, bool) {
 	if len(servers) < 2 {
 		return Move{}, false
 	}
@@ -152,8 +113,8 @@ func (m *Master) planMove(cfg BalanceConfig, servers []string, loads map[string]
 		}
 	}
 	gap := loads[donor] - loads[receiver]
-	if donor == receiver || gap < cfg.MinMoveOps ||
-		float64(loads[donor]) <= cfg.HotspotRatio*float64(loads[receiver]) {
+	if donor == receiver || gap < minMoveOps ||
+		float64(loads[donor]) <= hotspotRatio*float64(loads[receiver]) {
 		return Move{}, false
 	}
 	ds := m.cluster.Server(donor)
@@ -179,51 +140,6 @@ func (m *Master) planMove(cfg BalanceConfig, servers []string, loads map[string]
 		return Move{}, false
 	}
 	return Move{Region: best, From: donor, To: receiver}, true
-}
-
-// mergeColdOnce finds the coldest qualifying adjacent region pair across all
-// tables and merges it, returning the child region's ID. A pair qualifies
-// when both regions served fewer than MergeColdThreshold ops this round,
-// both are live and unfrozen, and the table stays at or above the region
-// floor.
-func (m *Master) mergeColdOnce(cfg BalanceConfig, regionLoad map[string]int64) (string, bool) {
-	type pair struct {
-		lower, upper string
-		load         int64
-	}
-	var best *pair
-	m.mu.RLock()
-	tableNames := make([]string, 0, len(m.tables))
-	for name := range m.tables {
-		tableNames = append(tableNames, name)
-	}
-	sort.Strings(tableNames)
-	for _, name := range tableNames {
-		meta := m.tables[name]
-		if len(meta.regions) <= cfg.MinRegionsPerTable {
-			continue
-		}
-		for i := 0; i+1 < len(meta.regions); i++ {
-			lo, hi := meta.regions[i], meta.regions[i+1]
-			ll, lok := regionLoad[lo.ID]
-			hl, hok := regionLoad[hi.ID]
-			if !lok || !hok || ll >= cfg.MergeColdThreshold || hl >= cfg.MergeColdThreshold {
-				continue
-			}
-			if !m.serves(*lo) || !m.serves(*hi) {
-				continue
-			}
-			if best == nil || ll+hl < best.load || (ll+hl == best.load && lo.ID < best.lower) {
-				best = &pair{lower: lo.ID, upper: hi.ID, load: ll + hl}
-			}
-		}
-	}
-	m.mu.RUnlock()
-	if best == nil {
-		return "", false
-	}
-	child, err := m.mergeRegions(best.lower, best.upper)
-	return child, err == nil
 }
 
 // MoveRegion migrates one region to the given live server: close on the
@@ -340,12 +256,9 @@ func (m *Master) DecommissionServer(id string) error {
 	return nil
 }
 
-// StartBalancer runs BalanceOnce(cfg) every interval until StopBalancer (or
-// cluster Close). Idempotent: a second start while running is a no-op.
-func (m *Master) StartBalancer(interval time.Duration, cfg BalanceConfig) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
+// StartBalancer runs BalanceOnce every interval (> 0) until StopBalancer
+// (or cluster Close). Idempotent: a second start while running is a no-op.
+func (m *Master) StartBalancer(interval time.Duration) {
 	m.balMu.Lock()
 	defer m.balMu.Unlock()
 	if m.balStop != nil {
@@ -363,7 +276,7 @@ func (m *Master) StartBalancer(interval time.Duration, cfg BalanceConfig) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				m.BalanceOnce(cfg)
+				m.BalanceOnce()
 			}
 		}
 	}()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,7 +38,8 @@ func serverOf(t *testing.T, c *Cluster, table string, key []byte) (string, strin
 // TestBalanceOnceMovesHotRegion: the balancer migrates the region that best
 // evens out the gap between the most- and least-loaded server — here the
 // smaller of the donor's two loaded regions, since moving the hottest one
-// would overshoot.
+// would overshoot — and leaves a gap below minMoveOps alone even when the
+// donor carries more than hotspotRatio times the receiver's load.
 func TestBalanceOnceMovesHotRegion(t *testing.T) {
 	c := newTestCluster(t, 2)
 	// 4 regions round-robin over 2 servers: each server hosts two.
@@ -79,7 +81,7 @@ func TestBalanceOnceMovesHotRegion(t *testing.T) {
 	hammer(t, cl, "tbl", prefixFor(warm), 50)
 	coldRows := hammer(t, cl, "tbl", prefixFor(byServer[receiver][0]), 10)
 
-	rep := c.Master.BalanceOnce(BalanceConfig{MinMoveOps: 10})
+	rep := c.Master.BalanceOnce()
 	if len(rep.Moves) != 1 {
 		t.Fatalf("moves = %v, want exactly one", rep.Moves)
 	}
@@ -100,8 +102,19 @@ func TestBalanceOnceMovesHotRegion(t *testing.T) {
 	_ = coldRows
 
 	// A balanced cluster makes no further moves.
-	if rep2 := c.Master.BalanceOnce(BalanceConfig{MinMoveOps: 10}); len(rep2.Moves) != 0 {
+	if rep2 := c.Master.BalanceOnce(); len(rep2.Moves) != 0 {
 		t.Fatalf("second round moved %v on a quiet cluster", rep2.Moves)
+	}
+
+	// A gap of 10 ops is noise: 14 > 2×4 passes the ratio, but 10 < 16.
+	hammer(t, cl, "tbl", prefixFor(hot), 14)
+	hammer(t, cl, "tbl", prefixFor(byServer[receiver][0]), 4)
+	rep3 := c.Master.BalanceOnce()
+	if rep3.Loads[donor] != 14 || rep3.Loads[receiver] != 4 {
+		t.Fatalf("loads = %v, want %s:14 %s:4", rep3.Loads, donor, receiver)
+	}
+	if len(rep3.Moves) != 0 {
+		t.Fatalf("moved %v on a %d-op gap", rep3.Moves, rep3.Loads[donor]-rep3.Loads[receiver])
 	}
 }
 
@@ -248,48 +261,12 @@ func TestDecommissionServer(t *testing.T) {
 	}
 }
 
-// TestColdMergePolicy: adjacent regions below the cold threshold merge, but
-// never below the per-table region floor, and hot regions are left alone.
-func TestColdMergePolicy(t *testing.T) {
-	c := newTestCluster(t, 1)
-	if err := c.Master.CreateTable("t", splits("h", "q")); err != nil {
-		t.Fatal(err)
-	}
-	cl := NewClient(c, "cl")
-	hotRows := hammer(t, cl, "t", "s", 100) // heat the last region only
-
-	cfg := BalanceConfig{MergeColdThreshold: 5, MinRegionsPerTable: 2}
-	rep := c.Master.BalanceOnce(cfg)
-	if len(rep.Merged) != 1 {
-		t.Fatalf("merged = %v, want one cold merge", rep.Merged)
-	}
-	regions, _ := c.Master.RegionsOf("t")
-	if len(regions) != 2 {
-		t.Fatalf("table has %d regions after merge, want 2", len(regions))
-	}
-	// The two cold regions [nil,h) and [h,q) collapsed into [nil,q).
-	if regions[0].Start != nil || !bytes.Equal(regions[0].End, []byte("q")) {
-		t.Fatalf("merged child spans [%q,%q), want [nil,q)", regions[0].Start, regions[0].End)
-	}
-	// At the floor, further cold rounds must not merge the table away.
-	if rep2 := c.Master.BalanceOnce(cfg); len(rep2.Merged) != 0 {
-		t.Fatalf("merged %v below the region floor", rep2.Merged)
-	}
-	for _, row := range hotRows[:5] {
-		if _, _, ok, err := cl.Get("t", row, "v"); err != nil || !ok {
-			t.Fatalf("row %s unreadable after merge: ok=%v err=%v", row, ok, err)
-		}
-	}
-	if _, err := cl.Put("t", []byte("a-new"), map[string][]byte{"v": []byte("n")}); err != nil {
-		t.Fatalf("write into merged child: %v", err)
-	}
-}
-
 // TestBalancerRacesTopologyChanges runs the continuous balancer at full
-// tilt against concurrent splits, merges, flush+compaction rounds and live
-// traffic — the -race gate for the elastic machinery. Afterwards the
-// region map must still tile the key space and every write must be
-// readable.
+// tilt against concurrent splits, merges, explicit moves, flush+compaction
+// rounds and live traffic — the -race gate for the elastic machinery. The
+// balancer may find no hotspot worth a move in a 1 ms round, so a goroutine
+// of its own moves random regions to random servers. Afterwards the region
+// map must still tile the key space and every write must be readable.
 func TestBalancerRacesTopologyChanges(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateTable("t", splits("k200", "k400", "k600", "k800")); err != nil {
@@ -303,9 +280,7 @@ func TestBalancerRacesTopologyChanges(t *testing.T) {
 		}
 	}
 
-	c.Master.StartBalancer(time.Millisecond, BalanceConfig{
-		HotspotRatio: 1.2, MinMoveOps: 1, MergeColdThreshold: 1 << 30, MinRegionsPerTable: 2,
-	})
+	c.Master.StartBalancer(time.Millisecond)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -374,6 +349,30 @@ func TestBalancerRacesTopologyChanges(t *testing.T) {
 			_ = c.Master.MergeRegions(regions[i].ID, regions[i+1].ID)
 		}
 	}()
+	// Moves: repeatedly move a random region to a random server.
+	var moves atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(4))
+		servers := c.ServerIDs()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			regions, err := c.Master.RegionsOf("t")
+			if err != nil || len(regions) == 0 {
+				continue
+			}
+			ri := regions[rng.Intn(len(regions))]
+			// Benign failures and no-ops: raced topology, or already there.
+			if ok, _ := c.Master.MoveRegion(ri.ID, servers[rng.Intn(len(servers))]); ok {
+				moves.Add(1)
+			}
+		}
+	}()
 	// Flush + compaction churn.
 	wg.Add(1)
 	go func() {
@@ -393,6 +392,9 @@ func TestBalancerRacesTopologyChanges(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	c.Master.StopBalancer()
+	if moves.Load() == 0 {
+		t.Fatal("no explicit move landed during the storm")
+	}
 
 	// Invariants: every region is served where the metadata says, and the
 	// region map tiles the key space with no gaps/overlaps.

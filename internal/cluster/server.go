@@ -35,11 +35,6 @@ type RegionServer struct {
 	// permanently out of the cluster and may not be restarted.
 	draining atomic.Bool
 	removed  atomic.Bool
-
-	// ops counts every data RPC routed to a hosted region — the per-server
-	// load signal the continuous balancer's hotspot detection reads (also
-	// exported as diffindex_server_ops_total{server}).
-	ops *metrics.Counter
 }
 
 func newRegionServer(c *Cluster, id string) *RegionServer {
@@ -49,7 +44,6 @@ func newRegionServer(c *Cluster, id string) *RegionServer {
 		cache:   sstable.NewBlockCache(c.cfg.BlockCacheBytes),
 		regions: make(map[string]*Region),
 		opening: make(map[string]*openCall),
-		ops:     c.metrics.Counter("diffindex_server_ops_total", metrics.L("server", id)),
 	}
 	// Computed gauges read through CacheStats so they keep reporting the
 	// replacement cache after a crash.
@@ -96,10 +90,6 @@ func (s *RegionServer) markRemoved() {
 	s.removed.Store(true)
 	s.crash()
 }
-
-// Ops returns the cumulative count of data RPCs served (the balancer's
-// per-server load signal).
-func (s *RegionServer) Ops() int64 { return s.ops.Load() }
 
 // TakeRegionLoads returns each hosted region's operation count accumulated
 // since the previous call, resetting the counters — one balancer round's
@@ -303,11 +293,9 @@ func (s *RegionServer) region(id string) (*Region, error) {
 	if region.frozen.Load() {
 		return nil, ErrRegionNotFound // mid-split or merge: clients re-route and retry
 	}
-	// Every data RPC that resolved a region counts toward the hotspot
-	// signal: per region for placement decisions, per server for imbalance
-	// detection.
+	// Every data RPC that resolved a region counts toward its load, the
+	// balancer's one signal (TakeRegionLoads).
 	region.ops.Add(1)
-	s.ops.Inc()
 	return region, nil
 }
 
