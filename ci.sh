@@ -68,7 +68,7 @@ go test -race ./...
 echo "== race stress (30 runs each) =="
 # Each test below once failed only a few runs in a hundred; one pass of the
 # suite cannot tell those apart from fixed.
-go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction' ./internal/cluster ./internal/lsm
+go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction' ./internal/cluster ./internal/lsm
 
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...

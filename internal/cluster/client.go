@@ -96,19 +96,6 @@ func (cl *Client) invalidate(table string) {
 	cl.mu.Unlock()
 }
 
-func (cl *Client) locate(table string, key []byte) (RegionInfo, error) {
-	regions, err := cl.regions(table)
-	if err != nil {
-		return RegionInfo{}, err
-	}
-	for _, ri := range regions {
-		if ri.Contains(key) {
-			return ri, nil
-		}
-	}
-	return RegionInfo{}, fmt.Errorf("cluster: no region for key %q in table %s", key, table)
-}
-
 const maxRetries = 20
 
 // retriable reports whether a routing error warrants refreshing the cached
@@ -125,9 +112,13 @@ func (cl *Client) withRegion(table string, routingKey []byte, fn func(ri RegionI
 	var lastErr error
 	backoff := time.Millisecond
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		ri, err := cl.locate(table, routingKey)
+		regions, err := cl.regions(table)
 		if err != nil {
 			return err
+		}
+		ri, ok := regionContaining(regions, routingKey)
+		if !ok {
+			return fmt.Errorf("cluster: no region for key %q in table %s", routingKey, table)
 		}
 		server := cl.cluster.Server(ri.Server)
 		err = cl.cluster.Net.Call(cl.name, ri.Server, func() error { return fn(ri, server) })
@@ -448,34 +439,50 @@ func (cl *Client) multiRoute(table string, n int, routeKey func(i int) []byte, c
 	var lastErr error
 	backoff := time.Millisecond
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		// Group the pending items by destination region.
+		// Group the pending items by their region's position; dispatch
+		// lists each group's region in the order of its first item.
 		regions, err := cl.regions(table)
 		if err != nil {
 			return err
 		}
-		var order []string // region dispatch order: first item routed there
-		groups := make(map[string][]int)
-		infos := make(map[string]RegionInfo)
-		for _, i := range pending {
-			ri, ok := regionContaining(regions, routeKey(i))
+		regionGroup := make([]int, len(regions)) // region position → group + 1
+		itemGroup := make([]int, len(pending))
+		var dispatch []int
+		for k, i := range pending {
+			p, ok := regionIndex(regions, routeKey(i))
 			if !ok {
 				return fmt.Errorf("cluster: no region for key %q in table %s", routeKey(i), table)
 			}
-			if _, seen := groups[ri.ID]; !seen {
-				order = append(order, ri.ID)
-				infos[ri.ID] = ri
+			if regionGroup[p] == 0 {
+				dispatch = append(dispatch, p)
+				regionGroup[p] = len(dispatch)
 			}
-			groups[ri.ID] = append(groups[ri.ID], i)
+			itemGroup[k] = regionGroup[p] - 1
 		}
-		cl.cluster.noteWave(len(order), len(pending), attempt == 0)
+		// Lay the groups out one after another, each in pending order:
+		// group g is items[start[g]:start[g+1]], capped so that no append
+		// to it reaches the next group.
+		start := make([]int, len(dispatch)+1)
+		for _, g := range itemGroup {
+			start[g]++
+		}
+		for g := range dispatch {
+			start[g+1] += start[g]
+		}
+		items := make([]int, len(pending))
+		for k := len(pending) - 1; k >= 0; k-- { // each end steps down to its start
+			start[itemGroup[k]]--
+			items[start[itemGroup[k]]] = pending[k]
+		}
+		cl.cluster.noteWave(len(dispatch), len(pending), attempt == 0)
 
 		// One call per region, concurrently; collect the items of failed
 		// (retriable) groups for the next round.
 		var mu sync.Mutex
 		var failed []int
-		err = runFanOut(cl.fanOut, len(order), func(g int) error {
-			ri := infos[order[g]]
-			group := groups[order[g]]
+		err = runFanOut(cl.fanOut, len(dispatch), func(g int) error {
+			ri := regions[dispatch[g]]
+			group := items[start[g]:start[g+1]:start[g+1]]
 			server := cl.cluster.Server(ri.Server)
 			callErr := cl.cluster.Net.Call(cl.name, ri.Server, func() error {
 				return call(ri, server, group)
@@ -601,12 +608,18 @@ func (cl *Client) MultiGetRow(table string, rows [][]byte) ([]map[string][]byte,
 	return out, nil
 }
 
+// regionIndex finds the position in a sorted region list of key's region.
+func regionIndex(regions []RegionInfo, key []byte) (int, bool) {
+	p := sort.Search(len(regions), func(i int) bool {
+		return regions[i].End == nil || bytes.Compare(key, regions[i].End) < 0
+	})
+	return p, p < len(regions) && regions[p].Contains(key)
+}
+
 // regionContaining finds the region of a sorted region list holding key.
 func regionContaining(regions []RegionInfo, key []byte) (RegionInfo, bool) {
-	for _, ri := range regions {
-		if ri.Contains(key) {
-			return ri, true
-		}
+	if p, ok := regionIndex(regions, key); ok {
+		return regions[p], true
 	}
 	return RegionInfo{}, false
 }

@@ -151,13 +151,11 @@ func (m *Master) Locate(table string, key []byte) (RegionInfo, error) {
 	if err != nil {
 		return RegionInfo{}, err
 	}
-	i := sort.Search(len(regions), func(i int) bool {
-		return regions[i].End == nil || bytes.Compare(key, regions[i].End) < 0
-	})
-	if i >= len(regions) || !regions[i].Contains(key) {
+	ri, ok := regionContaining(regions, key)
+	if !ok {
 		return RegionInfo{}, fmt.Errorf("cluster: no region for key %q in table %s", key, table)
 	}
-	return regions[i], nil
+	return ri, nil
 }
 
 // findRegionLocked resolves a region's metadata entry; m.mu must be held.

@@ -427,26 +427,20 @@ func (s *RegionServer) Get(regionID string, key []byte, ts kv.Timestamp) (kv.Cel
 
 // GetResult is one item of a MultiGet reply. Found reports whether any
 // visible non-deleted version of the key exists.
-type GetResult struct {
-	Cell  kv.Cell
-	Found bool
-}
+type GetResult = lsm.GetResult
 
 // MultiGet serves a batch of point reads against one region in a single
-// RPC — the server half of the region-grouped read path. Results are
-// positional: out[i] answers keys[i].
+// RPC — the server half of the region-grouped read path. The whole batch
+// reads one snapshot of the region's store. Results are positional: out[i]
+// answers keys[i].
 func (s *RegionServer) MultiGet(regionID string, keys [][]byte, ts kv.Timestamp) ([]GetResult, error) {
 	region, err := s.region(regionID)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]GetResult, len(keys))
-	for i, key := range keys {
-		c, ok, err := region.store.Get(key, ts)
-		if err != nil {
-			return nil, mapStoreErr(err)
-		}
-		out[i] = GetResult{Cell: c, Found: ok}
+	if err := region.store.MultiGet(keys, ts, out); err != nil {
+		return nil, mapStoreErr(err)
 	}
 	return out, nil
 }

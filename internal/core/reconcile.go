@@ -128,6 +128,8 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 		// entry stale at that timestamp if it no longer produces its value.
 		// Base first, a live put returning the row to the candidate's value
 		// between the reads would hand the delete the live entry's timestamp.
+		// A region's MultiGet takes its one snapshot when its RPC starts, so
+		// the base batch below still reads after this index read returned.
 		held := make([]kv.Timestamp, len(cands))
 		var lookups []cluster.GetSpec
 		var lookupOf []int
@@ -232,10 +234,14 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 // MultiGet wave (one concurrent RPC per destination region), and each
 // candidate's value is compared with what its row produces now.
 func doubleCheckBatch(cl *cluster.Client, def IndexDef, cands []cluster.IndexEntryPair) ([]candState, error) {
+	colBytes := make([][]byte, len(def.Columns))
+	for j, c := range def.Columns {
+		colBytes[j] = []byte(c)
+	}
 	specs := make([]cluster.GetSpec, 0, len(cands)*len(def.Columns))
 	for _, p := range cands {
-		for _, c := range def.Columns {
-			specs = append(specs, cluster.GetSpec{Route: p.Row, Key: kv.BaseKey(p.Row, []byte(c))})
+		for _, c := range colBytes {
+			specs = append(specs, cluster.GetSpec{Route: p.Row, Key: kv.BaseKey(p.Row, c)})
 		}
 	}
 	got, err := cl.MultiGet(def.Table, specs, kv.MaxTimestamp)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -535,71 +536,119 @@ func (s *Store) components() ([]*memtable.Memtable, []*tableHandle, func(), erro
 // the winning version is the one with the largest timestamp across all
 // components; a tombstone at that timestamp hides the key.
 func (s *Store) Get(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	c, ok, err := s.GetCell(key, ts)
-	if err != nil || !ok || c.Tombstone() {
-		return kv.Cell{}, false, err
-	}
-	return c, true, nil
+	var out [1]GetResult
+	err := s.multiGet([][]byte{key}, ts, out[:], false)
+	return out[0].Cell, out[0].Found, err
 }
 
 // GetCell is like Get but also surfaces tombstones: ok is true when any
-// version (including a delete marker) is visible at ts. Diff-Index read
-// repair uses it to distinguish "no version" from "deleted". Tables whose
-// max timestamp rules out a winning version are not read (DESIGN §12).
+// version (including a delete marker) is visible at ts. Get and GetCell are
+// the one-key case of MultiGet's walk.
 func (s *Store) GetCell(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	s.stats.gets.Add(1)
-	if s.stageGet != nil {
+	var out [1]GetResult
+	err := s.multiGet([][]byte{key}, ts, out[:], true)
+	return out[0].Cell, out[0].Found, err
+}
+
+// GetResult answers one key of a MultiGet.
+type GetResult struct {
+	Cell  kv.Cell
+	Found bool
+}
+
+// MultiGet is Get for a batch: out[i] answers keys[i]. The batch reads one
+// snapshot of the store's components and walks the keys in sorted order,
+// so keys that share a table's data block fetch it once.
+func (s *Store) MultiGet(keys [][]byte, ts kv.Timestamp, out []GetResult) error {
+	return s.multiGet(keys, ts, out, false)
+}
+
+// multiGet is the store's one point-read walk; tombstones answer a key only
+// when withTombstones is set. Tables whose max timestamp rules out a
+// winning version are not read (DESIGN §12).
+func (s *Store) multiGet(keys [][]byte, ts kv.Timestamp, out []GetResult, withTombstones bool) error {
+	s.stats.gets.Add(int64(len(keys)))
+	if s.stageGet != nil && len(keys) > 0 {
 		start := time.Now()
-		defer func() { s.stageGet.RecordDuration(time.Since(start)) }()
+		defer func() { // one sample per key: the stage stays one point read
+			per := time.Since(start) / time.Duration(len(keys))
+			for range keys {
+				s.stageGet.RecordDuration(per)
+			}
+		}()
 	}
 	mems, tables, release, err := s.components()
 	if err != nil {
-		return kv.Cell{}, false, err
+		return err
 	}
 	defer release()
 
-	var best kv.Cell
-	found := false
-	consider := func(c kv.Cell) {
-		switch {
-		case !found:
-			best, found = c.Clone(), true
-		case c.Ts > best.Ts:
-			best = c.Clone()
-		case c.Ts == best.Ts && c.Tombstone() && !best.Tombstone():
-			// A tombstone beats a put at the same timestamp (HBase rule).
-			best = c.Clone()
+	// Keys sharing a block reach its table's memo one after another when
+	// walked in sorted order; an unsorted batch walks a sorted permutation.
+	var order []int
+	var memos []sstable.BlockMemo
+	if len(keys) > 1 {
+		memos = make([]sstable.BlockMemo, len(tables))
+		if !slices.IsSortedFunc(keys, bytes.Compare) {
+			order = make([]int, len(keys))
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
 		}
 	}
-	for _, m := range mems {
-		if c, ok := m.Get(key, ts); ok {
-			consider(c)
+	for n := range keys {
+		i := n
+		if order != nil {
+			i = order[n]
+		}
+		key := keys[i]
+		// Candidates alias memtable and block memory; only the winner is cloned.
+		var best kv.Cell
+		found := false
+		for _, m := range mems {
+			if c, ok := m.Get(key, ts); ok && wins(c, best, found) {
+				best, found = c, true
+			}
+		}
+		for t, h := range tables {
+			// Skip tables whose user-key bounds exclude the key: a zero-I/O
+			// check (the bounds ride the index block) that spares the Bloom
+			// probe and any block read.
+			if !h.r.MayContainKey(key) {
+				continue
+			}
+			// Skip tables that cannot hold a winning version: every entry
+			// is older than the best so far, or only ties a tombstone.
+			// Timestamps arrive out of component order (t−δ deletes,
+			// repairs, WAL replay): decided per table, never by stopping.
+			if found && (h.r.MaxTimestamp() < best.Ts || h.r.MaxTimestamp() == best.Ts && best.Tombstone()) {
+				continue
+			}
+			memo := &sstable.BlockMemo{} // a one-key batch reuses nothing
+			if memos != nil {
+				memo = &memos[t]
+			}
+			c, ok, err := h.r.GetMemo(key, ts, memo)
+			if err != nil {
+				return err
+			}
+			if ok && wins(c, best, found) {
+				best, found = c, true
+			}
+		}
+		out[i] = GetResult{}
+		if found && (withTombstones || !best.Tombstone()) {
+			out[i] = GetResult{Cell: best.Clone(), Found: true}
 		}
 	}
-	for _, h := range tables {
-		// Skip tables whose [smallest, largest] user-key range excludes the
-		// key: a zero-I/O bound check (the bounds ride the index block) that
-		// spares the Bloom probe and any block read on stores with many
-		// non-overlapping tables.
-		if !h.r.MayContainKey(key) {
-			continue
-		}
-		// Skip tables that cannot hold a winning version: every entry is
-		// older than the best so far, or only ties a tombstone. Timestamps
-		// arrive out of component order (t−δ deletes, repairs, WAL replay),
-		// so this is decided per table, never by stopping at the first.
-		if found && (h.r.MaxTimestamp() < best.Ts || h.r.MaxTimestamp() == best.Ts && best.Tombstone()) {
-			continue
-		}
-		c, ok, err := h.r.Get(key, ts)
-		if err != nil {
-			return kv.Cell{}, false, err
-		}
-		if ok {
-			consider(c)
-		}
-	}
-	return best, found, nil
+	return nil
+}
+
+// wins reports whether version c beats best, the winner so far if found: it
+// is newer, or a tombstone beside a put at its timestamp (the HBase rule).
+func wins(c, best kv.Cell, found bool) bool {
+	return !found || c.Ts > best.Ts || c.Ts == best.Ts && c.Tombstone() && !best.Tombstone()
 }
 
 // ScanResult is one user key's visible version in a scan.

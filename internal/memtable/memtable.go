@@ -38,7 +38,8 @@ func (m *Memtable) Add(c kv.Cell) {
 // result reports whether any version was found in this memtable.
 func (m *Memtable) Get(key []byte, ts kv.Timestamp) (kv.Cell, bool) {
 	it := &iterator{list: m.list}
-	it.seek(kv.SeekKey(key, ts))
+	var seekArr [128]byte // the seek key stays on the stack
+	it.seek(kv.AppendInternalKey(seekArr[:0], key, ts, kv.KindDelete))
 	if !it.valid() {
 		return kv.Cell{}, false
 	}

@@ -272,11 +272,26 @@ func (r *Reader) seekBlock(ikey []byte) int {
 	})
 }
 
+// BlockMemo remembers the data block a run of GetMemo calls on one table
+// fetched last, so keys walked in order that share a block fetch it once.
+// The zero value is empty.
+type BlockMemo struct {
+	idx int // the block's index + 1; 0 while empty
+	blk []byte
+}
+
 // Get returns the newest version of userKey with timestamp ≤ ts stored in
 // this table. The returned cell may be a tombstone; its Key is userKey
 // itself and its Value aliases the (immutable) block. The bool reports
 // whether any visible version exists here.
 func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
+	var memo BlockMemo
+	return r.GetMemo(userKey, ts, &memo)
+}
+
+// GetMemo is Get through memo: a key in the block memo holds is served
+// from it, and any block fetched replaces it.
+func (r *Reader) GetMemo(userKey []byte, ts kv.Timestamp, memo *BlockMemo) (kv.Cell, bool, error) {
 	if !r.filter.MayContain(userKey) {
 		return kv.Cell{}, false, nil
 	}
@@ -295,11 +310,14 @@ func (r *Reader) Get(userKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	if bytes.Compare(kv.InternalUserKey(r.index[bi].firstKey), userKey) > 0 {
 		return kv.Cell{}, false, nil
 	}
-	blk, err := r.block(bi)
-	if err != nil {
-		return kv.Cell{}, false, err
+	if memo.idx != bi+1 {
+		blk, err := r.block(bi)
+		if err != nil {
+			return kv.Cell{}, false, err
+		}
+		*memo = BlockMemo{idx: bi + 1, blk: blk}
 	}
-	ikey, val, next, found := seekEntry(blk, r.index[bi].restarts, seek, keyArr[:0])
+	ikey, val, next, found := seekEntry(memo.blk, r.index[bi].restarts, seek, keyArr[:0])
 	if next < 0 {
 		return kv.Cell{}, false, fmt.Errorf("%w: %s block %d", ErrBadTable, r.name, bi)
 	}
