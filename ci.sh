@@ -26,8 +26,8 @@
 #   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
 #  10. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
-#      and FuzzReplaySegment over the WAL segment decoder (data frames,
-#      checkpoint frames, unknown meta kinds)
+#      and FuzzReplaySegment over the WAL segment decoder (data frames
+#      and non-data kinds, which replay treats as corrupt)
 #  11. CLI gates           — what only the commands assert: `lsmtool verify`
 #      exit codes and the five `chaoskit` verdicts (two fixed-seed fault
 #      runs, -integrity, -timetravel, -elastic); the fault runs and -elastic
@@ -104,8 +104,7 @@ go run ./cmd/chaoskit -scenarios 0 -integrity -trace=false
 # Time-travel crash gate (DESIGN.md §13): tear every WAL write during a burst
 # of data appends, acknowledge more mutations past the tears, crash without
 # Close — recovery must replay exactly the mutations acknowledged since the
-# flush, golden as-of reads hold, and tailing the retained log yields every
-# acknowledged mutation, in order, with no gap and nothing else.
+# flush, in order and nothing else, and golden as-of reads hold.
 go run ./cmd/chaoskit -scenarios 0 -timetravel -trace=false
 # Elastic verdict (DESIGN.md §14): seeded server adds, a decommission, one
 # merge through DB.MergeRegions, a split and continuous balancing under

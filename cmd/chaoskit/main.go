@@ -38,7 +38,7 @@ func main() {
 	elastic := flag.Bool("elastic", false, "also run the elastic cluster-dynamics scenario (adds, decommission, merge, balancer, AUQ admission control) across all four schemes")
 	ablation := flag.Bool("ablation", false, "also run the drain-on-flush ablation pair (broken run MUST violate)")
 	integrity := flag.Bool("integrity", false, "also run the silent-corruption + index-divergence pair (faulted run + clean control)")
-	timetravel := flag.Bool("timetravel", false, "also run the retained-log crash scenario (WAL appends torn mid-burst; recovery must replay and tail exactly the acknowledged mutations and keep every golden as-of read)")
+	timetravel := flag.Bool("timetravel", false, "also run the recovery crash scenario (WAL appends torn mid-burst; recovery must replay exactly the mutations acknowledged since the flush and keep every golden as-of read)")
 	trace := flag.Bool("trace", true, "print each scenario's planned event trace")
 	compactThreshold := flag.Int("compact-threshold", 0, "per-store SSTable count that arms incremental compaction (0 = chaos default 64, which leaves it cold; try 2 to keep the tiered engine busy)")
 	compactFanIn := flag.Int("compact-fanin", 0, "tables merged per compaction round (0 = store default)")
@@ -167,17 +167,17 @@ func main() {
 	}
 
 	if *timetravel {
-		fmt.Printf("\n— timetravel: torn WAL appends, crash, recover, exact replay + golden as-of reads + gap-free tail\n")
+		fmt.Printf("\n— timetravel: torn WAL appends, crash, recover, exact replay + golden as-of reads\n")
 		res, err := chaos.RunTimeTravel(*seed)
 		if err != nil {
 			fmt.Printf("  ERROR: %v\n", err)
 			fail = true
 		} else {
-			fmt.Printf("%-12s %6s %8s %8s %8s %8s %11s %8s\n",
-				"", "ops", "replayed", "tailed", "asof", "checked", "violations", "elapsed")
-			fmt.Printf("%-12s %6d %8d %8d %8d %8d %11d %8s\n",
+			fmt.Printf("%-12s %6s %8s %8s %8s %11s %8s\n",
+				"", "ops", "replayed", "asof", "checked", "violations", "elapsed")
+			fmt.Printf("%-12s %6d %8d %8d %8d %11d %8s\n",
 				"timetravel", res.Ops,
-				res.ReplayedCells, res.TailedRecords, res.AsOfReads,
+				res.ReplayedCells, res.AsOfReads,
 				res.Checked, len(res.Violations), res.Elapsed.Round(time.Millisecond))
 			for _, v := range res.Violations {
 				fmt.Println("  VIOLATION " + v.String())

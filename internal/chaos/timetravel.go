@@ -9,24 +9,20 @@ import (
 	"diffindex/internal/kv"
 	"diffindex/internal/lsm"
 	"diffindex/internal/vfs"
-	"diffindex/internal/wal"
 )
 
-// RunTimeTravel runs the retained-log crash scenario (DESIGN.md §13): a
-// seeded workload of puts/overwrites/deletes is driven through an LSM store
-// with full log retention while golden per-timestamp observations are
-// recorded, with a flush moving the replay boundary part way; then every WAL
-// write is torn during a burst of data appends, more mutations are
-// acknowledged past the torn frames, the store is abandoned without Close
-// (the crash), and recovery is checked three ways:
+// RunTimeTravel runs the recovery crash scenario (DESIGN.md §13): a seeded
+// workload of puts/overwrites/deletes is driven through an LSM store while
+// golden per-timestamp observations are recorded, with a flush part way that
+// truncates the log; then every WAL write is torn during a burst of data
+// appends, more mutations are acknowledged past the torn frames, the store
+// is abandoned without Close (the crash), and recovery is checked two ways:
 //
 //  1. replay delivers exactly the mutations acknowledged since the flush,
-//     record for record and in order — nothing from below the checkpoint,
-//     nothing from a torn frame, nothing acknowledged lost behind one;
+//     record for record and in order — nothing the flush truncated, nothing
+//     from a torn frame, nothing acknowledged lost behind one;
 //  2. every golden observation must read back byte-identically through
-//     GetAsOf on the recovered store — time-travel reads survive the crash;
-//  3. tailing the retained log by position yields exactly every
-//     acknowledged mutation, record for record and in order.
+//     GetAsOf on the recovered store — time-travel reads survive the crash.
 func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	res := &TimeTravelResult{Seed: seed}
 	begin := time.Now()
@@ -44,7 +40,6 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 			FS:                 fault,
 			Dir:                dir,
 			MaxVersions:        1024, // never trim: every golden timestamp stays answerable
-			WALNeverTruncate:   true, // full history stays tailable
 			DisableAutoFlush:   true,
 			DisableAutoCompact: true,
 			DisableScrub:       true,
@@ -104,8 +99,8 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		return failed
 	}
 
-	// Phase A: build history and flush part of it into SSTables, moving the
-	// replay boundary.
+	// Phase A: build history and flush part of it into SSTables, truncating
+	// the log it came from.
 	if failed := mutate(120); failed > 0 {
 		return nil, fmt.Errorf("chaos: timetravel: %d unfaulted mutations failed", failed)
 	}
@@ -184,29 +179,6 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 			obs.ts, mismatches, keyspace, first)
 	}
 
-	// Check 3: the retained log still tails every acknowledged mutation —
-	// nothing acked was lost behind the torn frame, nothing phantom appears.
-	var tailed []kv.Cell
-	var pos wal.Pos
-	for {
-		entries, next, gap, err := recovered.TailWAL(pos, 4096)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: timetravel tail: %w", err)
-		}
-		check(gap == 0, "tail-gap", "tail from %s reported a %d-segment gap on a never-truncated log", pos, gap)
-		if len(entries) == 0 {
-			break
-		}
-		for _, e := range entries {
-			tailed = append(tailed, e.Record.Cell())
-		}
-		pos = next
-	}
-	res.TailedRecords = len(tailed)
-	diff = divergence(tailed, acked)
-	check(diff == "", "tail-complete",
-		"log tail diverges from the %d acknowledged mutations: %s", len(acked), diff)
-
 	res.Elapsed = time.Since(begin)
 	return res, nil
 }
@@ -235,11 +207,9 @@ type TimeTravelResult struct {
 	// window failed, each leaving a torn frame on disk.
 	Ops        int
 	TornWrites int
-	// ReplayedCells is how many cells recovery replayed; TailedRecords how
-	// many data records the recovered log tails; AsOfReads the golden
-	// point-in-time reads evaluated.
+	// ReplayedCells is how many cells recovery replayed; AsOfReads the
+	// golden point-in-time reads evaluated.
 	ReplayedCells int
-	TailedRecords int
 	AsOfReads     int
 	// Checked counts assertions evaluated; Violations the failed ones.
 	Checked    int

@@ -18,9 +18,6 @@ type env struct {
 	m   *Manager
 	cl  *cluster.Client
 	tbl string
-	// indexRegions captures the regions of the title index's table; set by
-	// newCompactionEnv for indexLog.
-	indexRegions *regionCapture
 }
 
 func newEnv(t testing.TB, servers int, opts ManagerOptions) *env {

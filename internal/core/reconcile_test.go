@@ -45,16 +45,14 @@ func newCompactionEnv(t testing.TB) *env {
 	if err := c.Master.CreateTable("items", [][]byte{[]byte("item500")}); err != nil {
 		t.Fatal(err)
 	}
-	// Registered before the index table exists, so no region reads the
-	// coprocessor map while it is written.
-	capture := &regionCapture{observer: &observer{m: m}, ctxs: map[string]cluster.RegionCtx{}}
-	c.RegisterCoprocessor(IndexDef{Table: "items", Columns: []string{"title"}}.Name(), capture)
-	return &env{c: c, m: m, cl: cluster.NewClient(c, "testclient"), tbl: "items", indexRegions: capture}
+	return &env{c: c, m: m, cl: cluster.NewClient(c, "testclient"), tbl: "items"}
 }
 
 // indexLog returns every cell written to the title index's table,
-// tombstones included, in apply order, by tailing its (single) region's
-// WAL. An index that does not exist yet has an empty log.
+// tombstones included, in apply order, by replaying its (single) region's
+// WAL segments. The segments are replayed from a copy, because opening a
+// log starts a new segment in its directory. An index that does not exist
+// yet has an empty log.
 func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 	t.Helper()
 	regions, err := e.c.Master.RegionsOf(def.Name())
@@ -64,35 +62,42 @@ func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 	if len(regions) != 1 {
 		t.Fatalf("index table %s has %d regions, want 1", def.Name(), len(regions))
 	}
-	// The flush hands the region to the capture's PreFlush.
-	if err := e.c.Server(regions[0].Server).Flush(regions[0].ID); err != nil {
+	dir := fmt.Sprintf("tables/%s/%s/wal", def.Name(), regions[0].ID)
+	names, err := e.c.FS.List(dir + "/")
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.indexRegions.mu.Lock()
-	ctx, ok := e.indexRegions.ctxs[regions[0].ID]
-	e.indexRegions.mu.Unlock()
-	if !ok {
-		t.Fatalf("index table %s: region %s was not captured", def.Name(), regions[0].ID)
-	}
-	store := ctx.Region.Store()
-	var out []kv.Cell
-	var pos wal.Pos
-	for {
-		entries, next, gap, err := store.TailWAL(pos, 4096)
+	logCopy := vfs.NewMemFS()
+	for _, name := range names {
+		src, err := e.c.FS.Open(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gap != 0 {
-			t.Fatalf("index table %s: log lost %d segments", def.Name(), gap)
+		size, err := src.Size()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(entries) == 0 {
-			return out
+		buf := make([]byte, size)
+		if n, err := src.ReadAt(buf, 0); n < len(buf) {
+			t.Fatalf("read %s: %d of %d bytes: %v", name, n, len(buf), err)
 		}
-		for _, en := range entries {
-			out = append(out, en.Record.Cell().Clone())
+		src.Close()
+		dst, err := logCopy.Create(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pos = next
+		if _, err := dst.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		dst.Close()
 	}
+	var out []kv.Cell
+	l, err := wal.Open(logCopy, dir, func(r wal.Record) { out = append(out, r.Cell()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return out
 }
 
 // rawPut writes base cells through the raw apply path, which bypasses the

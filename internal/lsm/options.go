@@ -79,10 +79,6 @@ type Options struct {
 	VerifyChecksums bool
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
-	// WALNeverTruncate keeps every WAL segment past its flush, so TailWAL
-	// reaches the full history. By default each flush truncates the log at
-	// its boundary.
-	WALNeverTruncate bool
 	// ScrubInterval is the pause between scrub cycles (a cycle verifies every
 	// block of every live SSTable). Defaults to 5s; short-lived stores never
 	// start a cycle.

@@ -183,8 +183,8 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
-	// Replay the WAL from the newest flush checkpoint into the memtable;
-	// surface each cell to OnReplay so Diff-Index can re-enqueue index work.
+	// Replay the WAL into the memtable; surface each cell to OnReplay so
+	// Diff-Index can re-enqueue index work.
 	log, err := wal.OpenWith(opts.FS, opts.Dir+"/wal", wal.ReplayConfig{
 		Replay: func(rec wal.Record) {
 			c := rec.Cell()
@@ -193,7 +193,6 @@ func Open(opts Options) (*Store, error) {
 				opts.OnReplay(c)
 			}
 		},
-		NeverTruncate: opts.WALNeverTruncate,
 	})
 	if err != nil {
 		return nil, err
@@ -479,15 +478,9 @@ func (s *Store) Flush() error {
 		}
 	}
 	s.mu.Unlock()
-	// Record the flush boundary in the log itself before truncating: recovery
-	// replays only segments ≥ the newest checkpoint, so segments a
-	// WALNeverTruncate store keeps below the boundary are never
-	// re-applied. If the checkpoint append fails the flush still
-	// succeeded — recovery would merely replay more than necessary, and
-	// re-applied cells are identical versions the MVCC read path dedupes.
-	if err := s.log.Checkpoint(keepSeg); err != nil {
-		return err
-	}
+	// A failed truncation is reported, but the table stays installed:
+	// recovery replays the segments left behind, re-applying identical
+	// versions the read path dedupes.
 	if _, err := s.log.TruncateBefore(keepSeg); err != nil {
 		return err
 	}

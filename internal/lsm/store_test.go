@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -144,6 +145,136 @@ func TestReopenRecoversWAL(t *testing.T) {
 	}
 	if _, ok, _ := s2.Get([]byte("flushed"), kv.MaxTimestamp); ok {
 		t.Error("tombstone lost in recovery")
+	}
+}
+
+// truncFailFS lists files rotated by one place, so the file system's order
+// is not the log's, and refuses to remove the file named refuse.
+type truncFailFS struct {
+	vfs.FS
+	refuse string
+}
+
+func (fs *truncFailFS) List(prefix string) ([]string, error) {
+	names, err := fs.FS.List(prefix)
+	if len(names) > 1 {
+		names = append(names[1:], names[0])
+	}
+	return names, err
+}
+
+func (fs *truncFailFS) Remove(name string) error {
+	if name == fs.refuse {
+		return errors.New("remove refused")
+	}
+	return fs.FS.Remove(name)
+}
+
+// TestFailedTruncationRecovers: a flush whose log truncation fails part way
+// leaves segments behind, and recovery replays them on top of tables that a
+// bottom-tier compaction has since rewritten. The replay must bring back
+// nothing the compaction dropped: the deleted row stays deleted, and Get,
+// Scan and GetAsOf at every recorded timestamp answer after the reopen
+// exactly as they did before the crash.
+func TestFailedTruncationRecovers(t *testing.T) {
+	fault := vfs.NewFaultFS(vfs.NewMemFS())
+	fs := &truncFailFS{FS: fault}
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(Options{
+			FS: fs, Dir: "store",
+			DisableAutoFlush: true, DisableAutoCompact: true, DisableScrub: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	var ts kv.Timestamp
+	write := func(key, val string) {
+		t.Helper()
+		ts++
+		var err error
+		if val == "" {
+			err = s.Delete([]byte(key), ts)
+		} else {
+			err = s.Put([]byte(key), []byte(val), ts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A failed append taints the active segment, so the next append rolls:
+	// each tear ends a segment without a flush.
+	tear := func() {
+		t.Helper()
+		fault.Arm(vfs.FaultConfig{Seed: 1, WriteErrProb: 1, PathSubstr: ".wal"})
+		ts++
+		if err := s.Put([]byte("torn"), []byte("t"), ts); err == nil {
+			t.Fatal("append succeeded under a write fault")
+		}
+		fault.Disarm()
+	}
+
+	write("x", "x1") // segment 1, truncated by the first flush
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	write("row", "r1") // segment 2
+	tear()
+	write("row", "") // segment 3
+	tear()
+	write("y", "y1") // segment 4
+	// Truncation removes segments 2 and 3, then fails at 4.
+	fs.refuse = fmt.Sprintf("store/wal/%020d.wal", 4)
+	if err := s.Flush(); err == nil {
+		t.Fatal("flush reported no error for a refused segment removal")
+	}
+	fs.refuse = ""
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.TombstonesDropped != 1 || st.CompactionCellsDropped < 2 {
+		t.Fatalf("compaction kept the deleted row's history: %+v", st)
+	}
+
+	reads := []kv.Timestamp{kv.MaxTimestamp}
+	for at := kv.Timestamp(1); at <= ts; at++ {
+		reads = append(reads, at)
+	}
+	answers := func(s *Store) []string {
+		var out []string
+		for _, at := range reads {
+			for _, key := range []string{"x", "row", "torn", "y"} {
+				c, ok, err := s.GetAsOf([]byte(key), at)
+				out = append(out, fmt.Sprintf("GetAsOf(%s@%d) = %q %v %v", key, at, c.Value, ok, err))
+				if at == kv.MaxTimestamp {
+					c, ok, err = s.Get([]byte(key), at)
+					out = append(out, fmt.Sprintf("Get(%s) = %q %v %v", key, c.Value, ok, err))
+				}
+			}
+			rows, err := s.Scan(nil, nil, at, 0)
+			line := fmt.Sprintf("Scan(@%d) = %v:", at, err)
+			for _, r := range rows {
+				line += fmt.Sprintf(" %s=%s@%d", r.Key, r.Value, r.Ts)
+			}
+			out = append(out, line)
+		}
+		return out
+	}
+	before := answers(s)
+	// The crash: abandon the store without Close.
+	s = open()
+	defer s.Close()
+	if _, ok, _ := s.Get([]byte("row"), kv.MaxTimestamp); ok {
+		t.Fatal("the deleted row came back after recovery")
+	}
+	after := answers(s)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Errorf("before the crash %s; after recovery %s", before[i], after[i])
+		}
 	}
 }
 

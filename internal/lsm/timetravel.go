@@ -1,9 +1,8 @@
 package lsm
 
-// Retained-log surface of the store (DESIGN.md §13): GetAsOf, the
-// point-in-time read that can tell "absent at ts" from "history trimmed"
-// (as-of scans are Scan with a timestamp), and the WAL tail that reads the
-// retained log by position.
+// As-of surface of the store (DESIGN.md §13): GetAsOf, the point-in-time
+// read that can tell "absent at ts" from "history trimmed" (as-of scans are
+// Scan with a timestamp).
 
 import (
 	"bytes"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"diffindex/internal/kv"
-	"diffindex/internal/wal"
 )
 
 // ErrHistoryTrimmed reports that a point-in-time read cannot be answered
@@ -23,8 +21,8 @@ import (
 // trimmed the version that was visible at the timestamp while an older
 // table still holds one from before it. The refusal is conservative — an
 // untrimmed history that deep is refused too — so callers needing exact
-// history must retain it (raise MaxVersions, or read from the log via
-// TailWAL). Reads at kv.MaxTimestamp can never return this error.
+// history must retain it by raising MaxVersions. Reads at kv.MaxTimestamp
+// can never return this error.
 var ErrHistoryTrimmed = errors.New("lsm: requested version trimmed by MaxVersions retention")
 
 // GetAsOf returns the value of key as it stood at timestamp ts: the newest
@@ -79,13 +77,6 @@ func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 		return kv.Cell{}, false, nil
 	}
 	return c.Clone(), true, nil
-}
-
-// TailWAL reads committed data records forward from a resumable position
-// (the zero wal.Pos starts at the oldest retained history). See
-// wal.Log.TailLog for the gap and position contract.
-func (s *Store) TailWAL(from wal.Pos, max int) ([]wal.Entry, wal.Pos, int, error) {
-	return s.log.TailLog(from, max)
 }
 
 // ActiveWALSegment returns the WAL's active segment number, which moves

@@ -16,7 +16,6 @@ func newTimeTravelStore(t testing.TB, fs vfs.FS, maxVersions int) *Store {
 		FS:                 fs,
 		Dir:                "tt",
 		MaxVersions:        maxVersions,
-		WALNeverTruncate:   true,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
 		DisableScrub:       true,

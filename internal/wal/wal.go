@@ -7,18 +7,11 @@
 // on this exact mechanism — the drain-AUQ-before-flush rule makes the WAL
 // act as the log for both the memtable and the asynchronous update queue.
 //
-// Beyond data records the log carries one meta record kind: checkpoint
-// records, appended by each flush, carry the flush boundary — every record in
-// a segment with ID < the boundary is durable in SSTables. Recovery replays
-// only segments at or past the newest boundary, so retained (not yet
-// truncated) history is never re-applied. That is the whole recovery path
-// (§5.3; LogBase's checkpoint + log replay): skim for the newest checkpoint,
-// replay the raw segments from it.
-//
-// Positions. A record's durable position — its sequence number — is the
-// pair (segment ID, byte offset); Pos values order records exactly as
-// replay delivers them and are resumable: TailLog reads forward from any
-// previously returned position.
+// The log is for recovery only. It holds data records (puts and deletes)
+// and nothing else, and recovery replays every segment that exists, in ID
+// order. A segment a failed truncation left behind is replayed too: its
+// cells are already in SSTables, and re-applying them adds identical
+// versions the read path dedupes.
 package wal
 
 import (
@@ -27,7 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,8 +30,7 @@ import (
 	"diffindex/internal/vfs"
 )
 
-// Record is one durable log entry: a versioned write to a region, or (for
-// Kind ≥ KindCheckpoint) a meta record that never reaches the memtable.
+// Record is one durable log entry: a versioned write to a region.
 type Record struct {
 	Key   []byte
 	Value []byte
@@ -46,38 +38,15 @@ type Record struct {
 	Kind  kv.Kind
 }
 
-// KindCheckpoint is the one meta record kind: it marks a flush boundary, its
-// value the 8-byte LE segment ID below which every record is durable in
-// SSTables. Meta kinds live in the same kind byte as kv.KindPut/Delete but
-// above the data range, so replay and tailing can separate them without a
-// second framing layer. Meta records are never surfaced to OnReplay.
-const KindCheckpoint kv.Kind = 0x10
-
-// IsMeta reports whether a record kind is a meta kind rather than a data
-// cell. The whole range at and above KindCheckpoint is reserved: replay and
-// tailing skip a frame of a meta kind they do not know instead of applying
-// it as data.
-func IsMeta(k kv.Kind) bool { return k >= KindCheckpoint }
-
 // Cell converts a data record to its cell form.
 func (r Record) Cell() kv.Cell {
 	return kv.Cell{Key: r.Key, Value: r.Value, Ts: r.Ts, Kind: r.Kind}
 }
 
-// Pos is a record's durable log position: its segment ID and byte offset —
-// the per-segment sequence number a tail resumes from. Positions compare in
-// replay order.
+// Pos is a record's durable log position: its segment ID and byte offset.
 type Pos struct {
 	Seg uint64
 	Off int64
-}
-
-// Less orders positions in replay order.
-func (p Pos) Less(q Pos) bool {
-	if p.Seg != q.Seg {
-		return p.Seg < q.Seg
-	}
-	return p.Off < q.Off
 }
 
 // String renders "segment@offset", the form slow-op logs and tools print.
@@ -106,10 +75,7 @@ type Log struct {
 	// independently, so records before the tear and in later segments
 	// survive).
 	tainted bool
-	// neverTruncate turns TruncateBefore into a no-op, so the full history
-	// stays tailable.
-	neverTruncate bool
-	obs           func(recs, bytes int, d time.Duration)
+	obs     func(recs, bytes int, d time.Duration)
 }
 
 // SetObserver installs a callback invoked after every durable append with the
@@ -140,27 +106,9 @@ func parseSegmentID(dir, name string) (uint64, bool) {
 	return id, true
 }
 
-// ReplayConfig configures OpenWith.
-type ReplayConfig struct {
-	// Replay, when non-nil, receives every recovered data record, in log
-	// order.
-	Replay func(Record)
-	// NeverTruncate keeps every segment: TruncateBefore removes nothing.
-	NeverTruncate bool
-}
-
-// Open replays every recoverable record under dir in log order, invoking
-// replay for each intact data record, then opens a fresh active segment for
-// appends. Replay stops at the first torn or corrupt record in a segment
-// (data after a torn write was never acknowledged, so dropping it is
-// correct). Recovery starts at the newest flush checkpoint: segments below
-// it are durable in SSTables and are not re-applied.
-func Open(fs vfs.FS, dir string, replay func(Record)) (*Log, error) {
-	return OpenWith(fs, dir, ReplayConfig{Replay: replay})
-}
-
-// OpenWith is Open with explicit replay configuration.
-func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
+// segmentIDs lists the IDs of the segments under dir in ascending order,
+// whatever order the file system lists them in.
+func segmentIDs(fs vfs.FS, dir string) ([]uint64, error) {
 	names, err := fs.List(dir + "/")
 	if err != nil {
 		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
@@ -171,37 +119,41 @@ func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return ids, nil
+}
 
-	// Pass 1 — skim for the newest flush boundary.
-	var boundary uint64
-	for _, id := range ids {
-		b, err := skimCheckpoints(fs, segmentName(dir, id))
-		if err != nil {
-			return nil, err
-		}
-		if b > boundary {
-			boundary = b
-		}
+// ReplayConfig configures OpenWith.
+type ReplayConfig struct {
+	// Replay, when non-nil, receives every recovered data record, in log
+	// order.
+	Replay func(Record)
+}
+
+// Open replays every recoverable record under dir in log order, invoking
+// replay for each intact data record, then opens a fresh active segment for
+// appends. Replay stops at the first torn or corrupt record in a segment
+// (data after a torn write was never acknowledged, so dropping it is
+// correct). Every segment that exists is replayed, in ID order.
+func Open(fs vfs.FS, dir string, replay func(Record)) (*Log, error) {
+	return OpenWith(fs, dir, ReplayConfig{Replay: replay})
+}
+
+// OpenWith is Open with explicit replay configuration.
+func OpenWith(fs vfs.FS, dir string, cfg ReplayConfig) (*Log, error) {
+	ids, err := segmentIDs(fs, dir)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 2 — replay the raw segments at or past the boundary.
 	var maxID uint64
 	for _, id := range ids {
-		if id >= boundary {
-			if err := replaySegment(fs, segmentName(dir, id), cfg.Replay); err != nil {
-				return nil, err
-			}
+		if err := replaySegment(fs, segmentName(dir, id), cfg.Replay); err != nil {
+			return nil, err
 		}
 		maxID = id
 	}
 
-	l := &Log{
-		fs:            fs,
-		dir:           dir,
-		segID:         maxID + 1,
-		neverTruncate: cfg.NeverTruncate,
-	}
+	l := &Log{fs: fs, dir: dir, segID: maxID + 1}
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
@@ -246,6 +198,9 @@ func decodePayload(payload []byte) (Record, error) {
 	}
 	r.Ts = kv.Timestamp(binary.LittleEndian.Uint64(payload[:8]))
 	r.Kind = kv.Kind(payload[8])
+	if r.Kind != kv.KindPut && r.Kind != kv.KindDelete {
+		return r, fmt.Errorf("wal: kind %d is not a data kind", r.Kind)
+	}
 	rest := payload[9:]
 	keyLen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest[n:])) < keyLen {
@@ -300,8 +255,9 @@ func readFrame(f vfs.File, off, size int64) (payload []byte, next int64, ok bool
 	return payload, off + 8 + int64(payloadLen), true, nil
 }
 
-// replaySegment replays one segment's intact data records, skipping meta
-// records, stopping at the first torn or corrupt frame.
+// replaySegment replays one segment's intact data records, stopping at the
+// first torn or corrupt frame. A checksum-valid frame that does not decode
+// to a put or a delete counts as corrupt.
 func replaySegment(fs vfs.FS, name string, replay func(Record)) error {
 	f, err := fs.Open(name)
 	if err != nil {
@@ -324,63 +280,12 @@ func replaySegment(fs vfs.FS, name string, replay func(Record)) error {
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return nil // corrupt but checksum-valid payloads should not happen; stop
+			return nil // checksum-valid but not a data record: stop
 		}
-		if !IsMeta(rec.Kind) && replay != nil {
+		if replay != nil {
 			replay(rec)
 		}
 		off = next
-	}
-}
-
-// skimCheckpoints walks a segment reading only frame headers plus one kind
-// byte and returns the largest flush boundary its checkpoint frames carry
-// (0 when it holds none). Data frames are NOT checksum-verified here (the
-// replay pass is authoritative for them); the rare checkpoint frames are
-// read in full and CRC-verified before their boundary is trusted.
-func skimCheckpoints(fs vfs.FS, name string) (uint64, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return 0, fmt.Errorf("wal: open segment %s: %w", name, err)
-	}
-	defer f.Close()
-
-	size, err := f.Size()
-	if err != nil {
-		return 0, fmt.Errorf("wal: size %s: %w", name, err)
-	}
-	var boundary uint64
-	var off int64
-	header := make([]byte, 8)
-	kindBuf := make([]byte, 1)
-	for {
-		if _, err := f.ReadAt(header, off); err != nil {
-			if err == io.EOF {
-				return boundary, nil
-			}
-			return 0, fmt.Errorf("wal: read %s@%d: %w", name, off, err)
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(header[4:8]))
-		if payloadLen < 9 || off+8+payloadLen > size {
-			return boundary, nil // torn or implausible tail: stop skimming
-		}
-		// The kind byte sits at payload offset 8 (after the timestamp).
-		if _, err := f.ReadAt(kindBuf, off+8+8); err != nil {
-			if err == io.EOF {
-				return boundary, nil
-			}
-			return 0, fmt.Errorf("wal: read %s@%d: %w", name, off+16, err)
-		}
-		if kv.Kind(kindBuf[0]) == KindCheckpoint {
-			if payload, _, ok, err := readFrame(f, off, size); ok && err == nil {
-				if rec, err := decodePayload(payload); err == nil && len(rec.Value) == 8 {
-					if b := binary.LittleEndian.Uint64(rec.Value); b > boundary {
-						boundary = b
-					}
-				}
-			}
-		}
-		off += 8 + payloadLen
 	}
 }
 
@@ -455,20 +360,6 @@ func (l *Log) appendLocked(buf []byte, recs int) (Pos, error) {
 	return pos, nil
 }
 
-// Checkpoint durably appends a flush-boundary meta record: every record in
-// a segment with ID < boundary is now durable in SSTables. Recovery replays
-// only from the newest boundary, so segments a never-truncating log keeps
-// below it are never re-applied.
-func (l *Log) Checkpoint(boundary uint64) error {
-	var val [8]byte
-	binary.LittleEndian.PutUint64(val[:], boundary)
-	buf := encodeRecord(Record{Kind: KindCheckpoint, Value: val[:]})
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, err := l.appendLocked(buf, 1)
-	return err
-}
-
 // rollLocked closes the active segment and opens the next one. Callers hold
 // l.mu. A close error on a tainted segment is reported but does not stop the
 // roll: the replacement segment is what restores correctness.
@@ -497,33 +388,34 @@ func (l *Log) Roll() (uint64, error) {
 
 // TruncateBefore deletes segments with ID < keepID — the roll-forward step
 // after a successful flush (§5.3) — and returns how many segments it
-// actually removed. A log opened with NeverTruncate removes nothing. A
-// segment another actor removed concurrently (a chaos restart racing a
-// flush) is skipped, not an error.
+// actually removed. It removes them oldest first and stops at the first
+// failure, so what a failed truncation leaves is always a suffix of the log:
+// replay never sees a segment without the ones logged after it. A segment
+// another actor removed concurrently (a chaos restart racing a flush) is
+// skipped, not an error.
 func (l *Log) TruncateBefore(keepID uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.neverTruncate {
-		return 0, nil
-	}
-	names, err := l.fs.List(l.dir + "/")
+	ids, err := segmentIDs(l.fs, l.dir)
 	if err != nil {
-		return 0, fmt.Errorf("wal: list: %w", err)
+		return 0, err
 	}
 	removed := 0
-	for _, name := range names {
-		if id, ok := parseSegmentID(l.dir, name); ok && id < keepID {
-			if err := l.fs.Remove(name); err != nil {
-				if errors.Is(err, vfs.ErrNotExist) {
-					continue // removed concurrently: already gone, not a failure
-				}
-				return removed, fmt.Errorf("wal: truncate segment %s: %w", name, err)
-			}
-			removed++
+	for _, id := range ids {
+		if id >= keepID {
+			break
 		}
+		name := segmentName(l.dir, id)
+		if err := l.fs.Remove(name); err != nil {
+			if errors.Is(err, vfs.ErrNotExist) {
+				continue // removed concurrently: already gone, not a failure
+			}
+			return removed, fmt.Errorf("wal: truncate segment %s: %w", name, err)
+		}
+		removed++
 	}
 	return removed, nil
 }
@@ -535,8 +427,7 @@ func (l *Log) ActiveSegment() uint64 {
 	return l.segID
 }
 
-// Close closes the log. Further appends fail with ErrClosed; TailLog keeps
-// reading (segment files are immutable once sealed).
+// Close closes the log. Further appends fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

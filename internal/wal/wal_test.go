@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -20,6 +22,28 @@ func mustOpen(t *testing.T, fs vfs.FS, dir string) (*Log, []Record) {
 		t.Fatal(err)
 	}
 	return l, replayed
+}
+
+func appendN(t *testing.T, l *Log, start, n int) {
+	t.Helper()
+	for i := start; i < start+n; i++ {
+		if err := l.Append(Record{
+			Key:   []byte(fmt.Sprintf("k%04d", i)),
+			Value: []byte(fmt.Sprintf("v%04d", i)),
+			Ts:    kv.Timestamp(i + 1),
+			Kind:  kv.KindPut,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func replayedKeys(recs []Record) string {
+	var keys []string
+	for _, r := range recs {
+		keys = append(keys, string(r.Key))
+	}
+	return fmt.Sprint(keys)
 }
 
 func TestAppendAndReplay(t *testing.T) {
@@ -145,14 +169,10 @@ func TestTornWriteTruncatesTail(t *testing.T) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		lg, got := mustOpen(t, fs, "r")
-		entries, _, _, err := lg.TailLog(Pos{}, 10)
+		_, got := mustOpen(t, fs, "r")
 		runtime.ReadMemStats(&after)
 		if len(got) != 1 || string(got[0].Key) != "good" {
 			t.Fatalf("torn tail %x not dropped by replay: %+v", torn, got)
-		}
-		if err != nil || len(entries) != 1 || string(entries[0].Record.Key) != "good" {
-			t.Fatalf("torn tail %x not dropped by tail: %+v, %v", torn, entries, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("recovery past torn header %x allocated %d bytes", torn, grew)
@@ -306,11 +326,10 @@ func TestRecordCell(t *testing.T) {
 	}
 }
 
-// FuzzReplaySegment feeds arbitrary bytes as a WAL segment: neither the
-// checkpoint skim nor replay may panic, no meta frame (a checkpoint, or any
-// kind in the reserved range above it) may reach Replay, and every record
-// replay yields must round-trip through the encoder (i.e. only records that
-// were validly encoded are surfaced).
+// FuzzReplaySegment feeds arbitrary bytes as a WAL segment: replay must not
+// panic, only data kinds (puts and deletes) may reach Replay, and every
+// record replay yields must round-trip through the encoder (i.e. only
+// records that were validly encoded are surfaced).
 func FuzzReplaySegment(f *testing.F) {
 	good := encodeRecord(Record{Key: []byte("k"), Value: []byte("v"), Ts: 7, Kind: kv.KindPut})
 	f.Add([]byte{})
@@ -318,9 +337,9 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add(append(append([]byte{}, good...), good[:5]...)) // torn tail
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x10, 0x00, 0x00, 0x00})
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xF0, 0xFF, 0xFF, 0xFF}) // declares ~4 GiB
-	// A checkpoint frame naming this very segment as the boundary (so the
-	// data after it still replays), then an unknown meta kind between data.
-	checkpoint := encodeRecord(Record{Kind: KindCheckpoint, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
+	// Non-data kinds: the flush-checkpoint frame older logs carried (kind
+	// 0x10) in front of data, and an unknown kind between data.
+	checkpoint := encodeRecord(Record{Kind: 0x10, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
 	f.Add(append(append([]byte{}, checkpoint...), good...))
 	unknown := encodeRecord(Record{Kind: 0x11, Value: []byte("meta")})
 	f.Add(append(append(append([]byte{}, good...), unknown...), good...))
@@ -339,8 +358,8 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		l.Close()
 		for _, r := range got {
-			if IsMeta(r.Kind) {
-				t.Fatalf("meta record reached Replay: %+v", r)
+			if r.Kind != kv.KindPut && r.Kind != kv.KindDelete {
+				t.Fatalf("non-data record reached Replay: %+v", r)
 			}
 			enc := encodeRecord(r)
 			dec, err := decodePayload(enc[8:])
@@ -370,5 +389,82 @@ func TestAppendFormatsNoSegmentName(t *testing.T) {
 	})
 	if allocs >= 0.5 {
 		t.Fatalf("%.3f allocs per append, want under 0.5", allocs)
+	}
+}
+
+// TestNonDataKindStopsReplay: a checksum-valid frame whose kind is neither a
+// put nor a delete — the flush-checkpoint kind (0x10) older logs carried, or
+// any other — is a corrupt frame. Replay of its segment stops there, as at a
+// torn tail; the records before it and every later segment replay.
+func TestNonDataKindStopsReplay(t *testing.T) {
+	for _, kind := range []kv.Kind{0x10, 0x11} {
+		fs := vfs.NewMemFS()
+		l, _ := mustOpen(t, fs, "r")
+		appendN(t, l, 0, 3)
+		if err := l.Append(Record{Kind: kind, Value: []byte("not a cell")}); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 3, 2)
+		if _, err := l.Roll(); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 5, 2)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, replayed := mustOpen(t, fs, "r")
+		if got, want := replayedKeys(replayed), "[k0000 k0001 k0002 k0005 k0006]"; got != want {
+			t.Errorf("kind %#x: replayed %s, want %s", uint8(kind), got, want)
+		}
+	}
+}
+
+// reorderFS lists files in reverse name order, and refuses to remove the
+// file named refuse.
+type reorderFS struct {
+	vfs.FS
+	refuse string
+}
+
+func (fs *reorderFS) List(prefix string) ([]string, error) {
+	names, err := fs.FS.List(prefix)
+	slices.Reverse(names)
+	return names, err
+}
+
+func (fs *reorderFS) Remove(name string) error {
+	if name == fs.refuse {
+		return errors.New("remove refused")
+	}
+	return fs.FS.Remove(name)
+}
+
+// TestTruncateBeforeLeavesSuffix: truncation removes segments oldest first,
+// whatever order the file system lists them in, and stops at the first
+// failed removal. What survives is a suffix of the log, so replay never
+// sees a segment without the ones logged after it.
+func TestTruncateBeforeLeavesSuffix(t *testing.T) {
+	mem := vfs.NewMemFS()
+	fs := &reorderFS{FS: mem, refuse: segmentName("r", 3)}
+	l, _ := mustOpen(t, fs, "r")
+	for seg := 0; seg < 4; seg++ {
+		appendN(t, l, 2*seg, 2)
+		if _, err := l.Roll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed, err := l.TruncateBefore(5)
+	if err == nil || removed != 2 {
+		t.Fatalf("TruncateBefore(5) with segment 3 refused = (%d, %v), want 2 removed and an error", removed, err)
+	}
+	if ids, _ := segmentIDs(mem, "r"); fmt.Sprint(ids) != "[3 4 5]" {
+		t.Fatalf("segments after a failed truncation = %v, want the suffix [3 4 5]", ids)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, replayed := mustOpen(t, fs, "r")
+	if got, want := replayedKeys(replayed), "[k0004 k0005 k0006 k0007]"; got != want {
+		t.Errorf("replayed %s, want %s", got, want)
 	}
 }
