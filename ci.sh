@@ -28,8 +28,10 @@
 #  10. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
 #      and FuzzReplaySegment over the WAL segment decoder (data frames
 #      and non-data kinds, which replay treats as corrupt)
-#  11. CLI gates           — what only the commands assert: `lsmtool verify`
-#      exit codes and the five `chaoskit` verdicts (two fixed-seed fault
+#  11. CLI gates           — what only the commands assert: the `lsmtool`
+#      walkthrough (which prints Store.Stats() and, with -stats, the
+#      registry) and `lsmtool stats` run to completion, `lsmtool verify`
+#      exit codes, and the five `chaoskit` verdicts (two fixed-seed fault
 #      runs, -integrity, -timetravel, -elastic); the fault runs and -elastic
 #      include the topology check
 set -eu
@@ -80,6 +82,10 @@ go test -run=NONE -fuzz=FuzzOpen -fuzztime=10s -fuzzminimizetime=100x ./internal
 go test -run=NONE -fuzz=FuzzReplaySegment -fuzztime=10s -fuzzminimizetime=100x ./internal/wal
 
 echo "== lsmtool =="
+# The walkthrough and the table-layout dump: each panics on a failed store
+# operation.
+go run ./cmd/lsmtool -rows 500 -stats > /dev/null
+go run ./cmd/lsmtool stats -rows 500 -tables 3 > /dev/null
 # Offline sweep gate: a clean store must verify; a corrupted one must be
 # detected AND fail the process (exit status is the contract CI relies on).
 go run ./cmd/lsmtool verify -rows 500 -tables 3 > /dev/null

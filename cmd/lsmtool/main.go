@@ -90,8 +90,7 @@ func main() {
 			fmt.Printf("  %-40s %8d bytes\n", n, sz)
 		}
 		st := store.Stats()
-		fmt.Printf("stats: puts=%d deletes=%d gets=%d flushes=%d compactions=%d\n",
-			st.Puts, st.Deletes, st.Gets, st.Flushes, st.Compactions)
+		fmt.Printf("stats: flushed=%dB compactions=%d\n", st.FlushBytes, st.Compactions)
 		if st.Compactions > 0 {
 			fmt.Printf("compaction io: read=%dB written=%dB gc-cells=%d tombstones-dropped=%d\n",
 				st.CompactionBytesRead, st.CompactionBytesWritten,

@@ -119,14 +119,6 @@ type Options struct {
 	// demonstrates why the protocol is needed.
 	UnsafeDisableDrainOnFlush bool
 
-	// VerifyChecksums makes every SSTable block read verify the block's
-	// CRC32C before use, turning silent disk corruption into a read error.
-	// Off by default: the background scrubber provides continuous coverage
-	// without the per-read cost.
-	VerifyChecksums bool
-	// DisableScrub turns off the per-region background integrity scrubber
-	// (see DESIGN.md §11).
-	DisableScrub bool
 	// ScrubInterval is the pause between scrub cycles per region store
 	// (default 5s); ScrubBlockPace the pause between block verifications
 	// (default 1ms ≈ 4 MiB/s per store; negative disables pacing).
@@ -162,8 +154,6 @@ func Open(opts Options) *DB {
 		MaxVersions:         opts.MaxVersions,
 		CompactionThreshold: opts.CompactionThreshold,
 		CompactionFanIn:     opts.CompactionFanIn,
-		VerifyChecksums:     opts.VerifyChecksums,
-		DisableScrub:        opts.DisableScrub,
 		ScrubInterval:       opts.ScrubInterval,
 		ScrubBlockPace:      opts.ScrubBlockPace,
 		DisableTracing:      opts.DisableTracing,

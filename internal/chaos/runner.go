@@ -476,7 +476,11 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 			maxBacklog.Store(d)
 		}
 		res.MaxAUQBacklog = maxBacklog.Load()
-		res.AUQShed = m.ShedTotal()
+		for _, p := range db.MetricsSnapshot().Counters {
+			if p.Name == "diffindex_auq_shed_total" {
+				res.AUQShed += p.Value // one series per base table
+			}
+		}
 		// Two legitimate overshoot sources: concurrent writers racing the
 		// cap check (bounded by the writer count), and crash-recovery WAL
 		// replay re-enqueueing up to a full cap's worth of preserved tasks

@@ -13,15 +13,6 @@ import (
 	"diffindex/internal/metrics"
 )
 
-// ApplyStats counts the index-maintenance RPC fan-out: Apply RPCs that
-// reached a region server versus the cells those RPCs carried. A batched
-// hot path ships many cells per RPC, so Cells/RPCs is the batching factor
-// (1.0 = the historical one-RPC-per-cell behaviour).
-type ApplyStats struct {
-	RPCs  metrics.Counter // Apply RPCs delivered to region servers
-	Cells metrics.Counter // cells shipped in those RPCs
-}
-
 // Client is the store's client library (§2.2): it caches a copy of the
 // partition map and routes each request to the region server hosting the
 // key, over the simulated network. On a routing miss (server crashed or
@@ -32,9 +23,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	routes map[string][]RegionInfo
-
-	// stats, when set, counts Apply RPC fan-out (see ApplyStats).
-	stats *ApplyStats
 
 	// fanOut, when positive, overrides DefaultReadFanOut for this client's
 	// scatter-gather operations.
@@ -49,18 +37,6 @@ type Client struct {
 // DefaultReadFanOut; 1 forces the serial behaviour (useful as a baseline).
 // Not safe to call concurrently with requests; attach before use.
 func (cl *Client) SetFanOut(n int) { cl.fanOut = n }
-
-// SetApplyStats attaches a (possibly shared) fan-out counter to the client.
-// Not safe to call concurrently with requests; attach before use.
-func (cl *Client) SetApplyStats(s *ApplyStats) { cl.stats = s }
-
-// countApply records one delivered Apply RPC carrying n cells.
-func (cl *Client) countApply(n int) {
-	if cl.stats != nil {
-		cl.stats.RPCs.Inc()
-		cl.stats.Cells.Add(int64(n))
-	}
-}
 
 // NewClient returns a client with the given simnet node name.
 func NewClient(c *Cluster, name string) *Client {
@@ -385,7 +361,7 @@ func (cl *Client) RawApply(table string, routingKey []byte, cells []kv.Cell) err
 		return s.Apply(ri.ID, cells)
 	})
 	if err == nil {
-		cl.countApply(len(cells))
+		cl.cluster.noteApply(len(cells))
 	}
 	return err
 }
@@ -415,7 +391,7 @@ func (cl *Client) MultiApply(table string, cells []kv.Cell) error {
 			}
 			return s.Apply(ri.ID, batch)
 		},
-		func(group []int) { cl.countApply(len(group)) })
+		func(group []int) { cl.cluster.noteApply(len(group)) })
 }
 
 // multiRoute is the engine behind the region-grouped batch operations
@@ -622,18 +598,6 @@ func regionContaining(regions []RegionInfo, key []byte) (RegionInfo, bool) {
 		return regions[p], true
 	}
 	return RegionInfo{}, false
-}
-
-// RawGet reads a raw store key from the region holding routingKey at ts.
-func (cl *Client) RawGet(table string, routingKey, storeKey []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	var cell kv.Cell
-	var ok bool
-	err := cl.withRegion(table, routingKey, func(ri RegionInfo, s *RegionServer) error {
-		var err error
-		cell, ok, err = s.Get(ri.ID, storeKey, ts)
-		return err
-	})
-	return cell, ok, err
 }
 
 // scatterRanges snapshots the table's region routing boundaries clamped to

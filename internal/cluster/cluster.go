@@ -63,11 +63,6 @@ type Config struct {
 	// CompactionFanIn bounds how many SSTables one compaction round merges
 	// per region store. Defaults to 4.
 	CompactionFanIn int
-	// VerifyChecksums makes every region store verify SSTable block CRCs on
-	// read (see lsm.Options.VerifyChecksums).
-	VerifyChecksums bool
-	// DisableScrub turns off the per-region background integrity scrubber.
-	DisableScrub bool
 	// ScrubInterval / ScrubBlockPace tune the per-region scrubber (zero
 	// values take the lsm defaults: 5s between cycles, 1ms between blocks).
 	ScrubInterval  time.Duration
@@ -184,6 +179,10 @@ type Cluster struct {
 	fanoutWaves *metrics.Counter
 	fanoutRPCs  *metrics.Counter
 	fanoutItems *metrics.Counter
+	// Apply RPCs delivered to region servers by any client, and the cells
+	// they carried: cells/RPCs is the index-maintenance batching factor.
+	applyRPCs  *metrics.Counter
+	applyCells *metrics.Counter
 
 	// clock issues write timestamps. The paper uses each region server's
 	// System.currentTimeMillis (NTP-synchronized wall clocks); a single
@@ -214,6 +213,8 @@ func New(cfg Config) *Cluster {
 	c.fanoutWaves = cfg.Metrics.Counter("diffindex_fanout_waves_total")
 	c.fanoutRPCs = cfg.Metrics.Counter("diffindex_fanout_rpcs_total")
 	c.fanoutItems = cfg.Metrics.Counter("diffindex_fanout_items_total")
+	c.applyRPCs = cfg.Metrics.Counter("diffindex_apply_rpcs_total")
+	c.applyCells = cfg.Metrics.Counter("diffindex_apply_cells_total")
 	c.Master = newMaster(c)
 	for i := 0; i < cfg.Servers; i++ {
 		id := fmt.Sprintf("rs%d", i+1)
@@ -247,6 +248,12 @@ func (c *Cluster) noteWave(rpcs, items int, newWave bool) {
 	}
 	c.fanoutRPCs.Add(int64(rpcs))
 	c.fanoutItems.Add(int64(items))
+}
+
+// noteApply records one delivered Apply RPC carrying n cells.
+func (c *Cluster) noteApply(n int) {
+	c.applyRPCs.Inc()
+	c.applyCells.Add(int64(n))
 }
 
 // RegisterCoprocessor attaches a coprocessor to a table. Register before

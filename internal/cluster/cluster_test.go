@@ -292,13 +292,14 @@ func TestRawOpsOnIndexStyleTable(t *testing.T) {
 	if len(res) != 2 {
 		t.Errorf("range scan [a,z] returned %d entries, want 2", len(res))
 	}
-	// RawGet with explicit timestamp visibility.
+	// A point read with explicit timestamp visibility.
 	key := kv.IndexKey([]byte("apple"), []byte("row-apple"))
-	if _, ok, _ := cl.RawGet("idx", key, key, 4); ok {
-		t.Error("entry visible before its timestamp")
+	spec := []GetSpec{{Key: key}}
+	if out, err := cl.MultiGet("idx", spec, 4); err != nil || out[0].Found {
+		t.Errorf("entry visible before its timestamp (err %v)", err)
 	}
-	if _, ok, _ := cl.RawGet("idx", key, key, 5); !ok {
-		t.Error("entry invisible at its timestamp")
+	if out, err := cl.MultiGet("idx", spec, 5); err != nil || !out[0].Found {
+		t.Errorf("entry invisible at its timestamp (err %v)", err)
 	}
 }
 

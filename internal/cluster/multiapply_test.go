@@ -32,17 +32,15 @@ func TestMultiApplySpansRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(c, "client")
-	var stats ApplyStats
-	cl.SetApplyStats(&stats)
 
 	cells := multiApplyCells(30, 100)
 	if err := cl.MultiApply("idx", cells); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.RPCs.Load(); got != 3 {
+	if got, _ := c.Metrics().Value("diffindex_apply_rpcs_total"); got != 3 {
 		t.Errorf("RPCs = %d, want 3 (one per destination region)", got)
 	}
-	if got := stats.Cells.Load(); got != 30 {
+	if got, _ := c.Metrics().Value("diffindex_apply_cells_total"); got != 30 {
 		t.Errorf("Cells = %d, want 30", got)
 	}
 
@@ -81,8 +79,6 @@ func TestMultiApplyRegionMoveRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(c, "client")
-	var stats ApplyStats
-	cl.SetApplyStats(&stats)
 
 	// Warm the partition map, then split the upper region behind the
 	// client's back: routes for [k10,+∞) now point at a region that no
@@ -137,7 +133,7 @@ func TestMultiApplyRegionMoveRetries(t *testing.T) {
 
 	// The retry path must have re-sent only the failed groups — total
 	// delivered cells is the two successful batches, nothing more.
-	if got := stats.Cells.Load(); got != 4+30 {
+	if got, _ := c.Metrics().Value("diffindex_apply_cells_total"); got != 4+30 {
 		t.Errorf("delivered cells = %d, want %d", got, 4+30)
 	}
 }

@@ -175,8 +175,6 @@ func (s *RegionServer) OpenRegion(info RegionInfo) (err error) {
 		CompactionFanIn:     s.cluster.cfg.CompactionFanIn,
 		RetainTombstones:    s.cluster.retainsTombstones(info.Table),
 		BlockCache:          cache,
-		VerifyChecksums:     s.cluster.cfg.VerifyChecksums,
-		DisableScrub:        s.cluster.cfg.DisableScrub,
 		ScrubInterval:       s.cluster.cfg.ScrubInterval,
 		ScrubBlockPace:      s.cluster.cfg.ScrubBlockPace,
 		Metrics:             s.cluster.metrics,

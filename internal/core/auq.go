@@ -110,7 +110,6 @@ func (q *auq) enqueue(t task) {
 // blocking enqueue: a transient cap overshoot beats losing the work.
 func (q *auq) shedToSync(t task) {
 	q.shed.Inc()
-	q.m.shedTotal.Add(1)
 	if err := q.m.applyIndexUpdatesFor(q.ctx, t, false, q.m.relevantIndexes(q.ctx, t)); err == nil {
 		q.m.observeStaleness(t.enqueuedAt)
 		q.pending.Add(-1)

@@ -8,6 +8,14 @@ import (
 	"diffindex/internal/metrics"
 )
 
+// applyCounts reads the cluster's Apply fan-out counters: RPCs delivered to
+// region servers and the cells they carried.
+func applyCounts(e *env) (rpcs, cells int64) {
+	rpcs, _ = e.c.Metrics().Value("diffindex_apply_rpcs_total")
+	cells, _ = e.c.Metrics().Value("diffindex_apply_cells_total")
+	return rpcs, cells
+}
+
 // TestSyncFullRPCBatching counter-verifies the tentpole claim: a sync-full
 // update that changes an indexed value performs its index maintenance (one
 // delete of the superseded entry + one insert of the new one) with ONE
@@ -17,12 +25,12 @@ func TestSyncFullRPCBatching(t *testing.T) {
 	e.createIndex(t, SyncFull, "title") // single-region index table
 
 	e.put(t, "item001", "title", "alpha")
-	rpcs0, cells0 := e.m.ApplyStats()
+	rpcs0, cells0 := applyCounts(e)
 
 	// A value-changing update: delete of ⟨alpha⊕item001⟩ + insert of
 	// ⟨beta⊕item001⟩, both destined for the index table's only region.
 	e.put(t, "item001", "title", "beta")
-	rpcs, cells := e.m.ApplyStats()
+	rpcs, cells := applyCounts(e)
 	if got := cells - cells0; got != 2 {
 		t.Errorf("cells shipped by the update = %d, want 2 (delete + insert)", got)
 	}
@@ -43,11 +51,11 @@ func TestSyncFullRPCPerRegion(t *testing.T) {
 	}
 
 	e.put(t, "item001", "title", "alpha")
-	rpcs0, _ := e.m.ApplyStats()
+	rpcs0, _ := applyCounts(e)
 
 	// alpha (region 1) superseded by zeta (region 2): two destinations.
 	e.put(t, "item001", "title", "zeta")
-	rpcs, _ := e.m.ApplyStats()
+	rpcs, _ := applyCounts(e)
 	if got := rpcs - rpcs0; got != 2 {
 		t.Errorf("Apply RPCs = %d, want 2 (entries span two index regions)", got)
 	}
@@ -104,7 +112,7 @@ func TestAPSMicroBatching(t *testing.T) {
 		}
 	}
 
-	h := e.m.APSBatchSizes()
+	h := e.c.Metrics().Histogram("diffindex_aps_batch_size")
 	t.Logf("remote=%v batches=%d mean=%.1f max=%d", remote, h.Count(), h.Mean(), h.Max())
 	if h.Count() == 0 {
 		t.Fatal("no APS batches recorded")
@@ -169,9 +177,9 @@ func TestBackfillUsesBatchedRPCs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.put(t, fmt.Sprintf("item%03d", i), "title", fmt.Sprintf("t%03d", i))
 	}
-	rpcs0, cells0 := e.m.ApplyStats()
+	rpcs0, cells0 := applyCounts(e)
 	def := e.createIndex(t, SyncFull, "title")
-	rpcs, cells := e.m.ApplyStats()
+	rpcs, cells := applyCounts(e)
 	if got := cells - cells0; got != n {
 		t.Errorf("backfill cells = %d, want %d", got, n)
 	}

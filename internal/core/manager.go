@@ -88,26 +88,19 @@ type Manager struct {
 	// Counters instruments I/O along the axes of Table 2.
 	Counters OpCounters
 
-	// applyStats counts index-maintenance RPC fan-out (Apply RPCs issued
-	// vs. cells shipped) across every server-side client; shared so the
-	// roll-up covers all servers.
-	applyStats cluster.ApplyStats
 	// apsBatch records the size of every APS micro-batch one worker
 	// drained and applied together.
 	apsBatch *metrics.Histogram
 	// reconcileCounters are the reconcile engine's counters, by source.
 	reconcileCounters map[string]reconcileCounters
-	// shedTotal counts AUQ arrivals shed to the synchronous path by the
-	// MaxBacklog admission cap, across all regions.
-	shedTotal atomic.Int64
 	// replayInflight counts replayed cells whose background re-dispatch
 	// (OpenRegion's OnReplay loop) has not finished yet; QueueDepth includes
 	// it so convergence waits cover work that is not yet back in an AUQ.
 	replayInflight atomic.Int64
 
 	// reg is the cluster-wide metrics registry; staleness and apsBatch are
-	// registry-owned histograms, so the legacy accessors and
-	// DB.MetricsSnapshot read the same instruments.
+	// registry-owned histograms, so Staleness and DB.MetricsSnapshot read
+	// the same instrument.
 	reg *metrics.Registry
 
 	// stages and schemeStages resolve the stage-latency histograms by
@@ -137,12 +130,10 @@ func NewManager(c *cluster.Cluster, opts ManagerOptions) *Manager {
 		stages:            reg.HistogramVec("diffindex_stage_latency_ns", "stage", "table"),
 		schemeStages:      reg.HistogramVec("diffindex_stage_latency_ns", "stage", "table", "scheme"),
 	}
-	// Computed gauges over runtime state. They take m.mu / the ApplyStats
-	// counters at read time; the registry evaluates them outside its own
-	// lock, so no lock-ordering cycle.
+	// A computed gauge over runtime state: it takes m.mu at read time, and
+	// the registry evaluates it outside its own lock, so no lock-ordering
+	// cycle.
 	reg.RegisterGaugeFunc("diffindex_auq_depth", m.QueueDepth)
-	reg.RegisterGaugeFunc("diffindex_apply_rpcs_total", m.applyStats.RPCs.Load)
-	reg.RegisterGaugeFunc("diffindex_apply_cells_total", m.applyStats.Cells.Load)
 	return m
 }
 
@@ -150,17 +141,6 @@ func NewManager(c *cluster.Cluster, opts ManagerOptions) *Manager {
 func (m *Manager) stageHist(stage, table string) *metrics.Histogram {
 	return m.stages.With(stage, table)
 }
-
-// ApplyStats reports the cumulative index-maintenance fan-out: Apply RPCs
-// delivered to region servers and the cells those RPCs carried. With
-// region-batched maintenance, Cells/RPCs > 1 measures the batching win.
-func (m *Manager) ApplyStats() (rpcs, cells int64) {
-	return m.applyStats.RPCs.Load(), m.applyStats.Cells.Load()
-}
-
-// APSBatchSizes exposes the histogram of APS micro-batch sizes (tasks per
-// drained batch); its mean is the paper-facing "mean APS batch size" metric.
-func (m *Manager) APSBatchSizes() *metrics.Histogram { return m.apsBatch }
 
 // Catalog exposes the index metadata catalog.
 func (m *Manager) Catalog() *Catalog { return m.catalog }
@@ -222,7 +202,6 @@ func (m *Manager) clientFor(name string) *cluster.Client {
 	cl, ok := m.serverConns[name]
 	if !ok {
 		cl = cluster.NewClient(m.cluster, name)
-		cl.SetApplyStats(&m.applyStats)
 		m.serverConns[name] = cl
 	}
 	return cl
@@ -285,10 +264,6 @@ func (m *Manager) MaxRegionQueueDepth() int64 {
 	}
 	return max
 }
-
-// ShedTotal counts the AUQ arrivals degraded to synchronous index
-// maintenance by the MaxBacklog admission cap.
-func (m *Manager) ShedTotal() int64 { return m.shedTotal.Load() }
 
 // WaitForConvergence blocks until the AUQs are empty or the timeout
 // elapses, reporting whether convergence was reached.

@@ -221,16 +221,13 @@ func (s *Store) unclaimLocked(inputs []*tableHandle) {
 }
 
 // recordCompactionError surfaces a failed background round through the
-// stats error counter, the last-error field and the metrics registry.
+// error counter and the last-error field.
 // ErrClosed is not an error: it just means the store shut down mid-round.
 func (s *Store) recordCompactionError(err error) {
 	if err == nil || errors.Is(err, ErrClosed) {
 		return
 	}
-	s.stats.compactionErrors.Add(1)
-	if s.compErrors != nil {
-		s.compErrors.Inc()
-	}
+	s.compErrors.Inc()
 	s.compMu.Lock()
 	s.compLastErr = err.Error()
 	s.compMu.Unlock()
@@ -406,10 +403,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 
 	gc := CompactionGC{Bottom: bottom}
 	dropCell := func(c kv.Cell) {
-		s.stats.gcCells.Add(1)
-		if s.compGCCells != nil {
-			s.compGCCells.Inc()
-		}
+		s.compGCCells.Inc()
 		if len(hooks) == 0 {
 			return
 		}
@@ -435,10 +429,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 			if bottom && !s.opts.RetainTombstones {
 				// Nothing older exists outside the inputs: the marker has
 				// done its job and can be retired.
-				s.stats.tombstonesDropped.Add(1)
-				if s.compTombstones != nil {
-					s.compTombstones.Inc()
-				}
+				s.compTombstones.Inc()
 				dropCell(c)
 				continue
 			}
@@ -468,7 +459,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 		s.opts.FS.Remove(name)
 		return err
 	}
-	r, err := s.openTable(name)
+	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
 	if err != nil {
 		return err
 	}
@@ -519,14 +510,9 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 		h.release() // the store's own reference
 	}
 
-	s.stats.compactions.Add(1)
-	s.stats.compactionBytesRead.Add(bytesRead)
-	s.stats.compactionBytesWritten.Add(r.Size())
-	if s.compRounds != nil {
-		s.compRounds.Inc()
-		s.compBytesRead.Add(bytesRead)
-		s.compBytesWritten.Add(r.Size())
-	}
+	s.compRounds.Inc()
+	s.compBytesRead.Add(bytesRead)
+	s.compBytesWritten.Add(r.Size())
 
 	if len(hooks) > 0 && (len(gc.Dropped) > 0 || gc.Truncated) {
 		for _, hook := range hooks {

@@ -60,9 +60,10 @@ type Options struct {
 	// WAL during Open, in log order. Diff-Index uses it to re-enqueue index
 	// work (§5.3: "each base put replayed is also put into AUQ again").
 	OnReplay func(kv.Cell)
-	// Metrics, when non-nil, is the registry the store records stage
-	// latencies (wal, memtable, store-get, store-scan, flush) and WAL
-	// append counters into, labeled with MetricsTable.
+	// Metrics is the registry the store counts into: stage latencies (wal,
+	// memtable, store-get, store-scan, flush), WAL appends, flush,
+	// compaction and scrub counters, all labeled with MetricsTable. A nil
+	// value gets a private registry, so the store always counts.
 	Metrics *metrics.Registry
 	// MetricsTable is the value of the `table` label on this store's
 	// metrics (typically the owning region's table name).
@@ -72,11 +73,6 @@ type Options struct {
 	DisableAutoFlush bool
 	// DisableAutoCompact turns off count-triggered compactions.
 	DisableAutoCompact bool
-	// VerifyChecksums makes every data-block read verify the block's CRC32C
-	// before use, turning silent corruption into an ErrCorruption read error.
-	// Cache hits are not re-verified (they were checked when first read from
-	// disk).
-	VerifyChecksums bool
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
 	// ScrubInterval is the pause between scrub cycles (a cycle verifies every
@@ -103,6 +99,9 @@ func (o Options) withDefaults() Options {
 	if o.CompactionFanIn <= 0 {
 		o.CompactionFanIn = 4
 	}
+	if o.Metrics == nil {
+		o.Metrics = metrics.NewRegistry()
+	}
 	if o.ScrubInterval <= 0 {
 		o.ScrubInterval = 5 * time.Second
 	}
@@ -114,13 +113,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats exposes cumulative operation counters for a store.
+// Stats is the store's flush and compaction counters, read from its
+// registry instruments. Stores that share a registry and a MetricsTable (the
+// regions of one table in a cluster) share those instruments, so each
+// reports its table's totals.
 type Stats struct {
-	Puts        int64
-	Deletes     int64
-	Gets        int64
-	Scans       int64
-	Flushes     int64
 	Compactions int64 // compaction rounds completed
 
 	// FlushBytes is the total SSTable bytes written by flushes; together

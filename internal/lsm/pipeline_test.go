@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diffindex/internal/kv"
+	"diffindex/internal/metrics"
 	"diffindex/internal/vfs"
 )
 
@@ -34,9 +35,11 @@ func TestApplyAndApplyBatch(t *testing.T) {
 			t.Errorf("key %q missing", k)
 		}
 	}
-	st := s.Stats()
-	if st.Puts != 3 || st.Deletes != 1 {
-		t.Errorf("stats = %+v", st)
+	if c, ok, _ := s.GetCell([]byte("dead"), kv.MaxTimestamp); !ok || !c.Tombstone() {
+		t.Errorf("batched delete: cell %+v, found %v; want a tombstone", c, ok)
+	}
+	if n, _ := s.opts.Metrics.Value("diffindex_wal_appends_total", metrics.L("table", "")); n != 4 {
+		t.Errorf("WAL appends = %d, want 4 (the empty batch appends nothing)", n)
 	}
 
 	// Batches survive recovery as one WAL group.

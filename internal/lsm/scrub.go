@@ -2,11 +2,8 @@ package lsm
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"diffindex/internal/metrics"
 	"diffindex/internal/sstable"
 )
 
@@ -19,62 +16,8 @@ import (
 // scrubbed can be retired by a compaction concurrently — the file simply
 // lives until the scrubber releases its reference. Pacing makes the scrubber
 // yield to foreground I/O: it sleeps ScrubBlockPace between blocks and
-// ScrubInterval between full cycles.
-
-// scrubState holds the scrubber's cumulative counters and cycle position.
-type scrubState struct {
-	cycles      atomic.Int64
-	blocks      atomic.Int64
-	bytes       atomic.Int64
-	corruptions atomic.Int64
-
-	mu           sync.Mutex
-	curTable     string // table being scanned ("" between cycles)
-	tablesInCyc  int    // tables in the current cycle's snapshot
-	tableCursor  int    // position within the snapshot (0-based)
-	lastCycleEnd time.Time
-	lastErr      string // most recent corruption or read error ("" when none)
-
-	blocksC, bytesC, corruptionsC, cyclesC *metrics.Counter
-}
-
-// ScrubStats is a point-in-time view of scrubber progress.
-type ScrubStats struct {
-	// Cycles is the number of completed full passes over the store.
-	Cycles int64
-	// BlocksScanned / BytesScanned count verified blocks cumulatively.
-	BlocksScanned int64
-	BytesScanned  int64
-	// Corruptions counts blocks whose content did not match their CRC.
-	Corruptions int64
-	// CurrentTable / TableCursor / TablesInCycle locate the in-progress
-	// cycle ("" and zeros between cycles).
-	CurrentTable  string
-	TableCursor   int
-	TablesInCycle int
-	// LastCycleEnd is when the most recent full cycle completed (zero before
-	// the first).
-	LastCycleEnd time.Time
-	// LastError is the most recent corruption or read error ("" when none).
-	LastError string
-}
-
-// ScrubStats returns a snapshot of the background scrubber's progress.
-func (s *Store) ScrubStats() ScrubStats {
-	s.scrub.mu.Lock()
-	defer s.scrub.mu.Unlock()
-	return ScrubStats{
-		Cycles:        s.scrub.cycles.Load(),
-		BlocksScanned: s.scrub.blocks.Load(),
-		BytesScanned:  s.scrub.bytes.Load(),
-		Corruptions:   s.scrub.corruptions.Load(),
-		CurrentTable:  s.scrub.curTable,
-		TableCursor:   s.scrub.tableCursor,
-		TablesInCycle: s.scrub.tablesInCyc,
-		LastCycleEnd:  s.scrub.lastCycleEnd,
-		LastError:     s.scrub.lastErr,
-	}
-}
+// ScrubInterval between full cycles. It counts only in the store's registry:
+// diffindex_scrub_{blocks,bytes,corruptions,cycles}_total.
 
 // scrubLoop alternates ScrubInterval sleeps with full scrub cycles until the
 // store closes.
@@ -120,53 +63,23 @@ func (s *Store) ScrubOnce() int {
 	}
 	defer release()
 
-	s.scrub.mu.Lock()
-	s.scrub.tablesInCyc = len(tables)
-	s.scrub.mu.Unlock()
-
 	found := 0
-	for ti, h := range tables {
-		s.scrub.mu.Lock()
-		s.scrub.curTable = h.r.Name()
-		s.scrub.tableCursor = ti
-		s.scrub.mu.Unlock()
+	for _, h := range tables {
 		for i := 0; i < h.r.NumBlocks(); i++ {
 			n, err := h.r.VerifyBlock(i)
-			s.scrub.blocks.Add(1)
-			s.scrub.bytes.Add(int64(n))
-			if s.scrub.blocksC != nil {
-				s.scrub.blocksC.Add(1)
-				s.scrub.bytesC.Add(int64(n))
+			s.scrubBlocks.Inc()
+			s.scrubBytes.Add(int64(n))
+			if errors.Is(err, sstable.ErrCorruption) {
+				found++
+				s.scrubCorruptions.Inc()
 			}
-			if err != nil {
-				s.scrub.mu.Lock()
-				s.scrub.lastErr = err.Error()
-				s.scrub.mu.Unlock()
-				if errors.Is(err, sstable.ErrCorruption) {
-					found++
-					s.scrub.corruptions.Add(1)
-					if s.scrub.corruptionsC != nil {
-						s.scrub.corruptionsC.Add(1)
-					}
-				}
-				// A read error or corruption does not stop the cycle: the
-				// point of a scrub is a complete damage report, not fail-fast.
-			}
+			// A read error or corruption does not stop the cycle: the point
+			// of a scrub is a complete damage report, not fail-fast.
 			if !s.scrubSleep(s.opts.ScrubBlockPace) {
 				return found
 			}
 		}
 	}
-
-	s.scrub.cycles.Add(1)
-	if s.scrub.cyclesC != nil {
-		s.scrub.cyclesC.Add(1)
-	}
-	s.scrub.mu.Lock()
-	s.scrub.curTable = ""
-	s.scrub.tableCursor = 0
-	s.scrub.tablesInCyc = 0
-	s.scrub.lastCycleEnd = time.Now()
-	s.scrub.mu.Unlock()
+	s.scrubCycles.Inc()
 	return found
 }

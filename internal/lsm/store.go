@@ -94,36 +94,13 @@ type Store struct {
 	preFlush    []func() error       // coprocessor hooks run inside the write gate
 	postCompact []func(CompactionGC) // hooks fed each round's GC'd cells
 
-	stats struct {
-		puts, deletes, gets, scans, flushes, compactions atomic.Int64
-
-		flushBytes             atomic.Int64
-		compactionBytesRead    atomic.Int64
-		compactionBytesWritten atomic.Int64
-		gcCells                atomic.Int64
-		tombstonesDropped      atomic.Int64
-		compactionErrors       atomic.Int64
-	}
-
-	// Stage histograms, resolved once at Open when Options.Metrics is set
-	// (nil otherwise — stage recording is skipped entirely then). The store
-	// records each stage where it runs, so the histograms see every
-	// operation, traced or not.
-	stageWAL, stageMem, stageGet, stageScan, stageFlush *metrics.Histogram
-
-	// Compaction counters, resolved at Open alongside the histograms.
-	compRounds, compErrors, compGCCells, compTombstones *metrics.Counter
-	compBytesRead, compBytesWritten, flushBytesC        *metrics.Counter
-
-	// Background-scrubber progress; see scrub.go.
-	scrub scrubState
-}
-
-// recordStage records d into h when stage metrics are enabled.
-func recordStage(h *metrics.Histogram, d time.Duration) {
-	if h != nil {
-		h.RecordDuration(d)
-	}
+	// Instruments, resolved once at Open from Options.Metrics. They are
+	// the store's only counts: Stats reads them back. The stage histograms
+	// see every operation where it runs, traced or not.
+	stageWAL, stageMem, stageGet, stageScan, stageFlush             *metrics.Histogram
+	flushBytes, compRounds, compErrors, compGCCells, compTombstones *metrics.Counter
+	compBytesRead, compBytesWritten                                 *metrics.Counter
+	scrubBlocks, scrubBytes, scrubCorruptions, scrubCycles          *metrics.Counter
 }
 
 // Open opens (or creates) the store in opts.Dir, replaying any WAL left by a
@@ -138,25 +115,26 @@ func Open(opts Options) (*Store, error) {
 	s.compCond = sync.NewCond(&s.compMu)
 	s.closeCh = make(chan struct{})
 
-	if reg := opts.Metrics; reg != nil {
-		table := metrics.L("table", opts.MetricsTable)
-		s.stageWAL = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageWAL), table)
-		s.stageMem = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageMemtable), table)
-		s.stageGet = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageStoreGet), table)
-		s.stageScan = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageStoreScan), table)
-		s.stageFlush = reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", metrics.StageFlush), table)
-		s.compRounds = reg.Counter("diffindex_compaction_rounds_total", table)
-		s.compErrors = reg.Counter("diffindex_compaction_errors_total", table)
-		s.compBytesRead = reg.Counter("diffindex_compaction_bytes_total", metrics.L("dir", "read"), table)
-		s.compBytesWritten = reg.Counter("diffindex_compaction_bytes_total", metrics.L("dir", "write"), table)
-		s.compGCCells = reg.Counter("diffindex_compaction_gc_cells_total", table)
-		s.compTombstones = reg.Counter("diffindex_compaction_tombstones_dropped_total", table)
-		s.flushBytesC = reg.Counter("diffindex_flush_bytes_total", table)
-		s.scrub.blocksC = reg.Counter("diffindex_scrub_blocks_total", table)
-		s.scrub.bytesC = reg.Counter("diffindex_scrub_bytes_total", table)
-		s.scrub.corruptionsC = reg.Counter("diffindex_scrub_corruptions_total", table)
-		s.scrub.cyclesC = reg.Counter("diffindex_scrub_cycles_total", table)
+	reg, table := opts.Metrics, metrics.L("table", opts.MetricsTable)
+	stage := func(name string) *metrics.Histogram {
+		return reg.Histogram("diffindex_stage_latency_ns", metrics.L("stage", name), table)
 	}
+	s.stageWAL = stage(metrics.StageWAL)
+	s.stageMem = stage(metrics.StageMemtable)
+	s.stageGet = stage(metrics.StageStoreGet)
+	s.stageScan = stage(metrics.StageStoreScan)
+	s.stageFlush = stage(metrics.StageFlush)
+	s.flushBytes = reg.Counter("diffindex_flush_bytes_total", table)
+	s.compRounds = reg.Counter("diffindex_compaction_rounds_total", table)
+	s.compErrors = reg.Counter("diffindex_compaction_errors_total", table)
+	s.compBytesRead = reg.Counter("diffindex_compaction_bytes_total", metrics.L("dir", "read"), table)
+	s.compBytesWritten = reg.Counter("diffindex_compaction_bytes_total", metrics.L("dir", "write"), table)
+	s.compGCCells = reg.Counter("diffindex_compaction_gc_cells_total", table)
+	s.compTombstones = reg.Counter("diffindex_compaction_tombstones_dropped_total", table)
+	s.scrubBlocks = reg.Counter("diffindex_scrub_blocks_total", table)
+	s.scrubBytes = reg.Counter("diffindex_scrub_bytes_total", table)
+	s.scrubCorruptions = reg.Counter("diffindex_scrub_corruptions_total", table)
+	s.scrubCycles = reg.Counter("diffindex_scrub_cycles_total", table)
 
 	// Open existing SSTables, newest (highest file number) first.
 	names, err := opts.FS.List(opts.Dir + "/")
@@ -171,7 +149,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] > nums[j] })
 	for _, n := range nums {
-		r, err := s.openTable(tableName(opts.Dir, n))
+		r, err := sstable.Open(opts.FS, tableName(opts.Dir, n), opts.BlockCache)
 		if err != nil {
 			return nil, err
 		}
@@ -199,31 +177,17 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.log = log
 
-	if reg := opts.Metrics; reg != nil {
-		table := metrics.L("table", opts.MetricsTable)
-		appends := reg.Counter("diffindex_wal_appends_total", table)
-		bytesC := reg.Counter("diffindex_wal_bytes_total", table)
-		log.SetObserver(func(recs, n int, d time.Duration) {
-			appends.Add(int64(recs))
-			bytesC.Add(int64(n))
-		})
-	}
+	appends := reg.Counter("diffindex_wal_appends_total", table)
+	walBytes := reg.Counter("diffindex_wal_bytes_total", table)
+	log.SetObserver(func(recs, n int, d time.Duration) {
+		appends.Add(int64(recs))
+		walBytes.Add(int64(n))
+	})
 	if !opts.DisableScrub {
 		s.bg.Add(1)
 		go s.scrubLoop()
 	}
 	return s, nil
-}
-
-// openTable opens a finished table file, applying the store's verify-on-read
-// knob before the reader serves any read.
-func (s *Store) openTable(name string) (*sstable.Reader, error) {
-	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
-	if err != nil {
-		return nil, err
-	}
-	r.SetVerifyChecksums(s.opts.VerifyChecksums)
-	return r, nil
 }
 
 func tableName(dir string, n uint64) string {
@@ -326,11 +290,7 @@ func (s *Store) applyBatch(cells []kv.Cell, tr *metrics.Trace) error {
 	for i, c := range cells {
 		recs[i] = wal.Record{Key: c.Key, Value: c.Value, Ts: c.Ts, Kind: c.Kind}
 	}
-	timed := tr != nil || s.stageWAL != nil
-	var walStart time.Time
-	if timed {
-		walStart = time.Now()
-	}
+	walStart := time.Now()
 	pos, err := log.AppendBatchPos(recs)
 	if errors.Is(err, wal.ErrClosed) {
 		// Close shut the log after the closed check above. Nothing was
@@ -341,32 +301,22 @@ func (s *Store) applyBatch(cells []kv.Cell, tr *metrics.Trace) error {
 	if err != nil {
 		return err
 	}
-	var memStart time.Time
-	if timed {
-		d := time.Since(walStart)
-		recordStage(s.stageWAL, d)
-		tr.AddStage(metrics.StageWAL, d)
-		// The durable log position of this batch: a slow-op entry can name
-		// the exact segment@offset a stalled append landed at. The trace
-		// formats it only if the slow-op log admits the operation.
-		if tr != nil {
-			tr.Annotate("wal_pos", pos)
-		}
-		memStart = time.Now()
+	d := time.Since(walStart)
+	s.stageWAL.RecordDuration(d)
+	tr.AddStage(metrics.StageWAL, d)
+	// The durable log position of this batch: a slow-op entry can name the
+	// exact segment@offset a stalled append landed at. The trace formats it
+	// only if the slow-op log admits the operation.
+	if tr != nil {
+		tr.Annotate("wal_pos", pos)
 	}
+	memStart := time.Now()
 	for _, c := range cells {
 		mem.Add(c)
-		if c.Kind == kv.KindDelete {
-			s.stats.deletes.Add(1)
-		} else {
-			s.stats.puts.Add(1)
-		}
 	}
-	if timed {
-		d := time.Since(memStart)
-		recordStage(s.stageMem, d)
-		tr.AddStage(metrics.StageMemtable, d)
-	}
+	d = time.Since(memStart)
+	s.stageMem.RecordDuration(d)
+	tr.AddStage(metrics.StageMemtable, d)
 	if !s.opts.DisableAutoFlush && mem.ApproximateBytes() >= s.opts.MemtableBytes {
 		s.maybeScheduleFlush()
 	}
@@ -401,10 +351,8 @@ func (s *Store) maybeScheduleFlush() {
 func (s *Store) Flush() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	if s.stageFlush != nil {
-		flushStart := time.Now()
-		defer func() { s.stageFlush.RecordDuration(time.Since(flushStart)) }()
-	}
+	flushStart := time.Now()
+	defer func() { s.stageFlush.RecordDuration(time.Since(flushStart)) }()
 
 	// Phase 1-2: pause & drain, then swap, under the exclusive write gate.
 	s.writeGate.Lock()
@@ -461,7 +409,7 @@ func (s *Store) Flush() error {
 		s.opts.FS.Remove(name)
 		return err
 	}
-	r, err := s.openTable(name)
+	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
 	if err != nil {
 		return err
 	}
@@ -478,17 +426,7 @@ func (s *Store) Flush() error {
 		}
 	}
 	s.mu.Unlock()
-	// A failed truncation is reported, but the table stays installed:
-	// recovery replays the segments left behind, re-applying identical
-	// versions the read path dedupes.
-	if _, err := s.log.TruncateBefore(keepSeg); err != nil {
-		return err
-	}
-	s.stats.flushes.Add(1)
-	s.stats.flushBytes.Add(r.Size())
-	if s.flushBytesC != nil {
-		s.flushBytesC.Add(r.Size())
-	}
+	s.flushBytes.Add(r.Size())
 
 	// Let the tiered picker decide whether any merge is due (tier full, or
 	// total table count past CompactionThreshold). The scheduler returns
@@ -497,7 +435,11 @@ func (s *Store) Flush() error {
 	if !s.opts.DisableAutoCompact {
 		s.maybeScheduleCompaction()
 	}
-	return nil
+	// A failed truncation is reported, but the table stays installed and
+	// counted: recovery replays the segments left behind, re-applying
+	// identical versions the read path dedupes.
+	_, err = s.log.TruncateBefore(keepSeg)
+	return err
 }
 
 // components snapshots the store's components newest-first, acquiring table
@@ -560,8 +502,7 @@ func (s *Store) MultiGet(keys [][]byte, ts kv.Timestamp, out []GetResult) error 
 // when withTombstones is set. Tables whose max timestamp rules out a
 // winning version are not read (DESIGN §12).
 func (s *Store) multiGet(keys [][]byte, ts kv.Timestamp, out []GetResult, withTombstones bool) error {
-	s.stats.gets.Add(int64(len(keys)))
-	if s.stageGet != nil && len(keys) > 0 {
+	if len(keys) > 0 {
 		start := time.Now()
 		defer func() { // one sample per key: the stage stays one point read
 			per := time.Since(start) / time.Duration(len(keys))
@@ -655,11 +596,8 @@ type ScanResult struct {
 // [start, end) at timestamp ts, up to limit results (limit ≤ 0 means
 // unlimited). A nil end means "to the end of the store".
 func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResult, error) {
-	s.stats.scans.Add(1)
-	if s.stageScan != nil {
-		scanStart := time.Now()
-		defer func() { s.stageScan.RecordDuration(time.Since(scanStart)) }()
-	}
+	scanStart := time.Now()
+	defer func() { s.stageScan.RecordDuration(time.Since(scanStart)) }()
 	mems, tables, release, err := s.components()
 	if err != nil {
 		return nil, err
@@ -727,7 +665,6 @@ func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResul
 // to per-key winners would make the pre-image read miss and silently skip
 // the superseded-entry delete.
 func (s *Store) ScanAll(start, end []byte, ts kv.Timestamp) ([]kv.Cell, error) {
-	s.stats.scans.Add(1)
 	mems, tables, release, err := s.components()
 	if err != nil {
 		return nil, err
@@ -766,25 +703,20 @@ func (s *Store) ScanAll(start, end []byte, ts kv.Timestamp) ([]kv.Cell, error) {
 	return out, nil
 }
 
-// Stats returns a snapshot of the store's operation counters.
+// Stats reads the store's flush and compaction counters back from its
+// registry instruments (the Stats type says what a shared registry reports).
 func (s *Store) Stats() Stats {
 	s.compMu.Lock()
 	lastErr := s.compLastErr
 	s.compMu.Unlock()
 	return Stats{
-		Puts:        s.stats.puts.Load(),
-		Deletes:     s.stats.deletes.Load(),
-		Gets:        s.stats.gets.Load(),
-		Scans:       s.stats.scans.Load(),
-		Flushes:     s.stats.flushes.Load(),
-		Compactions: s.stats.compactions.Load(),
-
-		FlushBytes:             s.stats.flushBytes.Load(),
-		CompactionBytesRead:    s.stats.compactionBytesRead.Load(),
-		CompactionBytesWritten: s.stats.compactionBytesWritten.Load(),
-		CompactionCellsDropped: s.stats.gcCells.Load(),
-		TombstonesDropped:      s.stats.tombstonesDropped.Load(),
-		CompactionErrors:       s.stats.compactionErrors.Load(),
+		Compactions:            s.compRounds.Load(),
+		FlushBytes:             s.flushBytes.Load(),
+		CompactionBytesRead:    s.compBytesRead.Load(),
+		CompactionBytesWritten: s.compBytesWritten.Load(),
+		CompactionCellsDropped: s.compGCCells.Load(),
+		TombstonesDropped:      s.compTombstones.Load(),
+		CompactionErrors:       s.compErrors.Load(),
 		LastCompactionError:    lastErr,
 	}
 }

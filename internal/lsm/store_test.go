@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"diffindex/internal/kv"
+	"diffindex/internal/metrics"
 	"diffindex/internal/vfs"
 )
 
@@ -232,6 +233,14 @@ func TestFailedTruncationRecovers(t *testing.T) {
 		t.Fatal("flush reported no error for a refused segment removal")
 	}
 	fs.refuse = ""
+	// The refused truncation still counts the flush: its table is installed.
+	var installed int64
+	for _, h := range s.tables {
+		installed += h.r.Size()
+	}
+	if got := s.Stats().FlushBytes; len(s.tables) != 2 || got != installed {
+		t.Fatalf("FlushBytes = %d with %d tables installed, want their summed size %d", got, len(s.tables), installed)
+	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +508,7 @@ func TestAutoFlushAndCompact(t *testing.T) {
 	if err := s.Flush(); err != nil { // push out the tail
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Flushes == 0 {
+	if st := s.Stats(); st.FlushBytes == 0 {
 		t.Error("auto flush never triggered")
 	}
 	for i := 0; i < 400; i++ {
@@ -757,6 +766,69 @@ func TestParseTableNum(t *testing.T) {
 	for _, bad := range []string{"d/wal/1.sst", "d/x.sst", "e/1.sst", "d/1.wal"} {
 		if _, ok := parseTableNum("d", bad); ok {
 			t.Errorf("parseTableNum(%q) unexpectedly ok", bad)
+		}
+	}
+}
+
+// TestStatsWithoutRegistry: Stats reads the store's registry instruments. A
+// store opened without a registry (the way a standalone tool opens one)
+// still counts flushes and compactions, and a store given a registry
+// reports the same values through Stats and through Registry.Value.
+func TestStatsWithoutRegistry(t *testing.T) {
+	run := func(reg *metrics.Registry) Stats {
+		t.Helper()
+		s, err := Open(Options{
+			FS: vfs.NewMemFS(), Dir: "store", Metrics: reg, MetricsTable: "t",
+			DisableAutoFlush: true, DisableAutoCompact: true, DisableScrub: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for gen := 0; gen < 2; gen++ {
+			for i := 0; i < 200; i++ {
+				if err := s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", gen)), kv.Timestamp(gen*200+i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ran, err := s.CompactOnce(); err != nil || !ran {
+			t.Fatalf("CompactOnce = %v, %v; want a round", ran, err)
+		}
+		return s.Stats()
+	}
+
+	private := run(nil)
+	if private.FlushBytes == 0 || private.CompactionBytesRead == 0 || private.CompactionBytesWritten == 0 {
+		t.Fatalf("store without a registry counted nothing: %+v", private)
+	}
+	reg := metrics.NewRegistry()
+	if shared := run(reg); shared != private {
+		t.Fatalf("Stats with a registry = %+v, without = %+v", shared, private)
+	}
+	table := metrics.L("table", "t")
+	for _, c := range []struct {
+		name  string
+		dir   string
+		field int64
+	}{
+		{"diffindex_flush_bytes_total", "", private.FlushBytes},
+		{"diffindex_compaction_rounds_total", "", private.Compactions},
+		{"diffindex_compaction_bytes_total", "read", private.CompactionBytesRead},
+		{"diffindex_compaction_bytes_total", "write", private.CompactionBytesWritten},
+		{"diffindex_compaction_gc_cells_total", "", private.CompactionCellsDropped},
+		{"diffindex_compaction_tombstones_dropped_total", "", private.TombstonesDropped},
+		{"diffindex_compaction_errors_total", "", private.CompactionErrors},
+	} {
+		labels := []metrics.Label{table}
+		if c.dir != "" {
+			labels = append(labels, metrics.L("dir", c.dir))
+		}
+		if v, ok := reg.Value(c.name, labels...); !ok || v != c.field {
+			t.Errorf("%s%v = %d, %v; Stats reports %d", c.name, labels, v, ok, c.field)
 		}
 	}
 }

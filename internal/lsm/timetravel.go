@@ -31,11 +31,8 @@ var ErrHistoryTrimmed = errors.New("lsm: requested version trimmed by MaxVersion
 // when the as-of version may have been compacted away (see the error's
 // contract). GetAsOf(key, kv.MaxTimestamp) behaves exactly like Get.
 func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	s.stats.gets.Add(1)
-	if s.stageGet != nil {
-		start := time.Now()
-		defer func() { s.stageGet.RecordDuration(time.Since(start)) }()
-	}
+	start := time.Now()
+	defer func() { s.stageGet.RecordDuration(time.Since(start)) }()
 	mems, tables, release, err := s.components()
 	if err != nil {
 		return kv.Cell{}, false, err

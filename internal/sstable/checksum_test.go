@@ -54,9 +54,8 @@ func TestChecksumRoundTrip(t *testing.T) {
 	if bytesRead == 0 {
 		t.Fatal("VerifyBlock read no bytes")
 	}
-	r.SetVerifyChecksums(true)
 	if _, ok, err := r.Get([]byte("user000500"), kv.MaxTimestamp); err != nil || !ok {
-		t.Fatalf("verified Get: ok=%v err=%v", ok, err)
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -77,37 +76,6 @@ func TestChecksumDetectsDataCorruption(t *testing.T) {
 	}
 	if _, err := r.VerifyBlock(1); err != nil {
 		t.Fatalf("VerifyBlock(1) on clean block: %v", err)
-	}
-
-	// Verify-on-read surfaces it at Get time; with the knob off the
-	// corruption passes through silently (the pre-checksum behaviour).
-	r.SetVerifyChecksums(true)
-	if _, _, err := r.Get([]byte("user000000"), kv.MaxTimestamp); !errors.Is(err, ErrCorruption) {
-		t.Fatalf("verified Get = %v, want ErrCorruption", err)
-	}
-	r.SetVerifyChecksums(false)
-	if _, _, err := r.Get([]byte("user000000"), kv.MaxTimestamp); errors.Is(err, ErrCorruption) {
-		t.Fatal("unverified Get must not checksum-fail")
-	}
-}
-
-func TestChecksumVerifiedIteratorFails(t *testing.T) {
-	fs := vfs.NewMemFS()
-	buildTable(t, fs, "t.sst", checksumCells(1000))
-	flipByte(t, fs, "t.sst", 10)
-	r, err := Open(fs, "t.sst", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.SetVerifyChecksums(true)
-	it := r.Iterator()
-	it.SeekToFirst()
-	for it.Valid() {
-		it.Next()
-	}
-	if !errors.Is(it.Err(), ErrCorruption) {
-		t.Fatalf("iterator over corrupt block: err=%v, want ErrCorruption", it.Err())
 	}
 }
 

@@ -62,7 +62,6 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		r.SetVerifyChecksums(len(data)%2 == 0)
 		for i := 0; i < len(cells); i += 37 {
 			r.Get(cells[i].Key, kv.MaxTimestamp)
 			r.Get([]byte(string(cells[i].Key)+"!"), 1) // absent, between two keys

@@ -115,7 +115,6 @@ func TestOvershootingSharedPrefixIsBadTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetVerifyChecksums(true)
 
 	if _, _, err := r.Get([]byte("key1"), kv.MaxTimestamp); !errors.Is(err, ErrBadTable) {
 		t.Errorf("Get over the bad entry: err = %v, want ErrBadTable", err)

@@ -29,8 +29,7 @@ type Reader struct {
 	tombstones uint64
 	size       int64
 
-	crcs   checksumSet
-	verify bool // verify block CRCs on every read (set before use)
+	crcs checksumSet
 }
 
 // Open opens a finished table file. cache may be nil to disable block
@@ -224,11 +223,6 @@ func (r *Reader) Info() TableInfo {
 	return info
 }
 
-// SetVerifyChecksums enables CRC verification on every data-block read (a
-// cache hit is not re-verified: it was checked when first read). Must be
-// called before the reader serves concurrent reads.
-func (r *Reader) SetVerifyChecksums(on bool) { r.verify = on }
-
 // VerifyBlock re-reads the i-th data block directly from the file — bypassing
 // the block cache in both directions, so a scrub neither hides at-rest
 // corruption behind a cached copy nor evicts hot blocks — and checks it
@@ -255,9 +249,6 @@ func (r *Reader) block(i int) ([]byte, error) {
 	buf := make([]byte, h.length)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block %d of %s: %w", i, r.name, err)
-	}
-	if r.verify && blockCRC(buf) != r.crcs.blocks[i] {
-		return nil, fmt.Errorf("%w: %s block %d", ErrCorruption, r.name, i)
 	}
 	r.cache.Put(r.name, h.offset, buf)
 	return buf, nil
