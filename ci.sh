@@ -21,7 +21,9 @@
 #      the race detector
 #   8. race stress         — 30 runs each of the tests that race region
 #      transitions, flushes, reads and writes against Close and compaction,
-#      plus the topology churn property (~25 s wall on 2 CPUs);
+#      the release of a flushed memtable and the topology churn property,
+#      plus, under the race detector, the memtable's lock-free readers
+#      against a writer that grows its arena (~35 s wall on 2 CPUs);
 #      one failure fails the step
 #   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
@@ -70,7 +72,8 @@ go test -race ./...
 echo "== race stress (30 runs each) =="
 # Each test below once failed only a few runs in a hundred; one pass of the
 # suite cannot tell those apart from fixed.
-go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction' ./internal/cluster ./internal/lsm
+go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction|TestFlushReleasesMemtable' ./internal/cluster ./internal/lsm
+go test -race -count=30 -run 'TestConcurrentReadersAndWriters|TestReadsRaceArenaGrowth' ./internal/memtable
 
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...

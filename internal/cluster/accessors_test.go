@@ -70,8 +70,8 @@ func TestAccessorsAndCloseRegion(t *testing.T) {
 	if err := server.CloseRegion(ri.ID); !errors.Is(err, ErrRegionNotFound) {
 		t.Errorf("double CloseRegion: %v", err)
 	}
-	if _, _, err := server.Get(ri.ID, []byte("k"), kv.MaxTimestamp); !errors.Is(err, ErrRegionNotFound) {
-		t.Errorf("Get on closed region: %v", err)
+	if _, err := server.MultiGet(ri.ID, [][]byte{[]byte("k")}, kv.MaxTimestamp); !errors.Is(err, ErrRegionNotFound) {
+		t.Errorf("MultiGet on closed region: %v", err)
 	}
 }
 

@@ -156,10 +156,16 @@ func (cl *Client) Delete(table string, row []byte, cols []string) (kv.Timestamp,
 	return ts, err
 }
 
-// Get reads one column of a row at the latest timestamp. ok reports whether
-// the column exists.
+// Get reads one column of a row at the latest timestamp, as a MultiGet of
+// one key. ok reports whether the column exists.
 func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestamp, bool, error) {
-	return cl.getCol("get", table, row, col, kv.MaxTimestamp, (*RegionServer).Get)
+	return cl.getCol("get", table, row, col, kv.MaxTimestamp, func(s *RegionServer, region string, key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
+		res, err := s.MultiGet(region, [][]byte{key}, ts)
+		if err != nil {
+			return kv.Cell{}, false, err
+		}
+		return res[0].Cell, res[0].Found, nil
+	})
 }
 
 // GetAsOf reads one column of a row as it stood at timestamp ts — any
@@ -173,7 +179,7 @@ func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp)
 }
 
 // getCol is the one column point read, traced as op: it routes to the row's
-// region, where read (RegionServer.Get or GetAsOf) answers it at ts.
+// region, where read (a one-key MultiGet, or GetAsOf) answers it at ts.
 func (cl *Client) getCol(op, table string, row []byte, col string, ts kv.Timestamp, read func(*RegionServer, string, []byte, kv.Timestamp) (kv.Cell, bool, error)) ([]byte, kv.Timestamp, bool, error) {
 	tr := cl.tracer.Start(op, table)
 	defer cl.tracer.Finish(tr)

@@ -381,8 +381,8 @@ func TestCrashedServerRejectsOps(t *testing.T) {
 	if _, _, err := server.PutRow(ri.ID, []byte("k"), map[string][]byte{"a": nil}, false, nil); !errors.Is(err, ErrServerDown) {
 		t.Errorf("PutRow on crashed server: %v", err)
 	}
-	if _, _, err := server.Get(ri.ID, []byte("k"), kv.MaxTimestamp); !errors.Is(err, ErrServerDown) {
-		t.Errorf("Get on crashed server: %v", err)
+	if _, err := server.MultiGet(ri.ID, [][]byte{[]byte("k")}, kv.MaxTimestamp); !errors.Is(err, ErrServerDown) {
+		t.Errorf("MultiGet on crashed server: %v", err)
 	}
 	if err := server.OpenRegion(ri); !errors.Is(err, ErrServerDown) {
 		t.Errorf("OpenRegion on crashed server: %v", err)

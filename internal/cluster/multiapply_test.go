@@ -58,11 +58,11 @@ func TestMultiApplySpansRegions(t *testing.T) {
 		if !ok {
 			t.Fatalf("no region for %q", cell.Key)
 		}
-		got, found, err := c.Server(ri.Server).Get(ri.ID, cell.Key, kv.MaxTimestamp)
-		if err != nil || !found {
-			t.Fatalf("cell %q not in its region %s: found=%v err=%v", cell.Key, ri.ID, found, err)
+		res, err := c.Server(ri.Server).MultiGet(ri.ID, [][]byte{cell.Key}, kv.MaxTimestamp)
+		if err != nil || !res[0].Found {
+			t.Fatalf("cell %q not in its region %s: res=%v err=%v", cell.Key, ri.ID, res, err)
 		}
-		if string(got.Value) != string(cell.Value) || got.Ts != cell.Ts {
+		if got := res[0].Cell; string(got.Value) != string(cell.Value) || got.Ts != cell.Ts {
 			t.Errorf("cell %q: got (%q, %d), want (%q, %d)", cell.Key, got.Value, got.Ts, cell.Value, cell.Ts)
 		}
 	}

@@ -413,16 +413,6 @@ func (s *RegionServer) Apply(regionID string, cells []kv.Cell) error {
 	return mapStoreErr(region.store.ApplyBatch(cells))
 }
 
-// Get reads the newest non-deleted version of a store key visible at ts.
-func (s *RegionServer) Get(regionID string, key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return kv.Cell{}, false, err
-	}
-	c, ok, err := region.store.Get(key, ts)
-	return c, ok, mapStoreErr(err)
-}
-
 // GetResult is one item of a MultiGet reply. Found reports whether any
 // visible non-deleted version of the key exists.
 type GetResult = lsm.GetResult

@@ -19,9 +19,9 @@ import (
 // and a tombstone carrying the same timestamp in favour of the tombstone,
 // matching HBase's delete-masks-put rule.
 
-// internalSuffixLen is the number of trailing bytes an internal key adds to
+// InternalSuffixLen is the number of trailing bytes an internal key adds to
 // the user key: 8 timestamp bytes plus 1 kind byte.
-const internalSuffixLen = 9
+const InternalSuffixLen = 9
 
 // AppendInternalKey appends the internal encoding of (userKey, ts, kind) to
 // dst and returns the extended slice.
@@ -40,23 +40,24 @@ func AppendInternalKey(dst, userKey []byte, ts Timestamp, kind Kind) []byte {
 
 // InternalKey encodes (userKey, ts, kind) into a fresh buffer.
 func InternalKey(userKey []byte, ts Timestamp, kind Kind) []byte {
-	return AppendInternalKey(make([]byte, 0, len(userKey)+internalSuffixLen), userKey, ts, kind)
+	return AppendInternalKey(make([]byte, 0, len(userKey)+InternalSuffixLen), userKey, ts, kind)
 }
 
 // SeekKey returns the internal key from which a forward scan finds the newest
 // version of userKey with timestamp ≤ ts (tombstone or put).
 func SeekKey(userKey []byte, ts Timestamp) []byte {
-	return AppendInternalKey(make([]byte, 0, len(userKey)+internalSuffixLen), userKey, ts, KindDelete)
+	return AppendInternalKey(make([]byte, 0, len(userKey)+InternalSuffixLen), userKey, ts, KindDelete)
 }
 
 // ParseInternalKey splits an internal key into its components. The returned
-// userKey aliases ikey's storage.
+// userKey aliases ikey's storage, with its capacity cut at its end so an
+// append to it cannot overwrite the suffix.
 func ParseInternalKey(ikey []byte) (userKey []byte, ts Timestamp, kind Kind, err error) {
-	if len(ikey) < internalSuffixLen {
+	if len(ikey) < InternalSuffixLen {
 		return nil, 0, 0, fmt.Errorf("kv: internal key too short (%d bytes)", len(ikey))
 	}
-	n := len(ikey) - internalSuffixLen
-	userKey = ikey[:n]
+	n := len(ikey) - InternalSuffixLen
+	userKey = ikey[:n:n]
 	ts = Timestamp(^binary.BigEndian.Uint64(ikey[n : n+8]))
 	if ikey[len(ikey)-1] == 0 {
 		kind = KindDelete
@@ -69,10 +70,10 @@ func ParseInternalKey(ikey []byte) (userKey []byte, ts Timestamp, kind Kind, err
 // InternalUserKey returns the user-key portion of an internal key without
 // validating the suffix contents.
 func InternalUserKey(ikey []byte) []byte {
-	if len(ikey) < internalSuffixLen {
+	if len(ikey) < InternalSuffixLen {
 		return ikey
 	}
-	return ikey[:len(ikey)-internalSuffixLen]
+	return ikey[:len(ikey)-InternalSuffixLen]
 }
 
 // CompareInternal orders internal keys: by user key ascending, then by
@@ -85,7 +86,7 @@ func CompareInternal(a, b []byte) int {
 	}
 	// Equal user keys: the inverted-timestamp + kind suffix compares
 	// byte-wise (both suffixes have the same fixed width).
-	return bytes.Compare(a[len(a)-min(len(a), internalSuffixLen):], b[len(b)-min(len(b), internalSuffixLen):])
+	return bytes.Compare(a[len(a)-min(len(a), InternalSuffixLen):], b[len(b)-min(len(b), InternalSuffixLen):])
 }
 
 func min(a, b int) int {

@@ -29,7 +29,7 @@ func TestInternalKeyRoundTrip(t *testing.T) {
 }
 
 func TestParseInternalKeyTooShort(t *testing.T) {
-	if _, _, _, err := ParseInternalKey(make([]byte, internalSuffixLen-1)); err == nil {
+	if _, _, _, err := ParseInternalKey(make([]byte, InternalSuffixLen-1)); err == nil {
 		t.Error("want error for short internal key")
 	}
 }

@@ -419,11 +419,10 @@ func (s *Store) Flush() error {
 	h.refs.Store(1)
 	s.mu.Lock()
 	s.tables = append([]*tableHandle{h}, s.tables...)
-	for i, m := range s.imm {
-		if m == old {
-			s.imm = append(s.imm[:i], s.imm[i+1:]...)
-			break
-		}
+	// slices.Delete clears the vacated slot, so the flushed memtable is
+	// unreachable from the spare capacity and the GC can free it.
+	if i := slices.Index(s.imm, old); i >= 0 {
+		s.imm = slices.Delete(s.imm, i, i+1)
 	}
 	s.mu.Unlock()
 	s.flushBytes.Add(r.Size())

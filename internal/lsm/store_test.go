@@ -489,6 +489,29 @@ func TestFlushEmptyMemtableIsNoop(t *testing.T) {
 	}
 }
 
+// TestFlushReleasesMemtable checks that a flushed memtable is unreachable
+// from the store: no slot of the immutable list, its spare capacity
+// included, still points at it, so the GC can free it.
+func TestFlushReleasesMemtable(t *testing.T) {
+	s := newTestStore(t, vfs.NewMemFS())
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"), kv.Timestamp(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		for j, m := range s.imm[:cap(s.imm)] {
+			if m != nil {
+				t.Errorf("flush %d: imm slot %d of %d still holds a memtable", i, j, cap(s.imm))
+			}
+		}
+		s.mu.RUnlock()
+	}
+}
+
 func TestAutoFlushAndCompact(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +331,28 @@ func BenchmarkMemtablePut(b *testing.B) {
 	}
 }
 
+// BenchmarkMemtablePutRandom inserts shuffled row⊕column keys into a
+// memtable kept near 256 KiB, so each insert searches a list of the size a
+// region flushes at rather than appending at its tail.
+func BenchmarkMemtablePutRandom(b *testing.B) {
+	const rows = 1 << 14
+	keys := make([][]byte, rows)
+	for i, r := range rand.New(rand.NewSource(1)).Perm(rows) {
+		keys[i] = kv.BaseKey([]byte(fmt.Sprintf("user%08d", r)), []byte("title"))
+	}
+	val := make([]byte, 100)
+	m := New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.ApproximateBytes() >= 256<<10 {
+			b.StopTimer()
+			m = New()
+			b.StartTimer()
+		}
+		m.Put(keys[i%rows], val, kv.Timestamp(i+1))
+	}
+}
+
 func BenchmarkMemtableGet(b *testing.B) {
 	m := New()
 	const n = 100000
@@ -339,5 +362,155 @@ func BenchmarkMemtableGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Get([]byte(fmt.Sprintf("%016d", i%n)), kv.MaxTimestamp)
+	}
+}
+
+func TestValueLargerThanChunk(t *testing.T) {
+	m := New()
+	big := bytes.Repeat([]byte("0123456789"), chunkBytes/10+100)
+	m.Put([]byte("a"), []byte("small-a"), 1)
+	m.Put([]byte("b"), big, 1)
+	m.Put([]byte("c"), []byte("small-c"), 1) // a small value after the big one
+	if c, ok := m.Get([]byte("b"), 1); !ok || !bytes.Equal(c.Value, big) {
+		t.Fatalf("Get of a %d-byte value: ok=%v len=%d", len(big), ok, len(c.Value))
+	}
+	want := map[string][]byte{"a": []byte("small-a"), "b": big, "c": []byte("small-c")}
+	it := m.Iterator()
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		c := it.Cell()
+		if !bytes.Equal(c.Value, want[string(c.Key)]) {
+			t.Errorf("iterator %q: value of %d bytes, want %d", c.Key, len(c.Value), len(want[string(c.Key)]))
+		}
+		n++
+	}
+	if n != len(want) {
+		t.Errorf("iterated %d cells, want %d", n, len(want))
+	}
+}
+
+func TestValueIsCopied(t *testing.T) {
+	m := New()
+	key, val := []byte("k"), []byte("value")
+	m.Put(key, val, 1)
+	m.Add(kv.Cell{Key: []byte("k2"), Value: val, Ts: 1, Kind: kv.KindPut})
+	copy(val, "XXXXX")
+	key[0] = 'z'
+	for _, k := range []string{"k", "k2"} {
+		if c, ok := m.Get([]byte(k), 1); !ok || string(c.Value) != "value" {
+			t.Errorf("Get(%s) after the caller reused its buffers = %q, %v", k, c.Value, ok)
+		}
+	}
+	// An append to a returned slice must not reach the arena either.
+	c, _ := m.Get([]byte("k"), 1)
+	_ = append(c.Key, 'x')
+	_ = append(c.Value, 'x')
+	for _, k := range []string{"k", "k2"} {
+		if c2, ok := m.Get([]byte(k), 1); !ok || string(c2.Value) != "value" {
+			t.Errorf("Get(%s) after appends to returned slices = %q, %v", k, c2.Value, ok)
+		}
+	}
+}
+
+func TestIdempotentOverwriteSeenByIterator(t *testing.T) {
+	m := New()
+	m.Add(kv.Cell{Key: []byte("k"), Value: []byte("first"), Ts: 7, Kind: kv.KindPut})
+	m.Add(kv.Cell{Key: []byte("k"), Value: []byte("second"), Ts: 7, Kind: kv.KindPut})
+	it := m.Iterator()
+	it.SeekToFirst()
+	if !it.Valid() || string(it.Cell().Value) != "second" {
+		t.Fatalf("iterator after overwrite: valid=%v", it.Valid())
+	}
+	if it.Next(); it.Valid() {
+		t.Errorf("overwrite added a second entry: %v", it.Cell())
+	}
+	if m.Len() != 1 {
+		t.Errorf("Len = %d, want 1", m.Len())
+	}
+}
+
+// TestReadsRaceArenaGrowth runs readers and iterators while one writer
+// inserts in random order across several node blocks and data chunks.
+// Every key the writer has acknowledged must be visible, and iteration must
+// stay ordered.
+func TestReadsRaceArenaGrowth(t *testing.T) {
+	const n = 4 * blockNodes
+	val := bytes.Repeat([]byte("v"), 4*chunkBytes/n+1) // ≥ 4 data chunks in all
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("row%06d\x00col", i)) }
+	m := New()
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				a := int(acked.Load())
+				if a > 0 {
+					j := perm[rng.Intn(a)]
+					if c, ok := m.Get(key(j), kv.MaxTimestamp); !ok || !bytes.Equal(c.Value, val) {
+						t.Errorf("acknowledged key %d not visible (ok=%v)", j, ok)
+						return
+					}
+				}
+				if r == 0 {
+					it := m.Iterator()
+					var prev []byte
+					seen := 0
+					for it.SeekToFirst(); it.Valid(); it.Next() {
+						k := it.InternalKey()
+						if prev != nil && kv.CompareInternal(prev, k) >= 0 {
+							t.Error("iterator out of order while the arena grows")
+							return
+						}
+						prev = append(prev[:0], k...)
+						seen++
+					}
+					if seen < a {
+						t.Errorf("iterator saw %d entries, %d acknowledged", seen, a)
+						return
+					}
+				}
+				if a == n {
+					return
+				}
+			}
+		}(r)
+	}
+	for i, j := range perm {
+		m.Put(key(j), val, kv.Timestamp(i+1))
+		acked.Store(int64(i + 1))
+	}
+	wg.Wait()
+	a := m.arena.Load()
+	if len(a.blocks) < 4 || len(a.chunks) < 4 {
+		t.Errorf("arena grew to %d node blocks and %d data chunks, want ≥ 4 each", len(a.blocks), len(a.chunks))
+	}
+}
+
+// TestHotPathAllocations pins the arena's purpose: an insert allocates only
+// when it opens a node block or data chunk, and a point read never does.
+func TestHotPathAllocations(t *testing.T) {
+	m := New()
+	val := make([]byte, 100)
+	keys := make([][]byte, 0, 5000)
+	for i := 0; i < cap(keys); i++ {
+		keys = append(keys, []byte(fmt.Sprintf("%016d", rand.Int63())))
+	}
+	i := 0
+	for m.ApproximateBytes() < 256<<10 {
+		m.Put(keys[i], val, 1)
+		i++
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		m.Add(kv.Cell{Key: keys[i], Value: val, Ts: 1, Kind: kv.KindPut})
+		i++
+	}); allocs >= 0.05 {
+		t.Errorf("Add = %v allocs per cell, want < 0.05", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { m.Get(keys[i%len(keys)], 1); i++ }); allocs != 0 {
+		t.Errorf("Get = %v allocs, want 0", allocs)
 	}
 }
