@@ -381,15 +381,7 @@ func (cl *Client) GetRow(table string, row []byte) (Cols, error) {
 
 // Scan reads rows in [startRow, endRow) (nil bounds are open) up to limit.
 func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row, error) {
-	rows, err := cl.c.Scan(table, startRow, endRow, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		out[i] = Row{Key: r.Key, Cols: r.Cols}
-	}
-	return out, nil
+	return cl.ScanAsOf(table, startRow, endRow, kv.MaxTimestamp, limit)
 }
 
 // ErrHistoryTrimmed is returned by the as-of read methods when the version
@@ -418,7 +410,7 @@ func (cl *Client) GetRowAsOf(table string, row []byte, ts int64) (Cols, error) {
 // ScanAsOf reads rows in [startRow, endRow) as they stood at timestamp ts,
 // up to limit rows — time-travel Scan.
 func (cl *Client) ScanAsOf(table string, startRow, endRow []byte, ts int64, limit int) ([]Row, error) {
-	rows, err := cl.c.ScanAsOf(table, startRow, endRow, ts, limit)
+	rows, err := cl.c.Scan(table, startRow, endRow, ts, limit)
 	if err != nil {
 		return nil, err
 	}

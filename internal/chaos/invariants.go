@@ -101,12 +101,12 @@ func checkInvariants(db *diffindex.DB, model *Model) (checked int, vs []Violatio
 	}
 
 	// Base-table ground truth: every row's visible title and its timestamp.
-	baseCells, err := raw.RawScan(workload.TableName, kv.BaseDataStart, nil, kv.MaxTimestamp, 0)
+	baseScan, err := raw.MultiScan(workload.TableName, []cluster.ScanSpec{cluster.RowRangeSpec(nil, nil)}, kv.MaxTimestamp, 0)
 	if err != nil {
 		return 0, nil, fmt.Errorf("chaos: base scan: %w", err)
 	}
 	base := make(map[string]titleCell)
-	for _, sr := range baseCells {
+	for _, sr := range baseScan[0] {
 		row, col, err := kv.SplitBaseKey(sr.Key)
 		if err != nil || string(col) != workload.TitleColumn {
 			continue
@@ -116,12 +116,12 @@ func checkInvariants(db *diffindex.DB, model *Model) (checked int, vs []Violatio
 
 	// Index-table state: the set of visible (value → row) entries.
 	idxName := core.IndexDef{Table: workload.TableName, Columns: []string{workload.TitleColumn}}.Name()
-	idxCells, err := raw.RawScan(idxName, nil, nil, kv.MaxTimestamp, 0)
+	idxScan, err := raw.MultiScan(idxName, []cluster.ScanSpec{{}}, kv.MaxTimestamp, 0)
 	if err != nil {
 		return 0, nil, fmt.Errorf("chaos: index scan: %w", err)
 	}
 	entries := make(map[string]map[string]bool) // row → set of indexed values
-	for _, sr := range idxCells {
+	for _, sr := range idxScan[0] {
 		val, row, err := kv.SplitIndexKey(sr.Key)
 		if err != nil {
 			vs = append(vs, Violation{"index-exact", fmt.Sprintf("malformed index key %q", sr.Key)})

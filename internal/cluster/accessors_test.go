@@ -50,9 +50,9 @@ func TestAccessorsAndCloseRegion(t *testing.T) {
 	if region.Store() == nil {
 		t.Fatal("Region.Store nil")
 	}
-	cell, ok, err := region.LocalGet(kv.BaseKey([]byte("row"), []byte("c")), kv.MaxTimestamp)
+	cell, ok, err := region.Store().Get(kv.BaseKey([]byte("row"), []byte("c")), kv.MaxTimestamp)
 	if err != nil || !ok || string(cell.Value) != "v" {
-		t.Errorf("LocalGet = %+v ok=%v err=%v", cell, ok, err)
+		t.Errorf("Store().Get = %+v ok=%v err=%v", cell, ok, err)
 	}
 
 	// Per-region flush through the server API.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,6 +60,9 @@ func (cl *Client) regions(table string) ([]RegionInfo, error) {
 	regions, err := cl.cluster.Master.RegionsOf(table)
 	if err != nil {
 		return nil, err
+	}
+	for i := range regions {
+		regions[i].rowLo, regions[i].rowHi = baseStoreBounds(regions[i].Start, regions[i].End)
 	}
 	cl.mu.Lock()
 	cl.routes[table] = regions
@@ -159,13 +163,13 @@ func (cl *Client) Delete(table string, row []byte, cols []string) (kv.Timestamp,
 // Get reads one column of a row at the latest timestamp, as a MultiGet of
 // one key. ok reports whether the column exists.
 func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestamp, bool, error) {
-	return cl.getCol("get", table, row, col, kv.MaxTimestamp, func(s *RegionServer, region string, key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-		res, err := s.MultiGet(region, [][]byte{key}, ts)
-		if err != nil {
-			return kv.Cell{}, false, err
-		}
-		return res[0].Cell, res[0].Found, nil
-	})
+	tr := cl.tracer.Start("get", table)
+	defer cl.tracer.Finish(tr)
+	res, err := cl.multiGet(table, []GetSpec{{Route: row, Key: kv.BaseKey(row, []byte(col))}}, kv.MaxTimestamp)
+	if err != nil || !res[0].Found {
+		return nil, 0, false, err
+	}
+	return res[0].Cell.Value, res[0].Cell.Ts, true, nil
 }
 
 // GetAsOf reads one column of a row as it stood at timestamp ts — any
@@ -175,36 +179,25 @@ func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestam
 // garbage-collected by MaxVersions retention, so callers can tell "absent
 // at ts" from "history gone".
 func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
-	return cl.getCol("get-asof", table, row, col, ts, (*RegionServer).GetAsOf)
-}
-
-// getCol is the one column point read, traced as op: it routes to the row's
-// region, where read (a one-key MultiGet, or GetAsOf) answers it at ts.
-func (cl *Client) getCol(op, table string, row []byte, col string, ts kv.Timestamp, read func(*RegionServer, string, []byte, kv.Timestamp) (kv.Cell, bool, error)) ([]byte, kv.Timestamp, bool, error) {
-	tr := cl.tracer.Start(op, table)
+	tr := cl.tracer.Start("get-asof", table)
 	defer cl.tracer.Finish(tr)
-	var val []byte
-	var cellTs kv.Timestamp
+	var c kv.Cell
 	var ok bool
 	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		c, found, err := read(s, ri.ID, kv.BaseKey(row, []byte(col)), ts)
-		if err != nil {
-			return err
-		}
-		if found {
-			val, cellTs, ok = c.Value, c.Ts, true
-		} else {
-			val, cellTs, ok = nil, 0, false
-		}
-		return nil
+		var err error
+		c, ok, err = s.GetAsOf(ri.ID, kv.BaseKey(row, []byte(col)), ts)
+		return err
 	})
-	return val, cellTs, ok, err
+	if err != nil || !ok {
+		return nil, 0, false, err
+	}
+	return c.Value, c.Ts, true, nil
 }
 
 // GetRow reads all columns of a row at the latest timestamp. A nil map
 // means the row has no visible columns.
 func (cl *Client) GetRow(table string, row []byte) (map[string][]byte, error) {
-	return cl.getRow("get-row", table, row, kv.MaxTimestamp)
+	return cl.GetRowAsOf(table, row, kv.MaxTimestamp)
 }
 
 // GetRowAsOf reads all columns of a row as they stood at timestamp ts. A
@@ -212,34 +205,38 @@ func (cl *Client) GetRow(table string, row []byte) (map[string][]byte, error) {
 // version may have been trimmed are skipped (scan semantics); use GetAsOf
 // per column for trimmed-history detection.
 func (cl *Client) GetRowAsOf(table string, row []byte, ts kv.Timestamp) (map[string][]byte, error) {
-	return cl.getRow("get-row-asof", table, row, ts)
+	tr := cl.tracer.Start(asOfOp("get-row", ts), table)
+	defer cl.tracer.Finish(tr)
+	res, err := cl.MultiScan(table, []ScanSpec{RowSpec(row)}, ts, 0)
+	if err != nil {
+		return nil, err
+	}
+	return RowCols(res[0])
 }
 
-// getRow is the one row read: the row's columns visible at ts, traced as op.
-func (cl *Client) getRow(op, table string, row []byte, ts kv.Timestamp) (map[string][]byte, error) {
-	tr := cl.tracer.Start(op, table)
-	defer cl.tracer.Finish(tr)
-	prefix := kv.RowPrefix(row)
+// asOfOp names a read's trace: op at the latest timestamp, op-asof below it.
+func asOfOp(op string, ts kv.Timestamp) string {
+	if ts == kv.MaxTimestamp {
+		return op
+	}
+	return op + "-asof"
+}
+
+// RowCols turns one row's scanned cells into its column map: nil when the
+// row has no visible columns.
+func RowCols(cells []lsm.ScanResult) (map[string][]byte, error) {
 	var cols map[string][]byte
-	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		results, err := s.Scan(ri.ID, prefix, kv.PrefixSuccessor(prefix), ts, 0)
+	for _, res := range cells {
+		_, col, err := kv.SplitBaseKey(res.Key)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cols = nil
-		for _, res := range results {
-			_, col, err := kv.SplitBaseKey(res.Key)
-			if err != nil {
-				return err
-			}
-			if cols == nil {
-				cols = make(map[string][]byte)
-			}
-			cols[string(col)] = res.Value
+		if cols == nil {
+			cols = make(map[string][]byte, len(cells))
 		}
-		return nil
-	})
-	return cols, err
+		cols[string(col)] = res.Value
+	}
+	return cols, nil
 }
 
 // Row is one base-table row returned by Scan.
@@ -248,116 +245,75 @@ type Row struct {
 	Cols map[string][]byte
 }
 
-// forEachRegion walks the routing-key range [start, end) region by region
-// with a cursor: each step locates the region holding the cursor (through
-// the cache, refreshed transparently on routing misses) and invokes fn with
-// the region's clamped routing bounds. Cursor iteration stays correct when
-// regions split or move mid-scan, unlike walking a point-in-time region
-// list. fn returns false to stop early.
-func (cl *Client) forEachRegion(table string, start, end []byte, fn func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error)) error {
-	cursor := start
-	if cursor == nil {
-		cursor = []byte{}
-	}
-	for {
-		if end != nil && bytes.Compare(cursor, end) >= 0 {
-			return nil
-		}
-		var (
-			more    bool
-			nextEnd []byte
-		)
-		err := cl.withRegion(table, cursor, func(ri RegionInfo, s *RegionServer) error {
-			lo := cursor
-			hi := ri.End
-			if end != nil && (hi == nil || bytes.Compare(end, hi) < 0) {
-				hi = end
-			}
-			var err error
-			more, err = fn(ri, lo, hi, s)
-			nextEnd = ri.End
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if !more || nextEnd == nil {
-			return nil
-		}
-		cursor = nextEnd
-	}
-}
-
-// Scan reads rows with keys in [startRow, endRow) (nil bounds are open),
-// visiting regions in key order, up to limit rows (limit ≤ 0 = unlimited).
-func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row, error) {
-	return cl.scan("scan", table, startRow, endRow, kv.MaxTimestamp, limit)
-}
-
-// ScanAsOf reads rows with keys in [startRow, endRow) as they stood at
-// timestamp ts — Scan evaluated against historical state.
-func (cl *Client) ScanAsOf(table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
-	return cl.scan("scan-asof", table, startRow, endRow, ts, limit)
-}
-
-// scan is the one row scan: rows as visible at ts, traced as op.
-func (cl *Client) scan(op, table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
-	tr := cl.tracer.Start(op, table)
+// Scan reads rows with keys in [startRow, endRow) (nil bounds are open) as
+// they stood at ts, up to limit rows (limit ≤ 0 = unlimited), in key order.
+// An unlimited scan is one MultiScan over every region it covers. A limited
+// one reads one region per MultiScan, in key order, and stops at the region
+// that fills it: a row limit is not a cell limit.
+func (cl *Client) Scan(table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
+	tr := cl.tracer.Start(asOfOp("scan", ts), table)
 	defer cl.tracer.Finish(tr)
+	spec := RowRangeSpec(startRow, endRow)
+	end := spec.End
 	var rows []Row
-	var curKey []byte
-	var curCols map[string][]byte
-	flush := func() {
-		if curCols != nil {
-			rows = append(rows, Row{Key: curKey, Cols: curCols})
-			curKey, curCols = nil, nil
-		}
-	}
-	hitLimit := false
-	err := cl.forEachRegion(table, startRow, endRow, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
-		// Translate row bounds into store-key bounds. An empty lower bound
-		// still starts at BaseDataStart so local-index entries (which sort
-		// below all base data) stay out of row scans.
-		storeLo := kv.BaseDataStart
-		if len(lo) > 0 {
-			storeLo = kv.RowPrefix(lo)
-		}
-		var storeHi []byte
-		if hi != nil {
-			storeHi = kv.RowPrefix(hi)
-		}
-		results, err := s.Scan(ri.ID, storeLo, storeHi, ts, 0)
-		if err != nil {
-			return false, err
-		}
-		for _, res := range results {
-			row, col, err := kv.SplitBaseKey(res.Key)
+	for {
+		if limit > 0 { // end this MultiScan where the cached map ends its first region
+			regions, err := cl.regions(table)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			if curCols == nil || !bytes.Equal(row, curKey) {
-				flush()
-				if limit > 0 && len(rows) >= limit {
-					hitLimit = true
-					return false, nil
-				}
-				curKey = append([]byte(nil), row...)
-				curCols = make(map[string][]byte)
+			p := sort.Search(len(regions), func(p int) bool {
+				return regions[p].rowHi == nil || bytes.Compare(spec.Start, regions[p].rowHi) < 0
+			})
+			if p < len(regions) && regions[p].rowHi != nil && (end == nil || bytes.Compare(regions[p].rowHi, end) < 0) {
+				spec.End = regions[p].rowHi
 			}
-			curCols[string(col)] = res.Value
 		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !hitLimit {
-		flush()
+		res, err := cl.MultiScan(table, []ScanSpec{spec}, ts, 0)
+		if err == nil {
+			rows, err = appendRows(rows, res[0])
+		}
+		if err != nil {
+			return nil, err
+		}
+		if limit <= 0 || len(rows) >= limit || bytes.Equal(spec.End, end) {
+			break
+		}
+		spec.Start, spec.End = spec.End, end
 	}
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
 	return rows, nil
+}
+
+// appendRows groups base-table cells in store-key order into rows.
+func appendRows(rows []Row, cells []lsm.ScanResult) ([]Row, error) {
+	for _, res := range cells {
+		row, col, err := kv.SplitBaseKey(res.Key)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(rows); n == 0 || !bytes.Equal(rows[n-1].Key, row) {
+			rows = append(rows, Row{Key: append([]byte(nil), row...), Cols: make(map[string][]byte)})
+		}
+		rows[len(rows)-1].Cols[string(col)] = res.Value
+	}
+	return rows, nil
+}
+
+// baseStoreBounds translates base-table ROUTING bounds (row keys, nil =
+// open) into store-key bounds that exclude the reserved local-index key
+// space below kv.BaseDataStart.
+func baseStoreBounds(lo, hi []byte) (storeLo, storeHi []byte) {
+	storeLo = kv.BaseDataStart
+	if len(lo) > 0 {
+		storeLo = kv.RowPrefix(lo)
+	}
+	if hi != nil {
+		storeHi = kv.RowPrefix(hi)
+	}
+	return storeLo, storeHi
 }
 
 // RawApply writes pre-timestamped cells to the region holding routingKey —
@@ -389,7 +345,7 @@ func (cl *Client) MultiApply(table string, cells []kv.Cell) error {
 		return nil
 	}
 	return cl.multiRoute(table, len(cells),
-		func(i int) []byte { return cells[i].Key },
+		routeByKey(table, func(i int) []byte { return cells[i].Key }),
 		func(ri RegionInfo, s *RegionServer, group []int) error {
 			batch := make([]kv.Cell, len(group))
 			for j, i := range group {
@@ -400,20 +356,40 @@ func (cl *Client) MultiApply(table string, cells []kv.Cell) error {
 		func(group []int) { cl.cluster.noteApply(len(group)) })
 }
 
+// placement puts a batch item in the region at position pos of the
+// partition map.
+type placement struct{ pos, item int }
+
+// placeFunc places item i of a batch against the partition map regions: it
+// appends to dst one placement per region the item reaches, whose item is
+// i itself or an item the placer created for its part in that region.
+type placeFunc func(i int, regions []RegionInfo, dst []placement) ([]placement, error)
+
+// routeByKey places each item in the one region holding its routing key.
+func routeByKey(table string, key func(i int) []byte) placeFunc {
+	return func(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
+		p, ok := regionIndex(regions, key(i))
+		if !ok {
+			return dst, fmt.Errorf("cluster: no region for key %q in table %s", key(i), table)
+		}
+		return append(dst, placement{p, i}), nil
+	}
+}
+
 // multiRoute is the engine behind the region-grouped batch operations
-// (MultiGet, MultiGetRow, MultiApply): items 0…n-1 route by routeKey
-// through the cached partition map, each destination region receives ONE
-// call carrying its group of item indices, and the per-region calls are
-// issued concurrently under the client's bounded fan-out. Groups that fail
-// with a retriable routing error (split, crash recovery) invalidate the map
-// and only their items are regrouped and retried, with the same backoff as
-// withRegion — call must therefore be idempotent under redelivery and write
-// its results into caller-owned slots indexed by item, which keeps results
-// in input order no matter how items regroup. A non-retriable error
-// surfaces deterministically: among failing groups, the one lowest in
-// region-dispatch order (itself fixed by item order) wins. onSuccess, when
-// non-nil, observes each group whose call round-tripped successfully.
-func (cl *Client) multiRoute(table string, n int, routeKey func(i int) []byte, call func(ri RegionInfo, s *RegionServer, group []int) error, onSuccess func(group []int)) error {
+// (MultiGet, MultiScan, MultiApply): items 0…n-1 are placed against the
+// cached partition map, each destination region receives ONE call
+// carrying its group of item indices, and the per-region calls are issued
+// concurrently under the client's bounded fan-out. Groups that fail with a
+// retriable routing error (split, merge, crash recovery) invalidate the map
+// and only their items are placed again and retried, with the same backoff
+// as withRegion — call must therefore be idempotent under redelivery and
+// write its results into caller-owned slots indexed by item, which keeps
+// results in input order no matter how items regroup. A non-retriable
+// error surfaces deterministically: among failing groups, the one lowest
+// in region-dispatch order (itself fixed by item order) wins. onSuccess,
+// when non-nil, observes each group whose call round-tripped successfully.
+func (cl *Client) multiRoute(table string, n int, place placeFunc, call func(ri RegionInfo, s *RegionServer, group []int) error, onSuccess func(group []int)) error {
 	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
@@ -421,71 +397,73 @@ func (cl *Client) multiRoute(table string, n int, routeKey func(i int) []byte, c
 	var lastErr error
 	backoff := time.Millisecond
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		// Group the pending items by their region's position; dispatch
+		// Group the placed items by their region's position; dispatch
 		// lists each group's region in the order of its first item.
 		regions, err := cl.regions(table)
 		if err != nil {
 			return err
 		}
-		regionGroup := make([]int, len(regions)) // region position → group + 1
-		itemGroup := make([]int, len(pending))
-		var dispatch []int
-		for k, i := range pending {
-			p, ok := regionIndex(regions, routeKey(i))
-			if !ok {
-				return fmt.Errorf("cluster: no region for key %q in table %s", routeKey(i), table)
+		placed := make([]placement, 0, len(pending))
+		for _, i := range pending {
+			if placed, err = place(i, regions, placed); err != nil {
+				return err
 			}
-			if regionGroup[p] == 0 {
-				dispatch = append(dispatch, p)
-				regionGroup[p] = len(dispatch)
-			}
-			itemGroup[k] = regionGroup[p] - 1
 		}
-		// Lay the groups out one after another, each in pending order:
+		var dispatch []int
+		for k, pl := range placed {
+			g := slices.Index(dispatch, pl.pos) // a batch reaches few regions
+			if g < 0 {
+				g = len(dispatch)
+				dispatch = append(dispatch, pl.pos)
+			}
+			placed[k].pos = g // from here on, the group
+		}
+		// Lay the groups out one after another, each in placement order:
 		// group g is items[start[g]:start[g+1]], capped so that no append
 		// to it reaches the next group.
-		start := make([]int, len(dispatch)+1)
-		for _, g := range itemGroup {
-			start[g]++
+		layout := make([]int, len(dispatch)+1+len(placed))
+		start, items := layout[:len(dispatch)+1], layout[len(dispatch)+1:]
+		for _, pl := range placed {
+			start[pl.pos]++
 		}
 		for g := range dispatch {
 			start[g+1] += start[g]
 		}
-		items := make([]int, len(pending))
-		for k := len(pending) - 1; k >= 0; k-- { // each end steps down to its start
-			start[itemGroup[k]]--
-			items[start[itemGroup[k]]] = pending[k]
+		for k := len(placed) - 1; k >= 0; k-- { // each end steps down to its start
+			g := placed[k].pos
+			start[g]--
+			items[start[g]] = placed[k].item
 		}
-		cl.cluster.noteWave(len(dispatch), len(pending), attempt == 0)
+		cl.cluster.noteWave(len(dispatch), len(placed), attempt == 0)
 
-		// One call per region, concurrently; collect the items of failed
-		// (retriable) groups for the next round.
-		var mu sync.Mutex
-		var failed []int
+		// One call per region, concurrently; a group that fails with a
+		// retriable error records it, and its items go round again.
+		retry := make([]error, len(dispatch))
 		err = runFanOut(cl.fanOut, len(dispatch), func(g int) error {
 			ri := regions[dispatch[g]]
 			group := items[start[g]:start[g+1]:start[g+1]]
 			server := cl.cluster.Server(ri.Server)
-			callErr := cl.cluster.Net.Call(cl.name, ri.Server, func() error {
+			err := cl.cluster.Net.Call(cl.name, ri.Server, func() error {
 				return call(ri, server, group)
 			})
 			switch {
-			case callErr == nil:
-				if onSuccess != nil {
-					onSuccess(group)
-				}
-			case retriable(callErr):
-				mu.Lock()
-				lastErr = callErr
-				failed = append(failed, group...)
-				mu.Unlock()
-			default:
-				return callErr
+			case err == nil && onSuccess != nil:
+				onSuccess(group)
+			case retriable(err):
+				retry[g] = err
+				return nil
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return err
+		}
+		var failed []int
+		for g, e := range retry {
+			if e != nil {
+				lastErr = e
+				failed = append(failed, items[start[g]:start[g+1]]...)
+			}
 		}
 		if len(failed) == 0 {
 			return nil
@@ -533,9 +511,14 @@ func (cl *Client) MultiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]Ge
 	}
 	tr := cl.tracer.Start("multi-get", table)
 	defer cl.tracer.Finish(tr)
+	return cl.multiGet(table, specs, ts)
+}
+
+// multiGet is MultiGet without a trace of its own, for the reads built on it.
+func (cl *Client) multiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]GetResult, error) {
 	out := make([]GetResult, len(specs))
 	err := cl.multiRoute(table, len(specs),
-		func(i int) []byte { return specs[i].route() },
+		routeByKey(table, func(i int) []byte { return specs[i].route() }),
 		func(ri RegionInfo, s *RegionServer, group []int) error {
 			keys := make([][]byte, len(group))
 			for j, i := range group {
@@ -556,38 +539,187 @@ func (cl *Client) MultiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]Ge
 	return out, nil
 }
 
-// MultiGetRow reads a batch of whole base-table rows in one region-grouped,
-// concurrent wave: the batched form of GetRow, and the resolver FetchRows
-// uses to turn N index hits into rows with one RPC per region instead of N
-// serial round trips. out[i] holds rows[i]'s visible columns (nil = no
-// visible row), in input order.
-func (cl *Client) MultiGetRow(table string, rows [][]byte) ([]map[string][]byte, error) {
-	if len(rows) == 0 {
+// ScanRoute says which regions a ScanSpec reads.
+type ScanRoute uint8
+
+const (
+	// ByKey routes by the store keys themselves: raw and index tables,
+	// whose routing keys are their store keys.
+	ByKey ScanRoute = iota
+	// ByRow routes base-table store keys by row: a region holds the store
+	// keys from RowPrefix of its start row (kv.BaseDataStart for the first
+	// region) to RowPrefix of its end row. A ByRow spec starts at or above
+	// kv.BaseDataStart.
+	ByRow
+	// ToAll reads the whole range in every region of the table: local
+	// indexes, whose entries every region keeps below kv.BaseDataStart
+	// for its own rows (§3.1: "every query has to be broadcast").
+	ToAll
+)
+
+// ScanSpec addresses one range of a MultiScan batch: the store keys in
+// [Start, End) (nil bounds are open), read from the regions Route picks.
+type ScanSpec struct {
+	Start, End []byte
+	Route      ScanRoute
+}
+
+// RowSpec is the ScanSpec of one base-table row: a one-part range, so each
+// region store skips the tables whose filter rules the row out.
+func RowSpec(row []byte) ScanSpec {
+	prefix := kv.RowPrefix(row)
+	return ScanSpec{Start: prefix, End: kv.PrefixSuccessor(prefix), Route: ByRow}
+}
+
+// RowRangeSpec is the ScanSpec of the base-table rows in [startRow, endRow)
+// (nil bounds are open).
+func RowRangeSpec(startRow, endRow []byte) ScanSpec {
+	lo, hi := baseStoreBounds(startRow, endRow)
+	return ScanSpec{Start: lo, End: hi, Route: ByRow}
+}
+
+// storeBounds returns the store keys region ri holds under a ByKey or ByRow
+// route.
+func (ri RegionInfo) storeBounds(route ScanRoute) (lo, hi []byte) {
+	if route == ByRow {
+		return ri.rowLo, ri.rowHi
+	}
+	return ri.Start, ri.End
+}
+
+// MultiScan reads a batch of ranges at ts, up to limit results per spec
+// (≤ 0 = unlimited): out[i] holds specs[i]'s visible cells in key order.
+// Each spec is cut into pieces, one per region it reaches, and each region
+// receives ONE MultiScan RPC carrying all of its pieces, concurrently under
+// the client's fan-out bound (the multiRoute engine). Every piece reads up
+// to limit cells and a spec keeps the first limit of its pieces' merged
+// cells, which is exactly the first limit in key order.
+//
+// A piece whose region moved (split, merge, crash recovery) is placed again
+// against the refreshed map: a ByKey or ByRow piece is clipped to each
+// region it now overlaps, so a split mid-batch reads both children and a
+// merged region reads its pieces in one RPC. A ToAll piece owns the
+// routing range of the region it was sent to, and is sent again to each
+// region overlapping that range, once per region however many pieces it
+// serves; keys of a merged region read by an earlier attempt too are
+// dropped as duplicates.
+func (cl *Client) MultiScan(table string, specs []ScanSpec, ts kv.Timestamp, limit int) ([][]lsm.ScanResult, error) {
+	if len(specs) == 0 {
 		return nil, nil
 	}
-	tr := cl.tracer.Start("multi-get-row", table)
-	defer cl.tracer.Finish(tr)
-	out := make([]map[string][]byte, len(rows))
-	err := cl.multiRoute(table, len(rows),
-		func(i int) []byte { return rows[i] },
-		func(ri RegionInfo, s *RegionServer, group []int) error {
-			batch := make([][]byte, len(group))
-			for j, i := range group {
-				batch[j] = rows[i]
+	// A piece's [lo, hi) is the store range it reads or, for ToAll, the
+	// routing range of the region it was sent to.
+	type piece struct {
+		spec   int
+		lo, hi []byte
+		done   bool
+		res    []lsm.ScanResult
+	}
+	pieces := make([]piece, len(specs))
+	for i, sp := range specs {
+		pieces[i] = piece{spec: i, lo: sp.Start, hi: sp.End}
+		if sp.Route == ToAll {
+			pieces[i].lo, pieces[i].hi = nil, nil
+		}
+	}
+	place := func(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
+		cur, route := pieces[i], specs[pieces[i].spec].Route
+		first := 0
+		if route != ToAll { // skip the regions that end at or below the piece
+			first = sort.Search(len(regions), func(p int) bool {
+				_, hi := regions[p].storeBounds(route)
+				return hi == nil || bytes.Compare(cur.lo, hi) < 0
+			})
+		}
+		reuse := true // the piece's first region keeps its slot; others get new ones
+		for p := first; p < len(regions); p++ {
+			lo, hi := regions[p].Start, regions[p].End
+			if route == ToAll {
+				// One read per region and attempt, however many of the
+				// spec's pieces the region now serves.
+				if !regions[p].Overlaps(cur.lo, cur.hi) || slices.ContainsFunc(dst, func(pl placement) bool {
+					return pl.pos == p && pieces[pl.item].spec == cur.spec
+				}) {
+					continue
+				}
+			} else {
+				rlo, rhi := regions[p].storeBounds(route)
+				if cur.hi != nil && bytes.Compare(rlo, cur.hi) >= 0 {
+					break // this region and the rest start past the piece
+				}
+				if lo, hi = clipRange(cur.lo, cur.hi, rlo, rhi); hi != nil && bytes.Compare(lo, hi) >= 0 {
+					continue // an empty range reads nothing
+				}
 			}
-			res, err := s.MultiGetRow(ri.ID, batch, kv.MaxTimestamp)
+			next := piece{spec: cur.spec, lo: lo, hi: hi}
+			if reuse {
+				pieces[i], reuse = next, false
+				dst = append(dst, placement{p, i})
+			} else {
+				pieces = append(pieces, next)
+				dst = append(dst, placement{p, len(pieces) - 1})
+			}
+		}
+		return dst, nil
+	}
+	err := cl.multiRoute(table, len(pieces), place,
+		func(ri RegionInfo, s *RegionServer, group []int) error {
+			ranges := make([]lsm.ScanRange, len(group))
+			for j, i := range group {
+				sp := specs[pieces[i].spec]
+				ranges[j] = lsm.ScanRange{Start: sp.Start, End: sp.End}
+				if sp.Route != ToAll {
+					ranges[j] = lsm.ScanRange{Start: pieces[i].lo, End: pieces[i].hi}
+				}
+			}
+			res, err := s.MultiScan(ri.ID, ranges, ts, limit)
 			if err != nil {
 				return err
 			}
 			for j, i := range group {
-				out[i] = res[j]
+				pieces[i].res, pieces[i].done = res[j], true
 			}
 			return nil
 		}, nil)
 	if err != nil {
 		return nil, err
 	}
+	out := make([][]lsm.ScanResult, len(specs))
+	for _, pc := range pieces {
+		switch {
+		case !pc.done:
+		case out[pc.spec] == nil: // usually a spec's only piece
+			out[pc.spec] = pc.res
+		default:
+			out[pc.spec] = append(out[pc.spec], pc.res...)
+		}
+	}
+	byKey := func(a, b lsm.ScanResult) int { return bytes.Compare(a.Key, b.Key) }
+	for i, cells := range out {
+		if !slices.IsSortedFunc(cells, byKey) {
+			slices.SortStableFunc(cells, byKey)
+		}
+		if specs[i].Route == ToAll { // a region that merged may have been read twice
+			cells = slices.CompactFunc(cells, func(a, b lsm.ScanResult) bool { return byKey(a, b) == 0 })
+		}
+		if limit > 0 && len(cells) > limit {
+			cells = cells[:limit]
+		}
+		out[i] = cells
+	}
 	return out, nil
+}
+
+// clipRange intersects the store range [lo, hi) with a region's [rlo, rhi)
+// (nil bounds are open).
+func clipRange(lo, hi, rlo, rhi []byte) ([]byte, []byte) {
+	if rlo != nil && (lo == nil || bytes.Compare(rlo, lo) > 0) {
+		lo = rlo
+	}
+	if rhi != nil && (hi == nil || bytes.Compare(rhi, hi) < 0) {
+		hi = rhi
+	}
+	return lo, hi
 }
 
 // regionIndex finds the position in a sorted region list of key's region.
@@ -604,162 +736,4 @@ func regionContaining(regions []RegionInfo, key []byte) (RegionInfo, bool) {
 		return regions[p], true
 	}
 	return RegionInfo{}, false
-}
-
-// scatterRanges snapshots the table's region routing boundaries clamped to
-// [start, end), the unit of work one scatter-gather scan branch covers.
-// Each branch re-walks its slice of the routing space with the cursor loop
-// (forEachRegion), so a region that splits after the snapshot is still
-// covered — the branch just visits both children. A region that MERGED
-// after the snapshot spans several branch ranges; range-clamped scans
-// (RawScan) stay disjoint naturally, while whole-region scans
-// (BroadcastScan) dedupe with an ownership rule — see ownsRegion.
-type scatterRange struct {
-	lo, hi []byte
-}
-
-func (cl *Client) scatterRanges(table string, start, end []byte) ([]scatterRange, error) {
-	regions, err := cl.regions(table)
-	if err != nil {
-		return nil, err
-	}
-	var out []scatterRange
-	for _, ri := range regions {
-		if !ri.Overlaps(start, end) {
-			continue
-		}
-		lo, hi := ri.Start, ri.End
-		if start != nil && (lo == nil || bytes.Compare(start, lo) > 0) {
-			lo = start
-		}
-		if end != nil && (hi == nil || bytes.Compare(end, hi) < 0) {
-			hi = end
-		}
-		out = append(out, scatterRange{lo: lo, hi: hi})
-	}
-	return out, nil
-}
-
-// BroadcastScan runs the same store-key scan against EVERY region of the
-// table and concatenates the results in region (routing) order, not
-// globally sorted. This is the query pattern of local secondary indexes
-// (§3.1: "every query has to be broadcast to each region"); each region
-// contributes its own matching entries. The per-region scans run
-// concurrently under the client's fan-out bound, so latency tracks the
-// slowest region rather than the region count.
-//
-// limit bounds EACH region's result count (≤ 0 = unlimited): regions scan
-// independently, so a global cutoff cannot be pushed down. Callers needing
-// a global bound sort the concatenation and truncate (readLocalIndex does).
-func (cl *Client) BroadcastScan(table string, start, end []byte, ts kv.Timestamp, limit int) ([]lsm.ScanResult, error) {
-	ranges, err := cl.scatterRanges(table, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]lsm.ScanResult, len(ranges))
-	rpcs := make([]int, len(ranges))
-	err = runFanOut(cl.fanOut, len(ranges), func(i int) error {
-		return cl.forEachRegion(table, ranges[i].lo, ranges[i].hi, func(ri RegionInfo, _, _ []byte, s *RegionServer) (bool, error) {
-			// A region that merged after the snapshot spans several branch
-			// ranges and would be broadcast once per branch; only the branch
-			// owning its start key scans it.
-			if !ownsRegion(ranges[i], ri.Start) {
-				return true, nil
-			}
-			results, err := s.Scan(ri.ID, start, end, ts, limit)
-			if err != nil {
-				return false, err
-			}
-			parts[i] = append(parts[i], results...)
-			rpcs[i]++
-			return true, nil
-		})
-	})
-	cl.noteScatter(rpcs)
-	if err != nil {
-		return nil, err
-	}
-	return concatScans(parts), nil
-}
-
-// RawScan scans raw store keys in [start, end) across regions at ts, up to
-// limit results (≤ 0 = unlimited). For index tables, routing keys equal
-// store keys, so concatenating the per-range results in snapshot order
-// yields globally key-ordered output; each range scans up to limit entries
-// concurrently and the concatenation is truncated to limit, which returns
-// exactly the first limit results in key order — the serial semantics.
-func (cl *Client) RawScan(table string, start, end []byte, ts kv.Timestamp, limit int) ([]lsm.ScanResult, error) {
-	ranges, err := cl.scatterRanges(table, start, end)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]lsm.ScanResult, len(ranges))
-	rpcs := make([]int, len(ranges))
-	err = runFanOut(cl.fanOut, len(ranges), func(i int) error {
-		return cl.forEachRegion(table, ranges[i].lo, ranges[i].hi, func(ri RegionInfo, lo, hi []byte, s *RegionServer) (bool, error) {
-			remaining := 0
-			if limit > 0 {
-				remaining = limit - len(parts[i])
-				if remaining <= 0 {
-					return false, nil
-				}
-			}
-			results, err := s.Scan(ri.ID, lo, hi, ts, remaining)
-			if err != nil {
-				return false, err
-			}
-			parts[i] = append(parts[i], results...)
-			rpcs[i]++
-			return true, nil
-		})
-	})
-	cl.noteScatter(rpcs)
-	if err != nil {
-		return nil, err
-	}
-	out := concatScans(parts)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
-}
-
-// ownsRegion reports whether a scatter branch owns the region whose start
-// key is riStart (nil = the keyspace minimum): ownership goes to the single
-// branch whose [lo, hi) range contains the region's start, so a region
-// spanning several branch snapshots (a post-snapshot merge) is whole-region
-// scanned exactly once.
-func ownsRegion(r scatterRange, riStart []byte) bool {
-	if riStart == nil {
-		return r.lo == nil
-	}
-	if r.lo != nil && bytes.Compare(riStart, r.lo) < 0 {
-		return false
-	}
-	return r.hi == nil || bytes.Compare(riStart, r.hi) < 0
-}
-
-// noteScatter records one scatter-gather scan wave's realized RPC count.
-func (cl *Client) noteScatter(rpcs []int) {
-	total := 0
-	for _, n := range rpcs {
-		total += n
-	}
-	cl.cluster.noteWave(total, 0, true)
-}
-
-// concatScans flattens per-branch results preserving branch order.
-func concatScans(parts [][]lsm.ScanResult) []lsm.ScanResult {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]lsm.ScanResult, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

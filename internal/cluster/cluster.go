@@ -172,10 +172,10 @@ type Cluster struct {
 	tracer  *metrics.Tracer
 
 	// Scatter-gather instrumentation, shared by every client of the
-	// cluster: batch waves issued (one per MultiGet/MultiGetRow/MultiApply/
-	// BroadcastScan/RawScan), the per-region RPCs those waves fanned out
-	// into, and the items they carried. RPCs/waves is the realized fan-out
-	// per wave; items/RPCs is the batching factor.
+	// cluster: batch waves issued (one per MultiGet/MultiScan/MultiApply),
+	// the per-region RPCs those waves fanned out into, and the items they
+	// carried (keys, scan pieces or cells). RPCs/waves is the realized
+	// fan-out per wave; items/RPCs is the batching factor.
 	fanoutWaves *metrics.Counter
 	fanoutRPCs  *metrics.Counter
 	fanoutItems *metrics.Counter

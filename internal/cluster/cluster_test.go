@@ -219,7 +219,7 @@ func TestScanAcrossRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := cl.Scan("t", []byte("k05"), []byte("k25"), 0)
+	rows, err := cl.Scan("t", []byte("k05"), []byte("k25"), kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestScanAcrossRegions(t *testing.T) {
 		}
 	}
 	// Limit stops early.
-	rows, _ = cl.Scan("t", nil, nil, 7)
+	rows, _ = cl.Scan("t", nil, nil, kv.MaxTimestamp, 7)
 	if len(rows) != 7 {
 		t.Errorf("limited scan returned %d", len(rows))
 	}
 	// Full scan.
-	rows, _ = cl.Scan("t", nil, nil, 0)
+	rows, _ = cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if len(rows) != 30 {
 		t.Errorf("full scan returned %d", len(rows))
 	}
@@ -262,12 +262,12 @@ func TestRawOpsOnIndexStyleTable(t *testing.T) {
 	}
 	// Exact-match scan for one value.
 	prefix := kv.IndexValuePrefix([]byte("mango"))
-	res, err := cl.RawScan("idx", prefix, kv.PrefixSuccessor(prefix), kv.MaxTimestamp, 0)
+	res, err := rawScan(cl, "idx", prefix, kv.PrefixSuccessor(prefix), kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 {
-		t.Fatalf("RawScan returned %d entries", len(res))
+		t.Fatalf("exact-match scan returned %d entries", len(res))
 	}
 	_, row, _ := kv.SplitIndexKey(res[0].Key)
 	if string(row) != "row-mango" {
@@ -276,7 +276,7 @@ func TestRawOpsOnIndexStyleTable(t *testing.T) {
 	// Cross-region range scan: values in [a, zz] ("zebra" > "z", so the
 	// upper bound must reach past it).
 	lo, hi := kv.IndexValueRange([]byte("a"), []byte("zz"))
-	res, err = cl.RawScan("idx", lo, hi, kv.MaxTimestamp, 0)
+	res, err = rawScan(cl, "idx", lo, hi, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRawOpsOnIndexStyleTable(t *testing.T) {
 	}
 	// The inclusive range [a, z] excludes "zebra".
 	lo, hi = kv.IndexValueRange([]byte("a"), []byte("z"))
-	res, err = cl.RawScan("idx", lo, hi, kv.MaxTimestamp, 0)
+	res, err = rawScan(cl, "idx", lo, hi, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	cl := NewClient(c, "verifier")
-	rows, err := cl.Scan("t", nil, nil, 0)
+	rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestMultiApplyRegionMoveRetries(t *testing.T) {
 
 	// No cell lost: every key readable at its exact timestamp. No cell
 	// duplicated: a full scan returns exactly one visible version per key.
-	results, err := cl.RawScan("idx", nil, nil, kv.MaxTimestamp, 0)
+	results, err := rawScan(cl, "idx", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,28 @@ func TestMultiGetServerCrashRetries(t *testing.T) {
 	}
 }
 
-// TestMultiGetRowInputOrder checks the row-batched variant against GetRow:
-// same visible columns, positional results, nil for rows with no visible
-// data.
+// rawScan is a MultiScan of one ByKey spec: [start, end) of a raw table.
+func rawScan(cl *Client, table string, start, end []byte, ts kv.Timestamp, limit int) ([]lsm.ScanResult, error) {
+	res, err := cl.MultiScan(table, []ScanSpec{{Start: start, End: end}}, ts, limit)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// broadcastScan is a MultiScan of one ToAll spec: [start, end) read in
+// every region of the table.
+func broadcastScan(cl *Client, table string, start, end []byte, limit int) ([]lsm.ScanResult, error) {
+	res, err := cl.MultiScan(table, []ScanSpec{{Start: start, End: end, Route: ToAll}}, kv.MaxTimestamp, limit)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// TestMultiGetRowInputOrder checks a MultiScan of row specs (the batched
+// form of GetRow) against GetRow: same visible columns, positional results,
+// nil for rows with no visible data.
 func TestMultiGetRowInputOrder(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateTable("users", splits("m", "t")); err != nil {
@@ -174,34 +193,42 @@ func TestMultiGetRowInputOrder(t *testing.T) {
 
 	// Query in scrambled order with misses interleaved.
 	query := [][]byte{[]byte("zoe"), []byte("ghost"), []byte("alice"), []byte("tina"), []byte("nobody"), []byte("mike"), []byte("bob")}
-	got, err := cl.MultiGetRow("users", query)
+	specs := make([]ScanSpec, len(query))
+	for i, row := range query {
+		specs[i] = RowSpec(row)
+	}
+	res, err := cl.MultiScan("users", specs, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range query {
+		got, err := RowCols(res[i])
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := cl.GetRow("users", row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (got[i] == nil) != (want == nil) {
-			t.Errorf("row %q: MultiGetRow nil=%v, GetRow nil=%v", row, got[i] == nil, want == nil)
+		if (got == nil) != (want == nil) {
+			t.Errorf("row %q: MultiScan nil=%v, GetRow nil=%v", row, got == nil, want == nil)
 			continue
 		}
-		if len(got[i]) != len(want) {
-			t.Errorf("row %q: %d cols, want %d", row, len(got[i]), len(want))
+		if len(got) != len(want) {
+			t.Errorf("row %q: %d cols, want %d", row, len(got), len(want))
 		}
 		for col, val := range want {
-			if !bytes.Equal(got[i][col], val) {
-				t.Errorf("row %q col %q = %q, want %q", row, col, got[i][col], val)
+			if !bytes.Equal(got[col], val) {
+				t.Errorf("row %q col %q = %q, want %q", row, col, got[col], val)
 			}
 		}
 	}
 }
 
-// TestBroadcastScanConcurrentDeterministic hammers BroadcastScan from many
-// goroutines (exercised under -race by ci.sh): every call must return the
-// identical, deterministic result — all regions' entries in region (routing)
-// order regardless of fan-out scheduling.
+// TestBroadcastScanConcurrentDeterministic hammers a ToAll MultiScan from
+// many goroutines (exercised under -race by ci.sh): every call must return
+// the identical, deterministic result — all regions' entries merged into
+// key order regardless of fan-out scheduling.
 func TestBroadcastScanConcurrentDeterministic(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateRawTable("idx", splits("k08", "k16", "k24")); err != nil {
@@ -213,12 +240,17 @@ func TestBroadcastScanConcurrentDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	baseline, err := cl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 0)
+	baseline, err := broadcastScan(cl, "idx", nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(baseline) != len(cells) {
 		t.Fatalf("baseline has %d entries, want %d", len(baseline), len(cells))
+	}
+	for i, cell := range cells {
+		if !bytes.Equal(baseline[i].Key, cell.Key) {
+			t.Fatalf("baseline[%d] = %q, want %q (not in key order)", i, baseline[i].Key, cell.Key)
+		}
 	}
 
 	const goroutines = 8
@@ -233,7 +265,7 @@ func TestBroadcastScanConcurrentDeterministic(t *testing.T) {
 			// cache are per-client, but all fan-out machinery still runs
 			// concurrently across goroutines AND within each call.
 			gcl := NewClient(c, fmt.Sprintf("client-%d", g))
-			results[g], errs[g] = gcl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 0)
+			results[g], errs[g] = broadcastScan(gcl, "idx", nil, nil, 0)
 		}(g)
 	}
 	wg.Wait()
@@ -252,10 +284,10 @@ func TestBroadcastScanConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestBroadcastScanPerRegionLimit checks the pushed-down limit semantics:
-// limit bounds EACH region's contribution, and each region returns its
-// smallest entries — the property readLocalIndex's global sort-and-truncate
-// relies on.
+// TestBroadcastScanPerRegionLimit checks the pushed-down limit of a ToAll
+// MultiScan: each region returns at most limit of its smallest entries, and
+// the merge keeps the first limit of their union in key order — the exact
+// global answer, even where it takes entries from several regions.
 func TestBroadcastScanPerRegionLimit(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateRawTable("idx", splits("k10", "k20")); err != nil {
@@ -266,25 +298,38 @@ func TestBroadcastScanPerRegionLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := cl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"k00", "k01", "k02", "k10", "k11", "k12", "k20", "k21", "k22"}
-	if len(results) != len(want) {
-		t.Fatalf("got %d entries, want %d", len(results), len(want))
-	}
-	for i, w := range want {
-		if string(results[i].Key) != w {
-			t.Errorf("result[%d] = %q, want %q", i, results[i].Key, w)
+	for _, tc := range []struct {
+		start string
+		limit int
+		want  []string
+	}{
+		{"", 3, []string{"k00", "k01", "k02"}},
+		{"k08", 4, []string{"k08", "k09", "k10", "k11"}},
+		{"k19", 3, []string{"k19", "k20", "k21"}},
+	} {
+		var start []byte
+		if tc.start != "" {
+			start = []byte(tc.start)
+		}
+		results, err := broadcastScan(cl, "idx", start, nil, tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(tc.want) {
+			t.Fatalf("from %q limit %d: got %d entries, want %d", tc.start, tc.limit, len(results), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if string(results[i].Key) != w {
+				t.Errorf("from %q limit %d: result[%d] = %q, want %q", tc.start, tc.limit, i, results[i].Key, w)
+			}
 		}
 	}
 }
 
 // TestBroadcastScanAfterMergeNoDuplicates merges two regions behind the
-// client's warm partition map: the merged region spans two scatter branches,
-// and without the ownership rule both branches would broadcast the same
-// whole-region scan. Every key must come back exactly once.
+// client's warm partition map: the merged region answers for two pieces of
+// the ToAll spec, and without the ownership rule both would read the same
+// whole region. Every key must come back exactly once.
 func TestBroadcastScanAfterMergeNoDuplicates(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateRawTable("idx", splits("k10", "k20")); err != nil {
@@ -295,8 +340,8 @@ func TestBroadcastScanAfterMergeNoDuplicates(t *testing.T) {
 	if err := cl.MultiApply("idx", cells); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the scan snapshot, then merge the lower two regions behind it.
-	if _, err := cl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 0); err != nil {
+	// Warm the partition map, then merge the lower two regions behind it.
+	if _, err := broadcastScan(cl, "idx", nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	regions, err := c.Master.RegionsOf("idx")
@@ -307,7 +352,7 @@ func TestBroadcastScanAfterMergeNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := cl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 0)
+	results, err := broadcastScan(cl, "idx", nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +374,9 @@ func TestBroadcastScanAfterMergeNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestRawScanParallelMatchesSerial checks the scatter-gather RawScan against
-// the serial (fan-out 1) execution for a range+limit query: identical
-// results, first-limit-in-key-order semantics preserved.
+// TestRawScanParallelMatchesSerial checks a ByKey MultiScan against the
+// serial (fan-out 1) execution for a range+limit query: identical results,
+// first-limit-in-key-order semantics preserved.
 func TestRawScanParallelMatchesSerial(t *testing.T) {
 	c := newTestCluster(t, 3)
 	if err := c.Master.CreateRawTable("idx", splits("k08", "k16", "k24")); err != nil {
@@ -361,11 +406,11 @@ func TestRawScanParallelMatchesSerial(t *testing.T) {
 		if tc.end != "" {
 			end = []byte(tc.end)
 		}
-		want, err := serial.RawScan("idx", start, end, kv.MaxTimestamp, tc.limit)
+		want, err := rawScan(serial, "idx", start, end, kv.MaxTimestamp, tc.limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.RawScan("idx", start, end, kv.MaxTimestamp, tc.limit)
+		got, err := rawScan(cl, "idx", start, end, kv.MaxTimestamp, tc.limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,12 +5,13 @@
 // path, on a table wide enough (≥8 regions) that per-region round trips
 // dominate:
 //
-//	FetchRowsWave — resolving 32 index hits to rows: serial GetRow loop
-//	                (32 sequential RPCs) vs one MultiGetRow wave (one RPC
-//	                per region, concurrent)
-//	BroadcastScan — local-index broadcast over every region: fan-out 1 vs
-//	                the default fan-out width
-//	RawScan       — global-index range scan across all regions, same pair
+//	FetchRowsWave       — resolving 32 index hits to rows: serial GetRow
+//	                      loop (32 sequential RPCs) vs one MultiScan of
+//	                      row specs (one RPC per region, concurrent)
+//	MultiScanToAll      — local-index broadcast over every region: fan-out
+//	                      1 vs the default fan-out width
+//	MultiScanByKey      — global-index range scan across all regions, same
+//	                      pair
 //
 // ns/op carries the simulated RTT, so the RATIO serial/parallel is the
 // result; with 16 regions and fan-out 8 the waves should land ≥3× under
@@ -99,13 +100,16 @@ func BenchmarkFetchRowsWave(b *testing.B) {
 			}
 		}
 	})
-	b.Run("multigetrow-wave", func(b *testing.B) {
+	b.Run("multiscan-wave", func(b *testing.B) {
 		c, cl := benchReadCluster(b)
-		rows := benchRows()
+		var specs []ScanSpec
+		for _, row := range benchRows() {
+			specs = append(specs, RowSpec(row))
+		}
 		rpcs0 := c.fanoutRPCs.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cl.MultiGetRow("items", rows); err != nil {
+			if _, err := cl.MultiScan("items", specs, kv.MaxTimestamp, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -114,7 +118,7 @@ func BenchmarkFetchRowsWave(b *testing.B) {
 	})
 }
 
-func BenchmarkBroadcastScanFanout(b *testing.B) {
+func BenchmarkMultiScanToAllFanout(b *testing.B) {
 	for _, width := range []int{1, DefaultReadFanOut} {
 		b.Run(fmt.Sprintf("width-%d", width), func(b *testing.B) {
 			c, cl := benchReadCluster(b)
@@ -122,7 +126,7 @@ func BenchmarkBroadcastScanFanout(b *testing.B) {
 			rpcs0 := c.fanoutRPCs.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := cl.BroadcastScan("idx", nil, nil, kv.MaxTimestamp, 0)
+				results, err := broadcastScan(cl, "idx", nil, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,7 +140,7 @@ func BenchmarkBroadcastScanFanout(b *testing.B) {
 	}
 }
 
-func BenchmarkRawScanFanout(b *testing.B) {
+func BenchmarkMultiScanByKeyFanout(b *testing.B) {
 	for _, width := range []int{1, DefaultReadFanOut} {
 		b.Run(fmt.Sprintf("width-%d", width), func(b *testing.B) {
 			c, cl := benchReadCluster(b)
@@ -144,7 +148,7 @@ func BenchmarkRawScanFanout(b *testing.B) {
 			rpcs0 := c.fanoutRPCs.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := cl.RawScan("idx", nil, nil, kv.MaxTimestamp, 0)
+				results, err := rawScan(cl, "idx", nil, nil, kv.MaxTimestamp, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,6 +21,10 @@ type RegionInfo struct {
 	Start  []byte
 	End    []byte
 	Server string // current assignment
+
+	// rowLo and rowHi bound the store keys the region holds under a ByRow
+	// scan; the client's route cache fills them.
+	rowLo, rowHi []byte
 }
 
 // Contains reports whether the routing key falls inside the region.
@@ -81,12 +85,6 @@ func (r *Region) lockRow(row []byte) *sync.Mutex {
 // Store exposes the region's LSM store to coprocessors (local base reads,
 // the paper's R_B, are direct store reads with no network hop).
 func (r *Region) Store() *lsm.Store { return r.store }
-
-// LocalGet reads the newest non-deleted version of a store key visible at
-// ts without any network cost — the coprocessor-side R_B(k, t−δ).
-func (r *Region) LocalGet(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	return r.store.Get(key, ts)
-}
 
 // LocalGetRow reads every column of a base-table row visible at ts.
 func (r *Region) LocalGetRow(row []byte, ts kv.Timestamp) (map[string][]byte, error) {

@@ -18,7 +18,7 @@ func TestMultiRouteOneRegionAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("k1%04d", i)) // all in [k10, k20)
 	}
-	route := func(i int) []byte { return keys[i] }
+	route := routeByKey("idx", func(i int) []byte { return keys[i] })
 	var groups [][]int
 	call := func(ri RegionInfo, s *RegionServer, group []int) error {
 		groups = append(groups, group)

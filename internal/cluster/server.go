@@ -433,25 +433,17 @@ func (s *RegionServer) MultiGet(regionID string, keys [][]byte, ts kv.Timestamp)
 	return out, nil
 }
 
-// MultiGetRow serves a batch of whole-row reads against one region in a
-// single RPC. Results are positional: out[i] holds rows[i]'s visible
-// columns, nil when the row has none (matching Client.GetRow).
-func (s *RegionServer) MultiGetRow(regionID string, rows [][]byte, ts kv.Timestamp) ([]map[string][]byte, error) {
+// MultiScan serves a batch of range reads against one region in a single
+// RPC — the server half of the region-grouped range read. The whole batch
+// reads one snapshot of the region's store: out[i] answers ranges[i], up to
+// limit results each.
+func (s *RegionServer) MultiScan(regionID string, ranges []lsm.ScanRange, ts kv.Timestamp, limit int) ([][]lsm.ScanResult, error) {
 	region, err := s.region(regionID)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]map[string][]byte, len(rows))
-	for i, row := range rows {
-		cols, err := region.LocalGetRow(row, ts)
-		if err != nil {
-			return nil, mapStoreErr(err)
-		}
-		if len(cols) > 0 {
-			out[i] = cols
-		}
-	}
-	return out, nil
+	out, err := region.store.MultiScan(ranges, ts, limit)
+	return out, mapStoreErr(err)
 }
 
 // GetAsOf reads a store key as it stood at ts (time-travel read): the
@@ -467,16 +459,6 @@ func (s *RegionServer) GetAsOf(regionID string, key []byte, ts kv.Timestamp) (kv
 		return kv.Cell{}, false, err // not a routing miss: surface as-is
 	}
 	return c, ok, mapStoreErr(err)
-}
-
-// Scan returns the visible versions of store keys in [start, end) at ts.
-func (s *RegionServer) Scan(regionID string, start, end []byte, ts kv.Timestamp, limit int) ([]lsm.ScanResult, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return nil, err
-	}
-	results, err := region.store.Scan(start, end, ts, limit)
-	return results, mapStoreErr(err)
 }
 
 // Flush flushes one region. It is an administrative operation and works on

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 	"diffindex/internal/vfs"
 )
 
@@ -45,7 +47,7 @@ func TestSplitRegionBasic(t *testing.T) {
 		}
 	}
 	// Scans stitch across the new boundary in order.
-	rows, err := cl.Scan("t", nil, nil, 0)
+	rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil || len(rows) != 60 {
 		t.Fatalf("scan = %d rows err=%v", len(rows), err)
 	}
@@ -142,7 +144,7 @@ func TestSplitUnderConcurrentWrites(t *testing.T) {
 	}
 	// All written rows survive.
 	cl := NewClient(c, "verify")
-	rows, err := cl.Scan("t", nil, nil, 0)
+	rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("scan after concurrent split = %d err=%v", len(rows), err)
 	}
@@ -170,7 +172,7 @@ func TestSplitRawTable(t *testing.T) {
 	if err := c.Master.SplitRegion(regions[0].ID, splitAt); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.RawScan("idx", nil, nil, kv.MaxTimestamp, 0)
+	res, err := rawScan(cl, "idx", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil || len(res) != 20 {
 		t.Fatalf("raw scan after split = %d err=%v", len(res), err)
 	}
@@ -221,7 +223,7 @@ func TestMergeRegions(t *testing.T) {
 	if len(regions) != 1 || regions[0].Start != nil || regions[0].End != nil {
 		t.Fatalf("merged regions = %v", regions)
 	}
-	rows, err := cl.Scan("t", nil, nil, 0)
+	rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if err != nil || len(rows) != 40 {
 		t.Fatalf("scan after merge = %d err=%v", len(rows), err)
 	}
@@ -238,7 +240,7 @@ func TestMergeRegions(t *testing.T) {
 	if err := c.Master.MergeRegions(regions[0].ID, regions[1].ID); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ = cl.Scan("t", nil, nil, 0)
+	rows, _ = cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 	if len(rows) != 41 {
 		t.Fatalf("rows after split+merge = %d", len(rows))
 	}
@@ -270,7 +272,7 @@ func TestTransitionRollsBackWhenTargetFails(t *testing.T) {
 		if got, _ := c.Master.RegionsOf("t"); len(got) != regions {
 			t.Fatalf("%s: %d regions, want %d", stage, len(got), regions)
 		}
-		rows, err := cl.Scan("t", nil, nil, 0)
+		rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 		if err != nil || len(rows) != 40 {
 			t.Fatalf("%s: scan = %d rows, err %v", stage, len(rows), err)
 		}
@@ -319,5 +321,151 @@ func TestMergeRegionsErrors(t *testing.T) {
 	// Reversed order is also non-adjacent by definition.
 	if err := c.Master.MergeRegions(regions[1].ID, regions[0].ID); err == nil {
 		t.Error("reversed merge succeeded")
+	}
+}
+
+// TestMultiScanAcrossSplitAndMerge reads one MultiScan batch that spans
+// regions while a split and a merge land under it. First deterministically:
+// a split and a merge behind the client's warm partition map make the
+// batch's first dispatch hit regions that are gone, so its pieces are
+// placed again — clipped to both children of the split, and read once from
+// the merged region — and every spec (ByKey, ByRow and ToAll; overlapping,
+// limited and empty) must return exactly its cells in key order. Then
+// concurrently: splits and merges of the middle regions race a stream of
+// ByKey and ToAll batches, each of which must return exactly the model.
+func TestMultiScanAcrossSplitAndMerge(t *testing.T) {
+	c := newTestCluster(t, 3)
+	if err := c.Master.CreateRawTable("idx", splits("k10", "k20")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Master.CreateTable("t", splits("k10", "k20")); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(c, "client")
+	cells := multiApplyCells(30, 100)
+	if err := cl.MultiApply("idx", cells); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range cells {
+		if _, err := cl.Put("t", cell.Key, map[string][]byte{"a": cell.Value, "b": cell.Value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// want lists the keys k<lo>…k<hi-1>, at most limit of them, with each
+	// key's column suffixes on the base table.
+	want := func(lo, hi, limit int, cols ...string) []string {
+		var out []string
+		for i := lo; i < hi; i++ {
+			key := fmt.Sprintf("k%02d", i)
+			if cols == nil {
+				out = append(out, key)
+			}
+			for _, col := range cols {
+				out = append(out, string(kv.BaseKey([]byte(key), []byte(col))))
+			}
+		}
+		if limit > 0 && len(out) > limit {
+			out = out[:limit]
+		}
+		return out
+	}
+	check := func(what string, got [][]lsm.ScanResult, want [][]string) {
+		t.Helper()
+		for i := range want {
+			var keys []string
+			for _, res := range got[i] {
+				keys = append(keys, string(res.Key))
+			}
+			if fmt.Sprint(keys) != fmt.Sprint(want[i]) {
+				t.Errorf("%s spec %d:\n got %v\nwant %v", what, i, keys, want[i])
+			}
+		}
+	}
+	k := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
+
+	for _, limit := range []int{0, 3} {
+		// Warm the map, then split a low region and merge the top two
+		// behind it.
+		for _, table := range []string{"idx", "t"} {
+			if _, err := cl.MultiScan(table, []ScanSpec{{}}, kv.MaxTimestamp, 0); err != nil {
+				t.Fatal(err)
+			}
+			ri, _ := c.Master.Locate(table, k(5+limit))
+			if err := c.Master.SplitRegion(ri.ID, k(5+limit)); err != nil {
+				t.Fatal(err)
+			}
+			regions, _ := c.Master.RegionsOf(table)
+			if err := c.Master.MergeRegions(regions[len(regions)-2].ID, regions[len(regions)-1].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := cl.MultiScan("idx", []ScanSpec{
+			{},
+			{Start: k(3), End: k(12)},
+			{Start: k(8), End: k(25)},
+			{Start: k(7), End: k(7)},
+			{Start: k(18), Route: ToAll},
+		}, kv.MaxTimestamp, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprint("idx limit ", limit), got, [][]string{
+			want(0, 30, limit), want(3, 12, limit), want(8, 25, limit), nil, want(18, 30, limit),
+		})
+		got, err = cl.MultiScan("t", []ScanSpec{
+			RowRangeSpec(nil, nil),
+			RowRangeSpec(k(4), k(21)),
+			RowSpec(k(13)),
+			RowSpec(k(2)),
+			RowSpec([]byte("absent")),
+		}, kv.MaxTimestamp, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprint("t limit ", limit), got, [][]string{
+			want(0, 30, limit, "a", "b"), want(4, 21, limit, "a", "b"), want(13, 14, limit, "a", "b"), want(2, 3, limit, "a", "b"), nil,
+		})
+	}
+
+	// Concurrently: one goroutine splits the region holding k15 and merges
+	// it back, over and over, while batches read across it.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ri, err := c.Master.Locate("idx", k(15))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.Master.SplitRegion(ri.ID, k(15)); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond) // a map that never settles exhausts any retry budget
+			lower, _ := c.Master.Locate("idx", k(14))
+			upper, _ := c.Master.Locate("idx", k(15))
+			if err := c.Master.MergeRegions(lower.ID, upper.ID); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for batch := 0; batch < 200 && !t.Failed(); batch++ {
+		got, err := cl.MultiScan("idx", []ScanSpec{{}, {Start: k(11), End: k(19)}, {Start: k(14), End: k(16)}, {Route: ToAll}}, kv.MaxTimestamp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("during churn", got, [][]string{want(0, 30, 0), want(11, 19, 0), want(14, 16, 0), want(0, 30, 0)})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"diffindex/internal/kv"
 )
 
 // TestTopologyChurnProperty drives random puts, deletes, splits, merges,
@@ -29,7 +31,7 @@ func TestTopologyChurnProperty(t *testing.T) {
 		model := map[string]string{}
 
 		verify := func(stage string) bool {
-			rows, err := cl.Scan("t", nil, nil, 0)
+			rows, err := cl.Scan("t", nil, nil, kv.MaxTimestamp, 0)
 			if err != nil {
 				t.Logf("seed %d %s: scan: %v", seed, stage, err)
 				return false

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 )
 
 // Anti-entropy index verification: the background check that a global index
@@ -22,7 +25,8 @@ import (
 //     phantom rows, modulo the double-check of sync-insert) — "stale".
 //
 // The comparison is one enumerate-and-diff pass: each side is enumerated
-// once, one RPC per region, and the two pair sets are diffed in memory.
+// once, one MultiScan RPC per region, and the two pair sets are diffed in
+// memory.
 // Because the two sides are scanned without a common snapshot, in-flight
 // writes and queued async updates can masquerade as divergence; every
 // candidate is therefore re-verified with point reads before it is counted
@@ -79,11 +83,16 @@ func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyRepo
 	rep := IndexVerifyReport{Table: def.Table, Index: def.Name(), Scheme: def.Scheme}
 
 	// Enumerate each side once and diff the pair sets.
-	basePairs, err := cl.BaseTableEntries(def.Table, def.Columns, kv.MaxTimestamp)
+	basePairs, err := expectedPairs(cl, def)
 	if err != nil {
 		return rep, err
 	}
-	idxPairs, err := cl.IndexTableEntries(def.Name(), kv.MaxTimestamp)
+	var idxPairs []IndexEntryPair
+	err = scanRegions(cl, def.Name(), cluster.ByKey, func(cells []lsm.ScanResult) error {
+		pairs, err := indexPairs(def, cells)
+		idxPairs = append(idxPairs, pairs...)
+		return err
+	})
 	if err != nil {
 		return rep, err
 	}
@@ -92,7 +101,7 @@ func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyRepo
 		inBase[string(kv.IndexKey(p.Value, p.Row))] = true
 	}
 	inIndex := make(map[string]bool, len(idxPairs))
-	var stale, missing []cluster.IndexEntryPair
+	var stale, missing []IndexEntryPair
 	for _, p := range idxPairs {
 		k := string(kv.IndexKey(p.Value, p.Row))
 		inIndex[k] = true
@@ -113,4 +122,95 @@ func (m *Manager) verifyIndex(cl *cluster.Client, def IndexDef) (IndexVerifyRepo
 	res, err := m.reconcile(cl, def, srcVerify, stale, missing)
 	rep.Missing, rep.Stale, rep.Transient, rep.Repaired = res.Missing, res.Stale, res.Transient, res.Repaired
 	return rep, err
+}
+
+// IndexEntryPair is one (indexValue, row) pair of a global index, with the
+// timestamp repairs must carry: for an index-side entry the entry's own
+// timestamp, for a base-side pair the newest timestamp among the row's
+// indexed columns (the §4.3 same-timestamp rule).
+type IndexEntryPair struct {
+	Value []byte
+	Row   []byte
+	Ts    kv.Timestamp
+}
+
+// indexPairs decodes scanned index-table cells into their pairs.
+func indexPairs(def IndexDef, cells []lsm.ScanResult) ([]IndexEntryPair, error) {
+	out := make([]IndexEntryPair, len(cells))
+	for i, c := range cells {
+		val, row, err := kv.SplitIndexKey(c.Key)
+		if err != nil {
+			return nil, fmt.Errorf("core: corrupt index key in %s: %w", def.Name(), err)
+		}
+		out[i] = IndexEntryPair{Value: val, Row: row, Ts: c.Ts}
+	}
+	return out, nil
+}
+
+// expectedPairs enumerates the pairs the base table's rows should have in
+// def: each row whose indexed columns are all present derives its (value,
+// row, maxTs) pair from its cells.
+func expectedPairs(cl *cluster.Client, def IndexDef) ([]IndexEntryPair, error) {
+	var out []IndexEntryPair
+	err := scanRegions(cl, def.Table, cluster.ByRow, func(cells []lsm.ScanResult) (err error) {
+		out, err = appendBasePairs(out, cells, def.Columns)
+		return err
+	})
+	return out, err
+}
+
+// scanRegions reads a whole table one region per MultiScan, so that only
+// one region's cells are held at a time, and hands each region's cells to
+// add in key order.
+func scanRegions(cl *cluster.Client, table string, route cluster.ScanRoute, add func([]lsm.ScanResult) error) error {
+	regions, err := cl.Cluster().Master.RegionsOf(table)
+	if err != nil {
+		return err
+	}
+	for _, ri := range regions {
+		spec := cluster.ScanSpec{Start: ri.Start, End: ri.End}
+		if route == cluster.ByRow {
+			spec = cluster.RowRangeSpec(ri.Start, ri.End)
+		}
+		res, err := cl.MultiScan(table, []cluster.ScanSpec{spec}, kv.MaxTimestamp, 0)
+		if err == nil {
+			err = add(res[0])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendBasePairs derives the pairs of base-table cells in store-key order,
+// where a row's cells are contiguous.
+func appendBasePairs(out []IndexEntryPair, cells []lsm.ScanResult, columns []string) ([]IndexEntryPair, error) {
+	cur := IndexEntryPair{}
+	cols := make(map[string][]byte, len(columns))
+	flush := func() {
+		if val, ok := kv.IndexValueFromColumns(columns, cols); ok {
+			out = append(out, IndexEntryPair{Value: val, Row: cur.Row, Ts: cur.Ts})
+		}
+		clear(cols)
+		cur = IndexEntryPair{}
+	}
+	for i, c := range cells {
+		row, col, err := kv.SplitBaseKey(c.Key)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && !bytes.Equal(row, cur.Row) {
+			flush()
+		}
+		cur.Row = row
+		if slices.Contains(columns, string(col)) {
+			cols[string(col)] = c.Value
+			cur.Ts = max(cur.Ts, c.Ts)
+		}
+	}
+	if len(cells) > 0 {
+		flush()
+	}
+	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 )
 
 // env is a small cluster with one base table ("items") and a Diff-Index
@@ -62,14 +63,21 @@ func (e *env) lookupRows(t testing.TB, cols []string, value string) []string {
 	return out
 }
 
+// scanOne returns the cells of one MultiScan spec over table.
+func scanOne(t testing.TB, cl *cluster.Client, table string, spec cluster.ScanSpec) []lsm.ScanResult {
+	t.Helper()
+	res, err := cl.MultiScan(table, []cluster.ScanSpec{spec}, kv.MaxTimestamp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
 // rawIndexEntries returns every physically present (non-tombstoned) entry
 // in an index table.
 func (e *env) rawIndexEntries(t testing.TB, def IndexDef) []string {
 	t.Helper()
-	results, err := e.cl.RawScan(def.Name(), nil, nil, kv.MaxTimestamp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := scanOne(t, e.cl, def.Name(), cluster.ScanSpec{})
 	out := make([]string, 0, len(results))
 	for _, r := range results {
 		v, row, err := kv.SplitIndexKey(r.Key)
@@ -545,6 +553,44 @@ func TestRangeByIndex(t *testing.T) {
 	// Missing index.
 	if _, err := e.m.RangeByIndex(e.cl, e.tbl, []string{"nope"}, nil, nil, 0); err == nil {
 		t.Error("range on missing index succeeded")
+	}
+}
+
+// TestLimitedRangeSkipsStaleEntries: on a sync-insert index the first
+// limit entries of a range are stale (their rows moved out of the range)
+// and live entries follow. A limited read keeps scanning past the stale
+// entries until it has limit live hits, in index-value order; the entries
+// it found stale are repaired on the way.
+func TestLimitedRangeSkipsStaleEntries(t *testing.T) {
+	e := newEnv(t, 3, ManagerOptions{})
+	e.createIndex(t, SyncInsert, "price")
+	for i := 0; i < 5; i++ {
+		e.put(t, fmt.Sprintf("item%03d", i), "price", fmt.Sprintf("%05d", 100+i*10))
+	}
+	for i := 0; i < 3; i++ { // leaves stale entries at 00100, 00110, 00120
+		e.put(t, fmt.Sprintf("item%03d", i), "price", fmt.Sprintf("%05d", 900+i))
+	}
+	e.put(t, "item005", "price", "00150")
+	e.put(t, "item006", "price", "00160")
+	for _, tc := range []struct {
+		limit int
+		want  string
+	}{
+		{3, "[item003 item004 item005]"},
+		{1, "[item003]"},
+		{9, "[item003 item004 item005 item006]"},
+	} {
+		hits, err := e.m.RangeByIndex(e.cl, e.tbl, []string{"price"}, []byte("00000"), []byte("00500"), tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, h := range hits {
+			rows = append(rows, string(h.Row))
+		}
+		if got := fmt.Sprint(rows); got != tc.want {
+			t.Errorf("limit %d: hits %s, want %s", tc.limit, got, tc.want)
+		}
 	}
 }
 

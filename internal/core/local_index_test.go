@@ -7,6 +7,7 @@ import (
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 )
 
 func (e *env) createLocalIndex(t testing.TB, cols ...string) IndexDef {
@@ -56,7 +57,7 @@ func TestLocalIndexDoesNotPolluteScans(t *testing.T) {
 	}
 	// Row scans must return exactly the base rows despite local-index
 	// entries living in the same stores.
-	rows, err := e.cl.Scan(e.tbl, nil, nil, 0)
+	rows, err := e.cl.Scan(e.tbl, nil, nil, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,8 @@ func TestLocalIndexIOCounts(t *testing.T) {
 	ri, _ := e.c.Master.Locate(e.tbl, []byte("item100"))
 	def := IndexDef{Table: e.tbl, Columns: []string{"title"}, Local: true}
 	lo, hi := kv.LocalIndexValueRange(def.Name(), []byte("after"), []byte("after"))
-	res, err := e.c.Server(ri.Server).Scan(ri.ID, lo, hi, kv.MaxTimestamp, 0)
-	if err != nil || len(res) != 1 {
+	res, err := e.c.Server(ri.Server).MultiScan(ri.ID, []lsm.ScanRange{{Start: lo, End: hi}}, kv.MaxTimestamp, 0)
+	if err != nil || len(res[0]) != 1 {
 		t.Fatalf("local entry not in the row's region: %v err=%v", res, err)
 	}
 }

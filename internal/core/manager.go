@@ -10,6 +10,7 @@ import (
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 	"diffindex/internal/metrics"
 )
 
@@ -172,12 +173,11 @@ func (m *Manager) CreateIndex(def IndexDef, splits [][]byte) error {
 			return err
 		}
 	}
-	// Backfill: each region derives its rows' (value, row) pairs server-side
-	// — only the pairs cross the network, not the rows' other columns — and
-	// the reconcile engine inserts the ones the index lacks: the verify
-	// sweep's base-side enumeration.
+	// Backfill: the verify sweep's base-side enumeration — one MultiScan per
+	// base region, each row's (value, row) pair derived from its scanned
+	// cells — and the reconcile engine inserts the pairs the index lacks.
 	cl := m.clientFor("diffindex-backfill")
-	pairs, err := cl.BaseTableEntries(def.Table, def.Columns, kv.MaxTimestamp)
+	pairs, err := expectedPairs(cl, def)
 	if err != nil {
 		return err
 	}
@@ -354,30 +354,33 @@ func (m *Manager) buildIndexMutations(ctx cluster.RegionCtx, t task, async bool,
 }
 
 // readPreImage is R_B(k, ts) restricted to what the indexes need: the
-// row's indexed columns as they stood at ts, one point read per distinct
-// column of defs. A point read is bloom-filtered and skips tables whose key
-// range excludes it, and copies one column's value — where a read of the
-// whole row would merge every column of it from every table. Columns absent
-// at ts are absent from the map.
+// row's indexed columns as they stood at ts, one Store.MultiGet of the
+// distinct columns of defs. A point read is bloom-filtered and skips tables
+// whose key range excludes it, and copies one column's value — where a
+// read of the whole row would merge every column of it from every table.
+// Columns absent at ts are absent from the map.
 func readPreImage(region *cluster.Region, row []byte, ts kv.Timestamp, defs []IndexDef) (map[string][]byte, error) {
-	cols := make(map[string][]byte)
-	var read []string
+	var cols []string
+	var keys [][]byte
 	for _, def := range defs {
 		for _, col := range def.Columns {
-			if slices.Contains(read, col) {
-				continue
-			}
-			read = append(read, col)
-			c, ok, err := region.LocalGet(kv.BaseKey(row, []byte(col)), ts)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				cols[col] = c.Value
+			if !slices.Contains(cols, col) {
+				cols = append(cols, col)
+				keys = append(keys, kv.BaseKey(row, []byte(col)))
 			}
 		}
 	}
-	return cols, nil
+	got := make([]lsm.GetResult, len(keys))
+	if err := region.Store().MultiGet(keys, ts, got); err != nil {
+		return nil, err
+	}
+	old := make(map[string][]byte, len(cols))
+	for i, g := range got {
+		if g.Found {
+			old[cols[i]] = g.Cell.Value
+		}
+	}
+	return old, nil
 }
 
 // indexMutationsFrom computes the index cells of mutation t against defs,

@@ -27,7 +27,7 @@ func (o *observer) PostCompact(ctx cluster.RegionCtx, gc lsm.CompactionGC) {
 		}
 		// Several dropped versions of one value name the same entry.
 		seen := make(map[string]bool)
-		var cands []cluster.IndexEntryPair
+		var cands []IndexEntryPair
 		for _, c := range gc.Dropped {
 			if c.Kind != kv.KindPut || len(c.Value) == 0 {
 				continue
@@ -40,7 +40,7 @@ func (o *observer) PostCompact(ctx cluster.RegionCtx, gc lsm.CompactionGC) {
 				seen[k] = true
 				// Zero ts: the dropped cell's timestamp need not be the
 				// entry's, so the engine reads the entry's own.
-				cands = append(cands, cluster.IndexEntryPair{Value: c.Value, Row: row})
+				cands = append(cands, IndexEntryPair{Value: c.Value, Row: row})
 			}
 		}
 		// Best effort: a failed repair (store closing mid-round, index

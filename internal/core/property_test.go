@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"diffindex/internal/kv"
 )
 
 // expectedIndexEntries recomputes what an index's live entries should be
@@ -15,7 +17,7 @@ import (
 // converge to.
 func expectedIndexEntries(t *testing.T, e *env, def IndexDef) []string {
 	t.Helper()
-	rows, err := e.cl.Scan(def.Table, nil, nil, 0)
+	rows, err := e.cl.Scan(def.Table, nil, nil, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

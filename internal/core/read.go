@@ -1,9 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"diffindex/internal/cluster"
@@ -62,68 +61,82 @@ func (m *Manager) RangeByIndex(cl *cluster.Client, table string, columns []strin
 
 // readIndex scans the index table and, for sync-insert, runs Algorithm 2:
 // every hit is double-checked against the base table and stale entries are
-// deleted from the index (see reconcile).
+// deleted from the index (see reconcile). A limited read keeps scanning
+// past stale entries: each follow-on scan starts after the last entry
+// scanned, until limit hits are live or the range ends.
 func (m *Manager) readIndex(cl *cluster.Client, def IndexDef, lo, hi []byte, limit int, tr *metrics.Trace) ([]IndexHit, error) {
-	// SR1: read the index table.
-	scanStart := time.Now()
-	entries, err := cl.RawScan(def.Name(), lo, hi, kv.MaxTimestamp, limit)
-	scanDur := time.Since(scanStart)
-	m.stageHist(metrics.StageIndexScan, def.Table).RecordDuration(scanDur)
-	tr.AddStage(metrics.StageIndexScan, scanDur)
-	if err != nil {
-		return nil, err
-	}
-	m.Counters.IndexRead.Inc()
-
-	cands := make([]cluster.IndexEntryPair, len(entries))
-	for i, e := range entries {
-		val, row, err := kv.SplitIndexKey(e.Key)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt index key in %s: %w", def.Name(), err)
+	hits := []IndexHit{}
+	var scanDur, checkDur, repairDur time.Duration
+	checked := false
+	defer func() {
+		m.stageHist(metrics.StageIndexScan, def.Table).RecordDuration(scanDur)
+		tr.AddStage(metrics.StageIndexScan, scanDur)
+		if checked {
+			m.stageHist(metrics.StageCheck, def.Table).RecordDuration(checkDur)
+			tr.AddStage(metrics.StageCheck, checkDur)
 		}
-		cands[i] = cluster.IndexEntryPair{Value: val, Row: row, Ts: e.Ts}
-	}
-
-	// SR2 and the clean step of Algorithm 2: this read's hits are the
-	// reconcile engine's stale candidates. One region-grouped MultiGet wave
-	// reads every hit's indexed base columns; entries whose value the row no
-	// longer produces are deleted with one Apply per destination region.
-	var live []bool
-	if def.Scheme == SyncInsert && len(entries) > 0 {
-		res, err := m.reconcile(cl, def, srcRead, cands, nil)
-		m.stageHist(metrics.StageCheck, def.Table).RecordDuration(res.CheckDur)
-		tr.AddStage(metrics.StageCheck, res.CheckDur)
-		if res.RepairDur > 0 {
-			m.stageHist(metrics.StageRepair, def.Table).RecordDuration(res.RepairDur)
-			tr.AddStage(metrics.StageRepair, res.RepairDur)
+		if repairDur > 0 {
+			m.stageHist(metrics.StageRepair, def.Table).RecordDuration(repairDur)
+			tr.AddStage(metrics.StageRepair, repairDur)
 		}
+	}()
+	for {
+		// SR1: read the index table.
+		want := limit - len(hits)
+		scanStart := time.Now()
+		res, err := cl.MultiScan(def.Name(), []cluster.ScanSpec{{Start: lo, End: hi}}, kv.MaxTimestamp, want)
+		scanDur += time.Since(scanStart)
 		if err != nil {
 			return nil, err
 		}
-		live = res.Live
-	}
-
-	hits := make([]IndexHit, 0, len(entries))
-	for i, c := range cands {
-		if live == nil || live[i] {
-			hits = append(hits, IndexHit{Row: append([]byte(nil), c.Row...), Ts: c.Ts})
+		entries := res[0]
+		cands, err := indexPairs(def, entries)
+		if err != nil {
+			return nil, err
 		}
+
+		// SR2 and the clean step of Algorithm 2: this read's hits are the
+		// reconcile engine's stale candidates. One region-grouped MultiGet
+		// wave reads every hit's indexed base columns; entries whose value
+		// the row no longer produces are deleted with one Apply per
+		// destination region.
+		var live []bool
+		if def.Scheme == SyncInsert && len(entries) > 0 {
+			res, err := m.reconcile(cl, def, srcRead, cands, nil)
+			checked = true
+			checkDur += res.CheckDur
+			repairDur += res.RepairDur
+			if err != nil {
+				return nil, err
+			}
+			live = res.Live
+		}
+		hits = slices.Grow(hits, len(cands))
+		for i, c := range cands {
+			if live == nil || live[i] {
+				hits = append(hits, IndexHit{Row: c.Row, Ts: c.Ts})
+			}
+		}
+		if limit <= 0 || len(hits) >= limit || len(entries) < want {
+			break
+		}
+		// The next scan starts at the first key after the last scanned.
+		lo = append(slices.Clip(entries[len(entries)-1].Key), 0)
 	}
+	m.Counters.IndexRead.Inc()
 	return hits, nil
 }
 
 // readLocalIndex serves a lookup against a LOCAL index: the same store-key
-// scan broadcast to every region of the base table (§3.1's local-index
-// query pattern). Local entries are maintained synchronously inside the
-// row's region, so no double check is needed. Results are merged into
-// index-value order.
+// scan sent to every region of the base table (§3.1's local-index query
+// pattern). Local entries are maintained synchronously inside the row's
+// region, so no double check is needed. MultiScan merges the regions'
+// entries into index-value order; the limit is pushed down per region, and
+// since the global smallest limit entries are always among the union of
+// per-region smallest limit entries, its cut is exact.
 func (m *Manager) readLocalIndex(cl *cluster.Client, def IndexDef, lo, hi []byte, limit int, tr *metrics.Trace) ([]IndexHit, error) {
-	// The limit is pushed down per region: each region returns at most
-	// limit entries, and since the global smallest limit entries are always
-	// among the union of per-region smallest limit entries, the sort-and-
-	// truncate below still yields the exact answer.
 	scanStart := time.Now()
-	entries, err := cl.BroadcastScan(def.Table, lo, hi, kv.MaxTimestamp, limit)
+	res, err := cl.MultiScan(def.Table, []cluster.ScanSpec{{Start: lo, End: hi, Route: cluster.ToAll}}, kv.MaxTimestamp, limit)
 	scanDur := time.Since(scanStart)
 	m.stageHist(metrics.StageIndexScan, def.Table).RecordDuration(scanDur)
 	tr.AddStage(metrics.StageIndexScan, scanDur)
@@ -132,24 +145,20 @@ func (m *Manager) readLocalIndex(cl *cluster.Client, def IndexDef, lo, hi []byte
 	}
 	m.Counters.IndexRead.Inc()
 
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
-	hits := make([]IndexHit, 0, len(entries))
-	for _, e := range entries {
+	hits := make([]IndexHit, 0, len(res[0]))
+	for _, e := range res[0] {
 		_, row, err := kv.SplitLocalIndexKey(def.Name(), e.Key)
 		if err != nil {
 			return nil, fmt.Errorf("core: corrupt local index key: %w", err)
 		}
 		hits = append(hits, IndexHit{Row: append([]byte(nil), row...), Ts: e.Ts})
-		if limit > 0 && len(hits) >= limit {
-			break
-		}
 	}
 	return hits, nil
 }
 
 // FetchRows resolves index hits to full base rows, preserving hit order.
 // Rows deleted between the index read and the fetch are skipped. All hits
-// resolve in one region-grouped MultiGetRow wave — one concurrent RPC per
+// resolve in one MultiScan of their rows — one concurrent RPC per
 // destination region instead of one serial GetRow round trip per hit.
 func (m *Manager) FetchRows(cl *cluster.Client, table string, hits []IndexHit) ([]cluster.Row, error) {
 	rows := make([]cluster.Row, 0, len(hits))
@@ -158,12 +167,12 @@ func (m *Manager) FetchRows(cl *cluster.Client, table string, hits []IndexHit) (
 	}
 	tr := m.cluster.Tracer().Start("fetch-rows", table)
 	defer m.cluster.Tracer().Finish(tr)
-	keys := make([][]byte, len(hits))
+	specs := make([]cluster.ScanSpec, len(hits))
 	for i, h := range hits {
-		keys[i] = h.Row
+		specs[i] = cluster.RowSpec(h.Row)
 	}
 	waveStart := time.Now()
-	colsByHit, err := cl.MultiGetRow(table, keys)
+	res, err := cl.MultiScan(table, specs, kv.MaxTimestamp, 0)
 	waveDur := time.Since(waveStart)
 	m.stageHist(metrics.StageMultiGet, table).RecordDuration(waveDur)
 	tr.AddStage(metrics.StageMultiGet, waveDur)
@@ -171,7 +180,11 @@ func (m *Manager) FetchRows(cl *cluster.Client, table string, hits []IndexHit) (
 		return nil, err
 	}
 	m.Counters.BaseRead.Add(int64(len(hits)))
-	for i, cols := range colsByHit {
+	for i, cells := range res {
+		cols, err := cluster.RowCols(cells)
+		if err != nil {
+			return nil, err
+		}
 		if cols != nil {
 			rows = append(rows, cluster.Row{Key: append([]byte(nil), hits[i].Row...), Cols: cols})
 		}

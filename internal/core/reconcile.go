@@ -99,7 +99,7 @@ type candState struct {
 // The Table 2 counters (base-read, index-put, index-del) count every
 // source's work except the compaction hook's, which runs inside background
 // merge I/O rather than a client-visible request.
-func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, stale, missing []cluster.IndexEntryPair) (reconcileResult, error) {
+func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, stale, missing []IndexEntryPair) (reconcileResult, error) {
 	res := reconcileResult{Live: make([]bool, len(stale))}
 	countIO := source != srcCompaction
 	counters := m.reconcileCounters[source]
@@ -107,17 +107,17 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 	// key, or — local index — in the row's own base region under a reserved
 	// key space, routed by the row.
 	indexTable := def.Name()
-	entrySpec := func(p cluster.IndexEntryPair) cluster.GetSpec {
+	entrySpec := func(p IndexEntryPair) cluster.GetSpec {
 		return cluster.GetSpec{Key: kv.IndexKey(p.Value, p.Row)}
 	}
 	if def.Local {
 		indexTable = def.Table
-		entrySpec = func(p cluster.IndexEntryPair) cluster.GetSpec {
+		entrySpec = func(p IndexEntryPair) cluster.GetSpec {
 			return cluster.GetSpec{Route: p.Row, Key: kv.LocalIndexKey(def.Name(), p.Value, p.Row)}
 		}
 	}
 
-	wave := func(cands []cluster.IndexEntryPair, isMissing bool, live []bool) error {
+	wave := func(cands []IndexEntryPair, isMissing bool, live []bool) error {
 		count, confirmed := counters.stale, &res.Stale
 		if isMissing {
 			count, confirmed = counters.missing, &res.Missing
@@ -233,7 +233,7 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 // once: every candidate's indexed base columns ship in ONE region-grouped
 // MultiGet wave (one concurrent RPC per destination region), and each
 // candidate's value is compared with what its row produces now.
-func doubleCheckBatch(cl *cluster.Client, def IndexDef, cands []cluster.IndexEntryPair) ([]candState, error) {
+func doubleCheckBatch(cl *cluster.Client, def IndexDef, cands []IndexEntryPair) ([]candState, error) {
 	colBytes := make([][]byte, len(def.Columns))
 	for j, c := range def.Columns {
 		colBytes[j] = []byte(c)

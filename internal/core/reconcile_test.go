@@ -361,7 +361,7 @@ func TestCompactionHookRepairsStaleEntries(t *testing.T) {
 	}
 }
 
-// The read path's shape does not depend on the read's size: one RawScan, one
+// The read path's shape does not depend on the read's size: one MultiScan, one
 // MultiGet wave, one MultiApply, however many hits — only the sweeps chunk. A
 // read of 700 stale hits costs the same number of scatter-gather waves as a
 // read of 10.
@@ -409,7 +409,7 @@ func TestCompactionCandidatesRaceLivePuts(t *testing.T) {
 	def := e.createIndex(t, SyncInsert, "title")
 	row := []byte("item001")
 	vals := []string{"A", "B"}
-	cands := []cluster.IndexEntryPair{{Value: []byte("A"), Row: row}, {Value: []byte("B"), Row: row}}
+	cands := []IndexEntryPair{{Value: []byte("A"), Row: row}, {Value: []byte("B"), Row: row}}
 
 	for round := 0; round < 150; round++ {
 		stop, done := make(chan struct{}), make(chan struct{})
@@ -524,20 +524,12 @@ func TestVerifyRestoresEmptiedIndex(t *testing.T) {
 		ts  kv.Timestamp
 	}
 	var want, got []entry
-	base, err := e.cl.RawScan(e.tbl, kv.BaseDataStart, nil, kv.MaxTimestamp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sr := range base {
+	for _, sr := range scanOne(t, e.cl, e.tbl, cluster.RowRangeSpec(nil, nil)) {
 		if row, col, err := kv.SplitBaseKey(sr.Key); err == nil && string(col) == "title" {
 			want = append(want, entry{string(kv.IndexKey(sr.Value, row)), sr.Ts})
 		}
 	}
-	idx, err := e.cl.RawScan(def.Name(), nil, nil, kv.MaxTimestamp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sr := range idx {
+	for _, sr := range scanOne(t, e.cl, def.Name(), cluster.ScanSpec{}) {
 		got = append(got, entry{string(sr.Key), sr.Ts})
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].key < want[j].key })

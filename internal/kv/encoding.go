@@ -60,30 +60,20 @@ func EncodeComposite(parts ...[]byte) []byte {
 var ErrBadEncoding = errors.New("kv: malformed composite key encoding")
 
 // DecodePart decodes the first part of b, returning the part and the rest of
-// the buffer after the terminator.
+// the buffer after the terminator. The part is a copy of its exact size.
 func DecodePart(b []byte) (part, rest []byte, err error) {
-	out := make([]byte, 0, len(b))
-	for i := 0; i < len(b); {
-		c := b[i]
-		if c != escByte {
-			out = append(out, c)
-			i++
-			continue
-		}
-		if i+1 >= len(b) {
-			return nil, nil, ErrBadEncoding
-		}
-		switch b[i+1] {
-		case escCont:
-			out = append(out, escByte)
-			i += 2
-		case escTerm:
-			return out, b[i+2:], nil
-		default:
-			return nil, nil, ErrBadEncoding
+	n := FirstPartLen(b)
+	if n < 0 {
+		return nil, nil, ErrBadEncoding
+	}
+	out := make([]byte, 0, n-sepBytes)
+	for i := 0; i < n-sepBytes; i++ {
+		out = append(out, b[i])
+		if b[i] == escByte {
+			i++ // 0x00 0xFF decodes to 0x00
 		}
 	}
-	return nil, nil, ErrBadEncoding
+	return out, b[n:], nil
 }
 
 // FirstPartLen returns the length of b's first encoded part, terminator
@@ -164,14 +154,19 @@ func BaseKey(row, column []byte) []byte {
 
 // SplitBaseKey decodes a base-table key back into (row, column).
 func SplitBaseKey(key []byte) (row, column []byte, err error) {
-	parts, err := DecodeComposite(key)
-	if err != nil {
-		return nil, nil, err
+	return splitPair("base", key)
+}
+
+// splitPair decodes a two-part key of the given kind.
+func splitPair(kind string, key []byte) (first, second []byte, err error) {
+	first, rest, err := DecodePart(key)
+	if err == nil {
+		second, rest, err = DecodePart(rest)
 	}
-	if len(parts) != 2 {
-		return nil, nil, fmt.Errorf("%w: base key has %d parts, want 2", ErrBadEncoding, len(parts))
+	if err != nil || len(rest) > 0 {
+		return nil, nil, fmt.Errorf("%w: %s key is not two parts", ErrBadEncoding, kind)
 	}
-	return parts[0], parts[1], nil
+	return first, second, nil
 }
 
 // RowPrefix returns the key prefix covering every column of the given row.
@@ -190,14 +185,7 @@ func IndexKey(value, row []byte) []byte {
 
 // SplitIndexKey decodes an index key back into (value, row).
 func SplitIndexKey(key []byte) (value, row []byte, err error) {
-	parts, err := DecodeComposite(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(parts) != 2 {
-		return nil, nil, fmt.Errorf("%w: index key has %d parts, want 2", ErrBadEncoding, len(parts))
-	}
-	return parts[0], parts[1], nil
+	return splitPair("index", key)
 }
 
 // IndexValuePrefix returns the key prefix covering every index entry whose

@@ -222,7 +222,7 @@ func TestTombstoneRetainedAboveBottomTier(t *testing.T) {
 	if _, ok, _ := s.Get([]byte("big-0001"), kv.MaxTimestamp); ok {
 		t.Fatal("deleted key resurfaced after non-bottom compaction")
 	}
-	if c, ok, _ := s.GetCell([]byte("big-0001"), kv.MaxTimestamp); !ok || !c.Tombstone() {
+	if c, ok := newestCell(t, s, []byte("big-0001"), kv.MaxTimestamp); !ok || !c.Tombstone() {
 		t.Fatalf("tombstone lost in non-bottom round: %+v ok=%v", c, ok)
 	}
 
@@ -234,7 +234,7 @@ func TestTombstoneRetainedAboveBottomTier(t *testing.T) {
 	if st := s.Stats(); st.TombstonesDropped == 0 {
 		t.Error("bottom-tier compaction retired no tombstone")
 	}
-	if _, ok, _ := s.GetCell([]byte("big-0001"), kv.MaxTimestamp); ok {
+	if _, ok := newestCell(t, s, []byte("big-0001"), kv.MaxTimestamp); ok {
 		t.Error("tombstone survived bottom-tier compaction")
 	}
 	if _, ok, _ := s.Get([]byte("big-0000"), kv.MaxTimestamp); !ok {
@@ -272,7 +272,7 @@ func TestRetainTombstonesSurvivesBottomTier(t *testing.T) {
 	if st.CompactionCellsDropped == 0 {
 		t.Error("masked put not GC'd (retention should only spare the marker)")
 	}
-	if c, ok, _ := s.GetCell([]byte("k"), kv.MaxTimestamp); !ok || !c.Tombstone() {
+	if c, ok := newestCell(t, s, []byte("k"), kv.MaxTimestamp); !ok || !c.Tombstone() {
 		t.Fatalf("marker lost at bottom-tier round: %+v ok=%v", c, ok)
 	}
 	// The redelivery that motivates the option: the masked put arrives

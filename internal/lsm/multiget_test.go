@@ -14,11 +14,9 @@ import (
 	"diffindex/internal/vfs"
 )
 
-// TestMultiGetMatchesGet builds random histories over the memtable, an
-// immutable memtable and at least 8 tables — with flushes, one compaction,
-// t−δ deletes and a tombstone beside a put at one timestamp — and checks
-// that every batch MultiGet answers equals per-key Get: sorted, reversed,
-// with duplicates, with absent keys, at MaxTimestamp and below the newest
+// TestMultiGetMatchesGet checks over random histories (randomHistory) that
+// every batch MultiGet answers equals per-key Get: sorted, reversed, with
+// duplicates, with absent keys, at MaxTimestamp and below the newest
 // versions.
 func TestMultiGetMatchesGet(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -28,7 +26,12 @@ func TestMultiGetMatchesGet(t *testing.T) {
 	}
 }
 
-func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
+// randomHistory builds a store over keys key(0)…key(rows-1) with random
+// histories in the memtable, an immutable memtable and at least 8 tables —
+// with flushes, one compaction, t−δ deletes and a tombstone beside a put at
+// one timestamp. It returns the store and the newest timestamp written;
+// every timestamp is above 1000.
+func randomHistory(t *testing.T, rng *rand.Rand, rows int, key func(int) []byte) (*Store, kv.Timestamp) {
 	s, err := Open(Options{
 		FS: vfs.NewMemFS(), Dir: "store",
 		BlockCache:         sstable.NewBlockCache(1 << 20),
@@ -39,10 +42,8 @@ func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 
-	const rows = 400
-	key := func(i int) []byte { return []byte(fmt.Sprintf("row%05d", i)) }
 	ts := kv.Timestamp(1000)
 	write := func(n int) {
 		for ; n > 0; n-- {
@@ -87,6 +88,13 @@ func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
 	s.mem = memtable.New()
 	s.mu.Unlock()
 	write(150)
+	return s, ts
+}
+
+func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
+	const rows = 400
+	key := func(i int) []byte { return []byte(fmt.Sprintf("row%05d", i)) }
+	s, ts := randomHistory(t, rng, rows, key)
 
 	check := func(what string, keys [][]byte, at kv.Timestamp) {
 		t.Helper()
@@ -132,6 +140,66 @@ func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
 		rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
 		check("duplicates and absent keys", mixed, at)
 		check("one key", mixed[:1], at)
+	}
+}
+
+// TestMultiScanMatchesScan checks over random histories of three-column
+// rows (randomHistory) that every range of a MultiScan batch answers as a
+// Scan of that range alone: overlapping ranges, one-part (whole-row)
+// ranges, empty and open-ended ones, at MaxTimestamp and below the newest
+// versions, unlimited and with limits. The batch records one store-scan
+// sample per range.
+func TestMultiScanMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			const rows = 150
+			row := func(i int) []byte { return []byte(fmt.Sprintf("row%04d", i)) }
+			key := func(i int) []byte { return kv.BaseKey(row(i/3), []byte{'a' + byte(i%3)}) }
+			s, last := randomHistory(t, rng, 3*rows, key)
+			for trial := 0; trial < 40; trial++ {
+				at := kv.MaxTimestamp
+				if trial%2 == 1 {
+					at = 1000 + kv.Timestamp(rng.Int63n(int64(last-1000)))
+				}
+				limit := []int{0, 1, 4}[trial%3]
+				var ranges []ScanRange
+				for len(ranges) < 12 {
+					switch rng.Intn(5) {
+					case 0: // one part: a whole row, maybe one absent from every table
+						p := kv.RowPrefix(row(rng.Intn(rows + 10)))
+						ranges = append(ranges, ScanRange{Start: p, End: kv.PrefixSuccessor(p)})
+					case 1: // empty
+						k := key(rng.Intn(3 * rows))
+						ranges = append(ranges, ScanRange{Start: k, End: k})
+					case 2: // open-ended
+						ranges = append(ranges, ScanRange{Start: key(rng.Intn(3 * rows))})
+					default: // across rows, overlapping the others
+						a, b := rng.Intn(3*rows), rng.Intn(3*rows)
+						ranges = append(ranges, ScanRange{Start: key(min(a, b)), End: key(max(a, b))})
+					}
+				}
+				samples := s.stageScan.Count()
+				got, err := s.MultiScan(ranges, at, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := s.stageScan.Count() - samples; n != int64(len(ranges)) {
+					t.Fatalf("%d store-scan samples for %d ranges", n, len(ranges))
+				}
+				for i, r := range ranges {
+					want, err := s.Scan(r.Start, r.End, at, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.EqualFunc(got[i], want, func(a, b ScanResult) bool {
+						return string(a.Key) == string(b.Key) && string(a.Value) == string(b.Value) && a.Ts == b.Ts
+					}) {
+						t.Fatalf("trial %d range %d [%q, %q) at %d limit %d:\nMultiScan %v\nScan      %v", trial, i, r.Start, r.End, at, limit, got[i], want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func (m oooModel) newestTombstone(key string) kv.Timestamp {
 // ignore component order — Diff-Index's t−δ deletes, repairs at an entry's
 // own timestamp and WAL replay all produce them — interleaved with flushes,
 // compactions and reopens, and checks every point read against a model. It
-// pins the exactness of GetCell's per-table timestamp skip: a read that
+// pins the exactness of Get's per-table timestamp skip: a read that
 // stops consulting tables by position instead of by timestamp, or that lets
 // a put tie a tombstone, returns a version the model does not.
 //
@@ -123,15 +123,12 @@ func runOutOfOrderModel(t *testing.T, rng *rand.Rand, ops, keys int, maxTs kv.Ti
 			return
 		}
 		want, wantOK := model.read(key, ts)
-		got, ok, err := s.GetCell([]byte(key), ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, ok := newestCell(t, s, []byte(key), ts)
 		if ok != wantOK || ok && (got.Ts != want.ts || got.Tombstone() != want.tomb || string(got.Value) != want.value) {
-			t.Fatalf("GetCell(%s, %d) = %+v ok=%v, want %+v ok=%v\nops:\n%s",
+			t.Fatalf("newest version (%s, %d) = %+v ok=%v, want %+v ok=%v\nops:\n%s",
 				key, ts, got, ok, want, wantOK, strings.Join(log, "\n"))
 		}
-		got, ok, err = s.Get([]byte(key), ts)
+		got, ok, err := s.Get([]byte(key), ts)
 		if err != nil {
 			t.Fatal(err)
 		}

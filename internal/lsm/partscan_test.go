@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -202,12 +203,14 @@ func checkRow(t *testing.T, row int, got []ScanResult, want map[string]string) {
 	}
 }
 
-// TestPartScanRacesFlushAndCompaction races one-part scans (the table skip's
-// only customer) against flushes and background compactions that keep
-// replacing the tables the skip consults. Each round rewrites a quarter of
-// the rows, so most tables lack most rows. Readers scan every row at the
-// newest timestamp and must see, for every row already written when the
-// scan began, both columns at a value no older than that write: a table
+// TestPartScanRacesFlushAndCompaction races MultiScan batches of one-part
+// ranges (the table skip's only customer) plus a range across every row
+// against flushes and background compactions that keep replacing the
+// tables the skip consults and the batch's snapshot pins. Each round
+// rewrites a quarter of the rows, so most tables lack most rows. Readers
+// scan every row at the newest timestamp and must see, in each row's own
+// range and in the spanning one, for every row already written when the
+// batch began, both columns at a value no older than that write: a table
 // skipped wrongly shows as a missing or stale row. (Reading as of the
 // published timestamp instead would also trip the scan path's missing
 // trimmed-history check, which fails the same way with the skip disabled.)
@@ -228,9 +231,30 @@ func TestPartScanRacesFlushAndCompaction(t *testing.T) {
 	const rounds = 120
 	cols := []string{"a", "b"}
 	rowKey := func(i int) []byte { return []byte(fmt.Sprintf("r%02d", i)) }
+	ranges := []ScanRange{{Start: kv.RowPrefix(rowKey(0))}} // every row
+	for i := 0; i < rows; i++ {
+		prefix := kv.RowPrefix(rowKey(i))
+		ranges = append(ranges, ScanRange{Start: prefix, End: kv.PrefixSuccessor(prefix)})
+	}
 	var mu sync.Mutex
 	written := map[int]int{} // row → round of its last completed write
 
+	// check reports whether the cells of one row, read no earlier than its
+	// write in round floor, are both columns at a value that new or newer.
+	check := func(i, floor int, got []ScanResult) bool {
+		if len(got) != len(cols) {
+			t.Errorf("row %d written in round %d: %d cells, want %d", i, floor, len(got), len(cols))
+			return false
+		}
+		for _, res := range got {
+			var round int
+			if _, err := fmt.Sscanf(string(res.Value), "v%d", &round); err != nil || round < floor || round%4 != i%4 {
+				t.Errorf("row %d written in round %d: value %q", i, floor, res.Value)
+				return false
+			}
+		}
+		return true
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -243,29 +267,26 @@ func TestPartScanRacesFlushAndCompaction(t *testing.T) {
 					return
 				default:
 				}
+				mu.Lock()
+				floors := maps.Clone(written)
+				mu.Unlock()
+				got, err := s.MultiScan(ranges, kv.MaxTimestamp, 0)
+				if err != nil {
+					t.Errorf("MultiScan: %v", err)
+					return
+				}
+				byRow := map[string][]ScanResult{}
+				for _, res := range got[0] {
+					row, _, _ := kv.SplitBaseKey(res.Key)
+					byRow[string(row)] = append(byRow[string(row)], res)
+				}
 				for i := 0; i < rows; i++ {
-					mu.Lock()
-					floor, ok := written[i]
-					mu.Unlock()
-					prefix := kv.RowPrefix(rowKey(i))
-					got, err := s.Scan(prefix, kv.PrefixSuccessor(prefix), kv.MaxTimestamp, 0)
-					if err != nil {
-						t.Errorf("Scan(row %d): %v", i, err)
-						return
-					}
+					floor, ok := floors[i]
 					if !ok {
 						continue // a first write may be landing
 					}
-					if len(got) != len(cols) {
-						t.Errorf("row %d written in round %d: %d cells, want %d", i, floor, len(got), len(cols))
+					if !check(i, floor, got[1+i]) || !check(i, floor, byRow[string(rowKey(i))]) {
 						return
-					}
-					for _, res := range got {
-						var round int
-						if _, err := fmt.Sscanf(string(res.Value), "v%d", &round); err != nil || round < floor || round%4 != i%4 {
-							t.Errorf("row %d written in round %d: value %q", i, floor, res.Value)
-							return
-						}
 					}
 				}
 			}

@@ -35,7 +35,7 @@ func TestApplyAndApplyBatch(t *testing.T) {
 			t.Errorf("key %q missing", k)
 		}
 	}
-	if c, ok, _ := s.GetCell([]byte("dead"), kv.MaxTimestamp); !ok || !c.Tombstone() {
+	if c, ok := newestCell(t, s, []byte("dead"), kv.MaxTimestamp); !ok || !c.Tombstone() {
 		t.Errorf("batched delete: cell %+v, found %v; want a tombstone", c, ok)
 	}
 	if n, _ := s.opts.Metrics.Value("diffindex_wal_appends_total", metrics.L("table", "")); n != 4 {

@@ -468,19 +468,11 @@ func (s *Store) components() ([]*memtable.Memtable, []*tableHandle, func(), erro
 // Get returns the newest non-tombstone version of key with timestamp ≤ ts.
 // The bool reports whether such a version exists. Following LSM semantics,
 // the winning version is the one with the largest timestamp across all
-// components; a tombstone at that timestamp hides the key.
+// components; a tombstone at that timestamp hides the key. Get is the
+// one-key case of MultiGet.
 func (s *Store) Get(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	var out [1]GetResult
-	err := s.multiGet([][]byte{key}, ts, out[:], false)
-	return out[0].Cell, out[0].Found, err
-}
-
-// GetCell is like Get but also surfaces tombstones: ok is true when any
-// version (including a delete marker) is visible at ts. Get and GetCell are
-// the one-key case of MultiGet's walk.
-func (s *Store) GetCell(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	var out [1]GetResult
-	err := s.multiGet([][]byte{key}, ts, out[:], true)
+	err := s.MultiGet([][]byte{key}, ts, out[:])
 	return out[0].Cell, out[0].Found, err
 }
 
@@ -492,15 +484,9 @@ type GetResult struct {
 
 // MultiGet is Get for a batch: out[i] answers keys[i]. The batch reads one
 // snapshot of the store's components and walks the keys in sorted order,
-// so keys that share a table's data block fetch it once.
+// so keys that share a table's data block fetch it once. Tables whose max
+// timestamp rules out a winning version are not read (DESIGN §12).
 func (s *Store) MultiGet(keys [][]byte, ts kv.Timestamp, out []GetResult) error {
-	return s.multiGet(keys, ts, out, false)
-}
-
-// multiGet is the store's one point-read walk; tombstones answer a key only
-// when withTombstones is set. Tables whose max timestamp rules out a
-// winning version are not read (DESIGN §12).
-func (s *Store) multiGet(keys [][]byte, ts kv.Timestamp, out []GetResult, withTombstones bool) error {
 	if len(keys) > 0 {
 		start := time.Now()
 		defer func() { // one sample per key: the stage stays one point read
@@ -571,7 +557,7 @@ func (s *Store) multiGet(keys [][]byte, ts kv.Timestamp, out []GetResult, withTo
 			}
 		}
 		out[i] = GetResult{}
-		if found && (withTombstones || !best.Tombstone()) {
+		if found && !best.Tombstone() {
 			out[i] = GetResult{Cell: best.Clone(), Found: true}
 		}
 	}
@@ -591,39 +577,57 @@ type ScanResult struct {
 	Ts    kv.Timestamp
 }
 
+// ScanRange is one range of a MultiScan: the store keys in [Start, End). A
+// nil End means "to the end of the store".
+type ScanRange struct {
+	Start, End []byte
+}
+
 // Scan returns the newest visible (non-deleted) version of every user key in
 // [start, end) at timestamp ts, up to limit results (limit ≤ 0 means
-// unlimited). A nil end means "to the end of the store".
+// unlimited). A nil end means "to the end of the store". Scan is the
+// one-range case of MultiScan.
 func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResult, error) {
-	scanStart := time.Now()
-	defer func() { s.stageScan.RecordDuration(time.Since(scanStart)) }()
+	out, err := s.MultiScan([]ScanRange{{Start: start, End: end}}, ts, limit)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// MultiScan is Scan for a batch: out[i] answers ranges[i], up to limit
+// results each. The batch reads one snapshot of the store's components.
+func (s *Store) MultiScan(ranges []ScanRange, ts kv.Timestamp, limit int) ([][]ScanResult, error) {
 	mems, tables, release, err := s.components()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	out := make([][]ScanResult, len(ranges))
+	for i, r := range ranges {
+		start := time.Now()
+		out[i], err = scanRange(mems, tables, r, ts, limit)
+		s.stageScan.RecordDuration(time.Since(start)) // one sample per range
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
+// scanRange is one range of a MultiScan, read from the given components.
+func scanRange(mems []*memtable.Memtable, tables []*tableHandle, r ScanRange, ts kv.Timestamp, limit int) ([]ScanResult, error) {
 	// A range that is exactly one composite part (a row, an index value)
 	// skips every table whose bounds or filter rule the part out.
-	onePart := kv.IsPartRange(start, end)
-	iters := make([]internalIterator, 0, len(mems)+len(tables))
-	for _, m := range mems {
-		iters = append(iters, m.Iterator())
-	}
-	for _, h := range tables {
-		if onePart && !h.r.MayContainPrefix(start) {
-			continue
-		}
-		iters = append(iters, h.r.Iterator())
-	}
-	merged := newMergeIterator(iters)
-	merged.Seek(kv.SeekKey(start, ts))
+	onePart := kv.IsPartRange(r.Start, r.End)
+	merged := mergeOf(mems, tables, func(h *tableHandle) bool { return !onePart || h.r.MayContainPrefix(r.Start) })
+	merged.Seek(kv.SeekKey(r.Start, ts))
 
 	var out []ScanResult
 	var curUser []byte // user key whose visible version has been decided
 	for merged.Valid() {
 		c := merged.Cell()
-		if end != nil && bytes.Compare(c.Key, end) >= 0 {
+		if r.End != nil && bytes.Compare(c.Key, r.End) >= 0 {
 			break
 		}
 		if curUser != nil && bytes.Equal(c.Key, curUser) {
@@ -648,10 +652,22 @@ func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResul
 		}
 		merged.Next()
 	}
-	if err := merged.Err(); err != nil {
-		return nil, err
+	return out, merged.Err()
+}
+
+// mergeOf merges the iterators of every memtable and of each table keep
+// admits, newest first.
+func mergeOf(mems []*memtable.Memtable, tables []*tableHandle, keep func(*tableHandle) bool) *mergeIterator {
+	iters := make([]internalIterator, 0, len(mems)+len(tables))
+	for _, m := range mems {
+		iters = append(iters, m.Iterator())
 	}
-	return out, nil
+	for _, h := range tables {
+		if keep(h) {
+			iters = append(iters, h.r.Iterator())
+		}
+	}
+	return newMergeIterator(iters)
 }
 
 // ScanAll returns every version of every user key in [start, end) with
@@ -670,14 +686,7 @@ func (s *Store) ScanAll(start, end []byte, ts kv.Timestamp) ([]kv.Cell, error) {
 	}
 	defer release()
 
-	iters := make([]internalIterator, 0, len(mems)+len(tables))
-	for _, m := range mems {
-		iters = append(iters, m.Iterator())
-	}
-	for _, h := range tables {
-		iters = append(iters, h.r.Iterator())
-	}
-	merged := newMergeIterator(iters)
+	merged := mergeOf(mems, tables, func(*tableHandle) bool { return true })
 	merged.Seek(kv.SeekKey(start, ts))
 
 	var out []kv.Cell

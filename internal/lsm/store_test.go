@@ -15,6 +15,20 @@ import (
 	"diffindex/internal/vfs"
 )
 
+// newestCell returns the version of key visible at ts, tombstones included:
+// the first of the key's versions at or below ts in ScanAll's order.
+func newestCell(t testing.TB, s *Store, key []byte, ts kv.Timestamp) (kv.Cell, bool) {
+	t.Helper()
+	cells, err := s.ScanAll(key, append(append([]byte(nil), key...), 0), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) == 0 {
+		return kv.Cell{}, false
+	}
+	return cells[0], true
+}
+
 func newTestStore(t testing.TB, fs vfs.FS) *Store {
 	t.Helper()
 	s, err := Open(Options{
@@ -89,8 +103,8 @@ func TestDeleteAcrossComponents(t *testing.T) {
 	if _, ok, _ := s.Get([]byte("k"), kv.MaxTimestamp); ok {
 		t.Error("deleted key visible after tombstone flush")
 	}
-	if c, ok, _ := s.GetCell([]byte("k"), kv.MaxTimestamp); !ok || !c.Tombstone() {
-		t.Errorf("GetCell must surface the tombstone: %+v ok=%v", c, ok)
+	if c, ok := newestCell(t, s, []byte("k"), kv.MaxTimestamp); !ok || !c.Tombstone() {
+		t.Errorf("the newest version must be the tombstone: %+v ok=%v", c, ok)
 	}
 }
 
@@ -396,7 +410,7 @@ func TestCompactionMergesAndGCs(t *testing.T) {
 	if _, ok, _ := s.Get([]byte("dead"), kv.MaxTimestamp); ok {
 		t.Error("deleted key visible after compaction")
 	}
-	if c, ok, _ := s.GetCell([]byte("dead"), kv.MaxTimestamp); ok {
+	if c, ok := newestCell(t, s, []byte("dead"), kv.MaxTimestamp); ok {
 		t.Errorf("tombstone not GCed at major compaction: %+v", c)
 	}
 	// Old table files are deleted once unreferenced.

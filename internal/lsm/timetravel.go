@@ -39,17 +39,7 @@ func (s *Store) GetAsOf(key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
 	}
 	defer release()
 
-	iters := make([]internalIterator, 0, len(mems)+len(tables))
-	for _, m := range mems {
-		iters = append(iters, m.Iterator())
-	}
-	for _, h := range tables {
-		if !h.r.MayContainKey(key) {
-			continue
-		}
-		iters = append(iters, h.r.Iterator())
-	}
-	merged := newMergeIterator(iters)
+	merged := mergeOf(mems, tables, func(h *tableHandle) bool { return h.r.MayContainKey(key) })
 	// Seek to the key's newest version and count the versions newer than ts
 	// (the trimmed-history detector needs the count); the iterator then
 	// sits on the first version at or below ts, if any.

@@ -120,37 +120,6 @@ func (h *Histogram) Min() int64 {
 	return m
 }
 
-// Merge adds other's samples into h. Min/max merge exactly; bucket counts
-// merge exactly; the result is equivalent to recording both sample streams.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range h.counts {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(other.total.Load())
-	h.sum.Add(other.sum.Load())
-	if other.total.Load() > 0 {
-		om := other.max.Load()
-		for {
-			cur := h.max.Load()
-			if om <= cur || h.max.CompareAndSwap(cur, om) {
-				break
-			}
-		}
-		omin := other.min.Load()
-		for {
-			cur := h.min.Load()
-			if omin >= cur || h.min.CompareAndSwap(cur, omin) {
-				break
-			}
-		}
-	}
-}
-
 // Snapshot captures the summary statistics of a histogram at one instant.
 type Snapshot struct {
 	Count         int64

@@ -105,32 +105,6 @@ func TestBucketUpperBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := int64(1); i <= 100; i++ {
-		a.Record(i)
-	}
-	for i := int64(101); i <= 200; i++ {
-		b.Record(i)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-	if a.Min() != 1 || a.Max() != 200 {
-		t.Errorf("merged min/max = %d/%d", a.Min(), a.Max())
-	}
-	if got := a.Mean(); math.Abs(got-100.5) > 0.01 {
-		t.Errorf("merged mean = %f", got)
-	}
-	a.Merge(nil) // must not panic
-	empty := NewHistogram()
-	empty.Merge(NewHistogram())
-	if empty.Count() != 0 {
-		t.Error("merging empties must stay empty")
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
