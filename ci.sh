@@ -23,11 +23,11 @@
 #      transitions, flushes, reads and writes against Close and compaction,
 #      the store's point and range batches (MultiGet, and MultiScan of
 #      one-part and spanning ranges) against flush and compaction, a
-#      client MultiScan against splits and merges, the release of a
-#      flushed memtable and the topology churn property, plus, under the
-#      race detector, the memtable's lock-free readers against a writer
-#      that grows its arena (~35 s wall on 2 CPUs); one failure fails the
-#      step
+#      client MultiScan and every client write against splits and
+#      merges, the release of a flushed memtable and the topology churn
+#      property, plus, under the race detector, the memtable's lock-free
+#      readers against a writer that grows its arena (~37 s wall on 2
+#      CPUs); one failure fails the step
 #   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
 #  10. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
@@ -75,7 +75,7 @@ go test -race ./...
 echo "== race stress (30 runs each) =="
 # Each test below once failed only a few runs in a hundred; one pass of the
 # suite cannot tell those apart from fixed.
-go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction|TestMultiScanAcrossSplitAndMerge|TestFlushReleasesMemtable' ./internal/cluster ./internal/lsm
+go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction|TestMultiScanAcrossSplitAndMerge|TestWritesAcrossSplitAndMerge|TestFlushReleasesMemtable' ./internal/cluster ./internal/lsm
 go test -race -count=30 -run 'TestConcurrentReadersAndWriters|TestReadsRaceArenaGrowth' ./internal/memtable
 
 echo "== benchmark smoke (one iteration each) =="

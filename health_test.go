@@ -75,7 +75,7 @@ func TestHealthDegradedOnUnrepairedViolations(t *testing.T) {
 	c, _ := db.Internal()
 	raw := cluster.NewClient(c, "raw")
 	row := []byte("r9")
-	if err := raw.RawApply("t", row, []kv.Cell{{
+	if err := raw.MultiApply("t", []kv.Cell{{
 		Key: kv.BaseKey(row, []byte("a")), Value: []byte("lost"), Ts: 999999, Kind: kv.KindPut,
 	}}); err != nil {
 		t.Fatal(err)

@@ -113,23 +113,23 @@ func RunIntegrity(seed int64, faulted bool) (*IntegrityResult, error) {
 	idxName := core.IndexDef{Table: workload.TableName, Columns: []string{workload.TitleColumn}}.Name()
 	if faulted {
 		res.InjectedMissing, res.InjectedStale = 3, 2
+		var lost, phantoms []kv.Cell
 		for i := 0; i < res.InjectedMissing; i++ {
-			row := workload.ItemKey(records + int64(i))
-			if err := raw.RawApply(workload.TableName, row, []kv.Cell{{
-				Key:   kv.BaseKey(row, []byte(workload.TitleColumn)),
+			lost = append(lost, kv.Cell{
+				Key:   kv.BaseKey(workload.ItemKey(records+int64(i)), []byte(workload.TitleColumn)),
 				Value: []byte(fmt.Sprintf("lost-title-%d", i)),
 				Ts:    kv.Timestamp(900000 + i), Kind: kv.KindPut,
-			}}); err != nil {
-				return nil, fmt.Errorf("chaos: inject missing: %w", err)
-			}
+			})
 		}
 		for i := 0; i < res.InjectedStale; i++ {
 			key := kv.IndexKey([]byte(fmt.Sprintf("phantom-title-%d", i)), workload.ItemKey(int64(i)))
-			if err := raw.RawApply(idxName, key, []kv.Cell{{
-				Key: key, Ts: kv.Timestamp(800000 + i), Kind: kv.KindPut,
-			}}); err != nil {
-				return nil, fmt.Errorf("chaos: inject stale: %w", err)
-			}
+			phantoms = append(phantoms, kv.Cell{Key: key, Ts: kv.Timestamp(800000 + i), Kind: kv.KindPut})
+		}
+		if err := raw.MultiApply(workload.TableName, lost); err != nil {
+			return nil, fmt.Errorf("chaos: inject missing: %w", err)
+		}
+		if err := raw.MultiApply(idxName, phantoms); err != nil {
+			return nil, fmt.Errorf("chaos: inject stale: %w", err)
 		}
 	}
 

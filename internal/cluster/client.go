@@ -84,80 +84,59 @@ func retriable(err error) bool {
 	return errors.Is(err, ErrServerDown) || errors.Is(err, ErrRegionNotFound)
 }
 
-// withRegion routes an operation to the region holding the routing key,
-// retrying through map refreshes when the region has moved. Retries back
-// off exponentially (1 ms … 64 ms) so requests ride out a region split or
-// reassignment in progress.
-func (cl *Client) withRegion(table string, routingKey []byte, fn func(ri RegionInfo, s *RegionServer) error) error {
-	var lastErr error
-	backoff := time.Millisecond
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		regions, err := cl.regions(table)
-		if err != nil {
-			return err
-		}
-		ri, ok := regionContaining(regions, routingKey)
-		if !ok {
-			return fmt.Errorf("cluster: no region for key %q in table %s", routingKey, table)
-		}
-		server := cl.cluster.Server(ri.Server)
-		err = cl.cluster.Net.Call(cl.name, ri.Server, func() error { return fn(ri, server) })
-		if retriable(err) {
-			cl.invalidate(table)
-			lastErr = err
-			if len(cl.cluster.LiveServerIDs()) == 0 {
-				// Whole-cluster shutdown: nothing to retry against.
-				return fmt.Errorf("cluster: no live servers for table %s: %w", table, lastErr)
-			}
-			time.Sleep(backoff)
-			if backoff < 64*time.Millisecond {
-				backoff *= 2
-			}
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("cluster: retries exhausted for table %s: %w", table, lastErr)
-}
-
 // Put writes a row's columns, returning the server-assigned timestamp.
 func (cl *Client) Put(table string, row []byte, cols map[string][]byte) (kv.Timestamp, error) {
-	ts, _, err := cl.put(table, row, cols, false)
+	ts, _, err := cl.Mutate(table, row, Mutation{Put: cols}, false)
 	return ts, err
-}
-
-// PutWithOld writes a row's columns and additionally returns the previous
-// visible values of that row — the session-consistency variant of put
-// (§5.2: "the server returns the old value and the new timestamp").
-func (cl *Client) PutWithOld(table string, row []byte, cols map[string][]byte) (kv.Timestamp, map[string][]byte, error) {
-	return cl.put(table, row, cols, true)
-}
-
-func (cl *Client) put(table string, row []byte, cols map[string][]byte, wantOld bool) (kv.Timestamp, map[string][]byte, error) {
-	tr := cl.tracer.Start("put", table)
-	defer cl.tracer.Finish(tr)
-	var ts kv.Timestamp
-	var old map[string][]byte
-	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		var err error
-		ts, old, err = s.PutRow(ri.ID, row, cols, wantOld, tr)
-		return err
-	})
-	return ts, old, err
 }
 
 // Delete tombstones the given columns of a row (all columns when cols is
 // nil), returning the delete timestamp.
 func (cl *Client) Delete(table string, row []byte, cols []string) (kv.Timestamp, error) {
-	tr := cl.tracer.Start("delete", table)
-	defer cl.tracer.Finish(tr)
-	var ts kv.Timestamp
-	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		var err error
-		ts, err = s.DeleteRow(ri.ID, row, cols, tr)
-		return err
-	})
+	ts, _, err := cl.Mutate(table, row, Mutation{Del: cols, DelRow: cols == nil}, false)
 	return ts, err
+}
+
+// Mutate applies one row mutation, returning its server-assigned
+// timestamp. With wantOld it also returns the row's visible values just
+// before the mutation, read under the same row lock — §5.2: "the server
+// returns the old value and the new timestamp".
+func (cl *Client) Mutate(table string, row []byte, m Mutation, wantOld bool) (kv.Timestamp, map[string][]byte, error) {
+	op := "put"
+	if m.Put == nil {
+		op = "delete"
+	}
+	tr := cl.tracer.Start(op, table)
+	defer cl.tracer.Finish(tr)
+	o := rowOp{row: row, m: m, wantOld: wantOld, tr: tr}
+	err := cl.multiRoute(table, 1, &o, false)
+	return o.ts, o.old, err
+}
+
+// rowOp is the one-item batch of a single-row operation: a mutation or,
+// when key is set, an as-of read of key at ts.
+type rowOp struct {
+	row, key []byte
+	m        Mutation
+	wantOld  bool
+	tr       *metrics.Trace
+	ts       kv.Timestamp
+	old      map[string][]byte
+	cell     kv.Cell
+	found    bool
+}
+
+func (o *rowOp) place(_ int, regions []RegionInfo, dst []placement) ([]placement, error) {
+	return placeKey(regions, o.row, 0, dst)
+}
+
+func (o *rowOp) send(ri RegionInfo, s *RegionServer, _ []int) (err error) {
+	if o.key != nil {
+		o.cell, o.found, err = s.GetAsOf(ri.ID, o.key, o.ts)
+	} else {
+		o.ts, o.old, err = s.MutateRow(ri.ID, o.row, o.m, o.wantOld, o.tr)
+	}
+	return err
 }
 
 // Get reads one column of a row at the latest timestamp, as a MultiGet of
@@ -181,17 +160,11 @@ func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestam
 func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
 	tr := cl.tracer.Start("get-asof", table)
 	defer cl.tracer.Finish(tr)
-	var c kv.Cell
-	var ok bool
-	err := cl.withRegion(table, row, func(ri RegionInfo, s *RegionServer) error {
-		var err error
-		c, ok, err = s.GetAsOf(ri.ID, kv.BaseKey(row, []byte(col)), ts)
-		return err
-	})
-	if err != nil || !ok {
+	o := rowOp{row: row, key: kv.BaseKey(row, []byte(col)), ts: ts}
+	if err := cl.multiRoute(table, 1, &o, false); err != nil || !o.found {
 		return nil, 0, false, err
 	}
-	return c.Value, c.Ts, true, nil
+	return o.cell.Value, o.cell.Ts, true, nil
 }
 
 // GetRow reads all columns of a row at the latest timestamp. A nil map
@@ -247,39 +220,28 @@ type Row struct {
 
 // Scan reads rows with keys in [startRow, endRow) (nil bounds are open) as
 // they stood at ts, up to limit rows (limit ≤ 0 = unlimited), in key order.
-// An unlimited scan is one MultiScan over every region it covers. A limited
-// one reads one region per MultiScan, in key order, and stops at the region
-// that fills it: a row limit is not a cell limit.
+// A limited scan reads pages of up to limit cells, each past the last cell
+// of the one before, until it holds limit whole rows: a row limit is not a
+// cell limit.
 func (cl *Client) Scan(table string, startRow, endRow []byte, ts kv.Timestamp, limit int) ([]Row, error) {
 	tr := cl.tracer.Start(asOfOp("scan", ts), table)
 	defer cl.tracer.Finish(tr)
 	spec := RowRangeSpec(startRow, endRow)
-	end := spec.End
 	var rows []Row
 	for {
-		if limit > 0 { // end this MultiScan where the cached map ends its first region
-			regions, err := cl.regions(table)
-			if err != nil {
-				return nil, err
-			}
-			p := sort.Search(len(regions), func(p int) bool {
-				return regions[p].rowHi == nil || bytes.Compare(spec.Start, regions[p].rowHi) < 0
-			})
-			if p < len(regions) && regions[p].rowHi != nil && (end == nil || bytes.Compare(regions[p].rowHi, end) < 0) {
-				spec.End = regions[p].rowHi
-			}
-		}
-		res, err := cl.MultiScan(table, []ScanSpec{spec}, ts, 0)
+		res, err := cl.MultiScan(table, []ScanSpec{spec}, ts, limit)
 		if err == nil {
 			rows, err = appendRows(rows, res[0])
 		}
 		if err != nil {
 			return nil, err
 		}
-		if limit <= 0 || len(rows) >= limit || bytes.Equal(spec.End, end) {
+		page := res[0]
+		if limit <= 0 || len(page) < limit || len(rows) > limit {
 			break
 		}
-		spec.Start, spec.End = spec.End, end
+		last := page[len(page)-1].Key
+		spec.Start = append(last[:len(last):len(last)], 0) // the least key past last
 	}
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
@@ -316,164 +278,178 @@ func baseStoreBounds(lo, hi []byte) (storeLo, storeHi []byte) {
 	return storeLo, storeHi
 }
 
-// RawApply writes pre-timestamped cells to the region holding routingKey —
-// the index-maintenance path, where cells carry the base entry's timestamp.
-func (cl *Client) RawApply(table string, routingKey []byte, cells []kv.Cell) error {
-	err := cl.withRegion(table, routingKey, func(ri RegionInfo, s *RegionServer) error {
-		return s.Apply(ri.ID, cells)
-	})
-	if err == nil {
-		cl.cluster.noteApply(len(cells))
-	}
-	return err
-}
-
-// MultiApply writes pre-timestamped cells to a RAW (index) table, grouping
-// them by destination region through the cached partition map and issuing
-// ONE Apply RPC per region, with the per-region RPCs in flight concurrently
-// under the client's fan-out bound. Each cell routes by its own Key (raw
-// tables route by store key).
-//
-// When a region moved mid-batch (split, crash recovery), the groups that
-// hit the stale route fail with a retriable error; the partition map is
-// invalidated and only the failed cells are regrouped and retried, with the
-// same backoff as withRegion. Cells carry fixed timestamps, so a retry that
-// re-delivers an already-applied cell is idempotent under LSM semantics
-// (§4.3's same-timestamp rule) — no cell is lost or duplicated.
+// MultiApply writes pre-timestamped cells — the index-maintenance path,
+// where cells carry the base entry's timestamp — with ONE Apply RPC per
+// destination region. A cell routes by its routing key: its own key in a
+// raw table, its row for a base cell or a local-index entry. Cells carry
+// fixed timestamps, so a retry that re-delivers an applied cell is
+// idempotent under LSM semantics (§4.3's same-timestamp rule) — no cell is
+// lost or duplicated.
 func (cl *Client) MultiApply(table string, cells []kv.Cell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	return cl.multiRoute(table, len(cells),
-		routeByKey(table, func(i int) []byte { return cells[i].Key }),
-		func(ri RegionInfo, s *RegionServer, group []int) error {
-			batch := make([]kv.Cell, len(group))
-			for j, i := range group {
-				batch[j] = cells[i]
-			}
-			return s.Apply(ri.ID, batch)
-		},
-		func(group []int) { cl.cluster.noteApply(len(group)) })
+	return cl.multiRoute(table, len(cells), applyBatch(cells), true)
+}
+
+// applyBatch is the batch of MultiApply.
+type applyBatch []kv.Cell
+
+func (b applyBatch) place(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
+	route, err := routingKeyOf(regions[0].raw, b[i].Key)
+	if err != nil {
+		return dst, err
+	}
+	return placeKey(regions, route, i, dst)
+}
+
+func (b applyBatch) send(ri RegionInfo, s *RegionServer, group []int) error {
+	cells := make([]kv.Cell, len(group))
+	for j, i := range group {
+		cells[j] = b[i]
+	}
+	err := s.Apply(ri.ID, cells)
+	if err == nil {
+		s.cluster.noteApply(len(cells))
+	}
+	return err
 }
 
 // placement puts a batch item in the region at position pos of the
 // partition map.
 type placement struct{ pos, item int }
 
-// placeFunc places item i of a batch against the partition map regions: it
-// appends to dst one placement per region the item reaches, whose item is
-// i itself or an item the placer created for its part in that region.
-type placeFunc func(i int, regions []RegionInfo, dst []placement) ([]placement, error)
-
-// routeByKey places each item in the one region holding its routing key.
-func routeByKey(table string, key func(i int) []byte) placeFunc {
-	return func(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
-		p, ok := regionIndex(regions, key(i))
-		if !ok {
-			return dst, fmt.Errorf("cluster: no region for key %q in table %s", key(i), table)
-		}
-		return append(dst, placement{p, i}), nil
-	}
+// A batch is one operation multiRoute routes.
+type batch interface {
+	// place appends to dst one placement per region that item i reaches,
+	// whose item is i itself or an item the batch created for its part in
+	// that region.
+	place(i int, regions []RegionInfo, dst []placement) ([]placement, error)
+	// send makes one region's call. It must be idempotent under
+	// redelivery, write its results into slots indexed by item, and not
+	// keep group.
+	send(ri RegionInfo, s *RegionServer, group []int) error
 }
 
-// multiRoute is the engine behind the region-grouped batch operations
-// (MultiGet, MultiScan, MultiApply): items 0…n-1 are placed against the
-// cached partition map, each destination region receives ONE call
-// carrying its group of item indices, and the per-region calls are issued
-// concurrently under the client's bounded fan-out. Groups that fail with a
-// retriable routing error (split, merge, crash recovery) invalidate the map
-// and only their items are placed again and retried, with the same backoff
-// as withRegion — call must therefore be idempotent under redelivery and
-// write its results into caller-owned slots indexed by item, which keeps
-// results in input order no matter how items regroup. A non-retriable
-// error surfaces deterministically: among failing groups, the one lowest
-// in region-dispatch order (itself fixed by item order) wins. onSuccess,
-// when non-nil, observes each group whose call round-tripped successfully.
-func (cl *Client) multiRoute(table string, n int, place placeFunc, call func(ri RegionInfo, s *RegionServer, group []int) error, onSuccess func(group []int)) error {
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
+// placeKey places item i in the one region holding its routing key.
+func placeKey(regions []RegionInfo, key []byte, i int, dst []placement) ([]placement, error) {
+	p, ok := regionIndex(regions, key)
+	if !ok {
+		return dst, fmt.Errorf("cluster: no region for key %q in table %s", key, regions[0].Table)
+	}
+	return append(dst, placement{p, i}), nil
+}
+
+// wave is multiRoute's working state, pooled so that routing allocates
+// nothing once warm.
+type wave struct {
+	cl      *Client
+	b       batch
+	regions []RegionInfo
+	pending []int
+	placed  []placement
+	// Group g goes to regions[dispatch[g]] with items[start[g]:start[g+1]].
+	dispatch, start, items []int
+	retry                  []error
+	sendFn                 func(g int) error // send, bound once per wave
+}
+
+var wavePool = sync.Pool{New: func() any {
+	w := new(wave)
+	w.sendFn = w.send
+	return w
+}}
+
+// send makes group g's call; a retriable failure is recorded, so that the
+// group's items go round again.
+func (w *wave) send(g int) error {
+	ri := w.regions[w.dispatch[g]]
+	group := w.items[w.start[g]:w.start[g+1]:w.start[g+1]]
+	err := w.cl.cluster.Net.Call(w.cl.name, ri.Server, func() error {
+		return w.b.send(ri, w.cl.cluster.Server(ri.Server), group)
+	})
+	if retriable(err) {
+		w.retry[g] = err
+		return nil
+	}
+	return err
+}
+
+// multiRoute is the client's one routing engine, behind every operation
+// that reaches a region: the items 0…n-1 of b are placed against the
+// cached partition map, and each region reached receives ONE call
+// carrying its group, concurrently under the client's bounded fan-out.
+// Groups that fail with a retriable routing error (split, merge, crash
+// recovery) invalidate the map, and only their items are placed again and
+// retried, backing off from 1 ms to 64 ms so the operation rides out a
+// transition in progress. Among groups failing otherwise, the first in
+// dispatch order (fixed by item order) returns its error. fanout says
+// whether the fan-out metrics count the operation: batches are waves,
+// single-row operations are not.
+func (cl *Client) multiRoute(table string, n int, b batch, fanout bool) error {
+	w := wavePool.Get().(*wave)
+	w.cl, w.b = cl, b
+	defer func() {
+		w.cl, w.b, w.regions = nil, nil, nil // keep nothing of the operation
+		wavePool.Put(w)
+	}()
+	w.pending = w.pending[:0]
+	for i := range n {
+		w.pending = append(w.pending, i)
 	}
 	var lastErr error
 	backoff := time.Millisecond
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		// Group the placed items by their region's position; dispatch
-		// lists each group's region in the order of its first item.
 		regions, err := cl.regions(table)
 		if err != nil {
 			return err
 		}
-		placed := make([]placement, 0, len(pending))
-		for _, i := range pending {
-			if placed, err = place(i, regions, placed); err != nil {
+		w.regions, w.placed, w.dispatch = regions, w.placed[:0], w.dispatch[:0]
+		for _, i := range w.pending {
+			if w.placed, err = b.place(i, regions, w.placed); err != nil {
 				return err
 			}
 		}
-		var dispatch []int
-		for k, pl := range placed {
-			g := slices.Index(dispatch, pl.pos) // a batch reaches few regions
-			if g < 0 {
-				g = len(dispatch)
-				dispatch = append(dispatch, pl.pos)
+		// Groups follow the order of their first items, and each keeps its
+		// items in placement order; a batch reaches few regions.
+		for _, pl := range w.placed {
+			if !slices.Contains(w.dispatch, pl.pos) {
+				w.dispatch = append(w.dispatch, pl.pos)
 			}
-			placed[k].pos = g // from here on, the group
 		}
-		// Lay the groups out one after another, each in placement order:
-		// group g is items[start[g]:start[g+1]], capped so that no append
-		// to it reaches the next group.
-		layout := make([]int, len(dispatch)+1+len(placed))
-		start, items := layout[:len(dispatch)+1], layout[len(dispatch)+1:]
-		for _, pl := range placed {
-			start[pl.pos]++
+		w.start, w.items = append(w.start[:0], 0), w.items[:0]
+		for _, pos := range w.dispatch {
+			for _, pl := range w.placed {
+				if pl.pos == pos {
+					w.items = append(w.items, pl.item)
+				}
+			}
+			w.start = append(w.start, len(w.items))
 		}
-		for g := range dispatch {
-			start[g+1] += start[g]
+		if fanout {
+			cl.cluster.noteWave(len(w.dispatch), len(w.placed), attempt == 0)
 		}
-		for k := len(placed) - 1; k >= 0; k-- { // each end steps down to its start
-			g := placed[k].pos
-			start[g]--
-			items[start[g]] = placed[k].item
-		}
-		cl.cluster.noteWave(len(dispatch), len(placed), attempt == 0)
 
-		// One call per region, concurrently; a group that fails with a
-		// retriable error records it, and its items go round again.
-		retry := make([]error, len(dispatch))
-		err = runFanOut(cl.fanOut, len(dispatch), func(g int) error {
-			ri := regions[dispatch[g]]
-			group := items[start[g]:start[g+1]:start[g+1]]
-			server := cl.cluster.Server(ri.Server)
-			err := cl.cluster.Net.Call(cl.name, ri.Server, func() error {
-				return call(ri, server, group)
-			})
-			switch {
-			case err == nil && onSuccess != nil:
-				onSuccess(group)
-			case retriable(err):
-				retry[g] = err
-				return nil
-			}
-			return err
-		})
-		if err != nil {
+		w.retry = append(w.retry[:0], make([]error, len(w.dispatch))...)
+		if err := runFanOut(cl.fanOut, len(w.dispatch), w.sendFn); err != nil {
 			return err
 		}
-		var failed []int
-		for g, e := range retry {
+		w.pending = w.pending[:0]
+		for g, e := range w.retry {
 			if e != nil {
 				lastErr = e
-				failed = append(failed, items[start[g]:start[g+1]]...)
+				w.pending = append(w.pending, w.items[w.start[g]:w.start[g+1]]...)
 			}
 		}
-		if len(failed) == 0 {
+		if len(w.pending) == 0 {
 			return nil
 		}
 		cl.invalidate(table)
 		if len(cl.cluster.LiveServerIDs()) == 0 {
+			// Whole-cluster shutdown: nothing to retry against.
 			return fmt.Errorf("cluster: no live servers for table %s: %w", table, lastErr)
 		}
-		sort.Ints(failed) // deterministic regroup order across retry rounds
-		pending = failed
+		slices.Sort(w.pending) // deterministic regroup order across retry rounds
 		time.Sleep(backoff)
 		if backoff < 64*time.Millisecond {
 			backoff *= 2
@@ -491,20 +467,9 @@ type GetSpec struct {
 	Key   []byte
 }
 
-func (g GetSpec) route() []byte {
-	if g.Route != nil {
-		return g.Route
-	}
-	return g.Key
-}
-
-// MultiGet reads a batch of store keys at ts, grouping them by destination
-// region through the cached partition map: one MultiGet RPC per region,
-// issued concurrently under the client's fan-out bound. Results are
-// positional — out[i] answers specs[i] — so output order equals input order
-// regardless of grouping, retries or scheduling. Stale-routed groups retry
-// after a map invalidation exactly like MultiApply; point reads are
-// trivially idempotent, so redelivery is safe.
+// MultiGet reads a batch of store keys at ts with ONE MultiGet RPC per
+// destination region. Results are positional — out[i] answers specs[i] —
+// whatever the grouping, retries or scheduling.
 func (cl *Client) MultiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]GetResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -516,27 +481,40 @@ func (cl *Client) MultiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]Ge
 
 // multiGet is MultiGet without a trace of its own, for the reads built on it.
 func (cl *Client) multiGet(table string, specs []GetSpec, ts kv.Timestamp) ([]GetResult, error) {
-	out := make([]GetResult, len(specs))
-	err := cl.multiRoute(table, len(specs),
-		routeByKey(table, func(i int) []byte { return specs[i].route() }),
-		func(ri RegionInfo, s *RegionServer, group []int) error {
-			keys := make([][]byte, len(group))
-			for j, i := range group {
-				keys[j] = specs[i].Key
-			}
-			res, err := s.MultiGet(ri.ID, keys, ts)
-			if err != nil {
-				return err
-			}
-			for j, i := range group {
-				out[i] = res[j]
-			}
-			return nil
-		}, nil)
-	if err != nil {
+	b := getBatch{specs: specs, ts: ts, out: make([]GetResult, len(specs))}
+	if err := cl.multiRoute(table, len(specs), &b, true); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return b.out, nil
+}
+
+// getBatch is the batch of MultiGet: out[i] answers specs[i].
+type getBatch struct {
+	specs []GetSpec
+	ts    kv.Timestamp
+	out   []GetResult
+}
+
+func (b *getBatch) place(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
+	if route := b.specs[i].Route; route != nil {
+		return placeKey(regions, route, i, dst)
+	}
+	return placeKey(regions, b.specs[i].Key, i, dst)
+}
+
+func (b *getBatch) send(ri RegionInfo, s *RegionServer, group []int) error {
+	keys := make([][]byte, len(group))
+	for j, i := range group {
+		keys[j] = b.specs[i].Key
+	}
+	res, err := s.MultiGet(ri.ID, keys, b.ts)
+	if err != nil {
+		return err
+	}
+	for j, i := range group {
+		b.out[i] = res[j]
+	}
+	return nil
 }
 
 // ScanRoute says which regions a ScanSpec reads.
@@ -607,85 +585,18 @@ func (cl *Client) MultiScan(table string, specs []ScanSpec, ts kv.Timestamp, lim
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	// A piece's [lo, hi) is the store range it reads or, for ToAll, the
-	// routing range of the region it was sent to.
-	type piece struct {
-		spec   int
-		lo, hi []byte
-		done   bool
-		res    []lsm.ScanResult
-	}
-	pieces := make([]piece, len(specs))
+	b := scanBatch{specs: specs, ts: ts, limit: limit, pieces: make([]scanPiece, len(specs))}
 	for i, sp := range specs {
-		pieces[i] = piece{spec: i, lo: sp.Start, hi: sp.End}
+		b.pieces[i] = scanPiece{spec: i, lo: sp.Start, hi: sp.End}
 		if sp.Route == ToAll {
-			pieces[i].lo, pieces[i].hi = nil, nil
+			b.pieces[i].lo, b.pieces[i].hi = nil, nil
 		}
 	}
-	place := func(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
-		cur, route := pieces[i], specs[pieces[i].spec].Route
-		first := 0
-		if route != ToAll { // skip the regions that end at or below the piece
-			first = sort.Search(len(regions), func(p int) bool {
-				_, hi := regions[p].storeBounds(route)
-				return hi == nil || bytes.Compare(cur.lo, hi) < 0
-			})
-		}
-		reuse := true // the piece's first region keeps its slot; others get new ones
-		for p := first; p < len(regions); p++ {
-			lo, hi := regions[p].Start, regions[p].End
-			if route == ToAll {
-				// One read per region and attempt, however many of the
-				// spec's pieces the region now serves.
-				if !regions[p].Overlaps(cur.lo, cur.hi) || slices.ContainsFunc(dst, func(pl placement) bool {
-					return pl.pos == p && pieces[pl.item].spec == cur.spec
-				}) {
-					continue
-				}
-			} else {
-				rlo, rhi := regions[p].storeBounds(route)
-				if cur.hi != nil && bytes.Compare(rlo, cur.hi) >= 0 {
-					break // this region and the rest start past the piece
-				}
-				if lo, hi = clipRange(cur.lo, cur.hi, rlo, rhi); hi != nil && bytes.Compare(lo, hi) >= 0 {
-					continue // an empty range reads nothing
-				}
-			}
-			next := piece{spec: cur.spec, lo: lo, hi: hi}
-			if reuse {
-				pieces[i], reuse = next, false
-				dst = append(dst, placement{p, i})
-			} else {
-				pieces = append(pieces, next)
-				dst = append(dst, placement{p, len(pieces) - 1})
-			}
-		}
-		return dst, nil
-	}
-	err := cl.multiRoute(table, len(pieces), place,
-		func(ri RegionInfo, s *RegionServer, group []int) error {
-			ranges := make([]lsm.ScanRange, len(group))
-			for j, i := range group {
-				sp := specs[pieces[i].spec]
-				ranges[j] = lsm.ScanRange{Start: sp.Start, End: sp.End}
-				if sp.Route != ToAll {
-					ranges[j] = lsm.ScanRange{Start: pieces[i].lo, End: pieces[i].hi}
-				}
-			}
-			res, err := s.MultiScan(ri.ID, ranges, ts, limit)
-			if err != nil {
-				return err
-			}
-			for j, i := range group {
-				pieces[i].res, pieces[i].done = res[j], true
-			}
-			return nil
-		}, nil)
-	if err != nil {
+	if err := cl.multiRoute(table, len(specs), &b, true); err != nil {
 		return nil, err
 	}
 	out := make([][]lsm.ScanResult, len(specs))
-	for _, pc := range pieces {
+	for _, pc := range b.pieces {
 		switch {
 		case !pc.done:
 		case out[pc.spec] == nil: // usually a spec's only piece
@@ -710,6 +621,85 @@ func (cl *Client) MultiScan(table string, specs []ScanSpec, ts kv.Timestamp, lim
 	return out, nil
 }
 
+// scanBatch is the batch of MultiScan: its items are pieces, each one
+// spec's part in one region.
+type scanBatch struct {
+	specs  []ScanSpec
+	ts     kv.Timestamp
+	limit  int
+	pieces []scanPiece
+}
+
+// scanPiece is one spec's read in one region. Its [lo, hi) is the store
+// range it reads or, for ToAll, the routing range of the region it was
+// sent to.
+type scanPiece struct {
+	spec   int
+	lo, hi []byte
+	done   bool
+	res    []lsm.ScanResult
+}
+
+func (b *scanBatch) place(i int, regions []RegionInfo, dst []placement) ([]placement, error) {
+	cur, route := b.pieces[i], b.specs[b.pieces[i].spec].Route
+	first := 0
+	if route != ToAll { // skip the regions that end at or below the piece
+		first = sort.Search(len(regions), func(p int) bool {
+			_, hi := regions[p].storeBounds(route)
+			return hi == nil || bytes.Compare(cur.lo, hi) < 0
+		})
+	}
+	reuse := true // the piece's first region keeps its slot; others get new ones
+	for p := first; p < len(regions); p++ {
+		lo, hi := regions[p].Start, regions[p].End
+		if route == ToAll {
+			// One read per region and attempt, however many of the
+			// spec's pieces the region now serves.
+			if !regions[p].Overlaps(cur.lo, cur.hi) || slices.ContainsFunc(dst, func(pl placement) bool {
+				return pl.pos == p && b.pieces[pl.item].spec == cur.spec
+			}) {
+				continue
+			}
+		} else {
+			rlo, rhi := regions[p].storeBounds(route)
+			if cur.hi != nil && bytes.Compare(rlo, cur.hi) >= 0 {
+				break // this region and the rest start past the piece
+			}
+			if lo, hi = clipRange(cur.lo, cur.hi, rlo, rhi); hi != nil && bytes.Compare(lo, hi) >= 0 {
+				continue // an empty range reads nothing
+			}
+		}
+		next := scanPiece{spec: cur.spec, lo: lo, hi: hi}
+		if reuse {
+			b.pieces[i], reuse = next, false
+			dst = append(dst, placement{p, i})
+		} else {
+			b.pieces = append(b.pieces, next)
+			dst = append(dst, placement{p, len(b.pieces) - 1})
+		}
+	}
+	return dst, nil
+}
+
+func (b *scanBatch) send(ri RegionInfo, s *RegionServer, group []int) error {
+	ranges := make([]lsm.ScanRange, len(group))
+	for j, i := range group {
+		sp := b.specs[b.pieces[i].spec]
+		ranges[j] = lsm.ScanRange{Start: sp.Start, End: sp.End}
+		if sp.Route != ToAll {
+			ranges[j] = lsm.ScanRange{Start: b.pieces[i].lo, End: b.pieces[i].hi}
+		}
+	}
+	res, err := s.MultiScan(ri.ID, ranges, b.ts, b.limit)
+	if err != nil {
+		return err
+	}
+	for j, i := range group {
+		b.pieces[i].res, b.pieces[i].done = res[j], true
+	}
+	return nil
+}
+
 // clipRange intersects the store range [lo, hi) with a region's [rlo, rhi)
 // (nil bounds are open).
 func clipRange(lo, hi, rlo, rhi []byte) ([]byte, []byte) {
@@ -728,12 +718,4 @@ func regionIndex(regions []RegionInfo, key []byte) (int, bool) {
 		return regions[i].End == nil || bytes.Compare(key, regions[i].End) < 0
 	})
 	return p, p < len(regions) && regions[p].Contains(key)
-}
-
-// regionContaining finds the region of a sorted region list holding key.
-func regionContaining(regions []RegionInfo, key []byte) (RegionInfo, bool) {
-	if p, ok := regionIndex(regions, key); ok {
-		return regions[p], true
-	}
-	return RegionInfo{}, false
 }

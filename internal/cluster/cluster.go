@@ -109,12 +109,12 @@ type RegionCtx struct {
 // HBase's observer coprocessors (§7). Diff-Index registers one observer per
 // indexed table; its callbacks implement the maintenance schemes.
 type Coprocessor interface {
-	// PostPut runs on the hosting region server after a row put has been
-	// applied to the base region (and before the RPC returns to the
-	// client): the synchronous part of index maintenance.
-	PostPut(ctx RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error
-	// PostDelete runs after row columns have been tombstoned.
-	PostDelete(ctx RegionCtx, row []byte, cols []string, ts kv.Timestamp) error
+	// PostMutate runs on the hosting region server after a row mutation
+	// has been applied to the base region (and before the RPC returns to
+	// the client): the synchronous part of index maintenance. A delete is
+	// a put of tombstones (§4.3); m.Del names them all, a row delete's
+	// resolved from the pre-image.
+	PostMutate(ctx RegionCtx, row []byte, m Mutation, ts kv.Timestamp)
 	// PreFlush runs at the start of a region flush while writes are paused:
 	// Diff-Index drains the AUQ here (§5.3). A non-nil error aborts the
 	// flush before the memtable swap — returned when the drain cannot
@@ -250,7 +250,7 @@ func (c *Cluster) noteWave(rpcs, items int, newWave bool) {
 	c.fanoutItems.Add(int64(items))
 }
 
-// noteApply records one delivered Apply RPC carrying n cells.
+// noteApply records one applied Apply RPC carrying n cells.
 func (c *Cluster) noteApply(n int) {
 	c.applyRPCs.Inc()
 	c.applyCells.Add(int64(n))

@@ -197,11 +197,11 @@ func TestPutWithOldReturnsPreviousValues(t *testing.T) {
 	c.Master.CreateTable("t", nil)
 	cl := NewClient(c, "cl")
 
-	_, old, err := cl.PutWithOld("t", []byte("r"), map[string][]byte{"a": []byte("1")})
+	_, old, err := cl.Mutate("t", []byte("r"), Mutation{Put: map[string][]byte{"a": []byte("1")}}, true)
 	if err != nil || len(old) != 0 {
 		t.Fatalf("first put old=%v err=%v", old, err)
 	}
-	_, old, err = cl.PutWithOld("t", []byte("r"), map[string][]byte{"a": []byte("2"), "b": []byte("x")})
+	_, old, err = cl.Mutate("t", []byte("r"), Mutation{Put: map[string][]byte{"a": []byte("2"), "b": []byte("x")}}, true)
 	if err != nil || string(old["a"]) != "1" {
 		t.Fatalf("second put old=%v err=%v", old, err)
 	}
@@ -256,7 +256,7 @@ func TestRawOpsOnIndexStyleTable(t *testing.T) {
 
 	for _, v := range []string{"apple", "mango", "zebra"} {
 		key := kv.IndexKey([]byte(v), []byte("row-"+v))
-		if err := cl.RawApply("idx", key, []kv.Cell{{Key: key, Ts: 5, Kind: kv.KindPut}}); err != nil {
+		if err := cl.MultiApply("idx", []kv.Cell{{Key: key, Ts: 5, Kind: kv.KindPut}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,8 +378,8 @@ func TestCrashedServerRejectsOps(t *testing.T) {
 	server := c.Server(ri.Server)
 	c.Master.CrashServer(ri.Server)
 
-	if _, _, err := server.PutRow(ri.ID, []byte("k"), map[string][]byte{"a": nil}, false, nil); !errors.Is(err, ErrServerDown) {
-		t.Errorf("PutRow on crashed server: %v", err)
+	if _, _, err := server.MutateRow(ri.ID, []byte("k"), Mutation{Put: map[string][]byte{"a": nil}}, false, nil); !errors.Is(err, ErrServerDown) {
+		t.Errorf("MutateRow on crashed server: %v", err)
 	}
 	if _, err := server.MultiGet(ri.ID, [][]byte{[]byte("k")}, kv.MaxTimestamp); !errors.Is(err, ErrServerDown) {
 		t.Errorf("MultiGet on crashed server: %v", err)
@@ -427,17 +427,14 @@ func (r *recordingCoprocessor) PostCompact(ctx RegionCtx, gc lsm.CompactionGC) {
 	r.postCompact++
 }
 
-func (r *recordingCoprocessor) PostPut(ctx RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+func (r *recordingCoprocessor) PostMutate(ctx RegionCtx, row []byte, m Mutation, ts kv.Timestamp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.puts = append(r.puts, string(row))
-	return nil
-}
-func (r *recordingCoprocessor) PostDelete(ctx RegionCtx, row []byte, cols []string, ts kv.Timestamp) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.deletes = append(r.deletes, string(row))
-	return nil
+	if m.Put != nil {
+		r.puts = append(r.puts, string(row))
+	} else {
+		r.deletes = append(r.deletes, string(row))
+	}
 }
 func (r *recordingCoprocessor) PreFlush(ctx RegionCtx) error {
 	r.mu.Lock()

@@ -141,6 +141,7 @@ func (m *Master) RegionsOf(table string) ([]RegionInfo, error) {
 	out := make([]RegionInfo, len(meta.regions))
 	for i, ri := range meta.regions {
 		out[i] = *ri
+		out[i].raw = meta.raw
 	}
 	return out, nil
 }
@@ -151,11 +152,11 @@ func (m *Master) Locate(table string, key []byte) (RegionInfo, error) {
 	if err != nil {
 		return RegionInfo{}, err
 	}
-	ri, ok := regionContaining(regions, key)
+	p, ok := regionIndex(regions, key)
 	if !ok {
 		return RegionInfo{}, fmt.Errorf("cluster: no region for key %q in table %s", key, table)
 	}
-	return ri, nil
+	return regions[p], nil
 }
 
 // findRegionLocked resolves a region's metadata entry; m.mu must be held.

@@ -54,10 +54,11 @@ func TestMultiApplySpansRegions(t *testing.T) {
 		t.Fatalf("regions = %d", len(regions))
 	}
 	for _, cell := range cells {
-		ri, ok := regionContaining(regions, cell.Key)
+		p, ok := regionIndex(regions, cell.Key)
 		if !ok {
 			t.Fatalf("no region for %q", cell.Key)
 		}
+		ri := regions[p]
 		res, err := c.Server(ri.Server).MultiGet(ri.ID, [][]byte{cell.Key}, kv.MaxTimestamp)
 		if err != nil || !res[0].Found {
 			t.Fatalf("cell %q not in its region %s: res=%v err=%v", cell.Key, ri.ID, res, err)

@@ -25,6 +25,9 @@ type RegionInfo struct {
 	// rowLo and rowHi bound the store keys the region holds under a ByRow
 	// scan; the client's route cache fills them.
 	rowLo, rowHi []byte
+	// raw marks a raw table, whose store keys are its routing keys; set
+	// on the copies RegionsOf returns.
+	raw bool
 }
 
 // Contains reports whether the routing key falls inside the region.

@@ -313,14 +313,24 @@ func (s *RegionServer) FreezeRegion(id string) error {
 	return nil
 }
 
-// PutRow applies a multi-column row put: the server assigns the timestamp,
+// Mutation is one row write: the columns of Put are written and those
+// named in Del tombstoned, all at one timestamp.
+type Mutation struct {
+	Put map[string][]byte
+	Del []string
+	// DelRow tombstones every column the row has visible, except those in
+	// Put, in place of Del: a row delete, resolved under the row lock.
+	DelRow bool
+}
+
+// MutateRow applies one row mutation: the server assigns the timestamp,
 // logs and applies the cells, then invokes the table's coprocessor (the
-// synchronous part of index maintenance runs inside this RPC). When wantOld
-// is set the previous visible row values (at ts−δ) are returned — the hook
-// async-session uses to build client-side delete markers (§5.2). tr, when
-// non-nil, is the client operation's trace; the store and the coprocessor
-// add their stage durations to it.
-func (s *RegionServer) PutRow(regionID string, row []byte, cols map[string][]byte, wantOld bool, tr *metrics.Trace) (kv.Timestamp, map[string][]byte, error) {
+// synchronous part of index maintenance runs inside this RPC). When
+// wantOld is set the previous visible row values (at ts−δ) are returned —
+// the hook async-session uses to build client-side delete markers (§5.2).
+// tr, when non-nil, is the client operation's trace; the store and the
+// coprocessor add their stage durations to it.
+func (s *RegionServer) MutateRow(regionID string, row []byte, m Mutation, wantOld bool, tr *metrics.Trace) (kv.Timestamp, map[string][]byte, error) {
 	region, err := s.region(regionID)
 	if err != nil {
 		return 0, nil, err
@@ -329,28 +339,38 @@ func (s *RegionServer) PutRow(regionID string, row []byte, cols map[string][]byt
 	ts := s.cluster.clock.Next()
 
 	var old map[string][]byte
-	if wantOld {
+	if wantOld || m.DelRow {
 		if old, err = region.LocalGetRow(row, ts-kv.Delta); err != nil {
 			return 0, nil, mapStoreErr(err)
 		}
 	}
+	if m.DelRow {
+		m.Del = nil
+		for col := range old {
+			if _, put := m.Put[col]; !put {
+				m.Del = append(m.Del, col)
+			}
+		}
+	}
 
-	cells := make([]kv.Cell, 0, len(cols))
-	for col, val := range cols {
+	cells := make([]kv.Cell, 0, len(m.Put)+len(m.Del))
+	for col, val := range m.Put {
 		cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Value: val, Ts: ts, Kind: kv.KindPut})
 	}
-	// The whole put pipeline — base apply plus coprocessor — runs inside the
-	// store's write gate, making asynchronous index work enqueued by the
+	for _, col := range m.Del {
+		cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Ts: ts, Kind: kv.KindDelete})
+	}
+	// The whole write pipeline — base apply plus coprocessor — runs inside
+	// the store's write gate, making asynchronous index work enqueued by the
 	// observer atomic with the memtable insert (the PR(Flushed) = ∅
-	// invariant of §5.3). Index maintenance failures never fail the base put
-	// (§6.2): the observer queues retries itself.
+	// invariant of §5.3). Index maintenance failures never fail the base
+	// write (§6.2): the observer queues retries itself.
 	err = region.store.Pipeline(func() error {
 		if err := region.store.ApplyBatchLocked(cells, tr); err != nil {
 			return err
 		}
 		if cp := s.cluster.coprocessor(region.Info.Table); cp != nil {
-			ctx := RegionCtx{Region: region, Server: s, Cluster: s.cluster, Trace: tr}
-			_ = cp.PostPut(ctx, row, cols, ts)
+			cp.PostMutate(RegionCtx{Region: region, Server: s, Cluster: s.cluster, Trace: tr}, row, m, ts)
 		}
 		return nil
 	})
@@ -358,45 +378,6 @@ func (s *RegionServer) PutRow(regionID string, row []byte, cols map[string][]byt
 		return 0, nil, mapStoreErr(err)
 	}
 	return ts, old, nil
-}
-
-// DeleteRow tombstones the given columns of a row (all currently visible
-// columns when cols is nil), then invokes the coprocessor. Deletion is
-// handled like a put of a tombstone (§4.3).
-func (s *RegionServer) DeleteRow(regionID string, row []byte, cols []string, tr *metrics.Trace) (kv.Timestamp, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return 0, err
-	}
-	defer region.lockRow(row).Unlock()
-	ts := s.cluster.clock.Next()
-	if cols == nil {
-		existing, err := region.LocalGetRow(row, ts-kv.Delta)
-		if err != nil {
-			return 0, err
-		}
-		for col := range existing {
-			cols = append(cols, col)
-		}
-	}
-	cells := make([]kv.Cell, 0, len(cols))
-	for _, col := range cols {
-		cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Ts: ts, Kind: kv.KindDelete})
-	}
-	err = region.store.Pipeline(func() error {
-		if err := region.store.ApplyBatchLocked(cells, tr); err != nil {
-			return err
-		}
-		if cp := s.cluster.coprocessor(region.Info.Table); cp != nil {
-			ctx := RegionCtx{Region: region, Server: s, Cluster: s.cluster, Trace: tr}
-			_ = cp.PostDelete(ctx, row, cols, ts)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, mapStoreErr(err)
-	}
-	return ts, nil
 }
 
 // Apply writes pre-timestamped cells directly (no coprocessor): the raw
@@ -455,10 +436,7 @@ func (s *RegionServer) GetAsOf(regionID string, key []byte, ts kv.Timestamp) (kv
 		return kv.Cell{}, false, err
 	}
 	c, ok, err := region.store.GetAsOf(key, ts)
-	if errors.Is(err, lsm.ErrHistoryTrimmed) {
-		return kv.Cell{}, false, err // not a routing miss: surface as-is
-	}
-	return c, ok, mapStoreErr(err)
+	return c, ok, mapStoreErr(err) // ErrHistoryTrimmed is no routing miss: it surfaces as-is
 }
 
 // Flush flushes one region. It is an administrative operation and works on
@@ -478,16 +456,7 @@ func (s *RegionServer) Flush(regionID string) error {
 
 // FlushAll flushes every hosted region.
 func (s *RegionServer) FlushAll() error {
-	if s.crashed.Load() {
-		return nil // crashed servers hold no regions to flush
-	}
-	s.mu.RLock()
-	regions := make([]*Region, 0, len(s.regions))
-	for _, r := range s.regions {
-		regions = append(regions, r)
-	}
-	s.mu.RUnlock()
-	for _, r := range regions {
+	for _, r := range s.hosted() {
 		if err := r.store.Flush(); err != nil && !errors.Is(err, lsm.ErrClosed) {
 			return err
 		}
@@ -499,18 +468,23 @@ func (s *RegionServer) FlushAll() error {
 // pipeline is idle — in-flight rounds finished and their PostCompact hooks
 // (including the piggybacked index cleanse) returned.
 func (s *RegionServer) WaitCompactions() {
-	if s.crashed.Load() {
-		return
-	}
-	s.mu.RLock()
-	regions := make([]*Region, 0, len(s.regions))
-	for _, r := range s.regions {
-		regions = append(regions, r)
-	}
-	s.mu.RUnlock()
-	for _, r := range regions {
+	for _, r := range s.hosted() {
 		r.store.WaitCompactions()
 	}
+}
+
+// hosted returns the hosted regions; none once the server is down.
+func (s *RegionServer) hosted() []*Region {
+	if s.crashed.Load() {
+		return nil
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*Region, 0, len(s.regions))
+	for _, r := range s.regions {
+		out = append(out, r)
+	}
+	return out
 }
 
 // Regions returns the infos of all hosted regions.

@@ -163,7 +163,7 @@ func TestSplitRawTable(t *testing.T) {
 	cl := NewClient(c, "cl")
 	for i := 0; i < 20; i++ {
 		key := kv.IndexKey([]byte(fmt.Sprintf("v%02d", i)), []byte("row"))
-		if err := cl.RawApply("idx", key, []kv.Cell{{Key: key, Ts: kv.Timestamp(i + 1), Kind: kv.KindPut}}); err != nil {
+		if err := cl.MultiApply("idx", []kv.Cell{{Key: key, Ts: kv.Timestamp(i + 1), Kind: kv.KindPut}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,5 +467,137 @@ func TestMultiScanAcrossSplitAndMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("during churn", got, [][]string{want(0, 30, 0), want(11, 19, 0), want(14, 16, 0), want(0, 30, 0)})
+	}
+}
+
+// TestWritesAcrossSplitAndMerge runs every write — Put, Delete of named
+// columns and of a whole row, and MultiApply of base, local-index and
+// raw-index cells — while one region of each table splits and merges back
+// over and over, then reads every acknowledged write back.
+func TestWritesAcrossSplitAndMerge(t *testing.T) {
+	c := newTestCluster(t, 3)
+	// The split key r05\x00 lies between row r05 and its store keys, so a
+	// base cell routed by its store key lands in the wrong region.
+	if err := c.Master.CreateTable("t", splits("r05\x00", "r30")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Master.CreateRawTable("idx", splits("k10", "k30")); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(c, "client")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for _, tr := range []struct{ table, at, below string }{{"t", "r15", "r14"}, {"idx", "k15", "k14"}} {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ri, err := c.Master.Locate(tr.table, []byte(tr.at))
+				if err == nil {
+					err = c.Master.SplitRegion(ri.ID, []byte(tr.at))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(time.Millisecond) // a map that never settles exhausts any retry budget
+				lower, _ := c.Master.Locate(tr.table, []byte(tr.below))
+				upper, _ := c.Master.Locate(tr.table, []byte(tr.at))
+				if err := c.Master.MergeRegions(lower.ID, upper.ID); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
+	const base = kv.Timestamp(1 << 40) // above every server timestamp
+	rows := map[string]map[string][]byte{}
+	var local, raw []kv.Cell
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		row := fmt.Sprintf("r%02d", i%40)
+		v := func(col string) []byte { return []byte(fmt.Sprintf("%s-%d", col, i)) }
+		if _, err := cl.Put("t", []byte(row), map[string][]byte{"a": v("a"), "b": v("b")}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Delete("t", []byte(row), []string{"b"}); err != nil {
+			t.Fatal(err)
+		}
+		gone := row + "-gone"
+		if _, err := cl.Put("t", []byte(gone), map[string][]byte{"a": v("a"), "b": v("b")}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Delete("t", []byte(gone), nil); err != nil {
+			t.Fatal(err)
+		}
+		rows[gone] = nil
+		// One batch mixes a base cell with a local-index entry of the row.
+		li := kv.Cell{Key: kv.LocalIndexKey("t.li", v("li"), []byte(row)), Ts: base + kv.Timestamp(i), Kind: kv.KindPut}
+		if err := cl.MultiApply("t", []kv.Cell{
+			{Key: kv.BaseKey([]byte(row), []byte("x")), Value: v("x"), Ts: base + kv.Timestamp(i), Kind: kv.KindPut},
+			li,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rows[row] = map[string][]byte{"a": v("a"), "x": v("x")}
+		local = append(local, li)
+		cells := []kv.Cell{
+			{Key: []byte(fmt.Sprintf("k%02d-%03d", i%40, i)), Value: v("k"), Ts: base + kv.Timestamp(i), Kind: kv.KindPut},
+			{Key: []byte(fmt.Sprintf("k%02d-%03d", (i+17)%40, i)), Value: v("k"), Ts: base + kv.Timestamp(i), Kind: kv.KindPut},
+		}
+		if err := cl.MultiApply("idx", cells); err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, cells...)
+	}
+	close(stop)
+	wg.Wait()
+
+	for row, want := range rows {
+		got, err := cl.GetRow("t", []byte(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+			t.Errorf("row %s = %q, want %q", row, got, want)
+		}
+	}
+	// A local-index entry must live in its row's region.
+	for _, li := range local {
+		row, err := kv.LocalIndexRow(li.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ri, err := c.Master.Locate("t", row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Server(ri.Server).MultiGet(ri.ID, [][]byte{li.Key}, kv.MaxTimestamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[0].Found || got[0].Cell.Ts != li.Ts {
+			t.Errorf("local-index entry %q not in its row's region %s", li.Key, ri.ID)
+		}
+	}
+	specs := make([]GetSpec, len(raw))
+	for i, cell := range raw {
+		specs[i] = GetSpec{Key: cell.Key}
+	}
+	got, err := cl.MultiGet("idx", specs, kv.MaxTimestamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range raw {
+		if !got[i].Found || string(got[i].Cell.Value) != string(cell.Value) {
+			t.Errorf("raw cell %q lost", cell.Key)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestAntiEntropyRepairsMissingEntry(t *testing.T) {
 	// never saw it, and no tombstone exists. This is exactly the state a
 	// dropped queue entry or buggy maintenance path leaves behind.
 	row := []byte("item123")
-	if err := e.cl.RawApply(e.tbl, row, []kv.Cell{{
+	if err := e.cl.MultiApply(e.tbl, []kv.Cell{{
 		Key: kv.BaseKey(row, []byte("color")), Value: []byte("lost"), Ts: 999999, Kind: kv.KindPut,
 	}}); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestAntiEntropyRepairsStaleEntry(t *testing.T) {
 	// insert leaves behind). Sync-full reads trust the index, so the phantom
 	// is served to queries until anti-entropy removes it.
 	phantomKey := kv.IndexKey([]byte("phantom"), []byte("item042"))
-	if err := e.cl.RawApply(def.Name(), phantomKey, []kv.Cell{{
+	if err := e.cl.MultiApply(def.Name(), []kv.Cell{{
 		Key: phantomKey, Ts: 777777, Kind: kv.KindPut,
 	}}); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestAntiEntropyCompositeIndex(t *testing.T) {
 	}
 	// Lost composite insert: both columns through the raw path at one ts.
 	row := []byte("item777")
-	if err := e.cl.RawApply(e.tbl, row, []kv.Cell{
+	if err := e.cl.MultiApply(e.tbl, []kv.Cell{
 		{Key: kv.BaseKey(row, []byte("a")), Value: []byte("ax"), Ts: 500000, Kind: kv.KindPut},
 		{Key: kv.BaseKey(row, []byte("b")), Value: []byte("bx"), Ts: 500000, Kind: kv.KindPut},
 	}); err != nil {

@@ -17,9 +17,9 @@ import (
 type task struct {
 	row []byte
 	ts  kv.Timestamp
-	// putCols holds the written column values for puts; nil for deletes.
+	// putCols holds the mutation's written column values, delCols names
+	// its tombstoned columns.
 	putCols map[string][]byte
-	// delCols names the tombstoned columns for deletes; nil for puts.
 	delCols []string
 	// enqueuedAt is T1 of the staleness measurement (§8.2 "Index
 	// consistency in async-simple"): the moment the base data persisted.

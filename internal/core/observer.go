@@ -24,24 +24,14 @@ type observer struct {
 
 var _ cluster.Coprocessor = (*observer)(nil)
 
-// PostPut implements index update on put. It runs inside the put pipeline
-// on the base region's server, after the base cells were applied (SU1/AU1
-// already happened) and before the put RPC returns.
-func (o *observer) PostPut(ctx cluster.RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+// PostMutate implements index update on a row mutation. It runs inside
+// the write pipeline on the base region's server, after the base cells
+// were applied (SU1/AU1 already happened) and before the RPC returns. In
+// LSM a delete is a put of a tombstone, and its index maintenance is the
+// same pipeline with no new entry (§4.3).
+func (o *observer) PostMutate(ctx cluster.RegionCtx, row []byte, m cluster.Mutation, ts kv.Timestamp) {
 	o.m.Counters.BasePut.Inc()
-	t := task{row: row, ts: ts, putCols: cols, enqueuedAt: time.Now()}
-	o.dispatch(ctx, t)
-	return nil
-}
-
-// PostDelete implements index update on delete: in LSM a delete is a put of
-// a tombstone, and the index maintenance is the same pipeline with no new
-// entry (§4.3).
-func (o *observer) PostDelete(ctx cluster.RegionCtx, row []byte, cols []string, ts kv.Timestamp) error {
-	o.m.Counters.BasePut.Inc()
-	t := task{row: row, ts: ts, delCols: cols, enqueuedAt: time.Now()}
-	o.dispatch(ctx, t)
-	return nil
+	o.dispatch(ctx, task{row: row, ts: ts, putCols: m.Put, delCols: m.Del, enqueuedAt: time.Now()})
 }
 
 // dispatch routes one mutation to each index according to its scheme. The

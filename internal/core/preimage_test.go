@@ -28,9 +28,9 @@ func (c *regionCapture) record(ctx cluster.RegionCtx) {
 	c.mu.Unlock()
 }
 
-func (c *regionCapture) PostPut(ctx cluster.RegionCtx, row []byte, cols map[string][]byte, ts kv.Timestamp) error {
+func (c *regionCapture) PostMutate(ctx cluster.RegionCtx, row []byte, m cluster.Mutation, ts kv.Timestamp) {
 	c.record(ctx)
-	return c.observer.PostPut(ctx, row, cols, ts)
+	c.observer.PostMutate(ctx, row, m, ts)
 }
 
 func (c *regionCapture) PreFlush(ctx cluster.RegionCtx) error {

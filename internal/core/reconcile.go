@@ -161,7 +161,6 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 		count.checked.Add(int64(len(cands)))
 
 		var cells []kv.Cell
-		var routes [][]byte
 		for i, p := range cands {
 			var cell kv.Cell
 			switch st := state[i]; {
@@ -179,10 +178,8 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 				res.Transient++
 				continue
 			}
-			spec := entrySpec(p)
-			cell.Key = spec.Key
+			cell.Key = entrySpec(p).Key
 			cells = append(cells, cell)
-			routes = append(routes, spec.Route)
 		}
 		if len(cells) == 0 {
 			return nil
@@ -191,15 +188,7 @@ func (m *Manager) reconcile(cl *cluster.Client, def IndexDef, source string, sta
 		count.confirmed.Add(int64(len(cells)))
 
 		repairStart := time.Now()
-		if def.Local {
-			for i := range cells {
-				if err = cl.RawApply(indexTable, routes[i], cells[i:i+1]); err != nil {
-					break
-				}
-			}
-		} else {
-			err = cl.MultiApply(indexTable, cells)
-		}
+		err = cl.MultiApply(indexTable, cells)
 		res.RepairDur += time.Since(repairStart)
 		if err != nil {
 			return err

@@ -104,7 +104,7 @@ func (e *env) indexLog(t testing.TB, def IndexDef) []kv.Cell {
 // coprocessor: the base table has the row, no index ever saw it.
 func (e *env) rawPut(t testing.TB, row string, ts kv.Timestamp, col, val string) {
 	t.Helper()
-	if err := e.cl.RawApply(e.tbl, []byte(row), []kv.Cell{{
+	if err := e.cl.MultiApply(e.tbl, []kv.Cell{{
 		Key: kv.BaseKey([]byte(row), []byte(col)), Value: []byte(val), Ts: ts, Kind: kv.KindPut,
 	}}); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReconcileTimestampRule(t *testing.T) {
 			run: func(t *testing.T, e *env) kv.Cell {
 				e.put(t, "item042", "title", "real")
 				phantom := kv.Cell{Key: kv.IndexKey([]byte("phantom"), []byte("item042")), Ts: 777777, Kind: kv.KindPut}
-				if err := e.cl.RawApply(title.Name(), phantom.Key, []kv.Cell{phantom}); err != nil {
+				if err := e.cl.MultiApply(title.Name(), []kv.Cell{phantom}); err != nil {
 					t.Fatal(err)
 				}
 				if rep := verifyOne(t, e); rep.Stale != 1 || rep.Repaired != 1 {
@@ -228,7 +228,7 @@ func TestReconcileTimestampRule(t *testing.T) {
 
 			// At-least-once redelivery of the same repair changes nothing.
 			before := e.rawIndexEntries(t, def)
-			if err := e.cl.RawApply(def.Name(), want.Key, []kv.Cell{want}); err != nil {
+			if err := e.cl.MultiApply(def.Name(), []kv.Cell{want}); err != nil {
 				t.Fatal(err)
 			}
 			if after := e.rawIndexEntries(t, def); !reflect.DeepEqual(after, before) {

@@ -102,55 +102,22 @@ func (s *Session) record(indexName, key string, e privEntry) {
 	}
 }
 
-// Put writes a row within the session: a regular put that also requests the
-// old values back, from which the library generates private delete markers
-// and new index entries (§5.2).
+// Put writes a row within the session (§5.2).
 func (s *Session) Put(table string, row []byte, cols map[string][]byte) (kv.Timestamp, error) {
-	s.mu.Lock()
-	if err := s.touch(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	degraded := s.degraded
-	s.mu.Unlock()
-
-	if degraded {
-		return s.cl.Put(table, row, cols)
-	}
-	ts, old, err := s.cl.PutWithOld(table, row, cols)
-	if err != nil {
-		return 0, err
-	}
-
-	newCols := make(map[string][]byte, len(old)+len(cols))
-	for c, v := range old {
-		newCols[c] = v
-	}
-	for c, v := range cols {
-		newCols[c] = v
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, def := range s.m.catalog.IndexesOn(table) {
-		if def.Local || !def.Scheme.Asynchronous() || !def.Covers(cols) {
-			continue
-		}
-		oldVal, hadOld := indexValue(def, old)
-		newVal, hasNew := indexValue(def, newCols)
-		if hadOld && (!hasNew || !bytes.Equal(oldVal, newVal)) {
-			s.record(def.Name(), string(kv.IndexKey(oldVal, row)), privEntry{ts: ts - kv.Delta, deleted: true})
-		}
-		if hasNew {
-			s.record(def.Name(), string(kv.IndexKey(newVal, row)), privEntry{ts: ts, deleted: false})
-		}
-	}
-	return ts, nil
+	return s.mutate(table, row, cluster.Mutation{Put: cols})
 }
 
-// Delete removes row columns within the session, generating private delete
-// markers for the affected index entries.
+// Delete removes row columns within the session (all columns when cols is
+// nil).
 func (s *Session) Delete(table string, row []byte, cols []string) (kv.Timestamp, error) {
+	return s.mutate(table, row, cluster.Mutation{Del: cols, DelRow: cols == nil})
+}
+
+// mutate applies one row mutation that also requests the old values back,
+// from which the library generates private delete markers and new index
+// entries (§5.2): the same index cells the APS will write, computed from
+// the pre-image the server read under the row lock, in the same RPC.
+func (s *Session) mutate(table string, row []byte, m cluster.Mutation) (kv.Timestamp, error) {
 	s.mu.Lock()
 	if err := s.touch(); err != nil {
 		s.mu.Unlock()
@@ -159,45 +126,31 @@ func (s *Session) Delete(table string, row []byte, cols []string) (kv.Timestamp,
 	degraded := s.degraded
 	s.mu.Unlock()
 
-	if degraded {
-		return s.cl.Delete(table, row, cols)
+	ts, old, err := s.cl.Mutate(table, row, m, !degraded)
+	if err != nil || degraded {
+		return ts, err
 	}
-	// Read the pre-image first: the markers need the old index values.
-	old, err := s.cl.GetRow(table, row)
-	if err != nil {
-		return 0, err
-	}
-	ts, err := s.cl.Delete(table, row, cols)
-	if err != nil {
-		return 0, err
-	}
-	deleted := cols
-	if deleted == nil {
+	t := task{row: row, ts: ts, putCols: m.Put, delCols: m.Del}
+	if m.DelRow { // the server deleted the columns it read
+		t.delCols = nil
 		for c := range old {
-			deleted = append(deleted, c)
+			if _, put := m.Put[c]; !put {
+				t.delCols = append(t.delCols, c)
+			}
 		}
 	}
-	newCols := make(map[string][]byte, len(old))
-	for c, v := range old {
-		newCols[c] = v
-	}
-	for _, c := range deleted {
-		delete(newCols, c)
+	var defs []IndexDef
+	for _, def := range s.m.catalog.IndexesOn(table) {
+		if !def.Local && def.Scheme.Asynchronous() && covered(def, t) {
+			defs = append(defs, def)
+		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, def := range s.m.catalog.IndexesOn(table) {
-		if def.Local || !def.Scheme.Asynchronous() || !def.CoversNames(deleted) {
-			continue
-		}
-		oldVal, hadOld := indexValue(def, old)
-		newVal, hasNew := indexValue(def, newCols)
-		if hadOld && (!hasNew || !bytes.Equal(oldVal, newVal)) {
-			s.record(def.Name(), string(kv.IndexKey(oldVal, row)), privEntry{ts: ts - kv.Delta, deleted: true})
-		}
-		if hasNew {
-			s.record(def.Name(), string(kv.IndexKey(newVal, row)), privEntry{ts: ts, deleted: false})
+	for name, cells := range indexMutationsFrom(t, defs, old).global {
+		for _, c := range cells {
+			s.record(name, string(c.Key), privEntry{ts: c.Ts, deleted: c.Kind == kv.KindDelete})
 		}
 	}
 	return ts, nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"diffindex/internal/cluster"
+	"diffindex/internal/kv"
 )
 
 // blockAsync cuts every server↔server path so the APS cannot deliver index
@@ -102,6 +103,14 @@ func TestSessionSeesOwnUpdateNotStaleValue(t *testing.T) {
 	e.c.Net.HealAll()
 }
 
+// heldIndexing is the table's observer with its write hook held back: the
+// base write lands, the index is left as it was.
+type heldIndexing struct{ *observer }
+
+func (heldIndexing) PostMutate(cluster.RegionCtx, []byte, cluster.Mutation, kv.Timestamp) {}
+
+// A session delete is one RPC: the markers come from the pre-image the
+// delete itself read under the row lock, not from a read of its own.
 func TestSessionDelete(t *testing.T) {
 	e := newEnv(t, 2, ManagerOptions{})
 	e.createIndex(t, AsyncSession, "title")
@@ -112,9 +121,18 @@ func TestSessionDelete(t *testing.T) {
 	if !e.m.WaitForConvergence(5 * time.Second) {
 		t.Fatal("no convergence")
 	}
-	blockAsync(e)
+	// With the index maintenance held back the index keeps the entry, and
+	// no APS call lands among the delete's.
+	e.c.RegisterCoprocessor(e.tbl, heldIndexing{&observer{m: e.m}})
+	before := e.c.Net.Calls()
 	if _, err := s.Delete(e.tbl, []byte("item001"), nil); err != nil {
 		t.Fatal(err)
+	}
+	if got := e.c.Net.Calls() - before; got != 1 {
+		t.Errorf("Session.Delete made %d calls, want 1", got)
+	}
+	if rows := e.lookupRows(t, []string{"title"}, "gone"); len(rows) != 1 {
+		t.Fatalf("plain read = %v, want the stale entry still indexed", rows)
 	}
 	hits, err := s.GetByIndex(e.tbl, []string{"title"}, []byte("gone"))
 	if err != nil {
@@ -123,7 +141,6 @@ func TestSessionDelete(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("session saw its own deleted row: %+v", hits)
 	}
-	e.c.Net.HealAll()
 }
 
 func TestSessionRange(t *testing.T) {

@@ -115,9 +115,6 @@ func (fs *FaultFS) Disarm() {
 	fs.mu.Unlock()
 }
 
-// Armed reports whether a fault distribution is installed.
-func (fs *FaultFS) Armed() bool { return fs.armed.Load() }
-
 // decision is one sampled fault outcome for an operation.
 type decision struct {
 	fail        bool

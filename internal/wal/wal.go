@@ -171,24 +171,23 @@ func (l *Log) openSegment() error {
 	return nil
 }
 
+// appendRecord appends r's frame to dst.
+//
 // record layout: crc32c(uint32) · payloadLen(uint32) · payload
 // payload: ts(int64) · kind(byte) · keyLen(uvarint) · key · valLen(uvarint) · value
-func encodeRecord(r Record) []byte {
-	payload := make([]byte, 0, 9+2*binary.MaxVarintLen64+len(r.Key)+len(r.Value))
-	var ts [8]byte
-	binary.LittleEndian.PutUint64(ts[:], uint64(r.Ts))
-	payload = append(payload, ts[:]...)
-	payload = append(payload, byte(r.Kind))
-	payload = binary.AppendUvarint(payload, uint64(len(r.Key)))
-	payload = append(payload, r.Key...)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Value)))
-	payload = append(payload, r.Value...)
-
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], crc32.Checksum(payload, crcTable))
-	binary.LittleEndian.PutUint32(out[4:8], uint32(len(payload)))
-	copy(out[8:], payload)
-	return out
+func appendRecord(dst []byte, r Record) []byte {
+	head := len(dst)
+	dst = append(dst, make([]byte, 8)...) // the header, filled in below
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Ts))
+	dst = append(dst, byte(r.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+	dst = append(dst, r.Key...)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
+	dst = append(dst, r.Value...)
+	payload := dst[head+8:]
+	binary.LittleEndian.PutUint32(dst[head:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(dst[head+4:], uint32(len(payload)))
+	return dst
 }
 
 func decodePayload(payload []byte) (Record, error) {
@@ -318,9 +317,13 @@ func (l *Log) AppendBatchPos(recs []Record) (Pos, error) {
 	if len(recs) == 0 {
 		return Pos{}, nil
 	}
-	var buf []byte
+	size := 0
+	for _, r := range recs { // each frame's bound: header, ts, kind, two lengths
+		size += 8 + 9 + 2*binary.MaxVarintLen64 + len(r.Key) + len(r.Value)
+	}
+	buf := make([]byte, 0, size)
 	for _, r := range recs {
-		buf = append(buf, encodeRecord(r)...)
+		buf = appendRecord(buf, r)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -219,7 +219,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			kind = kv.KindDelete
 		}
 		in := Record{Key: key, Value: value, Ts: ts, Kind: kind}
-		payloadBuf := encodeRecord(in)
+		payloadBuf := appendRecord(nil, in)
 		got, err := decodePayload(payloadBuf[8:])
 		if err != nil {
 			return false
@@ -331,7 +331,7 @@ func TestRecordCell(t *testing.T) {
 // record replay yields must round-trip through the encoder (i.e. only
 // records that were validly encoded are surfaced).
 func FuzzReplaySegment(f *testing.F) {
-	good := encodeRecord(Record{Key: []byte("k"), Value: []byte("v"), Ts: 7, Kind: kv.KindPut})
+	good := appendRecord(nil, Record{Key: []byte("k"), Value: []byte("v"), Ts: 7, Kind: kv.KindPut})
 	f.Add([]byte{})
 	f.Add(good)
 	f.Add(append(append([]byte{}, good...), good[:5]...)) // torn tail
@@ -339,9 +339,9 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xF0, 0xFF, 0xFF, 0xFF}) // declares ~4 GiB
 	// Non-data kinds: the flush-checkpoint frame older logs carried (kind
 	// 0x10) in front of data, and an unknown kind between data.
-	checkpoint := encodeRecord(Record{Kind: 0x10, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
+	checkpoint := appendRecord(nil, Record{Kind: 0x10, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
 	f.Add(append(append([]byte{}, checkpoint...), good...))
-	unknown := encodeRecord(Record{Kind: 0x11, Value: []byte("meta")})
+	unknown := appendRecord(nil, Record{Kind: 0x11, Value: []byte("meta")})
 	f.Add(append(append(append([]byte{}, good...), unknown...), good...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := vfs.NewMemFS()
@@ -361,7 +361,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if r.Kind != kv.KindPut && r.Kind != kv.KindDelete {
 				t.Fatalf("non-data record reached Replay: %+v", r)
 			}
-			enc := encodeRecord(r)
+			enc := appendRecord(nil, r)
 			dec, err := decodePayload(enc[8:])
 			if err != nil || !bytes.Equal(dec.Key, r.Key) || !bytes.Equal(dec.Value, r.Value) {
 				t.Fatalf("yielded record does not round-trip: %+v", r)
@@ -379,7 +379,7 @@ func TestAppendFormatsNoSegmentName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	buf := encodeRecord(Record{Kind: kv.KindPut, Key: []byte("k"), Value: []byte("v"), Ts: 1})
+	buf := appendRecord(nil, Record{Kind: kv.KindPut, Key: []byte("k"), Value: []byte("v"), Ts: 1})
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
