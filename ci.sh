@@ -24,9 +24,10 @@
 #      the store's point and range batches (MultiGet, and MultiScan of
 #      one-part and spanning ranges) against flush and compaction, a
 #      client MultiScan and every client write against splits and
-#      merges, the release of a flushed memtable and the topology churn
-#      property, plus, under the race detector, the memtable's lock-free
-#      readers against a writer that grows its arena (~37 s wall on 2
+#      merges, the release of a flushed memtable, the topology churn
+#      property, and the index pre-image reads against background
+#      compaction, plus, under the race detector, the memtable's lock-free
+#      readers against a writer that grows its arena (~40 s wall on 2
 #      CPUs); one failure fails the step
 #   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
@@ -76,6 +77,7 @@ echo "== race stress (30 runs each) =="
 # Each test below once failed only a few runs in a hundred; one pass of the
 # suite cannot tell those apart from fixed.
 go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction|TestMultiScanAcrossSplitAndMerge|TestWritesAcrossSplitAndMerge|TestFlushReleasesMemtable' ./internal/cluster ./internal/lsm
+go test -count=30 -run 'TestPreImagePointReadsMatchRowRead' ./internal/core
 go test -race -count=30 -run 'TestConcurrentReadersAndWriters|TestReadsRaceArenaGrowth' ./internal/memtable
 
 echo "== benchmark smoke (one iteration each) =="

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lsmtool [-rows 2000] [-versions 3] [-stats]
+//	lsmtool [-rows 2000] [-stats]
 //	lsmtool verify [-rows 2000] [-tables 4] [-corrupt 0]
 //	lsmtool stats [-rows 2000] [-tables 4]
 //
@@ -51,7 +51,6 @@ func main() {
 		return
 	}
 	rows := flag.Int("rows", 2000, "rows to write per stage")
-	versions := flag.Int("versions", 3, "versions retained at compaction")
 	stats := flag.Bool("stats", false, "dump the store's metrics registry as JSON at the end")
 	flag.Parse()
 
@@ -63,7 +62,6 @@ func main() {
 	store, err := lsm.Open(lsm.Options{
 		FS:                 fs,
 		Dir:                "demo",
-		MaxVersions:        *versions,
 		CompactionFanIn:    3, // so the incremental round below is visibly partial
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
@@ -148,7 +146,7 @@ func main() {
 	if err := store.Compact(); err != nil {
 		panic(err)
 	}
-	dump(fmt.Sprintf("after major compaction (C1..C4 → C1', max %d versions, tombstones GCed)", *versions))
+	dump(fmt.Sprintf("after major compaction (C1..C4 → C1', newest version per key at GC horizon %d, tombstones GCed)", store.Horizon()))
 
 	// Show version visibility.
 	key := []byte(fmt.Sprintf("row%08d", *rows-1))

@@ -88,8 +88,6 @@ type Options struct {
 	BlockCacheBytes int64
 	// MemtableBytes is the per-region flush threshold (default 4 MiB).
 	MemtableBytes int64
-	// MaxVersions is per-key version retention at compaction (default 3).
-	MaxVersions int
 	// CompactionThreshold is the SSTable count that triggers a compaction
 	// (default 4).
 	CompactionThreshold int
@@ -151,7 +149,6 @@ func Open(opts Options) *DB {
 		BaseFS:              opts.BaseFS,
 		BlockCacheBytes:     opts.BlockCacheBytes,
 		MemtableBytes:       opts.MemtableBytes,
-		MaxVersions:         opts.MaxVersions,
 		CompactionThreshold: opts.CompactionThreshold,
 		CompactionFanIn:     opts.CompactionFanIn,
 		ScrubInterval:       opts.ScrubInterval,
@@ -384,31 +381,32 @@ func (cl *Client) Scan(table string, startRow, endRow []byte, limit int) ([]Row,
 	return cl.ScanAsOf(table, startRow, endRow, kv.MaxTimestamp, limit)
 }
 
-// ErrHistoryTrimmed is returned by the as-of read methods when the version
-// visible at the requested timestamp may have been garbage-collected by
-// MaxVersions retention — "absent at ts" cannot be distinguished from
-// "history gone", so the read refuses to guess.
+// ErrHistoryTrimmed is returned by the as-of read methods for a timestamp
+// below the GC horizon of a region they read: each region's compaction
+// keeps, per key, only the newest version at or below that horizon, so the
+// read refuses rather than guess. At or above the horizon every as-of read
+// is exact; a read at the present is never refused (DESIGN.md §13).
 var ErrHistoryTrimmed = lsm.ErrHistoryTrimmed
 
 // GetAsOf reads one column of a row as it stood at timestamp ts — any
 // timestamp previously returned by Put or Delete, or a past Staleness
 // observation point. ok is false when the column did not exist at ts
-// (never written, or deleted). It returns ErrHistoryTrimmed when the as-of
-// version may have been garbage-collected by MaxVersions retention; raise
-// Options.MaxVersions to retain deeper history (DESIGN.md §13).
+// (never written, or deleted). It returns ErrHistoryTrimmed when ts is
+// below the row's region's GC horizon.
 func (cl *Client) GetAsOf(table string, row []byte, col string, ts int64) (value []byte, cellTs int64, ok bool, err error) {
 	return cl.c.GetAsOf(table, row, col, ts)
 }
 
 // GetRowAsOf reads all columns of a row as they stood at timestamp ts; a
-// nil map means no visible row at ts. Columns whose as-of version may have
-// been trimmed are skipped (use GetAsOf per column to detect trimming).
+// nil map means no visible row at ts. It returns ErrHistoryTrimmed when ts
+// is below the row's region's GC horizon.
 func (cl *Client) GetRowAsOf(table string, row []byte, ts int64) (Cols, error) {
 	return cl.c.GetRowAsOf(table, row, ts)
 }
 
 // ScanAsOf reads rows in [startRow, endRow) as they stood at timestamp ts,
-// up to limit rows — time-travel Scan.
+// up to limit rows — time-travel Scan. It returns ErrHistoryTrimmed when ts
+// is below the GC horizon of any region the scan reads.
 func (cl *Client) ScanAsOf(table string, startRow, endRow []byte, ts int64, limit int) ([]Row, error) {
 	rows, err := cl.c.Scan(table, startRow, endRow, ts, limit)
 	if err != nil {

@@ -44,7 +44,6 @@ func RunIntegrity(seed int64, faulted bool) (*IntegrityResult, error) {
 	db := diffindex.Open(diffindex.Options{
 		Servers:             3,
 		BaseFS:              fault,
-		MaxVersions:         1024,
 		CompactionThreshold: 64, // keep compaction cold: no background .sst reads but the scrubber's
 		ScrubInterval:       scrubInterval,
 		ScrubBlockPace:      -1, // unpaced: detection latency measures the scrubber, not its throttle

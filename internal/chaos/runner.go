@@ -132,13 +132,10 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 	db := diffindex.Open(diffindex.Options{
 		Servers: cfg.Servers,
 		BaseFS:  fault,
-		// Retain deep version history: the async schemes' pre-image reads
-		// (old value at ts−δ) must never lose the version they need while
-		// tasks sit in a backlogged AUQ. The default CompactionThreshold of
-		// 64 effectively disables compaction during the short chaos window;
-		// the compaction scenarios lower it to put incremental merges (and
-		// their version/tombstone GC) inside the fault schedule.
-		MaxVersions:               1024,
+		// The default CompactionThreshold of 64 effectively disables
+		// compaction during the short chaos window; the compaction
+		// scenarios lower it to put incremental merges (and their
+		// version/tombstone GC) inside the fault schedule.
 		CompactionThreshold:       cfg.CompactionThreshold,
 		CompactionFanIn:           cfg.CompactionFanIn,
 		AUQMaxBacklog:             cfg.AUQMaxBacklog,

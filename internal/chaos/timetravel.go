@@ -21,8 +21,8 @@ import (
 //  1. replay delivers exactly the mutations acknowledged since the flush,
 //     record for record and in order — nothing the flush truncated, nothing
 //     from a torn frame, nothing acknowledged lost behind one;
-//  2. every golden observation must read back byte-identically through
-//     GetAsOf on the recovered store — time-travel reads survive the crash.
+//  2. every golden observation must read back byte-identically through an
+//     as-of Get on the recovered store — time-travel reads survive the crash.
 func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 	res := &TimeTravelResult{Seed: seed}
 	begin := time.Now()
@@ -39,7 +39,6 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		return lsm.Open(lsm.Options{
 			FS:                 fault,
 			Dir:                dir,
-			MaxVersions:        1024, // never trim: every golden timestamp stays answerable
 			DisableAutoFlush:   true,
 			DisableAutoCompact: true,
 			DisableScrub:       true,
@@ -160,9 +159,9 @@ func RunTimeTravel(seed int64) (*TimeTravelResult, error) {
 		var first string
 		for i := 0; i < keyspace; i++ {
 			key := fmt.Sprintf("key%03d", i)
-			cell, ok, err := recovered.GetAsOf([]byte(key), obs.ts)
+			cell, ok, err := recovered.Get([]byte(key), obs.ts)
 			if err != nil {
-				return nil, fmt.Errorf("chaos: timetravel GetAsOf(%s@%d): %w", key, obs.ts, err)
+				return nil, fmt.Errorf("chaos: timetravel Get(%s@%d): %w", key, obs.ts, err)
 			}
 			res.AsOfReads++
 			want, exists := obs.state[key]

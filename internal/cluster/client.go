@@ -113,17 +113,14 @@ func (cl *Client) Mutate(table string, row []byte, m Mutation, wantOld bool) (kv
 	return o.ts, o.old, err
 }
 
-// rowOp is the one-item batch of a single-row operation: a mutation or,
-// when key is set, an as-of read of key at ts.
+// rowOp is the one-item batch of a row mutation.
 type rowOp struct {
-	row, key []byte
-	m        Mutation
-	wantOld  bool
-	tr       *metrics.Trace
-	ts       kv.Timestamp
-	old      map[string][]byte
-	cell     kv.Cell
-	found    bool
+	row     []byte
+	m       Mutation
+	wantOld bool
+	tr      *metrics.Trace
+	ts      kv.Timestamp
+	old     map[string][]byte
 }
 
 func (o *rowOp) place(_ int, regions []RegionInfo, dst []placement) ([]placement, error) {
@@ -131,40 +128,28 @@ func (o *rowOp) place(_ int, regions []RegionInfo, dst []placement) ([]placement
 }
 
 func (o *rowOp) send(ri RegionInfo, s *RegionServer, _ []int) (err error) {
-	if o.key != nil {
-		o.cell, o.found, err = s.GetAsOf(ri.ID, o.key, o.ts)
-	} else {
-		o.ts, o.old, err = s.MutateRow(ri.ID, o.row, o.m, o.wantOld, o.tr)
-	}
+	o.ts, o.old, err = s.MutateRow(ri.ID, o.row, o.m, o.wantOld, o.tr)
 	return err
 }
 
 // Get reads one column of a row at the latest timestamp, as a MultiGet of
 // one key. ok reports whether the column exists.
 func (cl *Client) Get(table string, row []byte, col string) ([]byte, kv.Timestamp, bool, error) {
-	tr := cl.tracer.Start("get", table)
+	return cl.GetAsOf(table, row, col, kv.MaxTimestamp)
+}
+
+// GetAsOf reads one column of a row as it stood at timestamp ts, as a
+// MultiGet of one key. Below the region's GC horizon it returns
+// lsm.ErrHistoryTrimmed; at or above it the answer is exact (DESIGN.md
+// §13).
+func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
+	tr := cl.tracer.Start(asOfOp("get", ts), table)
 	defer cl.tracer.Finish(tr)
-	res, err := cl.multiGet(table, []GetSpec{{Route: row, Key: kv.BaseKey(row, []byte(col))}}, kv.MaxTimestamp)
+	res, err := cl.multiGet(table, []GetSpec{{Route: row, Key: kv.BaseKey(row, []byte(col))}}, ts)
 	if err != nil || !res[0].Found {
 		return nil, 0, false, err
 	}
 	return res[0].Cell.Value, res[0].Cell.Ts, true, nil
-}
-
-// GetAsOf reads one column of a row as it stood at timestamp ts — any
-// timestamp previously returned by Put/Delete qualifies. Unlike a plain read
-// at ts (which answers from whatever versions remain), GetAsOf surfaces
-// lsm.ErrHistoryTrimmed when the version visible at ts may have been
-// garbage-collected by MaxVersions retention, so callers can tell "absent
-// at ts" from "history gone".
-func (cl *Client) GetAsOf(table string, row []byte, col string, ts kv.Timestamp) ([]byte, kv.Timestamp, bool, error) {
-	tr := cl.tracer.Start("get-asof", table)
-	defer cl.tracer.Finish(tr)
-	o := rowOp{row: row, key: kv.BaseKey(row, []byte(col)), ts: ts}
-	if err := cl.multiRoute(table, 1, &o, false); err != nil || !o.found {
-		return nil, 0, false, err
-	}
-	return o.cell.Value, o.cell.Ts, true, nil
 }
 
 // GetRow reads all columns of a row at the latest timestamp. A nil map
@@ -174,9 +159,8 @@ func (cl *Client) GetRow(table string, row []byte) (map[string][]byte, error) {
 }
 
 // GetRowAsOf reads all columns of a row as they stood at timestamp ts. A
-// nil map means the row had no visible columns at ts. Columns whose as-of
-// version may have been trimmed are skipped (scan semantics); use GetAsOf
-// per column for trimmed-history detection.
+// nil map means the row had no visible columns at ts. Below the region's GC
+// horizon it returns lsm.ErrHistoryTrimmed.
 func (cl *Client) GetRowAsOf(table string, row []byte, ts kv.Timestamp) (map[string][]byte, error) {
 	tr := cl.tracer.Start(asOfOp("get-row", ts), table)
 	defer cl.tracer.Finish(tr)

@@ -55,8 +55,6 @@ type Config struct {
 	BlockCacheBytes int64
 	// MemtableBytes is the per-region flush threshold. Defaults to 4 MiB.
 	MemtableBytes int64
-	// MaxVersions is per-key version retention at compaction. Defaults to 3.
-	MaxVersions int
 	// CompactionThreshold is the table count triggering compaction.
 	// Defaults to 4.
 	CompactionThreshold int

@@ -62,7 +62,7 @@ func TestMultiRouteOneRegionAllocs(t *testing.T) {
 
 // TestPutAllocs pins what a one-column Put into a warm region allocates,
 // client routing, RPC, WAL and memtable together: 8 when single-row writes
-// had a routing loop of their own.
+// had a routing loop of their own, 7 when the trace boxed the WAL position.
 func TestPutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -84,7 +84,7 @@ func TestPutAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("one-column Put: %.0f allocations, want at most 8", allocs)
+	if allocs > 6 {
+		t.Errorf("one-column Put: %.0f allocations, want at most 6", allocs)
 	}
 }

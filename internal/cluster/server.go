@@ -170,7 +170,6 @@ func (s *RegionServer) OpenRegion(info RegionInfo) (err error) {
 		FS:                  s.cluster.FS,
 		Dir:                 regionDir(info),
 		MemtableBytes:       s.cluster.cfg.MemtableBytes,
-		MaxVersions:         s.cluster.cfg.MaxVersions,
 		CompactionThreshold: s.cluster.cfg.CompactionThreshold,
 		CompactionFanIn:     s.cluster.cfg.CompactionFanIn,
 		RetainTombstones:    s.cluster.retainsTombstones(info.Table),
@@ -336,36 +335,39 @@ func (s *RegionServer) MutateRow(regionID string, row []byte, m Mutation, wantOl
 		return 0, nil, err
 	}
 	defer region.lockRow(row).Unlock()
-	ts := s.cluster.clock.Next()
-
+	// The whole write pipeline — timestamp, pre-image, base apply and
+	// coprocessor — runs inside the store's write gate. That makes
+	// asynchronous index work enqueued by the observer atomic with the
+	// memtable insert (the PR(Flushed) = ∅ invariant of §5.3), and no flush
+	// swaps the memtable between the timestamp and the apply, so every cell
+	// a flush writes is older than every task queued after it: no pre-image
+	// read of a queued task falls below the GC horizon (DESIGN.md §13).
+	// Index maintenance failures never fail the base write (§6.2): the
+	// observer queues retries itself.
+	var ts kv.Timestamp
 	var old map[string][]byte
-	if wantOld || m.DelRow {
-		if old, err = region.LocalGetRow(row, ts-kv.Delta); err != nil {
-			return 0, nil, mapStoreErr(err)
-		}
-	}
-	if m.DelRow {
-		m.Del = nil
-		for col := range old {
-			if _, put := m.Put[col]; !put {
-				m.Del = append(m.Del, col)
+	err = region.store.Pipeline(func() (err error) {
+		ts = s.cluster.clock.Next()
+		if wantOld || m.DelRow {
+			if old, err = region.LocalGetRow(row, ts-kv.Delta); err != nil {
+				return err
 			}
 		}
-	}
-
-	cells := make([]kv.Cell, 0, len(m.Put)+len(m.Del))
-	for col, val := range m.Put {
-		cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Value: val, Ts: ts, Kind: kv.KindPut})
-	}
-	for _, col := range m.Del {
-		cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Ts: ts, Kind: kv.KindDelete})
-	}
-	// The whole write pipeline — base apply plus coprocessor — runs inside
-	// the store's write gate, making asynchronous index work enqueued by the
-	// observer atomic with the memtable insert (the PR(Flushed) = ∅
-	// invariant of §5.3). Index maintenance failures never fail the base
-	// write (§6.2): the observer queues retries itself.
-	err = region.store.Pipeline(func() error {
+		if m.DelRow {
+			m.Del = nil
+			for col := range old {
+				if _, put := m.Put[col]; !put {
+					m.Del = append(m.Del, col)
+				}
+			}
+		}
+		cells := make([]kv.Cell, 0, len(m.Put)+len(m.Del))
+		for col, val := range m.Put {
+			cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Value: val, Ts: ts, Kind: kv.KindPut})
+		}
+		for _, col := range m.Del {
+			cells = append(cells, kv.Cell{Key: kv.BaseKey(row, []byte(col)), Ts: ts, Kind: kv.KindDelete})
+		}
 		if err := region.store.ApplyBatchLocked(cells, tr); err != nil {
 			return err
 		}
@@ -425,18 +427,6 @@ func (s *RegionServer) MultiScan(regionID string, ranges []lsm.ScanRange, ts kv.
 	}
 	out, err := region.store.MultiScan(ranges, ts, limit)
 	return out, mapStoreErr(err)
-}
-
-// GetAsOf reads a store key as it stood at ts (time-travel read): the
-// newest non-deleted version with timestamp ≤ ts, or lsm.ErrHistoryTrimmed
-// when the as-of version may have been compacted away.
-func (s *RegionServer) GetAsOf(regionID string, key []byte, ts kv.Timestamp) (kv.Cell, bool, error) {
-	region, err := s.region(regionID)
-	if err != nil {
-		return kv.Cell{}, false, err
-	}
-	c, ok, err := region.store.GetAsOf(key, ts)
-	return c, ok, mapStoreErr(err) // ErrHistoryTrimmed is no routing miss: it surfaces as-is
 }
 
 // Flush flushes one region. It is an administrative operation and works on

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +96,120 @@ func TestSplitPreservesTimestampsAndTombstones(t *testing.T) {
 	}
 	if _, _, ok, _ := cl.Get("t", []byte("b"), "v"); ok {
 		t.Error("deleted row resurrected by split")
+	}
+}
+
+// TestSplitChildrenInheritHorizon: a region compacted before a split hands
+// its GC horizon to both children, so a child refuses every read below the
+// parent's horizon and answers exactly at and above it, also as a row read
+// and a scan.
+func TestSplitChildrenInheritHorizon(t *testing.T) {
+	c := newTestCluster(t, 2)
+	if err := c.Master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(c, "cl")
+	put := func(row, v string) kv.Timestamp {
+		t.Helper()
+		ts, err := cl.Put("t", []byte(row), map[string][]byte{"v": []byte(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	regions, _ := c.Master.RegionsOf("t")
+	parent, err := c.Server(regions[0].Server).region(regions[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := put("a", "a1")
+	if err := parent.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := put("a", "a2")
+	ts3 := put("z", "z1")
+	if err := parent.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts4 := put("a", "a3") // in the memtable: newer than the horizon
+	if err := parent.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if h := parent.store.Horizon(); h != ts3 {
+		t.Fatalf("parent horizon = %d, want %d", h, ts3)
+	}
+	if err := c.Master.SplitRegion(regions[0].ID, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		row  string
+		ts   kv.Timestamp
+		want string // "" = refused
+	}{
+		{"a", ts1, ""}, {"a", ts2, ""}, {"a", ts3, "a2"}, {"a", ts4, "a3"},
+		{"z", ts3 - 1, ""}, {"z", ts3, "z1"}, {"z", kv.MaxTimestamp, "z1"},
+	} {
+		v, _, ok, err := cl.GetAsOf("t", []byte(tc.row), "v", tc.ts)
+		if tc.want == "" {
+			if !errors.Is(err, lsm.ErrHistoryTrimmed) {
+				t.Errorf("GetAsOf(%s@%d) = (%q, %v, %v), want ErrHistoryTrimmed", tc.row, tc.ts, v, ok, err)
+			}
+			if _, err := cl.GetRowAsOf("t", []byte(tc.row), tc.ts); !errors.Is(err, lsm.ErrHistoryTrimmed) {
+				t.Errorf("GetRowAsOf(%s@%d): err = %v, want ErrHistoryTrimmed", tc.row, tc.ts, err)
+			}
+			continue
+		}
+		if err != nil || !ok || string(v) != tc.want {
+			t.Errorf("GetAsOf(%s@%d) = (%q, %v, %v), want %q", tc.row, tc.ts, v, ok, err, tc.want)
+		}
+	}
+	if _, err := cl.Scan("t", nil, nil, ts2, 0); !errors.Is(err, lsm.ErrHistoryTrimmed) {
+		t.Errorf("Scan below the horizon: err = %v, want ErrHistoryTrimmed", err)
+	}
+	if rows, err := cl.Scan("t", nil, nil, ts3, 0); err != nil || len(rows) != 2 ||
+		string(rows[0].Cols["v"]) != "a2" || string(rows[1].Cols["v"]) != "z1" {
+		t.Errorf("Scan at the horizon = %+v, %v; want a=a2, z=z1", rows, err)
+	}
+}
+
+// TestSplitRefusesCellOutsideTargets: a cell whose routing key lies in no
+// child fails the split, which rolls back: the parent stays routed and
+// served with the cell still in it.
+func TestSplitRefusesCellOutsideTargets(t *testing.T) {
+	c := newTestCluster(t, 2)
+	if err := c.Master.CreateTable("t", splits("m")); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(c, "cl")
+	if _, err := cl.Put("t", []byte("b"), map[string][]byte{"v": []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	regions, _ := c.Master.RegionsOf("t")
+	lower := regions[0]
+	// Row "x" routes to the upper region; written into the lower one, it
+	// lies outside both children of a split of the lower region.
+	stray := kv.BaseKey([]byte("x"), []byte("v"))
+	srv := c.Server(lower.Server)
+	if err := srv.Apply(lower.ID, []kv.Cell{{Key: stray, Value: []byte("s"), Ts: 1, Kind: kv.KindPut}}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Master.SplitRegion(lower.ID, []byte("f"))
+	if err == nil || !strings.Contains(err.Error(), lower.ID) || !strings.Contains(err.Error(), fmt.Sprintf("%q", stray)) {
+		t.Fatalf("split with a cell outside every child: err = %v, want one naming %s and %q", err, lower.ID, stray)
+	}
+	after, _ := c.Master.RegionsOf("t")
+	if len(after) != 2 || after[0].ID != lower.ID {
+		t.Fatalf("regions after the failed split = %v, want the parent back", after)
+	}
+	if un := c.Master.Unserved(); len(un) != 0 {
+		t.Fatalf("unserved regions after the rollback: %v", un)
+	}
+	res, err := c.Server(after[0].Server).MultiGet(lower.ID, [][]byte{stray}, kv.MaxTimestamp)
+	if err != nil || !res[0].Found || string(res[0].Cell.Value) != "s" {
+		t.Fatalf("stray cell after the rollback = %+v, %v; want it kept", res, err)
+	}
+	if v, _, ok, err := cl.Get("t", []byte("b"), "v"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("Get(b) after the rollback = (%q, %v, %v)", v, ok, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"diffindex/internal/kv"
@@ -177,15 +178,24 @@ func (m *Master) open(ri *RegionInfo, chain []string, published bool) error {
 }
 
 // fill copies the sources' full MVCC history into the targets, each cell to
-// the target whose range holds its routing key. ScanAll emits every version
-// and tombstone: without tombstones a late-redelivered index cell
-// (at-least-once delivery) could resurrect a superseded entry, and without
-// older base versions a redelivered AUQ task could miss its pre-image read
-// and skip the superseded-entry delete.
+// the target whose range holds its routing key; a cell no target holds
+// fails the fill. ScanAll emits every version and tombstone: without
+// tombstones a late-redelivered index cell (at-least-once delivery) could
+// resurrect a superseded entry. The sources' history is already trimmed
+// below their GC horizons, so every target starts at the largest of them
+// (DESIGN.md §13) and refuses what its sources refused.
 func (m *Master) fill(sources, targets []RegionInfo) error {
 	m.mu.RLock()
 	raw := m.tables[targets[0].Table].raw
 	m.mu.RUnlock()
+	stores := make([]*lsm.Store, len(targets))
+	for i, t := range targets {
+		region, err := m.cluster.Server(t.Server).region(t.ID)
+		if err != nil {
+			return err
+		}
+		stores[i] = region.store
+	}
 	for _, src := range sources {
 		store, err := lsm.Open(lsm.Options{
 			FS:                 m.cluster.FS,
@@ -198,6 +208,7 @@ func (m *Master) fill(sources, targets []RegionInfo) error {
 			return fmt.Errorf("cluster: reopen %s to copy it: %w", src.ID, err)
 		}
 		cells, err := store.ScanAll(nil, nil, kv.MaxTimestamp)
+		horizon := store.Horizon()
 		store.Close()
 		if err != nil {
 			return err
@@ -208,14 +219,16 @@ func (m *Master) fill(sources, targets []RegionInfo) error {
 			if err != nil {
 				return fmt.Errorf("cluster: route a cell of %s: %w", src.ID, err)
 			}
-			for i, t := range targets {
-				if t.Contains(route) {
-					parts[i] = append(parts[i], c)
-					break
-				}
+			i := slices.IndexFunc(targets, func(t RegionInfo) bool { return t.Contains(route) })
+			if i < 0 {
+				return fmt.Errorf("cluster: cell %q of region %s lies in no target", c.Key, src.ID)
 			}
+			parts[i] = append(parts[i], c)
 		}
 		for i, t := range targets {
+			if err := stores[i].RaiseHorizon(horizon); err != nil {
+				return err
+			}
 			if err := applyChunked(m.cluster.Server(t.Server), t.ID, parts[i]); err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -506,10 +507,20 @@ func (m *Manager) applyIndexUpdatesFor(ctx cluster.RegionCtx, t task, async bool
 // It returns nil only when EVERY task's cells are durable — the caller may
 // then mark all of them complete, preserving the drain-before-flush
 // invariant (a task's pending count drops only after its work is durable).
+//
+// A task whose pre-image read falls below the region's GC horizon is
+// retired with nothing applied. Only a task replayed from a WAL suffix that
+// a failed truncation left behind can read there: its cell was flushed,
+// and the flush's drain already delivered it (DESIGN.md §13). Retrying it
+// would never succeed, and reading its pre-image as absent would act on a
+// guess where the store says the answer is gone.
 func (m *Manager) applyIndexBatch(ctx cluster.RegionCtx, batch []task) error {
 	var all indexMutations
 	for _, t := range batch {
 		muts, err := m.buildIndexMutations(ctx, t, true, m.relevantIndexes(ctx, t))
+		if errors.Is(err, lsm.ErrHistoryTrimmed) {
+			continue
+		}
 		if err != nil {
 			return err
 		}

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"diffindex/internal/cluster"
 	"diffindex/internal/kv"
+	"diffindex/internal/lsm"
 	"diffindex/internal/metrics"
 )
 
@@ -122,7 +125,12 @@ func TestSyncFullPreImageIsPointReads(t *testing.T) {
 // mutations of hypothetical puts and deletes at the current time and at
 // earlier timestamps two ways — from the point-read pre-image, and from a
 // whole-row read restricted to the indexed columns — and requires the cells
-// to be identical.
+// to be identical. A background compaction between the two reads may raise
+// the GC horizon past an earlier timestamp: the second read may then refuse
+// with ErrHistoryTrimmed, but neither read may answer differently, a
+// refused first read stays refused, and the probe at the current time is
+// never refused. Each seed must compare at least one exact pair at an
+// earlier timestamp, so the test cannot pass by refusing every old read.
 func TestPreImagePointReadsMatchRowRead(t *testing.T) {
 	for _, layout := range []struct {
 		name    string
@@ -169,6 +177,7 @@ func checkPreImageHistory(t *testing.T, indexes [][]string, seed int64) {
 	stamps := []kv.Timestamp{put(rows[0], map[string][]byte{"title": value()})}
 	ctx := capture.regionOf(t, e, rows[0])
 	store := ctx.Region.Store()
+	exact := 0
 	for step := 0; step < 40; step++ {
 		row := rows[rng.Intn(len(rows))]
 		switch op := rng.Intn(9); op {
@@ -210,13 +219,22 @@ func checkPreImageHistory(t *testing.T, indexes [][]string, seed int64) {
 					{row: []byte(row), ts: ts, delCols: []string{"title"}},
 					{row: []byte(row), ts: ts, delCols: cols},
 				} {
+					now := ts == probes[0]
 					got, err := e.m.buildIndexMutations(ctx, tk, false, defs)
+					whole, werr := ctx.Region.LocalGetRow(tk.row, tk.ts-kv.Delta)
+					if trimmed := errors.Is(err, lsm.ErrHistoryTrimmed); trimmed && !now && errors.Is(werr, lsm.ErrHistoryTrimmed) {
+						continue // refused twice: the horizon passed ts−δ
+					} else if trimmed {
+						t.Fatalf("seed %d step %d, %s at %d: point reads refused, row read %v", seed, step, row, ts, werr)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					whole, err := ctx.Region.LocalGetRow(tk.row, tk.ts-kv.Delta)
-					if err != nil {
-						t.Fatal(err)
+					if errors.Is(werr, lsm.ErrHistoryTrimmed) && !now {
+						continue // a compaction between the reads raised the horizon
+					}
+					if werr != nil {
+						t.Fatal(werr)
 					}
 					indexed := map[string][]byte{}
 					for _, def := range defs {
@@ -230,8 +248,67 @@ func checkPreImageHistory(t *testing.T, indexes [][]string, seed int64) {
 						t.Fatalf("seed %d step %d, %s at %d, task %+v:\npoint reads: %+v\nrow read:    %+v",
 							seed, step, row, ts, tk, got, want)
 					}
+					if !now {
+						exact++
+					}
 				}
 			}
 		}
+	}
+	if exact == 0 {
+		t.Fatalf("seed %d: no probe at an earlier timestamp compared an exact pair", seed)
+	}
+}
+
+// TestAPSRetiresTaskBelowHorizon pins the APS's one refused reader: a task
+// replayed from a WAL suffix that a failed truncation left behind, whose
+// cell was flushed, delivered by that flush's drain, and compacted below
+// the GC horizon since. Its pre-image read is refused. The APS must retire
+// it with nothing applied: no retry loop (the queue converges), and no
+// guess at the pre-image (no index cell is written, the index is as the
+// first delivery left it).
+func TestAPSRetiresTaskBelowHorizon(t *testing.T) {
+	e := newEnv(t, 2, ManagerOptions{})
+	def := e.createIndex(t, AsyncSimple, "title")
+	capture := e.captureRegions()
+	ts1 := e.put(t, "item001", "title", "a")
+	e.put(t, "item001", "title", "b")
+	if !e.m.WaitForConvergence(5 * time.Second) {
+		t.Fatal("index did not converge")
+	}
+	ctx := capture.regionOf(t, e, "item001")
+	store := ctx.Region.Store()
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.put(t, "item002", "title", "c")
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.m.WaitForConvergence(5 * time.Second) {
+		t.Fatal("index did not converge")
+	}
+	if h := store.Horizon(); h < ts1 {
+		t.Fatalf("horizon %d is below the replayed task's ts−δ %d", h, ts1-kv.Delta)
+	}
+	before := e.rawIndexEntries(t, def)
+	counters := e.m.Counters.Snapshot()
+
+	replayed := task{row: []byte("item001"), ts: ts1, putCols: map[string][]byte{"title": []byte("a")}, allIndexes: true}
+	if err := e.m.applyIndexBatch(ctx, []task{replayed}); err != nil {
+		t.Fatalf("applyIndexBatch(refused task) = %v, want it retired", err)
+	}
+	e.m.auqFor(ctx).enqueue(replayed)
+	if !e.m.WaitForConvergence(5 * time.Second) {
+		t.Fatal("the queue never retired the refused task")
+	}
+	if d := e.m.Counters.Snapshot().Sub(counters); d != (Snapshot{}) {
+		t.Errorf("a refused task moved the index counters: %+v", d)
+	}
+	if after := e.rawIndexEntries(t, def); !reflect.DeepEqual(after, before) {
+		t.Errorf("index after the refused task = %v, want %v", after, before)
 	}
 }

@@ -27,8 +27,9 @@ func (fs keepWALFS) Remove(name string) error {
 }
 
 // newCompactionEnv builds a cluster whose stores compact eagerly: two
-// SSTables arm a round, one retained version per key, so every overwrite
-// that reaches a second flush is garbage-collected on the next merge. The
+// SSTables arm a round, which keeps each key's newest version only (every
+// input is at or below the GC horizon it raises), so every overwrite that
+// reaches a second flush is garbage-collected on the next merge. The
 // WALs are never truncated, so indexLog sees every cell the title index was
 // ever sent.
 func newCompactionEnv(t testing.TB) *env {
@@ -36,7 +37,6 @@ func newCompactionEnv(t testing.TB) *env {
 	c := cluster.New(cluster.Config{
 		Servers:             3,
 		BaseFS:              keepWALFS{vfs.NewMemFS()},
-		MaxVersions:         1,
 		CompactionThreshold: 2,
 		CompactionFanIn:     2,
 	})
@@ -334,7 +334,8 @@ func TestCompactionHookRepairsStaleEntries(t *testing.T) {
 	}
 
 	// The second flush gives each base region two tables, arming a round;
-	// MaxVersions 1 drops every g0 cell, and the hook cleans their entries.
+	// the round keeps each key's newest version, so it drops every g0 cell,
+	// and the hook cleans their entries.
 	if err := e.c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,14 @@ import (
 // round never touches the memtable or the write gate, flushes proceed in
 // parallel with compaction.
 //
-// Tombstone handling follows the bottom-tier rule: a delete marker may only
-// be dropped when the round's inputs include every table older than the
-// marker (the inputs form the complete tail of the table list). Anywhere
-// else the tombstone is rewritten into the output so it keeps masking
-// versions living in older, untouched tables. Visible state is therefore
-// never changed by a round — the Diff-Index staleness-tolerance semantics
-// (§4.2, §5.1) are preserved exactly as with the old major compaction.
+// What a round keeps is one rule against the store's GC horizon (see
+// compactRound): every read at or above the horizon sees what it saw before
+// the round, and reads below it are refused. Tombstone handling follows the
+// bottom-tier rule: a delete marker may only be dropped when the round's
+// inputs include every table older than the marker (the inputs form the
+// complete tail of the table list). Anywhere else the tombstone is
+// rewritten into the output so it keeps masking versions living in older,
+// untouched tables.
 
 // Size-tier geometry: tier 0 holds tables below tierBase·tierRatio bytes,
 // and each subsequent tier covers the next tierRatio× size band. With
@@ -143,12 +144,11 @@ func isBottom(picked []int, n int) bool {
 
 // CompactionGC describes what one compaction round of this store garbage-
 // collected, for the PostCompact hook. Dropped holds (a sample of) the
-// cells that were physically removed: superseded versions beyond
-// MaxVersions, tombstone-masked data, and (bottom rounds only) the
-// tombstones themselves. Diff-Index feeds the dropped base *put* cells to
-// the index manager, which validates exactly the index entries those old
-// values point to — a piggybacked cleanse that repairs staleness for free
-// as part of merge I/O.
+// cells that were physically removed: the versions below each key's newest
+// at or below the GC horizon, and (bottom rounds only) retired tombstones.
+// Diff-Index feeds the dropped base *put* cells to the index manager, which
+// validates exactly the index entries those old values point to — a
+// piggybacked cleanse that repairs staleness for free as part of merge I/O.
 type CompactionGC struct {
 	// Dropped is a sample of the garbage-collected cells (cloned; safe to
 	// retain). Capped at gcSampleCap per round; Truncated marks overflow.
@@ -357,49 +357,35 @@ func (s *Store) WaitCompactions() {
 }
 
 // compactRound merges the claimed inputs into one output table and installs
-// it in their place. Per user key at most MaxVersions puts survive; data
-// masked by a tombstone is dropped; the tombstone itself is dropped only
-// when bottom is true (inputs are the complete tail), otherwise it is
-// rewritten so it keeps masking older tables. Dropping only ever removes
-// cells that are invisible at every timestamp given the surviving cells —
-// version trimming is conservative on subsets (a version is trimmed only
-// when ≥ MaxVersions strictly newer versions exist *within the inputs*,
-// hence globally).
+// it in their place, under the store's one version-GC rule (DESIGN.md §13).
+// It first raises the GC horizon H to at least its inputs' max timestamp,
+// before anything is trimmed, so no reader sees the output with an older H.
+// Per user key it then keeps every version newer than H plus the newest at
+// or below it, which is exact for every read at or above H. That newest
+// version, when a tombstone, is dropped (with what it masks) only when
+// bottom is true (inputs are the complete tail) and the store does not
+// retain tombstones; anywhere else it keeps masking older tables. The
+// output is written, stamped with H, even when every cell is dropped, so H
+// survives a reopen.
 func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
-	s.mu.RLock()
-	hooks := s.postCompact
-	s.mu.RUnlock()
+	var bytesRead int64
+	var inputMax kv.Timestamp
+	for _, h := range inputs {
+		bytesRead += h.r.Size()
+		inputMax = max(inputMax, h.r.MaxTimestamp())
+	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	hooks := s.postCompact
 	outNum := s.nextFile
 	s.nextFile++
+	s.horizon = max(s.horizon, inputMax)
+	horizon := s.horizon
 	s.mu.Unlock()
-
-	var bytesRead int64
-	for _, h := range inputs {
-		bytesRead += h.r.Size()
-	}
-
-	name := tableName(s.opts.Dir, outNum)
-	w, err := sstable.NewWriter(s.opts.FS, name)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		w.Abandon()
-		s.opts.FS.Remove(name)
-		return err
-	}
-
-	iters := make([]internalIterator, len(inputs))
-	for i, h := range inputs {
-		iters[i] = h.r.Iterator()
-	}
-	merged := newMergeIterator(iters)
 
 	gc := CompactionGC{Bottom: bottom}
 	dropCell := func(c kv.Cell) {
@@ -414,59 +400,44 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 		gc.Dropped = append(gc.Dropped, c.Clone())
 	}
 
-	var curUser []byte
-	kept, masked := 0, false
-	for merged.SeekToFirst(); merged.Valid(); merged.Next() {
-		ikey := merged.InternalKey()
-		user := kv.InternalUserKey(ikey)
-		if curUser == nil || string(user) != string(curUser) {
-			curUser = append(curUser[:0], user...)
-			kept, masked = 0, false
+	out, err := s.writeTable(outNum, horizon, func(w *sstable.Writer) error {
+		iters := make([]internalIterator, len(inputs))
+		for i, h := range inputs {
+			iters[i] = h.r.Iterator()
 		}
-		c := merged.Cell()
-		if c.Tombstone() {
-			masked = true // puts below are masked within the inputs
-			if bottom && !s.opts.RetainTombstones {
-				// Nothing older exists outside the inputs: the marker has
-				// done its job and can be retired.
-				s.compTombstones.Inc()
-				dropCell(c)
-				continue
+		merged := newMergeIterator(iters)
+		var curUser []byte
+		decided := false // the key's newest version at or below H is behind us
+		for merged.SeekToFirst(); merged.Valid(); merged.Next() {
+			ikey := merged.InternalKey()
+			if user := kv.InternalUserKey(ikey); curUser == nil || string(user) != string(curUser) {
+				curUser = append(curUser[:0], user...)
+				decided = false
 			}
-			// Not at the bottom (or the store retains markers for
-			// at-least-once redelivery): keep every marker (even ones under
-			// a newer marker) so each still masks exactly the versions it
-			// did in older, unmerged tables — and any late redelivered
-			// write of masked data.
-			if err := w.Add(ikey, nil); err != nil {
-				return fail(err)
+			c := merged.Cell()
+			if c.Ts <= horizon {
+				if decided {
+					dropCell(c)
+					continue
+				}
+				decided = true
+				if c.Tombstone() && bottom && !s.opts.RetainTombstones {
+					// Nothing older exists outside the inputs: the marker has
+					// done its job and can be retired.
+					s.compTombstones.Inc()
+					dropCell(c)
+					continue
+				}
 			}
-			continue
+			if err := w.Add(ikey, c.Value); err != nil {
+				return err
+			}
 		}
-		if masked || kept >= s.opts.MaxVersions {
-			dropCell(c)
-			continue
-		}
-		if err := w.Add(ikey, c.Value); err != nil {
-			return fail(err)
-		}
-		kept++
-	}
-	if err := merged.Err(); err != nil {
-		return fail(err)
-	}
-	if err := w.Finish(); err != nil {
-		s.opts.FS.Remove(name)
-		return err
-	}
-	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
+		return merged.Err()
+	})
 	if err != nil {
 		return err
 	}
-
-	out := &tableHandle{r: r, store: s}
-	out.refs.Store(1)
-
 	// Install: splice the inputs out of the table list and put the output at
 	// the newest input's position. Inputs are located by identity — flushes
 	// prepending new tables or sibling rounds splicing elsewhere cannot
@@ -479,8 +450,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		r.Close()
-		s.opts.FS.Remove(name)
+		out.discard()
 		return ErrClosed
 	}
 	newTables := make([]*tableHandle, 0, len(s.tables)-len(inputs)+1)
@@ -498,8 +468,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 	}
 	if matched != len(inputs) {
 		s.mu.Unlock()
-		r.Close()
-		s.opts.FS.Remove(name)
+		out.discard()
 		return errors.New("lsm: compaction inputs vanished from table list")
 	}
 	s.tables = newTables
@@ -512,7 +481,7 @@ func (s *Store) compactRound(inputs []*tableHandle, bottom bool) error {
 
 	s.compRounds.Inc()
 	s.compBytesRead.Add(bytesRead)
-	s.compBytesWritten.Add(r.Size())
+	s.compBytesWritten.Add(out.r.Size())
 
 	if len(hooks) > 0 && (len(gc.Dropped) > 0 || gc.Truncated) {
 		for _, hook := range hooks {

@@ -287,7 +287,6 @@ func TestPostCompactHookReceivesGCCells(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MaxVersions:        1,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
 	})

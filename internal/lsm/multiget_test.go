@@ -91,6 +91,23 @@ func randomHistory(t *testing.T, rng *rand.Rand, rows int, key func(int) []byte)
 	return s, ts
 }
 
+// pastTs picks a past timestamp at or above s's GC horizon and below last,
+// after checking that a batch read below the horizon is refused.
+func pastTs(t *testing.T, rng *rand.Rand, s *Store, last kv.Timestamp) kv.Timestamp {
+	t.Helper()
+	h := s.Horizon()
+	if h <= 1000 || h >= last {
+		t.Fatalf("horizon %d, want one inside the history (1000, %d)", h, last)
+	}
+	if err := s.MultiGet([][]byte{[]byte("k")}, h-1, make([]GetResult, 1)); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("MultiGet below the horizon: err = %v, want ErrHistoryTrimmed", err)
+	}
+	if _, err := s.MultiScan([]ScanRange{{}}, h-1, 0); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("MultiScan below the horizon: err = %v, want ErrHistoryTrimmed", err)
+	}
+	return h + kv.Timestamp(rng.Int63n(int64(last-h)))
+}
+
 func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
 	const rows = 400
 	key := func(i int) []byte { return []byte(fmt.Sprintf("row%05d", i)) }
@@ -117,7 +134,7 @@ func runMultiGetMatchesGet(t *testing.T, rng *rand.Rand) {
 	for trial := 0; trial < 40; trial++ {
 		at := kv.MaxTimestamp
 		if trial%2 == 1 {
-			at = 1000 + kv.Timestamp(rng.Int63n(int64(ts-1000)))
+			at = pastTs(t, rng, s, ts)
 		}
 		lo := rng.Intn(rows - 20)
 		var adjacent [][]byte
@@ -160,7 +177,7 @@ func TestMultiScanMatchesScan(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				at := kv.MaxTimestamp
 				if trial%2 == 1 {
-					at = 1000 + kv.Timestamp(rng.Int63n(int64(last-1000)))
+					at = pastTs(t, rng, s, last)
 				}
 				limit := []int{0, 1, 4}[trial%3]
 				var ranges []ScanRange

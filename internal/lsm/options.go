@@ -33,10 +33,6 @@ type Options struct {
 	// MemtableBytes is the approximate memtable size that triggers a flush.
 	// Defaults to 4 MiB.
 	MemtableBytes int64
-	// MaxVersions is the number of versions per user key retained by
-	// compaction, mirroring HBase's VERSIONS column-family attribute.
-	// Defaults to 3.
-	MaxVersions int
 	// CompactionThreshold is the SSTable count at which the tiered picker
 	// starts forcing merges even when no size tier is full. Defaults to 4.
 	CompactionThreshold int
@@ -90,9 +86,6 @@ func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
 		o.MemtableBytes = 4 << 20
 	}
-	if o.MaxVersions <= 0 {
-		o.MaxVersions = 3
-	}
 	if o.CompactionThreshold <= 0 {
 		o.CompactionThreshold = 4
 	}
@@ -127,8 +120,9 @@ type Stats struct {
 	CompactionBytesRead    int64
 	CompactionBytesWritten int64
 	// CompactionCellsDropped counts cells garbage-collected by compaction
-	// (excess versions and tombstone-masked data); TombstonesDropped counts
-	// delete markers retired at the bottom tier.
+	// (versions below each key's newest at or below the GC horizon, and
+	// retired tombstones); TombstonesDropped counts the delete markers
+	// retired at the bottom tier.
 	CompactionCellsDropped int64
 	TombstonesDropped      int64
 	// CompactionErrors counts failed background rounds;

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -46,17 +47,6 @@ func (m oooModel) read(key string, ts kv.Timestamp) (oooVersion, bool) {
 	return best, found
 }
 
-// newestTombstone returns the key's newest tombstone timestamp, or -1.
-func (m oooModel) newestTombstone(key string) kv.Timestamp {
-	newest := kv.Timestamp(-1)
-	for _, v := range m[key] {
-		if v.tomb && v.ts > newest {
-			newest = v.ts
-		}
-	}
-	return newest
-}
-
 // TestOutOfOrderTimestampModel drives a store with writes whose timestamps
 // ignore component order — Diff-Index's t−δ deletes, repairs at an entry's
 // own timestamp and WAL replay all produce them — interleaved with flushes,
@@ -65,10 +55,9 @@ func (m oooModel) newestTombstone(key string) kv.Timestamp {
 // stops consulting tables by position instead of by timestamp, or that lets
 // a put tie a tombstone, returns a version the model does not.
 //
-// MaxVersions is above the op count, so compaction never trims by version
-// count, and tombstones are retained. Compaction still drops puts masked by
-// a tombstone within its inputs (ROADMAP item 1), so once a compaction has
-// run, a read below a key's newest tombstone is not checked.
+// Tombstones are retained. Compaction trims history below the store's GC
+// horizon, so a read below it must be refused, and every read at or above
+// it must match the model.
 func TestOutOfOrderTimestampModel(t *testing.T) {
 	const (
 		seeds = 40
@@ -88,7 +77,6 @@ func runOutOfOrderModel(t *testing.T, rng *rand.Rand, ops, keys int, maxTs kv.Ti
 	open := func() *Store {
 		s, err := Open(Options{
 			FS: fs, Dir: "store",
-			MaxVersions:        1 << 20,
 			RetainTombstones:   true,
 			DisableAutoFlush:   true,
 			DisableAutoCompact: true,
@@ -103,7 +91,6 @@ func runOutOfOrderModel(t *testing.T, rng *rand.Rand, ops, keys int, maxTs kv.Ti
 	defer func() { s.Close() }()
 
 	model := oooModel{}
-	compacted := false
 	var log []string // the ops so far, printed on a mismatch
 	write := func(key string, v oooVersion) {
 		var err error
@@ -119,7 +106,10 @@ func runOutOfOrderModel(t *testing.T, rng *rand.Rand, ops, keys int, maxTs kv.Ti
 		log = append(log, fmt.Sprintf("write %s %+v", key, v))
 	}
 	check := func(key string, ts kv.Timestamp) {
-		if compacted && ts < model.newestTombstone(key) {
+		if ts < s.Horizon() {
+			if _, _, err := s.Get([]byte(key), ts); !errors.Is(err, ErrHistoryTrimmed) {
+				t.Fatalf("Get(%s, %d) below horizon %d: err = %v, want ErrHistoryTrimmed", key, ts, s.Horizon(), err)
+			}
 			return
 		}
 		want, wantOK := model.read(key, ts)
@@ -170,7 +160,6 @@ func runOutOfOrderModel(t *testing.T, rng *rand.Rand, ops, keys int, maxTs kv.Ti
 			if err != nil {
 				t.Fatal(err)
 			}
-			compacted = compacted || ran
 			log = append(log, fmt.Sprintf("compact (ran=%v)", ran))
 		default: // unflushed versions come back through WAL replay
 			if err := s.Close(); err != nil {

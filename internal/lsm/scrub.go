@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"diffindex/internal/kv"
 	"diffindex/internal/sstable"
 )
 
@@ -12,7 +13,7 @@ import (
 // directly from disk (bypassing the block cache in both directions) and
 // verifies it against the per-block CRC32C recorded at write time. It runs as
 // one goroutine per store, coexisting with flushes and compactions through
-// the same refcounted table snapshot reads use (components()): a table being
+// the same refcounted table snapshot reads use (components): a table being
 // scrubbed can be retired by a compaction concurrently — the file simply
 // lives until the scrubber releases its reference. Pacing makes the scrubber
 // yield to foreground I/O: it sleeps ScrubBlockPace between blocks and
@@ -57,7 +58,7 @@ func (s *Store) scrubSleep(d time.Duration) bool {
 // loop calls it on its own schedule; tests and tools call it directly for a
 // deterministic full pass.
 func (s *Store) ScrubOnce() int {
-	_, tables, release, err := s.components()
+	_, tables, release, err := s.components(kv.MaxTimestamp)
 	if err != nil {
 		return 0 // store closed
 	}

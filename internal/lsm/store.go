@@ -22,6 +22,12 @@ import (
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("lsm: store is closed")
 
+// ErrHistoryTrimmed refuses a read at a timestamp below the store's GC
+// horizon, where compaction may have dropped the version that was visible
+// (DESIGN.md §13). A read at or above the horizon is exact, so a read at
+// kv.MaxTimestamp never returns it.
+var ErrHistoryTrimmed = errors.New("lsm: read below the GC horizon: history trimmed")
+
 // tableHandle reference-counts an open SSTable reader so that compactions can
 // retire tables while reads are still in flight against them.
 type tableHandle struct {
@@ -38,6 +44,12 @@ type tableHandle struct {
 }
 
 func (h *tableHandle) acquire() { h.refs.Add(1) }
+
+// discard closes and deletes a table that was never installed.
+func (h *tableHandle) discard() {
+	h.r.Close()
+	h.store.opts.FS.Remove(h.r.Name())
+}
 
 func (h *tableHandle) release() {
 	if h.refs.Add(-1) != 0 {
@@ -70,6 +82,11 @@ type Store struct {
 	log      *wal.Log
 	nextFile uint64
 	closed   bool
+	// horizon is the store's GC horizon H (DESIGN.md §13): monotone, at
+	// least the max timestamp of every compaction round's inputs, and
+	// stamped into every table written, so Open restores it as the maximum
+	// over the tables. Reads below it are refused.
+	horizon kv.Timestamp
 
 	flushMu  sync.Mutex // serializes flushes
 	flushing atomic.Bool
@@ -156,6 +173,7 @@ func Open(opts Options) (*Store, error) {
 		h := &tableHandle{r: r, store: s}
 		h.refs.Store(1) // the store's own reference
 		s.tables = append(s.tables, h)
+		s.horizon = max(s.horizon, r.Horizon())
 		if n >= s.nextFile {
 			s.nextFile = n + 1
 		}
@@ -305,11 +323,8 @@ func (s *Store) applyBatch(cells []kv.Cell, tr *metrics.Trace) error {
 	s.stageWAL.RecordDuration(d)
 	tr.AddStage(metrics.StageWAL, d)
 	// The durable log position of this batch: a slow-op entry can name the
-	// exact segment@offset a stalled append landed at. The trace formats it
-	// only if the slow-op log admits the operation.
-	if tr != nil {
-		tr.Annotate("wal_pos", pos)
-	}
+	// exact segment@offset a stalled append landed at.
+	tr.SetWALPos(pos.Seg, pos.Off)
 	memStart := time.Now()
 	for _, c := range cells {
 		mem.Add(c)
@@ -385,38 +400,26 @@ func (s *Store) Flush() error {
 	}
 	s.mem = memtable.New()
 	s.imm = append([]*memtable.Memtable{old}, s.imm...)
-	fileNum := s.nextFile
+	fileNum, horizon := s.nextFile, s.horizon
 	s.nextFile++
 	s.mu.Unlock()
 	s.writeGate.Unlock()
 
 	// Phase 3: write the SSTable without blocking writers.
-	name := tableName(s.opts.Dir, fileNum)
-	w, err := sstable.NewWriter(s.opts.FS, name)
-	if err != nil {
-		return err
-	}
-	it := old.Iterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		c := it.Cell()
-		if err := w.Add(it.InternalKey(), c.Value); err != nil {
-			w.Abandon()
-			s.opts.FS.Remove(name)
-			return err
+	h, err := s.writeTable(fileNum, horizon, func(w *sstable.Writer) error {
+		it := old.Iterator()
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if err := w.Add(it.InternalKey(), it.Cell().Value); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Finish(); err != nil {
-		s.opts.FS.Remove(name)
-		return err
-	}
-	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 
 	// Phase 4: install and roll the WAL forward.
-	h := &tableHandle{r: r, store: s}
-	h.refs.Store(1)
 	s.mu.Lock()
 	s.tables = append([]*tableHandle{h}, s.tables...)
 	// slices.Delete clears the vacated slot, so the flushed memtable is
@@ -425,7 +428,7 @@ func (s *Store) Flush() error {
 		s.imm = slices.Delete(s.imm, i, i+1)
 	}
 	s.mu.Unlock()
-	s.flushBytes.Add(r.Size())
+	s.flushBytes.Add(h.r.Size())
 
 	// Let the tiered picker decide whether any merge is due (tier full, or
 	// total table count past CompactionThreshold). The scheduler returns
@@ -441,13 +444,85 @@ func (s *Store) Flush() error {
 	return err
 }
 
-// components snapshots the store's components newest-first, acquiring table
-// references the caller must release via the returned function.
-func (s *Store) components() ([]*memtable.Memtable, []*tableHandle, func(), error) {
+// writeTable writes table number num, stamped with horizon, from the
+// entries add feeds the writer, and opens it with the store's reference.
+func (s *Store) writeTable(num uint64, horizon kv.Timestamp, add func(*sstable.Writer) error) (*tableHandle, error) {
+	name := tableName(s.opts.Dir, num)
+	w, err := sstable.NewWriter(s.opts.FS, name)
+	if err != nil {
+		return nil, err
+	}
+	w.SetHorizon(horizon)
+	if err := add(w); err != nil {
+		w.Abandon()
+		s.opts.FS.Remove(name)
+		return nil, err
+	}
+	if err := w.Finish(); err != nil {
+		s.opts.FS.Remove(name)
+		return nil, err
+	}
+	r, err := sstable.Open(s.opts.FS, name, s.opts.BlockCache)
+	if err != nil {
+		return nil, err
+	}
+	h := &tableHandle{r: r, store: s}
+	h.refs.Store(1)
+	return h, nil
+}
+
+// Horizon returns the store's GC horizon: reads below it are refused with
+// ErrHistoryTrimmed.
+func (s *Store) Horizon() kv.Timestamp {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.horizon
+}
+
+// RaiseHorizon raises the store's GC horizon to at least h and persists it
+// in an empty table. A region filled from copies of already-trimmed
+// history starts at its sources' horizon this way, so it refuses what they
+// refused.
+func (s *Store) RaiseHorizon(h kv.Timestamp) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	if h <= s.horizon {
+		s.mu.Unlock()
+		return nil
+	}
+	num := s.nextFile
+	s.nextFile++
+	s.mu.Unlock()
+	t, err := s.writeTable(num, h, func(*sstable.Writer) error { return nil })
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		t.discard()
+		return ErrClosed
+	}
+	s.tables = append(s.tables, t)
+	s.horizon = max(s.horizon, h)
+	return nil
+}
+
+// components snapshots the store's components newest-first for a read at
+// ts, acquiring table references the caller must release via the returned
+// function. A read below the horizon is refused here, against the same
+// snapshot: a round raises the horizon before it installs its output.
+func (s *Store) components(ts kv.Timestamp) ([]*memtable.Memtable, []*tableHandle, func(), error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, nil, nil, ErrClosed
+	}
+	if ts < s.horizon {
+		return nil, nil, nil, ErrHistoryTrimmed
 	}
 	mems := make([]*memtable.Memtable, 0, 1+len(s.imm))
 	mems = append(mems, s.mem)
@@ -496,7 +571,7 @@ func (s *Store) MultiGet(keys [][]byte, ts kv.Timestamp, out []GetResult) error 
 			}
 		}()
 	}
-	mems, tables, release, err := s.components()
+	mems, tables, release, err := s.components(ts)
 	if err != nil {
 		return err
 	}
@@ -598,7 +673,7 @@ func (s *Store) Scan(start, end []byte, ts kv.Timestamp, limit int) ([]ScanResul
 // MultiScan is Scan for a batch: out[i] answers ranges[i], up to limit
 // results each. The batch reads one snapshot of the store's components.
 func (s *Store) MultiScan(ranges []ScanRange, ts kv.Timestamp, limit int) ([][]ScanResult, error) {
-	mems, tables, release, err := s.components()
+	mems, tables, release, err := s.components(ts)
 	if err != nil {
 		return nil, err
 	}
@@ -673,14 +748,11 @@ func mergeOf(mems []*memtable.Memtable, tables []*tableHandle, keep func(*tableH
 // ScanAll returns every version of every user key in [start, end) with
 // timestamp ≤ ts — puts and tombstones alike. Region copies (split/merge
 // streaming) use it: a copied region must be a faithful replica of the
-// source's MVCC history, not just its visible surface. Tombstones must
-// survive the copy so late-redelivered index cells (at-least-once delivery)
-// stay masked, and older base versions must survive so redelivered AUQ
-// tasks can still resolve their pre-image at ts−δ (§4.3, §5.3) — collapsing
-// to per-key winners would make the pre-image read miss and silently skip
-// the superseded-entry delete.
+// source's MVCC history above its GC horizon, not just its visible
+// surface. Tombstones must survive the copy so late-redelivered index
+// cells (at-least-once delivery) stay masked.
 func (s *Store) ScanAll(start, end []byte, ts kv.Timestamp) ([]kv.Cell, error) {
-	mems, tables, release, err := s.components()
+	mems, tables, release, err := s.components(ts)
 	if err != nil {
 		return nil, err
 	}
@@ -727,6 +799,12 @@ func (s *Store) Stats() Stats {
 		CompactionErrors:       s.compErrors.Load(),
 		LastCompactionError:    lastErr,
 	}
+}
+
+// ActiveWALSegment returns the WAL's active segment number, which moves
+// when a flush or a failed append rolls the log.
+func (s *Store) ActiveWALSegment() uint64 {
+	return s.log.ActiveSegment()
 }
 
 // MemtableBytes returns the active memtable's approximate size.

@@ -188,9 +188,10 @@ func (fs *truncFailFS) Remove(name string) error {
 // TestFailedTruncationRecovers: a flush whose log truncation fails part way
 // leaves segments behind, and recovery replays them on top of tables that a
 // bottom-tier compaction has since rewritten. The replay must bring back
-// nothing the compaction dropped: the deleted row stays deleted, and Get,
-// Scan and GetAsOf at every recorded timestamp answer after the reopen
-// exactly as they did before the crash.
+// nothing the compaction dropped: the deleted row stays deleted, the GC
+// horizon the compaction raised is restored, and Get and Scan at every
+// recorded timestamp answer (or refuse) after the reopen exactly as they
+// did before the crash.
 func TestFailedTruncationRecovers(t *testing.T) {
 	fault := vfs.NewFaultFS(vfs.NewMemFS())
 	fs := &truncFailFS{FS: fault}
@@ -270,12 +271,8 @@ func TestFailedTruncationRecovers(t *testing.T) {
 		var out []string
 		for _, at := range reads {
 			for _, key := range []string{"x", "row", "torn", "y"} {
-				c, ok, err := s.GetAsOf([]byte(key), at)
-				out = append(out, fmt.Sprintf("GetAsOf(%s@%d) = %q %v %v", key, at, c.Value, ok, err))
-				if at == kv.MaxTimestamp {
-					c, ok, err = s.Get([]byte(key), at)
-					out = append(out, fmt.Sprintf("Get(%s) = %q %v %v", key, c.Value, ok, err))
-				}
+				c, ok, err := s.Get([]byte(key), at)
+				out = append(out, fmt.Sprintf("Get(%s@%d) = %q %v %v", key, at, c.Value, ok, err))
 			}
 			rows, err := s.Scan(nil, nil, at, 0)
 			line := fmt.Sprintf("Scan(@%d) = %v:", at, err)
@@ -286,10 +283,16 @@ func TestFailedTruncationRecovers(t *testing.T) {
 		}
 		return out
 	}
-	before := answers(s)
+	before, horizon := answers(s), s.Horizon()
+	if horizon != ts { // the flushed "y" put
+		t.Fatalf("horizon after the compaction = %d, want %d", horizon, ts)
+	}
 	// The crash: abandon the store without Close.
 	s = open()
 	defer s.Close()
+	if got := s.Horizon(); got != horizon {
+		t.Fatalf("horizon after recovery = %d, want %d", got, horizon)
+	}
 	if _, ok, _ := s.Get([]byte("row"), kv.MaxTimestamp); ok {
 		t.Fatal("the deleted row came back after recovery")
 	}
@@ -366,7 +369,6 @@ func TestCompactionMergesAndGCs(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MaxVersions:        2,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
 	})
@@ -399,12 +401,18 @@ func TestCompactionMergesAndGCs(t *testing.T) {
 	if c, ok, _ := s.Get([]byte("multi"), kv.MaxTimestamp); !ok || string(c.Value) != "v5" {
 		t.Errorf("newest version lost: %+v ok=%v", c, ok)
 	}
-	// MaxVersions=2: version at ts 40 survives, ts 30 GCed.
-	if c, ok, _ := s.Get([]byte("multi"), 45); !ok || string(c.Value) != "v4" {
-		t.Errorf("second-newest version lost: %+v ok=%v", c, ok)
+	// The round raised the horizon to its inputs' max timestamp (50) and
+	// kept each key's newest version at or below it: reads below it are
+	// refused, not answered from what survived.
+	if h := s.Horizon(); h != 50 {
+		t.Errorf("Horizon = %d, want 50", h)
 	}
-	if _, ok, _ := s.Get([]byte("multi"), 35); ok {
-		t.Error("GCed version still visible")
+	if _, _, err := s.Get([]byte("multi"), 45); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Errorf("Get below the horizon: err = %v, want ErrHistoryTrimmed", err)
+	}
+	if st := s.Stats(); st.CompactionCellsDropped != 6 || st.TombstonesDropped != 1 {
+		t.Errorf("dropped %d cells and %d tombstones, want 6 (multi's 4 older versions, dead's put and marker) and 1",
+			st.CompactionCellsDropped, st.TombstonesDropped)
 	}
 	// Tombstone and masked data dropped entirely.
 	if _, ok, _ := s.Get([]byte("dead"), kv.MaxTimestamp); ok {
@@ -710,8 +718,7 @@ func TestModelEquivalence(t *testing.T) {
 				model[k] = append(model[k], version{ts: ts, val: v})
 			}
 		}
-		// Compare latest-visible reads (compaction-safe: no time travel
-		// beyond MaxVersions).
+		// Compare latest-visible reads, which no compaction refuses.
 		for _, k := range keys {
 			var best *version
 			for i := range model[k] {

@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,12 +11,11 @@ import (
 	"diffindex/internal/vfs"
 )
 
-func newTimeTravelStore(t testing.TB, fs vfs.FS, maxVersions int) *Store {
+func newTimeTravelStore(t testing.TB, fs vfs.FS) *Store {
 	t.Helper()
 	s, err := Open(Options{
 		FS:                 fs,
 		Dir:                "tt",
-		MaxVersions:        maxVersions,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
 		DisableScrub:       true,
@@ -26,12 +26,12 @@ func newTimeTravelStore(t testing.TB, fs vfs.FS, maxVersions int) *Store {
 	return s
 }
 
-// TestGetAsOfAcrossComponents: as-of reads answer from memtable and
-// SSTables alike, and a tombstone at ts means "did not exist then", not
-// "trimmed".
+// TestGetAsOfAcrossComponents: as-of point reads (Get at a past timestamp)
+// answer from memtable and SSTables alike, and a tombstone at ts means "did
+// not exist then", not "trimmed".
 func TestGetAsOfAcrossComponents(t *testing.T) {
 	fs := vfs.NewMemFS()
-	s := newTimeTravelStore(t, fs, 10)
+	s := newTimeTravelStore(t, fs)
 	defer s.Close()
 
 	key := []byte("k")
@@ -64,12 +64,12 @@ func TestGetAsOfAcrossComponents(t *testing.T) {
 		{99, "v4", true}, // future ts: newest visible
 	}
 	for _, tc := range cases {
-		c, ok, err := s.GetAsOf(key, kv.Timestamp(tc.ts))
+		c, ok, err := s.Get(key, kv.Timestamp(tc.ts))
 		if err != nil {
-			t.Fatalf("GetAsOf(ts=%d): %v", tc.ts, err)
+			t.Fatalf("Get(ts=%d): %v", tc.ts, err)
 		}
 		if ok != tc.exist || (ok && string(c.Value) != tc.want) {
-			t.Errorf("GetAsOf(ts=%d) = (%q, %v), want (%q, %v)", tc.ts, c.Value, ok, tc.want, tc.exist)
+			t.Errorf("Get(ts=%d) = (%q, %v), want (%q, %v)", tc.ts, c.Value, ok, tc.want, tc.exist)
 		}
 	}
 
@@ -93,12 +93,11 @@ func TestGetAsOfAcrossComponents(t *testing.T) {
 // TestScanAtEveryTimestamp: an as-of scan is Scan with a timestamp. A
 // put/overwrite/delete history spread over a compacted table, a flushed
 // table and the memtable must scan, at every timestamp it recorded, to the
-// state a model held at that instant; the latest-state scan is the as-of
-// scan at the newest timestamp. The compaction runs before the deletes:
-// merging a tombstone with the versions it masks garbage-collects them, and
-// which history survives is retention's business, not the read path's.
+// state a model held at that instant, or, below the GC horizon the
+// compaction raised, refuse; the latest-state scan is the as-of scan at the
+// newest timestamp.
 func TestScanAtEveryTimestamp(t *testing.T) {
-	s := newTimeTravelStore(t, vfs.NewMemFS(), 16)
+	s := newTimeTravelStore(t, vfs.NewMemFS())
 	defer s.Close()
 
 	type version struct {
@@ -164,7 +163,16 @@ func TestScanAtEveryTimestamp(t *testing.T) {
 		}
 		return out
 	}
+	if h := s.Horizon(); h != 6 {
+		t.Fatalf("Horizon = %d, want 6, the compacted inputs' max timestamp", h)
+	}
 	for ts, want := range model {
+		if ts < 6 {
+			if _, err := s.Scan(nil, nil, kv.Timestamp(ts), 0); !errors.Is(err, ErrHistoryTrimmed) {
+				t.Errorf("Scan(ts=%d) below the horizon: err = %v, want ErrHistoryTrimmed", ts, err)
+			}
+			continue
+		}
 		var wantRows []ScanResult
 		for _, k := range []string{"a", "b", "c", "d", "e"} {
 			if v, ok := want[k]; ok {
@@ -195,18 +203,7 @@ func TestScanAtEveryTimestamp(t *testing.T) {
 // TestGetAsOfTrimmedHistory: once compaction discards the version an old
 // timestamp needs, the read reports ErrHistoryTrimmed instead of "absent".
 func TestGetAsOfTrimmedHistory(t *testing.T) {
-	fs := vfs.NewMemFS()
-	s, err := Open(Options{
-		FS:                 fs,
-		Dir:                "tt",
-		MaxVersions:        2,
-		DisableAutoFlush:   true,
-		DisableAutoCompact: true,
-		DisableScrub:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTimeTravelStore(t, vfs.NewMemFS())
 	defer s.Close()
 	key := []byte("k")
 	for ts := 1; ts <= 6; ts++ {
@@ -217,17 +214,20 @@ func TestGetAsOfTrimmedHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Compact merges every table, down to the bottom: versions past 2 drop.
+	// Compact merges every table, down to the bottom: the horizon rises to
+	// 6 and every version but the newest drops.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetAsOf(key, 1); !errors.Is(err, ErrHistoryTrimmed) {
-		t.Fatalf("GetAsOf(trimmed ts) err = %v, want ErrHistoryTrimmed", err)
+	for _, ts := range []kv.Timestamp{1, 5} {
+		if _, _, err := s.Get(key, ts); !errors.Is(err, ErrHistoryTrimmed) {
+			t.Fatalf("Get(trimmed ts %d) err = %v, want ErrHistoryTrimmed", ts, err)
+		}
 	}
-	// The surviving versions still answer.
-	c, ok, err := s.GetAsOf(key, 6)
+	// At and above the horizon the read is exact.
+	c, ok, err := s.Get(key, 6)
 	if err != nil || !ok || string(c.Value) != "v6" {
-		t.Fatalf("GetAsOf(live ts) = (%q, %v, %v)", c.Value, ok, err)
+		t.Fatalf("Get(live ts) = (%q, %v, %v)", c.Value, ok, err)
 	}
 	// MaxTimestamp reads never report trimming.
 	if _, ok, err := s.Get([]byte("nosuch"), kv.MaxTimestamp); err != nil || ok {
@@ -236,14 +236,13 @@ func TestGetAsOfTrimmedHistory(t *testing.T) {
 }
 
 // TestGetAsOfTrimInNonBottomRound: a compaction round that merges only the
-// newer tables trims their versions past MaxVersions while an older table
-// still holds a version below the trimmed ones. An as-of read at a trimmed
-// timestamp must refuse, not fall through to that older version.
+// newer tables trims their older versions while an older table still holds
+// a version below the trimmed ones. An as-of read at a trimmed timestamp
+// must refuse, not fall through to that older version.
 func TestGetAsOfTrimInNonBottomRound(t *testing.T) {
 	s, err := Open(Options{
 		FS:                 vfs.NewMemFS(),
 		Dir:                "tt",
-		MaxVersions:        4,
 		CompactionFanIn:    2,
 		DisableAutoFlush:   true,
 		DisableAutoCompact: true,
@@ -286,11 +285,13 @@ func TestGetAsOfTrimInNonBottomRound(t *testing.T) {
 	if n := s.TableCount(); n != 2 {
 		t.Fatalf("store has %d tables, want A plus the merge of B and C", n)
 	}
-	if c, ok, err := s.GetAsOf(key, 3); !errors.Is(err, ErrHistoryTrimmed) {
-		t.Fatalf("GetAsOf(k, 3) = (%q, %v, %v), want ErrHistoryTrimmed", c.Value, ok, err)
+	for _, ts := range []kv.Timestamp{1, 3, 8} {
+		if c, ok, err := s.Get(key, ts); !errors.Is(err, ErrHistoryTrimmed) {
+			t.Fatalf("Get(k, %d) = (%q, %v, %v), want ErrHistoryTrimmed", ts, c.Value, ok, err)
+		}
 	}
-	if c, ok, err := s.GetAsOf(key, 9); err != nil || !ok || string(c.Value) != "v9" {
-		t.Fatalf("GetAsOf(k, 9) = (%q, %v, %v), want v9", c.Value, ok, err)
+	if c, ok, err := s.Get(key, 9); err != nil || !ok || string(c.Value) != "v9" {
+		t.Fatalf("Get(k, 9) = (%q, %v, %v), want v9", c.Value, ok, err)
 	}
 }
 
@@ -298,8 +299,7 @@ func TestGetAsOfTrimInNonBottomRound(t *testing.T) {
 // versions the tombstone masks, so an as-of read below the delete finds
 // nothing. It must refuse rather than report the key absent.
 func TestGetAsOfMaskedByDelete(t *testing.T) {
-	t.Skip("masked-drop history loss: needs the GC horizon, ROADMAP item 1 step 2")
-	s := newTimeTravelStore(t, vfs.NewMemFS(), 3)
+	s := newTimeTravelStore(t, vfs.NewMemFS())
 	defer s.Close()
 	key := []byte("k")
 	for ts, write := range []func(kv.Timestamp) error{
@@ -317,23 +317,27 @@ func TestGetAsOfMaskedByDelete(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	c, ok, err := s.GetAsOf(key, 2)
-	if !errors.Is(err, ErrHistoryTrimmed) && !(ok && string(c.Value) == "v2") {
-		t.Fatalf("GetAsOf(k, 2) = (%q, %v, %v), want v2 or ErrHistoryTrimmed", c.Value, ok, err)
+	if c, ok, err := s.Get(key, 2); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("Get(k, 2) = (%q, %v, %v), want ErrHistoryTrimmed", c.Value, ok, err)
+	}
+	if rows, err := s.Scan(nil, nil, 2, 0); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("Scan(ts=2) = (%+v, %v), want ErrHistoryTrimmed", rows, err)
+	}
+	if c, ok, err := s.Get(key, 3); err != nil || ok {
+		t.Fatalf("Get(k, 3) = (%q, %v, %v), want absent: deleted at 3", c.Value, ok, err)
 	}
 }
 
-// TestAsOfReadsRaceCompaction drives GetAsOf/Scan-at-ts concurrently with
-// writes, flushes and compactions (run under -race). Readers pin recent
-// timestamps, so retention never invalidates their answers: every read must
-// either succeed with the value written at that timestamp or — for the
-// oldest ones — report ErrHistoryTrimmed, never a wrong value.
+// TestAsOfReadsRaceCompaction drives point reads and scans at past
+// timestamps concurrently with writes, flushes and compactions (run under
+// -race). Readers pick any recorded timestamp: every read must either
+// answer with the state written at that timestamp or report
+// ErrHistoryTrimmed, never a wrong value, and once the writes stop a read
+// at the newest timestamp is never refused.
 func TestAsOfReadsRaceCompaction(t *testing.T) {
-	fs := vfs.NewMemFS()
 	s, err := Open(Options{
-		FS:                  fs,
+		FS:                  vfs.NewMemFS(),
 		Dir:                 "tt",
-		MaxVersions:         4,
 		CompactionThreshold: 2,
 		DisableScrub:        true,
 		DisableAutoFlush:    true, // flushes are explicit below; compactions are not
@@ -345,75 +349,98 @@ func TestAsOfReadsRaceCompaction(t *testing.T) {
 
 	const keys = 8
 	const rounds = 40
-	var tsHigh int64 // highest fully written timestamp, shared with readers
 	var mu sync.Mutex
-	latest := map[int64]map[int]string{} // ts → key index → value at that ts
+	var stamps []int64                   // recorded timestamps, ascending
+	states := map[int64]map[int]string{} // ts → key index → value at that ts
 
+	render := func(rows []ScanResult) string {
+		out := ""
+		for _, r := range rows {
+			out += fmt.Sprintf("%s=%s ", r.Key, r.Value)
+		}
+		return out
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
-			for {
+			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				mu.Lock()
-				var ts int64
-				for cand := range latest {
-					if cand > ts {
-						ts = cand
-					}
-				}
-				state := latest[ts]
-				mu.Unlock()
-				if ts == 0 {
+				if len(stamps) == 0 {
+					mu.Unlock()
 					continue
 				}
+				ts := stamps[len(stamps)-1]
+				if n%2 == 1 {
+					ts = stamps[(n*7+r)%len(stamps)]
+				}
+				state := states[ts]
+				mu.Unlock()
+				wantScan := ""
 				for k := 0; k < keys; k++ {
-					c, ok, err := s.GetAsOf([]byte(fmt.Sprintf("k%d", k)), kv.Timestamp(ts))
+					if v, ok := state[k]; ok {
+						wantScan += fmt.Sprintf("k%d=%s ", k, v)
+					}
+				}
+				for k := 0; k < keys; k++ {
+					c, ok, err := s.Get([]byte(fmt.Sprintf("k%d", k)), kv.Timestamp(ts))
 					if errors.Is(err, ErrHistoryTrimmed) {
-						continue // old ts raced past retention: honest refusal
+						continue // below the horizon: an honest refusal
 					}
 					if err != nil {
-						t.Errorf("GetAsOf(k%d@%d): %v", k, ts, err)
+						t.Errorf("Get(k%d@%d): %v", k, ts, err)
 						return
 					}
 					want, exists := state[k]
 					if ok != exists || (ok && string(c.Value) != want) {
-						t.Errorf("GetAsOf(k%d@%d) = (%q, %v), want (%q, %v)", k, ts, c.Value, ok, want, exists)
+						t.Errorf("Get(k%d@%d) = (%q, %v), want (%q, %v)", k, ts, c.Value, ok, want, exists)
 						return
 					}
 				}
-				if _, err := s.Scan(nil, nil, kv.Timestamp(ts), 0); err != nil {
-					t.Errorf("Scan(ts=%d): %v", ts, err)
+				rows, err := s.Scan(nil, nil, kv.Timestamp(ts), 0)
+				if errors.Is(err, ErrHistoryTrimmed) {
+					continue
+				}
+				if err != nil || render(rows) != wantScan {
+					t.Errorf("Scan(ts=%d) = (%s, %v), want %s", ts, render(rows), err, wantScan)
 					return
 				}
 			}
-		}()
+		}(r)
 	}
 
+	state := map[int]string{}
 	for round := 1; round <= rounds; round++ {
-		state := map[int]string{}
-		mu.Lock()
-		for k, v := range latest[tsHigh] {
-			state[k] = v
+		next := map[int]string{}
+		for k, v := range state {
+			next[k] = v
 		}
-		mu.Unlock()
 		ts := int64(round)
 		for k := 0; k < keys; k++ {
+			if (k+round)%5 == 0 { // some keys are deleted, to be re-put later
+				if err := s.Delete([]byte(fmt.Sprintf("k%d", k)), kv.Timestamp(ts)); err != nil {
+					t.Fatal(err)
+				}
+				delete(next, k)
+				continue
+			}
 			val := fmt.Sprintf("r%d", round)
 			if err := s.Put([]byte(fmt.Sprintf("k%d", k)), []byte(val), kv.Timestamp(ts)); err != nil {
 				t.Fatal(err)
 			}
-			state[k] = val
+			next[k] = val
 		}
+		state = next
 		mu.Lock()
-		latest[ts] = state
-		tsHigh = ts
+		states[ts] = next
+		stamps = append(stamps, ts)
 		mu.Unlock()
 		if round%5 == 0 {
 			if err := s.Flush(); err != nil {
@@ -424,4 +451,142 @@ func TestAsOfReadsRaceCompaction(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s.WaitCompactions()
+	for k := 0; k < keys; k++ {
+		c, ok, err := s.Get([]byte(fmt.Sprintf("k%d", k)), rounds)
+		if want, exists := state[k]; err != nil || ok != exists || string(c.Value) != want {
+			t.Errorf("Get(k%d@%d) = (%q, %v, %v), want (%q, %v)", k, rounds, c.Value, ok, err, want, exists)
+		}
+	}
+}
+
+// TestCompactionOnlyRefuses: across seeded histories of puts and deletes,
+// flushes, tiered and major compactions and reopens, a read at a fixed
+// timestamp that answered before a compaction answers the same after it,
+// or is refused with ErrHistoryTrimmed. Each history must also see a read
+// answer exactly after the horizon moved past the moment it was first
+// taken, so the test cannot pass by refusing everything.
+func TestCompactionOnlyRefuses(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := vfs.NewMemFS()
+		s := newTimeTravelStore(t, fs)
+		answer := func(key string, ts kv.Timestamp) string {
+			c, ok, err := s.Get([]byte(key), ts)
+			if errors.Is(err, ErrHistoryTrimmed) {
+				return "refused"
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%q %v", c.Value, ok)
+		}
+		type probe struct {
+			key  string
+			ts   kv.Timestamp
+			want string
+			h0   kv.Timestamp // the horizon when the probe was first read
+		}
+		var probes []probe
+		exact := 0
+		for ts := kv.Timestamp(1); ts <= 200; ts++ {
+			key := fmt.Sprintf("k%d", rng.Intn(5))
+			var err error
+			if rng.Intn(4) == 0 {
+				err = s.Delete([]byte(key), ts)
+			} else {
+				err = s.Put([]byte(key), []byte(fmt.Sprint("v", ts)), ts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch rng.Intn(12) {
+			case 0, 1, 2:
+				err = s.Flush()
+			case 3:
+				_, err = s.CompactOnce()
+			case 4:
+				err = s.Compact()
+			case 5:
+				if err = s.Close(); err == nil {
+					s = newTimeTravelStore(t, fs)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range probes {
+				got := answer(probes[i].key, probes[i].ts)
+				if got != probes[i].want && got != "refused" {
+					t.Fatalf("seed %d ts %d: Get(%s@%d) = %s, answered %s before", seed, ts, probes[i].key, probes[i].ts, got, probes[i].want)
+				}
+				if got != "refused" && s.Horizon() > probes[i].h0 {
+					exact++ // a compaction since the first read left it exact
+				}
+				probes[i].want = got
+			}
+			at := ts // the present, or any moment before it
+			if rng.Intn(2) == 0 {
+				at = 1 + kv.Timestamp(rng.Int63n(int64(ts)))
+			}
+			key = fmt.Sprintf("k%d", rng.Intn(5))
+			probes = append(probes, probe{key, at, answer(key, at), s.Horizon()})
+		}
+		s.Close()
+		if exact == 0 {
+			t.Fatalf("seed %d: no read answered exactly after a compaction raised the horizon", seed)
+		}
+	}
+}
+
+// TestHorizonSurvivesReopen: the GC horizon a compaction raised is restored
+// when the store reopens, also after a bottom round that dropped every cell
+// it read and so wrote an empty table.
+func TestHorizonSurvivesReopen(t *testing.T) {
+	fs := vfs.NewMemFS()
+	s := newTimeTravelStore(t, fs)
+	key := []byte("k")
+	if err := s.Put(key, []byte("v1"), 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(key, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TableCount() != 1 || s.tables[0].r.EntryCount() != 0 {
+		t.Fatalf("after the bottom round: %d tables, want one empty one", s.TableCount())
+	}
+	for round := 0; round < 2; round++ {
+		if h := s.Horizon(); h != 20 {
+			t.Fatalf("round %d: Horizon = %d, want 20", round, h)
+		}
+		if c, ok, err := s.Get(key, 15); !errors.Is(err, ErrHistoryTrimmed) {
+			t.Fatalf("round %d: Get(k, 15) = (%q, %v, %v), want ErrHistoryTrimmed", round, c.Value, ok, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = newTimeTravelStore(t, fs)
+	}
+	// A later flush and compaction carry the horizon forward.
+	if err := s.Put(key, []byte("v2"), 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Horizon(); h != 30 {
+		t.Fatalf("Horizon after a second round = %d, want 30", h)
+	}
+	s.Close()
 }

@@ -1,8 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +40,9 @@ type Stage struct {
 // *Trace is valid and records nothing, so instrumentation points call its
 // methods unconditionally.
 //
-// The stages and notes of an ordinary operation fit the inline arrays, so a
-// trace costs one allocation; notes are formatted only for an operation the
-// slow-op log admits.
+// The stages of an ordinary operation fit the inline array, so a trace
+// costs one allocation; the WAL position is kept as two integers and
+// formatted only for an operation the slow-op log admits.
 type Trace struct {
 	op    string
 	table string
@@ -50,9 +50,10 @@ type Trace struct {
 
 	mu       sync.Mutex
 	stages   []Stage
-	notes    []note
 	stageArr [4]Stage
-	noteArr  [1]note
+	walSeg   uint64
+	walOff   int64
+	walSet   bool
 }
 
 // clockBase anchors monoNow.
@@ -61,13 +62,6 @@ var clockBase = time.Now()
 // monoNow reads only the monotonic clock: time.Now also reads the wall
 // clock, which a trace's duration never needs.
 func monoNow() time.Duration { return time.Since(clockBase) }
-
-// note is one annotation, kept unformatted until the slow-op log admits the
-// operation.
-type note struct {
-	key   string
-	value fmt.Stringer
-}
 
 // Op returns the operation name (put, get, scan, index-get, ...).
 func (t *Trace) Op() string { return t.op }
@@ -98,41 +92,31 @@ func (t *Trace) StartStage(name string) func() {
 	return func() { t.AddStage(name, time.Since(start)) }
 }
 
-// Annotate attaches a key/value note to the trace — positional context a
-// duration can't carry, like the WAL position ("wal_pos" = "segment@offset")
-// of the batch a stalled append was writing. The value is formatted only if
-// the slow-op log admits the operation. Later values overwrite earlier ones
-// for the same key. Safe on a nil trace.
-func (t *Trace) Annotate(key string, value fmt.Stringer) {
+// SetWALPos records the WAL position (segment and offset) of the batch the
+// operation appended, so that a slow-op entry can name where a stalled
+// append landed. Later positions overwrite earlier ones. Safe on a nil
+// trace.
+func (t *Trace) SetWALPos(seg uint64, off int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.notes {
-		if t.notes[i].key == key {
-			t.notes[i].value = value
-			return
-		}
-	}
-	t.notes = append(t.notes, note{key: key, value: value})
+	t.walSeg, t.walOff, t.walSet = seg, off, true
+	t.mu.Unlock()
 }
 
-// Notes returns the annotations recorded so far, formatted (nil when none).
+// Notes returns the trace's positional notes, formatted: "wal_pos" =
+// "segment@offset" once SetWALPos ran, else nil.
 func (t *Trace) Notes() map[string]string {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.notes) == 0 {
+	if !t.walSet {
 		return nil
 	}
-	out := make(map[string]string, len(t.notes))
-	for _, n := range t.notes {
-		out[n.key] = n.value.String()
-	}
-	return out
+	return map[string]string{"wal_pos": strconv.FormatUint(t.walSeg, 10) + "@" + strconv.FormatInt(t.walOff, 10)}
 }
 
 // Stages returns a copy of the stages recorded so far.
@@ -249,7 +233,7 @@ func (tr *Tracer) Start(op, table string) *Trace {
 		return nil
 	}
 	t := &Trace{op: op, table: table, start: monoNow()}
-	t.stages, t.notes = t.stageArr[:0], t.noteArr[:0]
+	t.stages = t.stageArr[:0]
 	return t
 }
 

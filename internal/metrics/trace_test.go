@@ -1,17 +1,9 @@
 package metrics
 
 import (
-	"strconv"
 	"testing"
 	"time"
 )
-
-// pos is a Stringer note value of the shape the WAL position has.
-type pos struct{ seg, off int64 }
-
-func (p *pos) String() string {
-	return strconv.FormatInt(p.seg, 10) + "@" + strconv.FormatInt(p.off, 10)
-}
 
 // fullTracer returns a tracer whose slow-op log is already full of ops far
 // slower than anything a test will finish, so no further op is admitted.
@@ -25,23 +17,23 @@ func fullTracer(reg *Registry) *Tracer {
 
 // TestTracerNonAdmittedOpAllocs guards the per-op cost of tracing: an op the
 // slow-op log does not admit costs exactly the trace's own allocation —
-// stages and notes live in the trace's inline arrays, the op histogram is a
-// resolved handle, and nothing is copied or formatted for the log.
+// stages live in the trace's inline array, the WAL position in two
+// integers, the op histogram is a resolved handle, and nothing is copied or
+// formatted for the log.
 func TestTracerNonAdmittedOpAllocs(t *testing.T) {
 	reg := NewRegistry()
 	tr := fullTracer(reg)
-	p := &pos{seg: 3, off: 4096}
 	tr.Finish(tr.Start("put", "items")) // resolve the (put, items) histogram
 	allocs := testing.AllocsPerRun(200, func() {
 		tc := tr.Start("put", "items")
 		tc.AddStage(StageWAL, time.Microsecond)
-		tc.Annotate("wal_pos", p)
+		tc.SetWALPos(3, 4096)
 		tc.AddStage(StageMemtable, time.Microsecond)
 		tc.AddStage(StageIndexRPC, time.Microsecond)
 		tr.Finish(tc)
 	})
 	if allocs != 1 {
-		t.Fatalf("Start/AddStage/Annotate/Finish of a non-admitted op = %v allocs, want 1 (the trace)", allocs)
+		t.Fatalf("Start/AddStage/SetWALPos/Finish of a non-admitted op = %v allocs, want 1 (the trace)", allocs)
 	}
 	if got := reg.Histogram("diffindex_op_latency_ns", L("op", "put"), L("table", "items")).Count(); got != 202 {
 		t.Fatalf("op histogram count = %d, want 202", got)
@@ -49,14 +41,14 @@ func TestTracerNonAdmittedOpAllocs(t *testing.T) {
 }
 
 // TestTracerAdmittedOpKeepsStagesAndNotes checks the other side of the
-// admission check: an admitted op carries its stages in order and its notes
-// formatted, with later notes overwriting earlier ones for the same key.
+// admission check: an admitted op carries its stages in order and its WAL
+// position formatted as a note, the later position overwriting the earlier.
 func TestTracerAdmittedOpKeepsStagesAndNotes(t *testing.T) {
 	tr := NewTracer(NewRegistry(), 4, false)
 	tc := tr.Start("put", "items")
 	tc.AddStage(StageWAL, 2*time.Millisecond)
-	tc.Annotate("wal_pos", &pos{seg: 1, off: 10})
-	tc.Annotate("wal_pos", &pos{seg: 7, off: 512})
+	tc.SetWALPos(1, 10)
+	tc.SetWALPos(7, 512)
 	tc.AddStage(StageMemtable, time.Millisecond)
 	tr.Finish(tc)
 
@@ -114,12 +106,11 @@ func TestHistogramVecResolvesRegistryInstrument(t *testing.T) {
 // put: start, two stages, the WAL-position note and a non-admitted finish.
 func BenchmarkTracerNonAdmittedOp(b *testing.B) {
 	tr := fullTracer(NewRegistry())
-	p := &pos{seg: 3, off: 4096}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tc := tr.Start("put", "items")
 		tc.AddStage(StageWAL, time.Microsecond)
-		tc.Annotate("wal_pos", p)
+		tc.SetWALPos(3, 4096)
 		tc.AddStage(StageMemtable, time.Microsecond)
 		tr.Finish(tc)
 	}

@@ -190,23 +190,24 @@ func TestDecodersBoundCounts(t *testing.T) {
 		t.Fatalf("unmarshalChecksums(wrapping count) = %v, want ErrBadTable", err)
 	}
 
-	entry := marshalIndex(nil, 7, []indexEntry{{lastKey: []byte("k"), firstKey: []byte("k"), handle: blockHandle{0, 10}}})
-	// Every index block opens with the smallest key's length (0 here) and
-	// the max timestamp (7).
+	entry := marshalIndex(nil, stamps{maxTs: 7, horizon: 5}, []indexEntry{{lastKey: []byte("k"), firstKey: []byte("k"), handle: blockHandle{0, 10}}})
+	// Every index block opens with the smallest key's length (0 here), the
+	// max timestamp (7) and the horizon (5).
 	for name, idx := range map[string][]byte{
-		"entry count":   append([]byte{0, 7}, huge...),
+		"entry count":   append([]byte{0, 7, 5}, huge...),
 		"restart count": append(entry[:len(entry)-1:len(entry)-1], huge...),
-		"key length":    append([]byte{0, 7, 1}, huge...),
-		"handle":        marshalIndex(nil, 7, []indexEntry{{handle: blockHandle{8, 10}}}),
-		"restart":       marshalIndex(nil, 7, []indexEntry{{handle: blockHandle{0, 10}, restarts: []uint32{11}}}),
+		"key length":    append([]byte{0, 7, 5, 1}, huge...),
+		"handle":        marshalIndex(nil, stamps{maxTs: 7, horizon: 5}, []indexEntry{{handle: blockHandle{8, 10}}}),
+		"restart":       marshalIndex(nil, stamps{maxTs: 7, horizon: 5}, []indexEntry{{handle: blockHandle{0, 10}, restarts: []uint32{11}}}),
 		"trailing":      append(append([]byte(nil), entry...), 0),
 		"max timestamp": {0, 0x80},
+		"horizon":       {0, 7, 0x80},
 	} {
 		if _, _, _, err := unmarshalIndex(idx, 10); !errors.Is(err, ErrBadTable) {
 			t.Errorf("unmarshalIndex(bad %s) = %v, want ErrBadTable", name, err)
 		}
 	}
-	if _, maxTs, got, err := unmarshalIndex(entry, 10); err != nil || len(got) != 1 || maxTs != 7 {
-		t.Fatalf("unmarshalIndex(valid) = %d entries, max ts %d, %v", len(got), maxTs, err)
+	if _, st, got, err := unmarshalIndex(entry, 10); err != nil || len(got) != 1 || st != (stamps{7, 5}) {
+		t.Fatalf("unmarshalIndex(valid) = %d entries, stamps %+v, %v", len(got), st, err)
 	}
 }

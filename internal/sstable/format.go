@@ -11,8 +11,8 @@
 // simulated disk latency is charged, making LSM reads pay random-I/O cost
 // while writes remain sequential (§2.1's asymmetry).
 //
-// The index block opens with the table's smallest user key and largest entry
-// timestamp, then records, per data block, its last and first internal keys
+// The index block opens with the table's smallest user key, its largest
+// entry timestamp and the GC horizon of the store that wrote it, then records, per data block, its last and first internal keys
 // and the offsets of every restartInterval-th entry. The first key gives
 // zero-I/O gap rejection (a point get whose key falls between two blocks
 // never reads either); the restart points turn the in-block entry scan into
@@ -172,18 +172,25 @@ type indexEntry struct {
 	restarts []uint32
 }
 
+// stamps are the two table-wide timestamps of the index block: the largest
+// entry timestamp, the bound point reads skip tables by, and the GC horizon
+// of the store that wrote the table (DESIGN.md §13).
+type stamps struct {
+	maxTs, horizon kv.Timestamp
+}
+
 // marshalIndex serializes the block index, prefixed with the table's
 // smallest user key so readers recover both user-key bounds without a data-
 // block read (the largest comes from the final entry's last key), and with
-// its largest entry timestamp, the bound point reads skip tables by (the
-// index block is CRC-checked at Open, so a corrupted bound fails Open).
-// Restart offsets are delta-encoded; the implicit first restart at offset 0
-// is not stored.
-func marshalIndex(smallest []byte, maxTs kv.Timestamp, entries []indexEntry) []byte {
+// its stamps (the index block is CRC-checked at Open, so a corrupted stamp
+// fails Open). Restart offsets are delta-encoded; the implicit first
+// restart at offset 0 is not stored.
+func marshalIndex(smallest []byte, st stamps, entries []indexEntry) []byte {
 	var out []byte
 	out = binary.AppendUvarint(out, uint64(len(smallest)))
 	out = append(out, smallest...)
-	out = binary.AppendUvarint(out, uint64(maxTs))
+	out = binary.AppendUvarint(out, uint64(st.maxTs))
+	out = binary.AppendUvarint(out, uint64(st.horizon))
 	out = binary.AppendUvarint(out, uint64(len(entries)))
 	for _, e := range entries {
 		out = binary.AppendUvarint(out, uint64(len(e.lastKey)))
@@ -241,19 +248,19 @@ func (d *indexDecoder) key() []byte {
 
 // unmarshalIndex decodes an index block. dataEnd is the file offset where
 // the data blocks end; every block handle must lie below it.
-func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, maxTs kv.Timestamp, entries []indexEntry, err error) {
+func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, st stamps, entries []indexEntry, err error) {
 	d := indexDecoder{b: b}
 	if k := d.key(); len(k) > 0 {
 		smallest = k
 	}
-	maxTs = kv.Timestamp(d.uvarint())
+	st = stamps{maxTs: kv.Timestamp(d.uvarint()), horizon: kv.Timestamp(d.uvarint())}
 	n := d.count()
 	entries = make([]indexEntry, 0, n)
 	for i := uint64(0); i < n && !d.bad; i++ {
 		e := indexEntry{lastKey: d.key()}
 		e.handle = blockHandle{offset: d.uvarint(), length: d.uvarint()}
 		if e.handle.offset > dataEnd || e.handle.length > dataEnd-e.handle.offset {
-			return nil, 0, nil, fmt.Errorf("%w: index block handle out of range", ErrBadTable)
+			return nil, stamps{}, nil, fmt.Errorf("%w: index block handle out of range", ErrBadTable)
 		}
 		e.firstKey = d.key()
 		if nr := d.count(); nr > 0 {
@@ -262,7 +269,7 @@ func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, maxTs kv.Timesta
 			for j := uint64(0); j < nr; j++ {
 				delta := d.uvarint()
 				if delta > e.handle.length-prev {
-					return nil, 0, nil, fmt.Errorf("%w: restart past block end", ErrBadTable)
+					return nil, stamps{}, nil, fmt.Errorf("%w: restart past block end", ErrBadTable)
 				}
 				prev += delta
 				e.restarts = append(e.restarts, uint32(prev))
@@ -271,9 +278,9 @@ func unmarshalIndex(b []byte, dataEnd uint64) (smallest []byte, maxTs kv.Timesta
 		entries = append(entries, e)
 	}
 	if d.bad || len(d.b) != 0 {
-		return nil, 0, nil, fmt.Errorf("%w: index block", ErrBadTable)
+		return nil, stamps{}, nil, fmt.Errorf("%w: index block", ErrBadTable)
 	}
-	return smallest, maxTs, entries, nil
+	return smallest, st, entries, nil
 }
 
 // appendBlockEntry appends one entry to a data block:

@@ -24,7 +24,7 @@ type Reader struct {
 
 	smallest   []byte // smallest user key, from the index block
 	largest    []byte // largest user key, from the index block
-	maxTs      kv.Timestamp
+	stamps     stamps
 	count      uint64
 	tombstones uint64
 	size       int64
@@ -108,7 +108,7 @@ func newReader(f vfs.File, name string, cache *BlockCache) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadTable, name, err)
 	}
 	// Data blocks precede the filter block.
-	smallest, maxTs, index, err := unmarshalIndex(idxBuf, ftr.filterOff)
+	smallest, st, index, err := unmarshalIndex(idxBuf, ftr.filterOff)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -124,7 +124,7 @@ func newReader(f vfs.File, name string, cache *BlockCache) (*Reader, error) {
 		index:      index,
 		filter:     filter,
 		smallest:   smallest,
-		maxTs:      maxTs,
+		stamps:     st,
 		count:      ftr.entryCount,
 		tombstones: ftr.tombstoneCount,
 		size:       size,
@@ -164,7 +164,12 @@ func (r *Reader) LargestUserKey() []byte { return r.largest }
 // MaxTimestamp returns the largest timestamp of any entry in the table,
 // tombstones included (0 for an empty table). A point read that already holds
 // a version newer than this needs nothing from the table.
-func (r *Reader) MaxTimestamp() kv.Timestamp { return r.maxTs }
+func (r *Reader) MaxTimestamp() kv.Timestamp { return r.stamps.maxTs }
+
+// Horizon returns the GC horizon the writing store had given the table
+// (SetHorizon): the store that opens it restores its horizon as the maximum
+// over its tables.
+func (r *Reader) Horizon() kv.Timestamp { return r.stamps.horizon }
 
 // MayContainKey reports whether userKey falls inside the table's
 // [smallest, largest] user-key range — a zero-I/O pre-check point reads use
@@ -216,7 +221,7 @@ type TableInfo struct {
 
 // Info returns the table's shape summary.
 func (r *Reader) Info() TableInfo {
-	info := TableInfo{Blocks: len(r.index), Entries: r.count, MaxTimestamp: r.maxTs}
+	info := TableInfo{Blocks: len(r.index), Entries: r.count, MaxTimestamp: r.stamps.maxTs}
 	for i := range r.index {
 		info.Restarts += len(r.index[i].restarts)
 	}

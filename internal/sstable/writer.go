@@ -35,7 +35,7 @@ type Writer struct {
 	lastFirst  []byte
 
 	smallest, largest []byte // user-key bounds
-	maxTs             kv.Timestamp
+	stamps            stamps
 	count             uint64
 	tombstones        uint64
 	finished          bool
@@ -51,6 +51,10 @@ func NewWriter(fs vfs.FS, name string) (*Writer, error) {
 	}
 	return &Writer{f: f, name: name}, nil
 }
+
+// SetHorizon records the GC horizon of the store writing the table, which
+// Reader.Horizon returns (DESIGN.md §13).
+func (w *Writer) SetHorizon(h kv.Timestamp) { w.stamps.horizon = h }
 
 // Add appends one entry. Entries must arrive in strictly ascending internal
 // key order.
@@ -94,8 +98,8 @@ func (w *Writer) Add(ikey, value []byte) error {
 		w.smallest = append([]byte(nil), user...)
 	}
 	w.largest = append(w.largest[:0], user...)
-	if w.count == 0 || ts > w.maxTs {
-		w.maxTs = ts
+	if w.count == 0 || ts > w.stamps.maxTs {
+		w.stamps.maxTs = ts
 	}
 	w.count++
 	if kind == kv.KindDelete {
@@ -152,7 +156,7 @@ func (w *Writer) Finish() error {
 	}
 	w.blockOff += uint64(len(filter))
 
-	idx := marshalIndex(w.smallest, w.maxTs, w.index)
+	idx := marshalIndex(w.smallest, w.stamps, w.index)
 	ftr.indexOff = w.blockOff
 	ftr.indexLen = uint64(len(idx))
 	if _, err := w.f.Write(idx); err != nil {

@@ -49,9 +49,6 @@ type Pos struct {
 	Off int64
 }
 
-// String renders "segment@offset", the form slow-op logs and tools print.
-func (p Pos) String() string { return fmt.Sprintf("%d@%d", p.Seg, p.Off) }
-
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 

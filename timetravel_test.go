@@ -10,7 +10,7 @@ import (
 // values read as-of past timestamps must match what reads returned when
 // those timestamps were current, across overwrites, deletes and a flush.
 func TestClientGetAsOf(t *testing.T) {
-	db := Open(Options{Servers: 2, MaxVersions: 10})
+	db := Open(Options{Servers: 2})
 	defer db.Close()
 	if err := db.CreateTable("kvstore", nil); err != nil {
 		t.Fatal(err)
@@ -75,11 +75,11 @@ func TestClientGetAsOf(t *testing.T) {
 }
 
 // TestClientGetAsOfHistoryTrimmed drives enough overwrites through
-// compaction that MaxVersions retention discards the version an old
-// timestamp would need, and checks the read reports ErrHistoryTrimmed
-// instead of guessing.
+// compaction that the version an old timestamp would need falls below the
+// region's GC horizon, and checks that every as-of read there reports
+// ErrHistoryTrimmed instead of guessing, while the newest answers exactly.
 func TestClientGetAsOfHistoryTrimmed(t *testing.T) {
-	db := Open(Options{Servers: 1, MaxVersions: 2})
+	db := Open(Options{Servers: 1})
 	defer db.Close()
 	if err := db.CreateTable("kvstore", nil); err != nil {
 		t.Fatal(err)
@@ -89,20 +89,29 @@ func TestClientGetAsOfHistoryTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last int64
 	for i := 1; i <= 6; i++ {
-		if _, err := cl.Put("kvstore", []byte("r1"), Cols{"c": []byte(fmt.Sprintf("v%d", i))}); err != nil {
+		if last, err = cl.Put("kvstore", []byte("r1"), Cols{"c": []byte(fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c, m := db.Internal()
-	_ = m
-	c.WaitCompactions()
+	c, _ := db.Internal()
+	c.WaitCompactions() // four flushed tables fill a tier: one round ran
 
 	_, _, _, err = cl.GetAsOf("kvstore", []byte("r1"), "c", ts0)
 	if !errors.Is(err, ErrHistoryTrimmed) {
 		t.Fatalf("GetAsOf(trimmed ts) err = %v, want ErrHistoryTrimmed", err)
+	}
+	if _, err := cl.GetRowAsOf("kvstore", []byte("r1"), ts0); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("GetRowAsOf(trimmed ts) err = %v, want ErrHistoryTrimmed", err)
+	}
+	if _, err := cl.ScanAsOf("kvstore", nil, nil, ts0, 0); !errors.Is(err, ErrHistoryTrimmed) {
+		t.Fatalf("ScanAsOf(trimmed ts) err = %v, want ErrHistoryTrimmed", err)
+	}
+	if v, _, ok, err := cl.GetAsOf("kvstore", []byte("r1"), "c", last); err != nil || !ok || string(v) != "v6" {
+		t.Fatalf("GetAsOf(newest ts) = (%q, %v, %v), want v6", v, ok, err)
 	}
 }
