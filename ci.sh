@@ -27,8 +27,9 @@
 #      merges, the release of a flushed memtable, the topology churn
 #      property, and the index pre-image reads against background
 #      compaction, plus, under the race detector, the memtable's lock-free
-#      readers against a writer that grows its arena (~40 s wall on 2
-#      CPUs); one failure fails the step
+#      readers against a writer that grows its arena and the store tests
+#      that race reads, flushes and writes against background compaction
+#      rounds (~70 s wall on 2 CPUs); one failure fails the step
 #   9. benchmark smoke     — every benchmark compiles and survives one
 #      iteration (catches bit-rot in bench-only code paths)
 #  10. fuzz smoke          — 10 s each of FuzzOpen over the SSTable decoders
@@ -38,7 +39,8 @@
 #      walkthrough (which prints Store.Stats() and, with -stats, the
 #      registry) and `lsmtool stats` run to completion, `lsmtool verify`
 #      exit codes, and the five `chaoskit` verdicts (two fixed-seed fault
-#      runs, -integrity, -timetravel, -elastic); the fault runs and -elastic
+#      runs, the second with fan-in 2 to keep compaction running,
+#      -integrity, -timetravel, -elastic); the fault runs and -elastic
 #      include the topology check
 set -eu
 cd "$(dirname "$0")"
@@ -79,6 +81,7 @@ echo "== race stress (30 runs each) =="
 go test -count=30 -run 'TestBalancerRacesTopologyChanges|TestTopologyChurnProperty|TestOpenRegionWaitsForOpenInFlight|TestReadsRaceClose|TestAsOfReadsRaceCompaction|TestPipelineRacesClose|TestFlushRacesClose|TestPartScanRacesFlushAndCompaction|TestMultiGetRacesFlushAndCompaction|TestMultiScanAcrossSplitAndMerge|TestWritesAcrossSplitAndMerge|TestFlushReleasesMemtable' ./internal/cluster ./internal/lsm
 go test -count=30 -run 'TestPreImagePointReadsMatchRowRead' ./internal/core
 go test -race -count=30 -run 'TestConcurrentReadersAndWriters|TestReadsRaceArenaGrowth' ./internal/memtable
+go test -race -count=30 -run 'TestMultiGetRacesFlushAndCompaction|TestPartScanRacesFlushAndCompaction|TestReadsRaceConcurrentCompactions|TestBackgroundCompactionErrorSurfaced|TestAutoFlushAndCompact' ./internal/lsm
 
 echo "== benchmark smoke (one iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
@@ -107,10 +110,10 @@ echo "== chaoskit verdicts =="
 # disk and network faults under a live workload, every invariant checked per
 # scheme (DESIGN.md §9). Short duration keeps the pass bounded (~10 s).
 go run ./cmd/chaoskit -seed 1 -scenarios 4 -duration 400ms -trace=false
-# Same harness with the tiered compaction engine kept hot: every flush can
-# arm another bounded merge round, so tombstone handling and the
-# compaction hook's index repairs run under the same fault schedule.
-go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact-threshold 2
+# Same harness with the tiered compaction engine kept hot: with fan-in 2,
+# two same-tier tables arm a bounded merge round, so tombstone handling and
+# the compaction hook's index repairs run under the same fault schedule.
+go run ./cmd/chaoskit -seed 2 -scenarios 2 -duration 300ms -trace=false -compact-fanin 2
 # Integrity pair (DESIGN.md §11): faulted run (scrubber must detect armed
 # misreads, anti-entropy must repair injected divergence) plus the unfaulted
 # false-positive control.

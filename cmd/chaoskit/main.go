@@ -40,8 +40,7 @@ func main() {
 	integrity := flag.Bool("integrity", false, "also run the silent-corruption + index-divergence pair (faulted run + clean control)")
 	timetravel := flag.Bool("timetravel", false, "also run the recovery crash scenario (WAL appends torn mid-burst; recovery must replay exactly the mutations acknowledged since the flush and keep every golden as-of read)")
 	trace := flag.Bool("trace", true, "print each scenario's planned event trace")
-	compactThreshold := flag.Int("compact-threshold", 0, "per-store SSTable count that arms incremental compaction (0 = chaos default 64, which leaves it cold; try 2 to keep the tiered engine busy)")
-	compactFanIn := flag.Int("compact-fanin", 0, "tables merged per compaction round (0 = store default)")
+	compactFanIn := flag.Int("compact-fanin", 0, "same-tier tables merged per compaction round, and the count that arms one (0 = store default 4; try 2 to keep the tiered engine busy)")
 	flag.Parse()
 
 	schemes := []diffindex.Scheme{diffindex.SyncFull, diffindex.SyncInsert, diffindex.AsyncSimple, diffindex.AsyncSession}
@@ -58,14 +57,13 @@ func main() {
 
 	for i := 0; i < *scenarios; i++ {
 		cfg := chaos.ScenarioConfig{
-			Seed:                *seed + int64(i),
-			Scheme:              schemes[i%len(schemes)],
-			Servers:             *servers,
-			Records:             *records,
-			Threads:             *threads,
-			Duration:            *duration,
-			CompactionThreshold: *compactThreshold,
-			CompactionFanIn:     *compactFanIn,
+			Seed:            *seed + int64(i),
+			Scheme:          schemes[i%len(schemes)],
+			Servers:         *servers,
+			Records:         *records,
+			Threads:         *threads,
+			Duration:        *duration,
+			CompactionFanIn: *compactFanIn,
 		}
 		fmt.Printf("\n— scenario %d/%d: scheme=%s seed=%d\n", i+1, *scenarios, cfg.Scheme, cfg.Seed)
 		res, err := chaos.Run(cfg)

@@ -88,12 +88,9 @@ type Options struct {
 	BlockCacheBytes int64
 	// MemtableBytes is the per-region flush threshold (default 4 MiB).
 	MemtableBytes int64
-	// CompactionThreshold is the SSTable count that triggers a compaction
-	// (default 4).
-	CompactionThreshold int
-	// CompactionFanIn bounds how many SSTables one incremental compaction
-	// round merges per region store (default 4). Each round picks at most
-	// this many similar-sized tables, so compaction I/O stays bounded no
+	// CompactionFanIn is how many similar-sized SSTables one incremental
+	// compaction round merges per region store (default 4). A round starts
+	// when a size tier holds this many, so compaction I/O stays bounded no
 	// matter how many tables a write burst accumulates.
 	CompactionFanIn int
 
@@ -146,14 +143,13 @@ func Open(opts Options) *DB {
 			WriteLatency: opts.DiskWriteLatency,
 			SyncLatency:  opts.DiskSyncLatency,
 		},
-		BaseFS:              opts.BaseFS,
-		BlockCacheBytes:     opts.BlockCacheBytes,
-		MemtableBytes:       opts.MemtableBytes,
-		CompactionThreshold: opts.CompactionThreshold,
-		CompactionFanIn:     opts.CompactionFanIn,
-		ScrubInterval:       opts.ScrubInterval,
-		ScrubBlockPace:      opts.ScrubBlockPace,
-		DisableTracing:      opts.DisableTracing,
+		BaseFS:          opts.BaseFS,
+		BlockCacheBytes: opts.BlockCacheBytes,
+		MemtableBytes:   opts.MemtableBytes,
+		CompactionFanIn: opts.CompactionFanIn,
+		ScrubInterval:   opts.ScrubInterval,
+		ScrubBlockPace:  opts.ScrubBlockPace,
+		DisableTracing:  opts.DisableTracing,
 	})
 	m := core.NewManager(c, core.ManagerOptions{
 		MaxBacklog:          opts.AUQMaxBacklog,

@@ -9,7 +9,6 @@ package bloom
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -23,11 +22,21 @@ type Filter struct {
 // ≈1% false-positive rate, matching HBase's default row Bloom configuration.
 const BitsPerKey = 10
 
-// hashKey returns two independent 32-bit hashes of key for double hashing.
-func hashKey(key []byte) (h1, h2 uint32) {
-	h := fnv.New64a()
-	h.Write(key)
-	sum := h.Sum64()
+// Hash returns the 64-bit FNV-1a hash of key, the value New takes per key.
+// A table writer hashes each key once as it arrives instead of keeping a
+// copy of it until the filter is built.
+func Hash(key []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
+// probes splits a key hash into the two 32-bit halves of double hashing.
+func probes(sum uint64) (h1, h2 uint32) {
 	h1 = uint32(sum)
 	h2 = uint32(sum >> 32)
 	if h2 == 0 { // keep the probe stride non-degenerate
@@ -36,13 +45,13 @@ func hashKey(key []byte) (h1, h2 uint32) {
 	return h1, h2
 }
 
-// New builds a filter containing every key in keys, sized at bitsPerKey bits
-// per key (use BitsPerKey for the default ≈1% FP rate).
-func New(keys [][]byte, bitsPerKey int) *Filter {
+// New builds a filter containing every key whose Hash is in hashes, sized
+// at bitsPerKey bits per key (use BitsPerKey for the default ≈1% FP rate).
+func New(hashes []uint64, bitsPerKey int) *Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
-	nBits := len(keys) * bitsPerKey
+	nBits := len(hashes) * bitsPerKey
 	if nBits < 64 {
 		nBits = 64
 	}
@@ -57,18 +66,14 @@ func New(keys [][]byte, bitsPerKey int) *Filter {
 		k = 30
 	}
 	f := &Filter{bits: make([]byte, nBytes), k: k}
-	for _, key := range keys {
-		f.add(key, uint32(nBits))
+	for _, sum := range hashes {
+		h1, h2 := probes(sum)
+		for i := uint32(0); i < k; i++ {
+			pos := (h1 + i*h2) % uint32(nBits)
+			f.bits[pos/8] |= 1 << (pos % 8)
+		}
 	}
 	return f
-}
-
-func (f *Filter) add(key []byte, nBits uint32) {
-	h1, h2 := hashKey(key)
-	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + i*h2) % nBits
-		f.bits[pos/8] |= 1 << (pos % 8)
-	}
 }
 
 // MayContain reports whether key may be in the set. False negatives never
@@ -78,7 +83,7 @@ func (f *Filter) MayContain(key []byte) bool {
 		return true // absent filter: cannot exclude anything
 	}
 	nBits := uint32(len(f.bits) * 8)
-	h1, h2 := hashKey(key)
+	h1, h2 := probes(Hash(key))
 	for i := uint32(0); i < f.k; i++ {
 		pos := (h1 + i*h2) % nBits
 		if f.bits[pos/8]&(1<<(pos%8)) == 0 {

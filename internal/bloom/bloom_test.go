@@ -3,9 +3,20 @@ package bloom
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
+
+// hashes returns the Hash of each key, what New takes.
+func hashes(keys [][]byte) []uint64 {
+	out := make([]uint64, len(keys))
+	for i, k := range keys {
+		out[i] = Hash(k)
+	}
+	return out
+}
 
 func keysN(n int, prefix string) [][]byte {
 	keys := make([][]byte, n)
@@ -17,7 +28,7 @@ func keysN(n int, prefix string) [][]byte {
 
 func TestNoFalseNegatives(t *testing.T) {
 	keys := keysN(10000, "key")
-	f := New(keys, BitsPerKey)
+	f := New(hashes(keys), BitsPerKey)
 	for _, k := range keys {
 		if !f.MayContain(k) {
 			t.Fatalf("false negative for %q", k)
@@ -27,7 +38,7 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestNoFalseNegativesProperty(t *testing.T) {
 	check := func(keys [][]byte) bool {
-		f := New(keys, BitsPerKey)
+		f := New(hashes(keys), BitsPerKey)
 		for _, k := range keys {
 			if !f.MayContain(k) {
 				return false
@@ -41,7 +52,7 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 }
 
 func TestFalsePositiveRate(t *testing.T) {
-	f := New(keysN(10000, "member"), BitsPerKey)
+	f := New(hashes(keysN(10000, "member")), BitsPerKey)
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
@@ -58,7 +69,7 @@ func TestFalsePositiveRate(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	keys := keysN(500, "k")
-	f := New(keys, BitsPerKey)
+	f := New(hashes(keys), BitsPerKey)
 	g, err := Unmarshal(f.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +113,7 @@ func TestEmptyAndNilFilter(t *testing.T) {
 
 func TestDegenerateBitsPerKey(t *testing.T) {
 	keys := keysN(100, "k")
-	f := New(keys, 0) // clamped to 1 bit/key
+	f := New(hashes(keys), 0) // clamped to 1 bit/key
 	for _, k := range keys {
 		if !f.MayContain(k) {
 			t.Fatal("false negative with clamped bitsPerKey")
@@ -111,10 +122,32 @@ func TestDegenerateBitsPerKey(t *testing.T) {
 }
 
 func BenchmarkMayContain(b *testing.B) {
-	f := New(keysN(100000, "k"), BitsPerKey)
+	f := New(hashes(keysN(100000, "k")), BitsPerKey)
 	probe := []byte("k00050000")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.MayContain(probe)
+	}
+}
+
+// TestHashIsFNV1a pins Hash to the standard 64-bit FNV-1a sum, which the
+// filters in existing tables were built with.
+func TestHashIsFNV1a(t *testing.T) {
+	for _, k := range append(keysN(50, "k"), nil, []byte{0}, []byte("\xff\x00row")) {
+		h := fnv.New64a()
+		h.Write(k)
+		if got, want := Hash(k), h.Sum64(); got != want {
+			t.Errorf("Hash(%q) = %#x, want %#x", k, got, want)
+		}
+	}
+}
+
+// TestFilterBytesUnchanged pins the serialized filter of a fixed key set, so
+// filters written before and after a change to how keys reach New agree
+// bit for bit.
+func TestFilterBytesUnchanged(t *testing.T) {
+	b := New(hashes(keysN(1000, "k")), BitsPerKey).Marshal()
+	if len(b) != 1254 || crc32.ChecksumIEEE(b) != 0x5eb01004 {
+		t.Errorf("filter of 1000 keys: %d bytes, CRC %#08x; want 1254 bytes, CRC 0x5eb01004", len(b), crc32.ChecksumIEEE(b))
 	}
 }

@@ -29,7 +29,6 @@ func RunDrainAblation(seed int64, disableDrain bool) (*Result, error) {
 
 	db := diffindex.Open(diffindex.Options{
 		Servers:                   3,
-		CompactionThreshold:       64,
 		UnsafeDisableDrainOnFlush: disableDrain,
 		DisableTracing:            true,
 	})

@@ -161,8 +161,8 @@ func TestTimeTravelScenario(t *testing.T) {
 	}
 }
 
-// Incremental compaction under faults: a table-count trigger of 2 keeps the
-// tiered engine busy for the whole window (every flush arms another round),
+// Incremental compaction under faults: a fan-in of 2 keeps the tiered
+// engine busy for the whole window (two same-tier tables arm a round),
 // with extra flush events feeding it tables while crashes, partitions and
 // disk faults fire. This drives the paths the smoke test leaves cold —
 // bounded-fan-in merges racing reads, the tombstone-at-bottom-tier rule,
@@ -177,14 +177,13 @@ func TestChaosIncrementalCompaction(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			res, err := Run(ScenarioConfig{
-				Seed:                2,
-				Scheme:              scheme,
-				Servers:             3,
-				Records:             120,
-				Threads:             2,
-				Duration:            500 * time.Millisecond,
-				CompactionThreshold: 2,
-				CompactionFanIn:     2,
+				Seed:            2,
+				Scheme:          scheme,
+				Servers:         3,
+				Records:         120,
+				Threads:         2,
+				Duration:        500 * time.Millisecond,
+				CompactionFanIn: 2,
 				Plan: &PlanConfig{
 					Crashes: 1, Partitions: 1, Flushes: 6, Splits: 1,
 					DiskFaultWindows: 1, NetFaultWindows: 1,
@@ -204,6 +203,9 @@ func TestChaosIncrementalCompaction(t *testing.T) {
 			}
 			if res.Checked == 0 {
 				t.Error("checkers evaluated nothing")
+			}
+			if res.CompactionRounds == 0 {
+				t.Error("no compaction round ran during the scenario")
 			}
 		})
 	}

@@ -42,12 +42,11 @@ func RunIntegrity(seed int64, faulted bool) (*IntegrityResult, error) {
 	const scrubInterval = 20 * time.Millisecond
 	fault := vfs.NewFaultFS(vfs.NewMemFS())
 	db := diffindex.Open(diffindex.Options{
-		Servers:             3,
-		BaseFS:              fault,
-		CompactionThreshold: 64, // keep compaction cold: no background .sst reads but the scrubber's
-		ScrubInterval:       scrubInterval,
-		ScrubBlockPace:      -1, // unpaced: detection latency measures the scrubber, not its throttle
-		DisableTracing:      true,
+		Servers:        3,
+		BaseFS:         fault,
+		ScrubInterval:  scrubInterval,
+		ScrubBlockPace: -1, // unpaced: detection latency measures the scrubber, not its throttle
+		DisableTracing: true,
 	})
 	defer db.Close()
 	c, _ := db.Internal()

@@ -42,14 +42,11 @@ type ScenarioConfig struct {
 	// protocol — the deliberately broken recovery the negative test uses to
 	// prove the checkers catch real violations.
 	DisableDrainOnFlush bool
-	// CompactionThreshold overrides the per-store table count that arms
-	// the incremental compaction engine (default 64, which effectively
-	// disables compaction during the short chaos window). Set low (e.g. 2)
-	// to exercise tiered compaction — including the tombstone-at-bottom-
-	// tier rule and the PostCompact piggybacked cleanse — under faults.
-	CompactionThreshold int
-	// CompactionFanIn overrides the per-round merge width (0 = store
-	// default).
+	// CompactionFanIn overrides the per-round merge width, which is also
+	// the number of same-tier tables that arms a round (0 = store default,
+	// 4). Set it to 2 to keep tiered compaction running through the short
+	// chaos window — including the tombstone-at-bottom-tier rule and the
+	// PostCompact piggybacked cleanse — under faults.
 	CompactionFanIn int
 	// AUQMaxBacklog, when > 0, arms AUQ admission control: per-region async
 	// backlog is capped and overflow arrivals degrade to synchronous
@@ -77,9 +74,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.Throttle <= 0 {
 		c.Throttle = 200 * time.Microsecond
-	}
-	if c.CompactionThreshold <= 0 {
-		c.CompactionThreshold = 64
 	}
 	return c
 }
@@ -113,6 +107,8 @@ type Result struct {
 	// the run; AUQShed counts arrivals admission control degraded to sync.
 	MaxAUQBacklog int64
 	AUQShed       int64
+	// CompactionRounds counts the compaction rounds every store completed.
+	CompactionRounds int64
 }
 
 // OK reports whether the scenario upheld every invariant.
@@ -130,13 +126,8 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 
 	fault := vfs.NewFaultFS(vfs.NewMemFS())
 	db := diffindex.Open(diffindex.Options{
-		Servers: cfg.Servers,
-		BaseFS:  fault,
-		// The default CompactionThreshold of 64 effectively disables
-		// compaction during the short chaos window; the compaction
-		// scenarios lower it to put incremental merges (and their
-		// version/tombstone GC) inside the fault schedule.
-		CompactionThreshold:       cfg.CompactionThreshold,
+		Servers:                   cfg.Servers,
+		BaseFS:                    fault,
 		CompactionFanIn:           cfg.CompactionFanIn,
 		AUQMaxBacklog:             cfg.AUQMaxBacklog,
 		BalancerInterval:          cfg.BalancerInterval,
@@ -473,11 +464,6 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 			maxBacklog.Store(d)
 		}
 		res.MaxAUQBacklog = maxBacklog.Load()
-		for _, p := range db.MetricsSnapshot().Counters {
-			if p.Name == "diffindex_auq_shed_total" {
-				res.AUQShed += p.Value // one series per base table
-			}
-		}
 		// Two legitimate overshoot sources: concurrent writers racing the
 		// cap check (bounded by the writer count), and crash-recovery WAL
 		// replay re-enqueueing up to a full cap's worth of preserved tasks
@@ -489,6 +475,14 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 			res.Violations = append(res.Violations, Violation{"auq-backlog",
 				fmt.Sprintf("sampled AUQ backlog %d exceeds bound %d (cap %d)",
 					res.MaxAUQBacklog, bound, cfg.AUQMaxBacklog)})
+		}
+	}
+	for _, p := range db.MetricsSnapshot().Counters { // one series per table
+		switch p.Name {
+		case "diffindex_auq_shed_total":
+			res.AUQShed += p.Value
+		case "diffindex_compaction_rounds_total":
+			res.CompactionRounds += p.Value
 		}
 	}
 	res.Ops = ops.Load()

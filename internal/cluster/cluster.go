@@ -55,11 +55,8 @@ type Config struct {
 	BlockCacheBytes int64
 	// MemtableBytes is the per-region flush threshold. Defaults to 4 MiB.
 	MemtableBytes int64
-	// CompactionThreshold is the table count triggering compaction.
-	// Defaults to 4.
-	CompactionThreshold int
-	// CompactionFanIn bounds how many SSTables one compaction round merges
-	// per region store. Defaults to 4.
+	// CompactionFanIn is how many similar-sized SSTables one compaction
+	// round merges per region store. Defaults to 4.
 	CompactionFanIn int
 	// ScrubInterval / ScrubBlockPace tune the per-region scrubber (zero
 	// values take the lsm defaults: 5s between cycles, 1ms between blocks).

@@ -167,17 +167,16 @@ func (s *RegionServer) OpenRegion(info RegionInfo) (err error) {
 	region := &Region{Info: info, server: s}
 	var replayed []kv.Cell
 	store, err := lsm.Open(lsm.Options{
-		FS:                  s.cluster.FS,
-		Dir:                 regionDir(info),
-		MemtableBytes:       s.cluster.cfg.MemtableBytes,
-		CompactionThreshold: s.cluster.cfg.CompactionThreshold,
-		CompactionFanIn:     s.cluster.cfg.CompactionFanIn,
-		RetainTombstones:    s.cluster.retainsTombstones(info.Table),
-		BlockCache:          cache,
-		ScrubInterval:       s.cluster.cfg.ScrubInterval,
-		ScrubBlockPace:      s.cluster.cfg.ScrubBlockPace,
-		Metrics:             s.cluster.metrics,
-		MetricsTable:        info.Table,
+		FS:               s.cluster.FS,
+		Dir:              regionDir(info),
+		MemtableBytes:    s.cluster.cfg.MemtableBytes,
+		CompactionFanIn:  s.cluster.cfg.CompactionFanIn,
+		RetainTombstones: s.cluster.retainsTombstones(info.Table),
+		BlockCache:       cache,
+		ScrubInterval:    s.cluster.cfg.ScrubInterval,
+		ScrubBlockPace:   s.cluster.cfg.ScrubBlockPace,
+		Metrics:          s.cluster.metrics,
+		MetricsTable:     info.Table,
 		OnReplay: func(c kv.Cell) {
 			s.cluster.clock.Observe(c.Ts)
 			replayed = append(replayed, c.Clone())

@@ -27,7 +27,7 @@ func (fs keepWALFS) Remove(name string) error {
 }
 
 // newCompactionEnv builds a cluster whose stores compact eagerly: two
-// SSTables arm a round, which keeps each key's newest version only (every
+// SSTables of one size tier (every table of these small stores) arm a round, which keeps each key's newest version only (every
 // input is at or below the GC horizon it raises), so every overwrite that
 // reaches a second flush is garbage-collected on the next merge. The
 // WALs are never truncated, so indexLog sees every cell the title index was
@@ -35,10 +35,9 @@ func (fs keepWALFS) Remove(name string) error {
 func newCompactionEnv(t testing.TB) *env {
 	t.Helper()
 	c := cluster.New(cluster.Config{
-		Servers:             3,
-		BaseFS:              keepWALFS{vfs.NewMemFS()},
-		CompactionThreshold: 2,
-		CompactionFanIn:     2,
+		Servers:         3,
+		BaseFS:          keepWALFS{vfs.NewMemFS()},
+		CompactionFanIn: 2,
 	})
 	t.Cleanup(func() { c.Close() })
 	m := NewManager(c, ManagerOptions{})

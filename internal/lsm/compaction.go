@@ -54,18 +54,18 @@ type tableMeta struct {
 }
 
 // pickTiered selects the inputs for one compaction round: the indices (into
-// metas) of at most fanIn non-busy tables. Preference order:
+// metas) of at most fanIn idle tables from the smallest-size tier holding at
+// least fanIn of them — the classic size-tiered trigger, merging peers of
+// similar size. It returns nil when no tier is full, unless force is set:
+// then it takes the fanIn smallest idle tables overall, so a forced round
+// makes progress across tier boundaries. It also returns nil when fewer than
+// two tables are idle.
 //
-//  1. the smallest-size tier holding at least fanIn claimable tables — the
-//     classic size-tiered trigger, merging peers of similar size;
-//  2. when no tier is full but the store holds at least threshold tables
-//     (or force is set), the fanIn smallest claimable tables overall, so
-//     table count always converges even across tier boundaries.
-//
-// It returns nil when fewer than two tables are claimable or no rule fires.
-// The bounded fan-in is the engine's core guarantee: a round never rewrites
-// more than fanIn tables regardless of how many exist.
-func pickTiered(metas []tableMeta, fanIn, threshold int, force bool) []int {
+// A round never rewrites more than fanIn tables, and a table waits in its
+// tier until fanIn−1 peers join it, so each byte is rewritten about once per
+// tier, and with no round running a store holds at most fanIn−1 tables per
+// tier (DESIGN.md §10).
+func pickTiered(metas []tableMeta, fanIn int, force bool) []int {
 	var cand []int
 	for i, m := range metas {
 		if !m.Busy {
@@ -76,7 +76,6 @@ func pickTiered(metas []tableMeta, fanIn, threshold int, force bool) []int {
 		return nil
 	}
 
-	// Rule 1: lowest full tier.
 	byTier := make(map[int][]int)
 	minTier := -1
 	for _, i := range cand {
@@ -89,7 +88,7 @@ func pickTiered(metas []tableMeta, fanIn, threshold int, force bool) []int {
 	pool := cand
 	if minTier >= 0 {
 		pool = byTier[minTier]
-	} else if !force && len(metas) < threshold {
+	} else if !force {
 		return nil
 	}
 
@@ -196,7 +195,7 @@ func (s *Store) claimLocked(force, all bool) ([]*tableHandle, bool, error) {
 	if all {
 		picked = pickAll(metas)
 	} else {
-		picked = pickTiered(metas, s.opts.CompactionFanIn, s.opts.CompactionThreshold, force)
+		picked = pickTiered(metas, s.opts.CompactionFanIn, force)
 	}
 	if picked == nil {
 		return nil, false, errNoClaim
@@ -288,8 +287,8 @@ func (s *Store) compactWorker(inputs []*tableHandle, bottom bool) {
 	}
 }
 
-// CompactOnce synchronously runs a single tiered compaction round,
-// bypassing the threshold rule (force). It reports whether a round ran:
+// CompactOnce synchronously runs a single tiered compaction round, forced:
+// with no full tier it merges the fan-in smallest idle tables. It reports whether a round ran:
 // false with a nil error means there was nothing worth merging.
 func (s *Store) CompactOnce() (bool, error) {
 	s.compMu.Lock()

@@ -42,30 +42,28 @@ func sameSize(n int, size int64) []tableMeta {
 func TestPickTieredBoundedFanIn(t *testing.T) {
 	// The core guarantee: no matter how many tables exist, one round never
 	// picks more than fanIn of them — compaction cannot rewrite the store.
-	for _, n := range []int{2, 5, 12, 40} {
-		metas := sameSize(n, 10<<10)
-		picked := pickTiered(metas, 4, 2, false)
-		if picked == nil {
-			t.Fatalf("n=%d: no pick", n)
+	// Below fanIn peers the tier is not full and nothing is picked.
+	for _, n := range []int{2, 3, 4, 5, 12, 40} {
+		picked := pickTiered(sameSize(n, 10<<10), 4, false)
+		if n < 4 {
+			if picked != nil {
+				t.Errorf("n=%d: picked %v from a tier that is not full", n, picked)
+			}
+			continue
 		}
-		if len(picked) > 4 {
-			t.Errorf("n=%d: picked %d tables, fan-in is 4", n, len(picked))
-		}
-		if n > 4 && len(picked) == n {
-			t.Errorf("n=%d: round rewrites every live table", n)
+		if len(picked) != 4 {
+			t.Errorf("n=%d: picked %d tables, want the fan-in 4", n, len(picked))
 		}
 	}
 }
 
 func TestPickTieredPrefersLowestFullTier(t *testing.T) {
-	// Tier 1 (256 KiB..1 MiB) has 4 members, tier 0 only 2: with fanIn 4
-	// the full lower tier 0 is not full, so tier 1 wins only when tier 0
-	// lacks fanIn members... construct the opposite: tier 0 full.
+	// Tiers 0 and 1 are both full: the smaller tier wins.
 	metas := []tableMeta{
 		{Size: 300 << 10}, {Size: 300 << 10}, {Size: 300 << 10}, {Size: 300 << 10}, // tier 1
 		{Size: 10 << 10}, {Size: 10 << 10}, {Size: 10 << 10}, {Size: 10 << 10}, // tier 0
 	}
-	picked := pickTiered(metas, 4, 100, false)
+	picked := pickTiered(metas, 4, false)
 	if len(picked) != 4 {
 		t.Fatalf("picked %v", picked)
 	}
@@ -76,44 +74,47 @@ func TestPickTieredPrefersLowestFullTier(t *testing.T) {
 	}
 }
 
-func TestPickTieredThresholdAndForce(t *testing.T) {
-	// Three tables in three different tiers: no tier is full, and with the
-	// count below threshold nothing is picked — unless forced.
-	metas := []tableMeta{{Size: 10 << 10}, {Size: 300 << 10}, {Size: 2 << 20}}
-	if picked := pickTiered(metas, 4, 10, false); picked != nil {
-		t.Errorf("picked %v below threshold with no full tier", picked)
+func TestPickTieredForce(t *testing.T) {
+	// Three fresh flushes beside one large table: no tier is full, so the
+	// large table is not rewritten however many small ones sit beside it.
+	metas := []tableMeta{{Size: 10 << 10}, {Size: 10 << 10}, {Size: 10 << 10}, {Size: 2 << 20}}
+	if picked := pickTiered(metas, 4, false); picked != nil {
+		t.Errorf("picked %v with no full tier", picked)
 	}
-	picked := pickTiered(metas, 2, 10, true)
-	if len(picked) != 2 {
-		t.Fatalf("forced pick = %v, want 2 smallest", picked)
+	// Forced, the fan-in smallest tables go, across tiers.
+	metas = []tableMeta{{Size: 10 << 10}, {Size: 300 << 10}, {Size: 2 << 20}}
+	if picked := pickTiered(metas, 2, false); picked != nil {
+		t.Errorf("picked %v with no full tier", picked)
 	}
-	// The two smallest overall are indices 0 and 1.
-	if picked[0] != 0 || picked[1] != 1 {
-		t.Errorf("forced pick = %v, want [0 1]", picked)
-	}
-	// Past the threshold the same shape compacts without force.
-	if picked := pickTiered(metas, 2, 3, false); len(picked) != 2 {
-		t.Errorf("threshold pick = %v, want 2 tables", picked)
+	picked := pickTiered(metas, 2, true)
+	if len(picked) != 2 || picked[0] != 0 || picked[1] != 1 {
+		t.Errorf("forced pick = %v, want the 2 smallest [0 1]", picked)
 	}
 }
 
 func TestPickTieredSkipsBusy(t *testing.T) {
-	metas := sameSize(5, 10<<10)
+	metas := sameSize(6, 10<<10)
 	metas[0].Busy = true
 	metas[2].Busy = true
-	picked := pickTiered(metas, 4, 4, false)
-	if len(picked) != 3 {
-		t.Fatalf("picked %v, want the 3 idle tables", picked)
+	picked := pickTiered(metas, 4, false)
+	if len(picked) != 4 {
+		t.Fatalf("picked %v, want the 4 idle tables", picked)
 	}
 	for _, idx := range picked {
 		if metas[idx].Busy {
 			t.Errorf("picked busy table %d", idx)
 		}
 	}
-	// With fewer than two claimable tables there is nothing to merge.
+	// Busy tables do not fill a tier: three idle peers wait for a fourth.
 	metas[1].Busy = true
+	if picked := pickTiered(metas, 4, false); picked != nil {
+		t.Errorf("picked %v with 3 idle tables and fan-in 4", picked)
+	}
+	// With fewer than two idle tables there is nothing to merge, even
+	// forced.
 	metas[3].Busy = true
-	if picked := pickTiered(metas, 4, 4, true); picked != nil {
+	metas[4].Busy = true
+	if picked := pickTiered(metas, 4, true); picked != nil {
 		t.Errorf("picked %v with one idle table", picked)
 	}
 }
@@ -336,9 +337,9 @@ func TestBackgroundCompactionErrorSurfaced(t *testing.T) {
 	fault := vfs.NewFaultFS(vfs.NewMemFS())
 	s, err := Open(Options{
 		FS: fault, Dir: "store",
-		CompactionThreshold: 2,
-		DisableAutoFlush:    true,
-		DisableAutoCompact:  true,
+		CompactionFanIn:    2,
+		DisableAutoFlush:   true,
+		DisableAutoCompact: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -382,9 +383,8 @@ func TestReadsRaceConcurrentCompactions(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MemtableBytes:       8 << 10,
-		CompactionThreshold: 2,
-		CompactionFanIn:     2,
+		MemtableBytes:   8 << 10,
+		CompactionFanIn: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,4 +483,77 @@ func TestReadsRaceConcurrentCompactions(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTieredCompactionBound flushes 64 equal tier-0 tables with background
+// compaction on and checks the size-tiered bounds. Only a full tier is
+// merged, so each byte is rewritten once per tier it climbs (three tiers
+// for 4³ tables): compaction writes at most 4× the bytes flushed. With no
+// round running, each tier holds at most fanIn−1 tables, and as no round
+// merges across tiers the table count is the base-fanIn digit sum of the
+// flush count. A round that merges across tiers would break both.
+func TestTieredCompactionBound(t *testing.T) {
+	const fanIn, flushes, perTable = 4, 64, 1000
+	s, err := Open(Options{
+		FS: vfs.NewMemFS(), Dir: "store",
+		CompactionFanIn:  fanIn,
+		DisableAutoFlush: true,
+		DisableScrub:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	tierCounts := func() map[int]int {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		counts := map[int]int{}
+		for _, h := range s.tables {
+			counts[tierOf(h.r.Size())]++
+		}
+		return counts
+	}
+	value := []byte(strings.Repeat("v", 100))
+	for n := 1; n <= flushes; n++ {
+		before := s.TableCount()
+		for i := 0; i < perTable; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("k%08d", n*perTable+i)), value, kv.Timestamp(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			// Each merge of fanIn equal tables lands one tier up only if a
+			// flushed table fills at least a quarter of tier 0.
+			if size := s.Stats().FlushBytes; size < tierBase || tierOf(size) != 0 {
+				t.Fatalf("flushed table of %d bytes: want [%d, %d)", size, tierBase, tierBase*tierRatio)
+			}
+		}
+		if got := s.TableCount(); got > before+1 {
+			t.Fatalf("flush %d: %d tables, %d before the flush", n, got, before)
+		}
+		s.WaitCompactions()
+		want := 0
+		for d := n; d > 0; d /= fanIn {
+			want += d % fanIn
+		}
+		if got := s.TableCount(); got != want {
+			t.Fatalf("flush %d: %d tables at rest, want %d (tiers %v)", n, got, want, tierCounts())
+		}
+		for tier, c := range tierCounts() {
+			if c > fanIn-1 {
+				t.Fatalf("flush %d: tier %d holds %d tables at rest", n, tier, c)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.CompactionBytesWritten > 4*st.FlushBytes {
+		t.Errorf("compaction wrote %d bytes for %d flushed (%.1f×), want ≤ 4×",
+			st.CompactionBytesWritten, st.FlushBytes, float64(st.CompactionBytesWritten)/float64(st.FlushBytes))
+	}
+	t.Logf("flushed %d bytes, compaction wrote %d (%.2f×) in %d rounds", st.FlushBytes, st.CompactionBytesWritten,
+		float64(st.CompactionBytesWritten)/float64(st.FlushBytes), st.Compactions)
 }

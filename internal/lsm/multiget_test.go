@@ -232,11 +232,11 @@ func reversed(keys [][]byte) [][]byte {
 // key's last write acknowledged before the batch started.
 func TestMultiGetRacesFlushAndCompaction(t *testing.T) {
 	s, err := Open(Options{
-		FS:                  vfs.NewMemFS(),
-		Dir:                 "mg",
-		CompactionThreshold: 2,
-		DisableScrub:        true,
-		DisableAutoFlush:    true, // flushes are explicit below; compactions are not
+		FS:               vfs.NewMemFS(),
+		Dir:              "mg",
+		CompactionFanIn:  2,
+		DisableScrub:     true,
+		DisableAutoFlush: true, // flushes are explicit below; compactions are not
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +314,9 @@ func TestMultiGetRacesFlushAndCompaction(t *testing.T) {
 		t.Error(err)
 	}
 	wg.Wait()
+	if s.Stats().Compactions == 0 {
+		t.Error("no compaction round ran during the reads")
+	}
 }
 
 // multiGetStore builds a store of 8 overlapping tables under a warm block

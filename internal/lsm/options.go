@@ -33,13 +33,10 @@ type Options struct {
 	// MemtableBytes is the approximate memtable size that triggers a flush.
 	// Defaults to 4 MiB.
 	MemtableBytes int64
-	// CompactionThreshold is the SSTable count at which the tiered picker
-	// starts forcing merges even when no size tier is full. Defaults to 4.
-	CompactionThreshold int
-	// CompactionFanIn bounds how many SSTables one compaction round may
-	// merge: each round picks at most this many similar-sized tables, so a
-	// round's I/O is bounded no matter how many tables accumulate.
-	// Defaults to 4.
+	// CompactionFanIn is how many similar-sized SSTables one compaction
+	// round merges: a round starts when a size tier holds this many idle
+	// tables, so a round's I/O is bounded no matter how many tables
+	// accumulate. Defaults to 4.
 	CompactionFanIn int
 	// RetainTombstones keeps delete markers through every compaction,
 	// including bottom-tier rounds (the data they mask is still GC'd).
@@ -67,7 +64,8 @@ type Options struct {
 	// DisableAutoFlush turns off size-triggered flushes (tests flush
 	// explicitly for determinism).
 	DisableAutoFlush bool
-	// DisableAutoCompact turns off count-triggered compactions.
+	// DisableAutoCompact turns off the compaction rounds a flush arms when
+	// it fills a size tier.
 	DisableAutoCompact bool
 	// DisableScrub turns off the background integrity scrubber.
 	DisableScrub bool
@@ -85,9 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
 		o.MemtableBytes = 4 << 20
-	}
-	if o.CompactionThreshold <= 0 {
-		o.CompactionThreshold = 4
 	}
 	if o.CompactionFanIn <= 0 {
 		o.CompactionFanIn = 4

@@ -216,11 +216,11 @@ func checkRow(t *testing.T, row int, got []ScanResult, want map[string]string) {
 // trimmed-history check, which fails the same way with the skip disabled.)
 func TestPartScanRacesFlushAndCompaction(t *testing.T) {
 	s, err := Open(Options{
-		FS:                  vfs.NewMemFS(),
-		Dir:                 "ps",
-		CompactionThreshold: 2,
-		DisableScrub:        true,
-		DisableAutoFlush:    true, // flushes are explicit below; compactions are not
+		FS:               vfs.NewMemFS(),
+		Dir:              "ps",
+		CompactionFanIn:  2,
+		DisableScrub:     true,
+		DisableAutoFlush: true, // flushes are explicit below; compactions are not
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,4 +313,7 @@ func TestPartScanRacesFlushAndCompaction(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s.WaitCompactions()
+	if s.Stats().Compactions == 0 {
+		t.Error("no compaction round ran during the scans")
+	}
 }

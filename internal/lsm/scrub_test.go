@@ -191,10 +191,10 @@ func TestScrubRacesWithFlushesAndCompactions(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MemtableBytes:       1 << 14,
-		CompactionThreshold: 2,
-		ScrubInterval:       time.Millisecond,
-		ScrubBlockPace:      -1,
+		MemtableBytes:   1 << 14,
+		CompactionFanIn: 2,
+		ScrubInterval:   time.Millisecond,
+		ScrubBlockPace:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)

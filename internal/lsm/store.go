@@ -430,8 +430,8 @@ func (s *Store) Flush() error {
 	s.mu.Unlock()
 	s.flushBytes.Add(h.r.Size())
 
-	// Let the tiered picker decide whether any merge is due (tier full, or
-	// total table count past CompactionThreshold). The scheduler returns
+	// Let the tiered picker decide whether a merge is due (some size tier
+	// holds CompactionFanIn idle tables). The scheduler returns
 	// immediately when there is nothing to do or workers are saturated, and
 	// rounds run concurrently with subsequent flushes.
 	if !s.opts.DisableAutoCompact {

@@ -538,8 +538,8 @@ func TestAutoFlushAndCompact(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MemtableBytes:       8 << 10,
-		CompactionThreshold: 3,
+		MemtableBytes:   8 << 10,
+		CompactionFanIn: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -549,12 +549,21 @@ func TestAutoFlushAndCompact(t *testing.T) {
 		if err := s.Put([]byte(fmt.Sprintf("k%06d", i)), val, kv.Timestamp(i+1)); err != nil {
 			t.Fatal(err)
 		}
+		// The async auto-flush may fold everything into one table; an
+		// explicit flush halfway leaves at least two tier-0 tables, which
+		// fill the tier at fan-in 2.
+		if i == 199 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := s.Flush(); err != nil { // push out the tail
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.FlushBytes == 0 {
-		t.Error("auto flush never triggered")
+	s.WaitCompactions()
+	if st := s.Stats(); st.FlushBytes == 0 || st.Compactions == 0 {
+		t.Errorf("auto flush or compaction never triggered: %+v", st)
 	}
 	for i := 0; i < 400; i++ {
 		if _, ok, _ := s.Get([]byte(fmt.Sprintf("k%06d", i)), kv.MaxTimestamp); !ok {
@@ -750,8 +759,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	fs := vfs.NewMemFS()
 	s, err := Open(Options{
 		FS: fs, Dir: "store",
-		MemtableBytes:       16 << 10,
-		CompactionThreshold: 3,
+		MemtableBytes:   16 << 10,
+		CompactionFanIn: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

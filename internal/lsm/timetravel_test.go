@@ -336,11 +336,11 @@ func TestGetAsOfMaskedByDelete(t *testing.T) {
 // at the newest timestamp is never refused.
 func TestAsOfReadsRaceCompaction(t *testing.T) {
 	s, err := Open(Options{
-		FS:                  vfs.NewMemFS(),
-		Dir:                 "tt",
-		CompactionThreshold: 2,
-		DisableScrub:        true,
-		DisableAutoFlush:    true, // flushes are explicit below; compactions are not
+		FS:               vfs.NewMemFS(),
+		Dir:              "tt",
+		CompactionFanIn:  2,
+		DisableScrub:     true,
+		DisableAutoFlush: true, // flushes are explicit below; compactions are not
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"diffindex/internal/bloom"
 	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
 )
@@ -219,7 +218,7 @@ func TestGetGapRejectionZeroIO(t *testing.T) {
 	// Force the bloom to pass for the gap key: the filter is rebuilt over
 	// exactly the probe, so MayContain is true yet the key is absent.
 	gap := []byte("b5000000")
-	r.filter = bloom.New([][]byte{gap}, 10)
+	r.filter = filterOf(gap)
 
 	before := cfs.reads.Load()
 	if _, ok, err := r.Get(gap, kv.MaxTimestamp); ok || err != nil {
@@ -230,7 +229,7 @@ func TestGetGapRejectionZeroIO(t *testing.T) {
 	}
 
 	// Sanity: the same reader still does real I/O for a key it must fetch.
-	r.filter = bloom.New([][]byte{[]byte("c0001000")}, 10)
+	r.filter = filterOf([]byte("c0001000"))
 	before = cfs.reads.Load()
 	if _, ok, _ := r.Get([]byte("c0001000"), kv.MaxTimestamp); !ok {
 		t.Fatal("real key not found")

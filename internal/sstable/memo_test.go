@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"diffindex/internal/bloom"
 	"diffindex/internal/kv"
 	"diffindex/internal/vfs"
 )
@@ -34,7 +33,7 @@ func TestGetMemoAtBlockEdges(t *testing.T) {
 	for _, c := range cells {
 		keys = append(keys, c.Key)
 	}
-	r.filter = bloom.New(keys, 10)
+	r.filter = filterOf(keys...)
 
 	var memo BlockMemo
 	for _, step := range []struct {

@@ -27,12 +27,13 @@ type Writer struct {
 	blockRestarts []uint32
 	blockEntries  int
 
-	// Bloom filter entries: every distinct user key, and every distinct
-	// first composite part (kv.FirstPartLen) so single-part scans can skip
-	// the table — HBase's ROWCOL and ROW filters in one.
-	filterKeys [][]byte
-	lastUser   []byte
-	lastFirst  []byte
+	// Bloom filter entries, as bloom.Hash sums: every distinct user key,
+	// and every distinct first composite part (kv.FirstPartLen) so
+	// single-part scans can skip the table — HBase's ROWCOL and ROW filters
+	// in one.
+	filterHashes []uint64
+	lastUser     []byte
+	lastFirst    []byte
 
 	smallest, largest []byte // user-key bounds
 	stamps            stamps
@@ -82,7 +83,7 @@ func (w *Writer) Add(ikey, value []byte) error {
 	w.lastKey = append(w.lastKey[:0], ikey...)
 
 	if w.lastUser == nil || string(user) != string(w.lastUser) {
-		w.filterKeys = append(w.filterKeys, append([]byte(nil), user...))
+		w.filterHashes = append(w.filterHashes, bloom.Hash(user))
 		w.lastUser = append(w.lastUser[:0], user...)
 		// Keys sharing a first part are adjacent, so comparing with the
 		// previous one deduplicates. A key that is exactly one part is
@@ -90,7 +91,7 @@ func (w *Writer) Add(ikey, value []byte) error {
 		if n := kv.FirstPartLen(user); n > 0 && string(user[:n]) != string(w.lastFirst) {
 			w.lastFirst = append(w.lastFirst[:0], user[:n]...)
 			if n < len(user) {
-				w.filterKeys = append(w.filterKeys, append([]byte(nil), user[:n]...))
+				w.filterHashes = append(w.filterHashes, bloom.Hash(user[:n]))
 			}
 		}
 	}
@@ -148,7 +149,7 @@ func (w *Writer) Finish() error {
 	ftr.entryCount = w.count
 	ftr.tombstoneCount = w.tombstones
 
-	filter := bloom.New(w.filterKeys, bloom.BitsPerKey).Marshal()
+	filter := bloom.New(w.filterHashes, bloom.BitsPerKey).Marshal()
 	ftr.filterOff = w.blockOff
 	ftr.filterLen = uint64(len(filter))
 	if _, err := w.f.Write(filter); err != nil {
